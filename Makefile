@@ -41,13 +41,14 @@ vet:
 # internal/simlint): vet, module verification (the module is deliberately
 # dependency-free), the simlint analyzers over the whole tree — determinism
 # checks plus the hotalloc/fieldcover/poolsafe contract analyzers — and a
-# focused race pass over the concurrency-bearing packages. CI runs simlint
+# focused race pass over the concurrency-bearing packages (the engine runs
+# real map and reduce worker goroutines, each owning its grouper). CI runs simlint
 # with -json/-github on top for inline PR annotations.
 lint:
 	$(GO) vet ./...
 	$(GO) mod verify
 	$(GO) run ./cmd/simlint ./...
-	$(GO) test -race ./internal/sweep/... ./internal/simclock/...
+	$(GO) test -race ./internal/sweep/... ./internal/simclock/... ./internal/engine/...
 
 # The resilience layer under the race detector: the gray-failure and
 # crash-replay goldens (byte-identical serial vs parallel), the watchdog

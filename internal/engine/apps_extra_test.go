@@ -2,6 +2,7 @@ package engine
 
 import (
 	"bytes"
+	"fmt"
 	"sort"
 	"strings"
 	"testing"
@@ -135,5 +136,52 @@ func TestIdentityReducer(t *testing.T) {
 	}
 	if len(got) != 3 || got[0] != "k=a" || got[1] != "k=b" || got[2] != "k=a" {
 		t.Errorf("identity output = %v", got)
+	}
+}
+
+// pairLineMapper emits each "key value" line as one (key, value) pair.
+type pairLineMapper struct{}
+
+func (pairLineMapper) Map(line []byte, emit func(k, v string)) error {
+	k, v, _ := bytes.Cut(line, []byte{' '})
+	emit(string(k), string(v))
+	return nil
+}
+
+// An identity job's output is in (key, value) order: the final output sort
+// keeps each key's values in the order its reducer emitted them.
+func TestIdentityJobKeepsValueOrder(t *testing.T) {
+	var in bytes.Buffer
+	var want []string
+	for i := 0; i < 400; i++ {
+		k, v := fmt.Sprintf("k%d", (i*5)%7), fmt.Sprintf("%04d", 399-i)
+		fmt.Fprintf(&in, "%s %s\n", k, v)
+		want = append(want, k+"\t"+v)
+	}
+	sort.Strings(want)
+	store := newOFS(t)
+	if err := store.Create("in", in.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{
+		Name: "identity", Store: store, Input: "in", Output: "out",
+		Mapper: pairLineMapper{}, Reducer: IdentityReducer{},
+		Reducers: 3, MapSlots: 2, ReduceSlots: 2,
+	}
+	if _, err := Run(cfg); err != nil {
+		t.Fatal(err)
+	}
+	got := strings.Split(strings.TrimSuffix(string(readAll(t, store, "out")), "\n"), "\n")
+	if len(got) != len(want) {
+		t.Fatalf("%d output lines, want %d", len(got), len(want))
+	}
+	bad := 0
+	for i := range got {
+		if got[i] != want[i] {
+			bad++
+		}
+	}
+	if bad > 0 {
+		t.Errorf("%d of %d output lines out of (key, value) order", bad, len(want))
 	}
 }

@@ -4,7 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"hash/fnv"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -137,8 +137,8 @@ func (e *errOnce) get() error {
 }
 
 // Run executes the job: line-aligned splits per block, a map worker pool of
-// MapSlots, per-task combining, hash partitioning into Reducers partitions,
-// sort-merge, and a reduce worker pool of ReduceSlots.
+// MapSlots, per-task grouping and combining, hash partitioning into Reducers
+// partitions, and a reduce worker pool of ReduceSlots.
 func Run(cfg Config) (Counters, error) {
 	if err := cfg.validate(); err != nil {
 		return Counters{}, err
@@ -197,6 +197,13 @@ func Run(cfg Config) (Counters, error) {
 	// ---- Shuffle: regroup per reduce partition ----
 	shuffleStart := time.Now() //simlint:allow walltime Counters report the real engine's measured wall time, not sim time
 	byReducer := make([][]kv, cfg.Reducers)
+	for r := range byReducer {
+		n := 0
+		for _, taskOut := range partitions {
+			n += len(taskOut[r])
+		}
+		byReducer[r] = make([]kv, 0, n)
+	}
 	var shuffleBytes int64
 	for _, taskOut := range partitions {
 		for r, pairs := range taskOut {
@@ -243,7 +250,8 @@ func Run(cfg Config) (Counters, error) {
 	for _, out := range results {
 		all = append(all, out...)
 	}
-	sort.Slice(all, func(i, j int) bool { return all[i].k < all[j].k })
+	// Stable: a key's records keep the order its reducer emitted them in.
+	slices.SortStableFunc(all, func(a, b kv) int { return strings.Compare(a.k, b.k) })
 	for _, p := range all {
 		buf.WriteString(p.k)
 		buf.WriteByte('\t')
@@ -267,22 +275,15 @@ func runMapTask(cfg Config, ds Dataset, task int, part Partitioner) (out [][]kv,
 	if err != nil {
 		return nil, 0, 0, 0, fmt.Errorf("engine: job %s task %d: %w", cfg.Name, task, err)
 	}
-	var local []kv
-	var emit func(k, v string)
+	// Map output goes straight into the task's grouper as it is emitted;
+	// a bounded sort buffer spills it to sorted segments as it fills.
+	sb := newSpillBuffer(cfg.SortBufferRecords, cfg.Combiner)
 	var emitErr error
-	var sb *spillBuffer
-	if cfg.SortBufferRecords > 0 {
-		// Bounded map-side buffer: sort + combine + spill segments.
-		sb = newSpillBuffer(cfg.SortBufferRecords, cfg.Combiner)
-		emit = func(k, v string) {
-			nOut++
-			if emitErr == nil {
-				emitErr = sb.add(kv{k, v})
-			}
+	emit := func(k, v string) {
+		nOut++
+		if emitErr == nil {
+			emitErr = sb.add(k, v)
 		}
-	} else {
-		local = make([]kv, 0, 1024)
-		emit = func(k, v string) { local = append(local, kv{k, v}) }
 	}
 	for len(split) > 0 {
 		nl := bytes.IndexByte(split, '\n')
@@ -303,20 +304,12 @@ func runMapTask(cfg Config, ds Dataset, task int, part Partitioner) (out [][]kv,
 			return nil, 0, 0, 0, fmt.Errorf("engine: job %s task %d spill: %w", cfg.Name, task, emitErr)
 		}
 	}
-	if sb != nil {
-		local, err = sb.drain()
-		if err != nil {
-			return nil, 0, 0, 0, fmt.Errorf("engine: job %s task %d merge: %w", cfg.Name, task, err)
-		}
+	local, err := sb.drain()
+	if err != nil {
+		return nil, 0, 0, 0, fmt.Errorf("engine: job %s task %d combiner: %w", cfg.Name, task, err)
+	}
+	if cfg.SortBufferRecords > 0 {
 		nSpill = int64(sb.spills)
-	} else {
-		nOut = int64(len(local))
-		if cfg.Combiner != nil {
-			local, err = combine(cfg.Combiner, local)
-			if err != nil {
-				return nil, 0, 0, 0, fmt.Errorf("engine: job %s task %d combiner: %w", cfg.Name, task, err)
-			}
-		}
 	}
 	out = make([][]kv, cfg.Reducers)
 	for _, p := range local {
@@ -398,55 +391,67 @@ func readFull(ds Dataset, p []byte, off int64) (int, error) {
 	return total, nil
 }
 
-// combine groups a task's local pairs by key and runs the combiner.
-func combine(c Reducer, pairs []kv) ([]kv, error) {
-	grouped := groupByKey(pairs)
-	out := make([]kv, 0, len(grouped))
-	emit := func(k, v string) { out = append(out, kv{k, v}) }
-	for _, g := range grouped {
-		if err := c.Reduce(g.key, g.values, emit); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
+// group is one key and its values.
 type group struct {
 	key    string
 	values []string
 }
 
-// groupByKey sorts pairs and groups values per key (the sort-merge step).
-func groupByKey(pairs []kv) []group {
-	sort.Slice(pairs, func(i, j int) bool {
-		if pairs[i].k != pairs[j].k {
-			return pairs[i].k < pairs[j].k
+// grouper is the engine's one grouping primitive: it hashes pairs into
+// per-key groups as they arrive, and sorted() then yields what Hadoop's
+// sort-merge step yields — keys ascending, each key's values ascending —
+// by sorting the distinct keys rather than every pair. Every map task,
+// spill and reduce task owns its grouper.
+type grouper struct {
+	index  map[string]int // key → position in groups
+	groups []group        // in first-seen order until sorted
+	n      int            // pairs added since the last reset
+}
+
+func (g *grouper) add(k, v string) {
+	i, ok := g.index[k]
+	if !ok {
+		if g.index == nil {
+			g.index = make(map[string]int)
 		}
-		return pairs[i].v < pairs[j].v
-	})
-	var out []group
-	for i := 0; i < len(pairs); {
-		j := i
-		for j < len(pairs) && pairs[j].k == pairs[i].k {
-			j++
-		}
-		vals := make([]string, 0, j-i)
-		for _, p := range pairs[i:j] {
-			vals = append(vals, p.v)
-		}
-		out = append(out, group{key: pairs[i].k, values: vals})
-		i = j
+		i = len(g.groups)
+		g.index[k] = i
+		g.groups = append(g.groups, group{key: k})
 	}
-	return out
+	g.groups[i].values = append(g.groups[i].values, v)
+	g.n++
+}
+
+// sorted orders the groups by key and each group's values ascending, and
+// returns them. It invalidates the index: call reset before adding again.
+func (g *grouper) sorted() []group {
+	slices.SortFunc(g.groups, func(a, b group) int { return strings.Compare(a.key, b.key) })
+	for _, gr := range g.groups {
+		if !slices.IsSorted(gr.values) {
+			slices.Sort(gr.values)
+		}
+	}
+	return g.groups
+}
+
+// reset empties the grouper, keeping its index and group storage for reuse.
+func (g *grouper) reset() {
+	clear(g.index)
+	g.groups = g.groups[:0]
+	g.n = 0
 }
 
 func runReduceTask(cfg Config, pairs []kv) ([]kv, error) {
-	grouped := groupByKey(pairs)
+	var g grouper
+	for _, p := range pairs {
+		g.add(p.k, p.v)
+	}
+	grouped := g.sorted()
 	out := make([]kv, 0, len(grouped))
 	emit := func(k, v string) { out = append(out, kv{k, v}) }
-	for _, g := range grouped {
-		if err := cfg.Reducer.Reduce(g.key, g.values, emit); err != nil {
-			return nil, fmt.Errorf("engine: job %s reduce(%q): %w", cfg.Name, g.key, err)
+	for _, gr := range grouped {
+		if err := cfg.Reducer.Reduce(gr.key, gr.values, emit); err != nil {
+			return nil, fmt.Errorf("engine: job %s reduce(%q): %w", cfg.Name, gr.key, err)
 		}
 	}
 	return out, nil

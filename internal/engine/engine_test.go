@@ -3,6 +3,9 @@ package engine
 import (
 	"bytes"
 	"fmt"
+	"hash/fnv"
+	"slices"
+	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -486,5 +489,139 @@ func TestConcurrentJobsSharedStore(t *testing.T) {
 				t.Fatalf("job %d: count[%q] = %s, want %d", i, w, results[i][w], n)
 			}
 		}
+	}
+}
+
+// groupByKey is the sort-merge grouping the grouper replaced, kept as the
+// reference it must match: sort every pair by (key, value), then cut runs.
+func groupByKey(pairs []kv) []group {
+	sort.Slice(pairs, func(i, j int) bool {
+		if pairs[i].k != pairs[j].k {
+			return pairs[i].k < pairs[j].k
+		}
+		return pairs[i].v < pairs[j].v
+	})
+	var out []group
+	for i := 0; i < len(pairs); {
+		j := i
+		for j < len(pairs) && pairs[j].k == pairs[i].k {
+			j++
+		}
+		vals := make([]string, 0, j-i)
+		for _, p := range pairs[i:j] {
+			vals = append(vals, p.v)
+		}
+		out = append(out, group{key: pairs[i].k, values: vals})
+		i = j
+	}
+	return out
+}
+
+func equalGroups(a, b []group) bool {
+	return slices.EqualFunc(a, b, func(x, y group) bool {
+		return x.key == y.key && slices.Equal(x.values, y.values)
+	})
+}
+
+// groupsMatchReference feeds pairs to a grouper in emit order and checks
+// its sorted groups against the sort-merge reference.
+func groupsMatchReference(g *grouper, pairs []kv) bool {
+	for _, p := range pairs {
+		g.add(p.k, p.v)
+	}
+	got := g.sorted()
+	ok := g.n == len(pairs) && equalGroups(got, groupByKey(slices.Clone(pairs)))
+	g.reset()
+	return ok
+}
+
+// Property: hash grouping yields exactly the sort-merge step's groups —
+// keys ascending, each key's values ascending — for random pairs with
+// duplicate keys, the empty key, repeated values and values emitted in
+// descending order, including on a grouper reused after reset (the spill
+// path).
+func TestGrouperMatchesSortReference(t *testing.T) {
+	keys := []string{"", "a", "ab", "b", "w000001", "w000010", "zz"}
+	vals := []string{"", "0", "1", "10", "2", "9", "x"}
+	f := func(raw []uint16, descending bool, cut uint8) bool {
+		pairs := make([]kv, len(raw))
+		for i, r := range raw {
+			pairs[i] = kv{keys[int(r&0xff)%len(keys)], vals[int(r>>8)%len(vals)]}
+		}
+		if descending {
+			slices.SortStableFunc(pairs, func(a, b kv) int { return strings.Compare(b.v, a.v) })
+		}
+		c := 0
+		if len(pairs) > 0 {
+			c = int(cut) % (len(pairs) + 1)
+		}
+		var g grouper
+		return groupsMatchReference(&g, pairs[:c]) && groupsMatchReference(&g, pairs[c:])
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Error(err)
+	}
+	// The named cases, pinned rather than left to chance.
+	var g grouper
+	for _, pairs := range [][]kv{
+		nil,
+		{{"", "1"}, {"", "0"}, {"a", ""}},
+		{{"b", "1"}, {"a", "1"}, {"b", "1"}, {"a", "1"}},
+		{{"k", "9"}, {"k", "5"}, {"j", "3"}, {"k", "1"}, {"j", "0"}},
+	} {
+		if !groupsMatchReference(&g, pairs) {
+			t.Errorf("grouper differs from the sort-merge reference on %v", pairs)
+		}
+	}
+}
+
+// Wordcount and Grep on a fixed corpus report exactly these counters and
+// output, with and without a bounded sort buffer. The grouping strategy is
+// invisible here by contract: ShuffleBytes/InputBytes is the S/I ratio
+// Algorithm 1 consumes.
+func TestCountersPinned(t *testing.T) {
+	ccfg := corpus.DefaultConfig()
+	ccfg.Seed = 2009
+	text, err := corpus.Generate(ccfg, 256*units.KB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		app                             string
+		sortBuffer                      int
+		mapOut, shuffle, outRecs, spill int64
+		digest                          uint64
+	}{
+		{"wordcount", 0, 32771, 128524, 3570, 0, 0xddc0b5149be68f15},
+		{"wordcount", 512, 32771, 128524, 3570, 96, 0xddc0b5149be68f15},
+		{"grep", 0, 2560, 448, 1, 0, 0xabdab8a9dbbc6ddc},
+		{"grep", 512, 2560, 448, 1, 64, 0xabdab8a9dbbc6ddc},
+	} {
+		t.Run(fmt.Sprintf("%s-buffer%d", tc.app, tc.sortBuffer), func(t *testing.T) {
+			store := newOFS(t)
+			if err := store.Create("in", text); err != nil {
+				t.Fatal(err)
+			}
+			cfg := NewWordcount(store, "in", "out", 4, 2, 2)
+			if tc.app == "grep" {
+				if cfg, err = NewGrep(store, "in", "out", "w0000", 4, 2, 2); err != nil {
+					t.Fatal(err)
+				}
+			}
+			cfg.SortBufferRecords = tc.sortBuffer
+			ctr, err := Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h := fnv.New64a()
+			h.Write(readAll(t, store, "out"))
+			if ctr.InputBytes != 262168 || ctr.MapOutputRecords != tc.mapOut ||
+				int64(ctr.ShuffleBytes) != tc.shuffle || ctr.OutputRecords != tc.outRecs ||
+				ctr.Spills != tc.spill || h.Sum64() != tc.digest {
+				t.Errorf("input %d, map output %d, shuffle %d, output %d, spills %d, digest %#x; want 262168, %d, %d, %d, %d, %#x",
+					ctr.InputBytes, ctr.MapOutputRecords, ctr.ShuffleBytes, ctr.OutputRecords, ctr.Spills, h.Sum64(),
+					tc.mapOut, tc.shuffle, tc.outRecs, tc.spill, tc.digest)
+			}
+		})
 	}
 }

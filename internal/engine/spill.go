@@ -1,26 +1,22 @@
 package engine
 
-import (
-	"container/heap"
-	"sort"
-)
-
 // Map-side spill: Hadoop buffers map output in a bounded in-memory buffer
 // (io.sort.mb) and, when it fills, sorts, combines and spills a segment;
 // the segments are merged at the end of the task. The engine reproduces
 // that path when Config.SortBufferRecords is set, so memory stays bounded
 // for arbitrarily large map outputs — and so the spill/merge machinery the
 // paper's heap-size tuning (§II-D) is about actually exists in the
-// functional substrate.
+// functional substrate. An unbounded buffer is the same machinery with a
+// single spill at task end.
 
 // segment is one sorted (and possibly combined) run of pairs.
 type segment []kv
 
-// spillBuffer accumulates map output under a record bound.
+// spillBuffer groups map output under a record bound.
 type spillBuffer struct {
-	bound    int
+	bound    int // records per spill; 0 spills only at drain
 	combiner Reducer
-	buf      []kv
+	g        grouper
 	segments []segment
 	spills   int
 }
@@ -29,31 +25,30 @@ func newSpillBuffer(bound int, combiner Reducer) *spillBuffer {
 	return &spillBuffer{bound: bound, combiner: combiner}
 }
 
-// add appends one pair, spilling when the buffer is full.
-func (s *spillBuffer) add(p kv) error {
-	s.buf = append(s.buf, p)
-	if s.bound > 0 && len(s.buf) >= s.bound {
+// add groups one pair, spilling when the buffer is full.
+func (s *spillBuffer) add(k, v string) error {
+	s.g.add(k, v)
+	if s.bound > 0 && s.g.n >= s.bound {
 		return s.spill()
 	}
 	return nil
 }
 
-// spill sorts (and combines) the buffer into a new segment.
+// spill turns the buffered groups into a new segment.
 func (s *spillBuffer) spill() error {
-	if len(s.buf) == 0 {
+	if s.g.n == 0 {
 		return nil
 	}
-	seg, err := sortAndCombine(s.buf, s.combiner)
+	seg, err := s.g.flush(s.combiner)
 	if err != nil {
 		return err
 	}
 	s.segments = append(s.segments, seg)
-	s.buf = s.buf[:0]
 	s.spills++
 	return nil
 }
 
-// drain finishes the task: final spill, then a k-way merge of all segments
+// drain finishes the task: a final spill, then a merge of all segments
 // with a last combine across segment boundaries.
 func (s *spillBuffer) drain() ([]kv, error) {
 	if err := s.spill(); err != nil {
@@ -65,99 +60,43 @@ func (s *spillBuffer) drain() ([]kv, error) {
 	case 1:
 		return s.segments[0], nil
 	}
-	merged := mergeSegments(s.segments)
-	if s.combiner == nil {
-		return merged, nil
-	}
-	// Equal keys from different segments sit adjacent after the merge;
-	// one more combine collapses them.
-	return combineSorted(merged, s.combiner)
+	return mergeSegments(s.segments, s.combiner)
 }
 
-// sortAndCombine sorts pairs by key and applies the combiner per key group.
-func sortAndCombine(pairs []kv, combiner Reducer) (segment, error) {
-	out := make(segment, len(pairs))
-	copy(out, pairs)
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].k != out[j].k {
-			return out[i].k < out[j].k
+// mergeSegments merges segments into one sorted run, combining equal keys
+// from different segments when a combiner is set.
+func mergeSegments(segs []segment, combiner Reducer) (segment, error) {
+	var g grouper
+	for _, seg := range segs {
+		for _, p := range seg {
+			g.add(p.k, p.v)
 		}
-		return out[i].v < out[j].v
-	})
+	}
+	return g.flush(combiner)
+}
+
+// flush empties the grouper into one sorted run: its groups in key order,
+// each run through the combiner, or expanded pair by pair when there is
+// none.
+func (g *grouper) flush(combiner Reducer) (segment, error) {
+	groups := g.sorted()
+	var out segment
 	if combiner == nil {
-		return out, nil
+		out = make(segment, 0, g.n)
+		for _, gr := range groups {
+			for _, v := range gr.values {
+				out = append(out, kv{gr.key, v})
+			}
+		}
+	} else {
+		out = make(segment, 0, len(groups))
+		emit := func(k, v string) { out = append(out, kv{k, v}) }
+		for _, gr := range groups {
+			if err := combiner.Reduce(gr.key, gr.values, emit); err != nil {
+				return nil, err
+			}
+		}
 	}
-	return combineSorted(out, combiner)
-}
-
-// combineSorted runs the combiner over key groups of an already sorted run.
-func combineSorted(sorted []kv, combiner Reducer) (segment, error) {
-	out := make(segment, 0, len(sorted))
-	emit := func(k, v string) { out = append(out, kv{k, v}) }
-	for i := 0; i < len(sorted); {
-		j := i
-		for j < len(sorted) && sorted[j].k == sorted[i].k {
-			j++
-		}
-		vals := make([]string, 0, j-i)
-		for _, p := range sorted[i:j] {
-			vals = append(vals, p.v)
-		}
-		if err := combiner.Reduce(sorted[i].k, vals, emit); err != nil {
-			return nil, err
-		}
-		i = j
-	}
+	g.reset()
 	return out, nil
-}
-
-// mergeHeap is the k-way merge frontier: one cursor per segment.
-type mergeHeap struct {
-	segs []segment
-	pos  []int
-	idx  []int // heap of segment indices
-}
-
-func (h *mergeHeap) Len() int { return len(h.idx) }
-func (h *mergeHeap) Less(a, b int) bool {
-	i, j := h.idx[a], h.idx[b]
-	pi, pj := h.segs[i][h.pos[i]], h.segs[j][h.pos[j]]
-	if pi.k != pj.k {
-		return pi.k < pj.k
-	}
-	return pi.v < pj.v
-}
-func (h *mergeHeap) Swap(a, b int) { h.idx[a], h.idx[b] = h.idx[b], h.idx[a] }
-func (h *mergeHeap) Push(x any)    { h.idx = append(h.idx, x.(int)) }
-func (h *mergeHeap) Pop() any {
-	old := h.idx
-	n := len(old)
-	v := old[n-1]
-	h.idx = old[:n-1]
-	return v
-}
-
-// mergeSegments merges sorted segments into one sorted run.
-func mergeSegments(segs []segment) []kv {
-	total := 0
-	h := &mergeHeap{segs: segs, pos: make([]int, len(segs))}
-	for i, s := range segs {
-		total += len(s)
-		if len(s) > 0 {
-			h.idx = append(h.idx, i)
-		}
-	}
-	heap.Init(h)
-	out := make([]kv, 0, total)
-	for h.Len() > 0 {
-		i := h.idx[0]
-		out = append(out, h.segs[i][h.pos[i]])
-		h.pos[i]++
-		if h.pos[i] < len(h.segs[i]) {
-			heap.Fix(h, 0)
-		} else {
-			heap.Pop(h)
-		}
-	}
-	return out
 }

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"slices"
 	"strconv"
 	"testing"
 	"testing/quick"
@@ -138,7 +139,10 @@ func TestMergeSegments(t *testing.T) {
 		{},
 		{{"a", "0"}},
 	}
-	merged := mergeSegments(segs)
+	merged, err := mergeSegments(segs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(merged) != 6 {
 		t.Fatalf("merged %d pairs", len(merged))
 	}
@@ -149,6 +153,15 @@ func TestMergeSegments(t *testing.T) {
 	}
 	if merged[0] != (kv{"a", "0"}) || merged[1] != (kv{"a", "1"}) {
 		t.Errorf("value tie-break wrong: %v", merged[:2])
+	}
+	// With a combiner, equal keys from different segments collapse.
+	combined, err := mergeSegments(segs, SumReducer{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := segment{{"a", "1"}, {"b", "1"}, {"c", "3"}, {"e", "1"}}
+	if !slices.Equal(combined, want) {
+		t.Errorf("combined merge = %v, want %v", combined, want)
 	}
 }
 
