@@ -26,8 +26,8 @@ import (
 var update = flag.Bool("update", false, "rewrite golden files")
 
 // goldenArtifacts are the snapshotted renders: Table I, the two cross-point
-// figures whose thresholds drive Algorithm 1, and the faulted trace-replay
-// resilience report. They pin the
+// figures whose thresholds drive Algorithm 1, the Fig. 10 trace replay and
+// the faulted trace-replay resilience report. They pin the
 // exact rendered bytes, so any drift in the cost model, the sweep runner's
 // result ordering, or the text renderer fails here first.
 func goldenArtifacts(cal mapreduce.Calibration) []struct {
@@ -45,6 +45,13 @@ func goldenArtifacts(cal mapreduce.Calibration) []struct {
 		}},
 		{"fig8", func() (string, error) {
 			f, err := Fig8(cal)
+			return f.Render(), err
+		}},
+		// The paper's headline experiment: a 600-job trace replayed on the
+		// hybrid and both baselines under Fair, pinning the hybrid replay
+		// (Hybrid.Run) and the baseline replay (RunBaseline) byte for byte.
+		{"fig10", func() (string, error) {
+			f, err := Fig10(cal, smallTraceConfig(600))
 			return f.Render(), err
 		}},
 		// The faulted trace replay: the demo fault schedule over a 600-job
@@ -206,8 +213,7 @@ func TestGolden(t *testing.T) {
 }
 
 // TestGoldenParallelMatchesSerial is the tentpole's determinism guard:
-// every snapshotted artifact — plus the heavier Fig. 5 and the Fig. 10
-// trace — must render byte-identical whether the sweep runner uses one
+// every snapshotted artifact — plus the heavier Fig. 5 — must render byte-identical whether the sweep runner uses one
 // worker (the historical serial path) or a saturated pool, each with a
 // fresh cache so no memoized result can mask an ordering bug.
 func TestGoldenParallelMatchesSerial(t *testing.T) {
@@ -229,11 +235,6 @@ func TestGoldenParallelMatchesSerial(t *testing.T) {
 			t.Fatal(err)
 		}
 		out["fig5"] = f5.Render()
-		f10, err := Fig10(cal(), smallTraceConfig(600))
-		if err != nil {
-			t.Fatal(err)
-		}
-		out["fig10"] = f10.Render()
 		return out
 	}
 
