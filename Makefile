@@ -23,8 +23,12 @@ BENCH_GATE = BenchmarkFig10 BenchmarkTraceReplay BenchmarkResilienceReport \
 
 all: check
 
+# perfbench is a nested module (its own go.mod, replacing hybridmr with the
+# checkout), so `go build ./...` never compiles it; vetting it here keeps an
+# API change from breaking the benchmark harness unnoticed.
 build:
 	$(GO) build ./...
+	cd perfbench && GOFLAGS=-mod=mod GOPROXY=off $(GO) vet ./...
 
 test:
 	$(GO) test ./...
@@ -40,7 +44,7 @@ vet:
 # The determinism-and-contract linter (see DESIGN.md §8 and §12 and
 # internal/simlint): vet, module verification (the module is deliberately
 # dependency-free), the simlint analyzers over the whole tree — determinism
-# checks plus the hotalloc/fieldcover/poolsafe contract analyzers — and a
+# checks plus the hotalloc/fieldcover contract analyzers — and a
 # focused race pass over the concurrency-bearing packages (the engine runs
 # real map and reduce worker goroutines, each owning its grouper). CI runs simlint
 # with -json/-github on top for inline PR annotations.

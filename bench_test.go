@@ -323,13 +323,13 @@ func BenchmarkResilienceReport(b *testing.B) {
 		b.Fatal(err)
 	}
 	inj := core.Inject{FailureRate: 0.005, StragglerFrac: 0.1, Speculate: true, Seed: 7}
-	if _, err := figures.RunResilienceJobs(cal(), jobs, faults.Demo(), inj); err != nil {
+	if _, err := figures.RunResilienceOpts(cal(), jobs, faults.Demo(), inj, obs.Set{}, nil, figures.ResilienceOpts{}); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r, err := figures.RunResilienceJobs(cal(), jobs, faults.Demo(), inj)
+		r, err := figures.RunResilienceOpts(cal(), jobs, faults.Demo(), inj, obs.Set{}, nil, figures.ResilienceOpts{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -340,11 +340,11 @@ func BenchmarkResilienceReport(b *testing.B) {
 }
 
 // BenchmarkReplayReuse contrasts a cold replay — fresh engine, fresh
-// simulator, every buffer grown from zero — with one on a pooled ReplayState
+// simulator, every buffer grown from zero — with one on a reset ReplayState
 // whose arena already holds the high-water capacity of a previous replay.
-// The pooled case is the steady state of every report generator and sweep
-// worker; the gap between the two sub-benchmarks is what cross-replay state
-// reuse buys.
+// The pooled case is the steady state of every replay that runs inside
+// mapreduce.WithState; the gap between the two sub-benchmarks is what
+// cross-replay state reuse buys.
 func BenchmarkReplayReuse(b *testing.B) {
 	cfg := traceConfig(2000)
 	jobs, err := workload.Generate(cfg)
@@ -368,8 +368,10 @@ func BenchmarkReplayReuse(b *testing.B) {
 			replay(b, mapreduce.NewReplayState())
 		}
 	})
+	// One state for every invocation of the sub-benchmark, as a pool would
+	// hand back: each invocation starts from the arena the last one left.
+	rst := mapreduce.NewReplayState()
 	b.Run("pooled", func(b *testing.B) {
-		rst := mapreduce.AcquireState()
 		replay(b, rst) // warm the arena to the replay's high-water mark
 		rst.Reset()
 		b.ReportAllocs()
@@ -378,8 +380,6 @@ func BenchmarkReplayReuse(b *testing.B) {
 			replay(b, rst)
 			rst.Reset()
 		}
-		b.StopTimer()
-		mapreduce.ReleaseState(rst)
 	})
 }
 

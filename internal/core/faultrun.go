@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"hybridmr/internal/faults"
@@ -169,9 +169,9 @@ func other(t Target) Target {
 }
 
 // RunFaulted executes the workload on the hybrid under a fault schedule.
-// With a nil/empty schedule, no injection and FailureAware off it reproduces
-// Run exactly. The returned error reports an unsurvivable or incoherent
-// schedule (or bad injection bounds), before any simulation runs.
+// The zero FaultRun is the paper's clean replay (Run). The returned error
+// reports an unsurvivable or incoherent schedule (or bad injection bounds),
+// before any simulation runs.
 func (h *Hybrid) RunFaulted(jobs []workload.Job, opt FaultRun) ([]JobResult, error) {
 	if h.Sched == nil {
 		return nil, fmt.Errorf("core: hybrid has no scheduler")
@@ -179,207 +179,201 @@ func (h *Hybrid) RunFaulted(jobs []workload.Job, opt FaultRun) ([]JobResult, err
 	maxAttempts, backoff, runner := opt.defaults()
 	strikesCap, parole := opt.blacklistDefaults()
 	fp := opt.Schedule.Fingerprint()
+	results := make([]JobResult, 0, len(jobs))
 
 	// The replay runs on pooled state: engine heap, simulators, job and
-	// attempt records all come back warm from earlier replays. The deferred
-	// release also runs on a watchdog panic, so an over-budget replay's
-	// half-consumed state is reset and recycled, not leaked.
-	rst := mapreduce.AcquireState()
-	defer mapreduce.ReleaseState(rst)
-	eng := rst.Engine()
-	if w := opt.Watchdog.Watchdog(nil); w != nil {
-		eng.SetWatchdog(w)
-	}
-	upSim := rst.Simulator(h.Up)
-	outSim := rst.Simulator(h.Out)
-	upSim.SetPolicy(h.Policy)
-	outSim.SetPolicy(h.Policy)
-	upSim.SetObserver(opt.Obs.Trace, opt.Obs.Metrics)
-	outSim.SetObserver(opt.Obs.Trace, opt.Obs.Metrics)
-	if opt.Invariants != nil {
-		upSim.SetInvariants(opt.Invariants)
-		outSim.SetInvariants(opt.Invariants)
-	}
-	if err := opt.Inject.Apply(upSim); err != nil {
-		return nil, err
-	}
-	if err := opt.Inject.Apply(outSim); err != nil {
-		return nil, err
-	}
-	if opt.CloneStragglers {
-		threshold := opt.CloneThreshold
-		if threshold <= 0 {
-			threshold = 1.5
+	// attempt records all come back warm from earlier replays. WithState
+	// also recycles the state when a watchdog panic unwinds the replay.
+	err := mapreduce.WithState(func(rst *mapreduce.ReplayState) error {
+		eng := rst.Engine()
+		if w := opt.Watchdog.Watchdog(nil); w != nil {
+			eng.SetWatchdog(w)
 		}
-		if err := upSim.SpeculateClones(threshold); err != nil {
-			return nil, err
+		upSim := rst.Simulator(h.Up)
+		outSim := rst.Simulator(h.Out)
+		upSim.SetPolicy(h.Policy)
+		outSim.SetPolicy(h.Policy)
+		upSim.SetObserver(opt.Obs.Trace, opt.Obs.Metrics)
+		outSim.SetObserver(opt.Obs.Trace, opt.Obs.Metrics)
+		if opt.Invariants != nil {
+			upSim.SetInvariants(opt.Invariants)
+			outSim.SetInvariants(opt.Invariants)
 		}
-		if err := outSim.SpeculateClones(threshold); err != nil {
-			return nil, err
+		if err := opt.Inject.Apply(upSim); err != nil {
+			return err
 		}
-	}
-	// Faults are scheduled before any submission, so at equal instants the
-	// capacity change precedes the arrival (the engine is FIFO per tick).
-	if err := upSim.ScheduleFaults(opt.Schedule.ForCluster(faults.ClusterUp)); err != nil {
-		return nil, err
-	}
-	if err := outSim.ScheduleFaults(opt.Schedule.ForCluster(faults.ClusterOut)); err != nil {
-		return nil, err
-	}
-
-	// state tracks one workload job across its (possibly retried)
-	// submissions; the latest routing decision wins.
-	type state struct {
-		job      workload.Job
-		target   Target // Algorithm 1's static choice
-		dest     Target // where the job actually went
-		rerouted bool
-		attempts int
-	}
-	// One backing array for every job's state, indexed by arrival order.
-	// The index rides the submitted job's Tag and comes back in its Result,
-	// so tracking 6000 jobs costs one allocation and no hashing.
-	backing := make([]state, len(jobs))
-	for i := range jobs {
-		backing[i].job = jobs[i]
-	}
-	results := make([]JobResult, 0, len(jobs))
-	var bench [2]benchState // blacklist accounts, indexed by Target
-
-	var submit func(idx int)
-	submit = func(idx int) {
-		st := &backing[idx]
-		job := st.job
-		st.attempts++
-		target := h.Sched.Decide(job)
-		dest := target
-		rerouted := false
-		var probe healthProbe
-		if opt.FailureAware {
-			d, pr := h.rerouteForHealth(job, target, upSim, outSim, runner, fp)
-			probe = pr
-			if d != target {
-				dest, rerouted = d, true
+		if err := opt.Inject.Apply(outSim); err != nil {
+			return err
+		}
+		if opt.CloneStragglers {
+			threshold := opt.CloneThreshold
+			if threshold <= 0 {
+				threshold = 1.5
+			}
+			if err := upSim.SpeculateClones(threshold); err != nil {
+				return err
+			}
+			if err := outSim.SpeculateClones(threshold); err != nil {
+				return err
 			}
 		}
-		blacklisted := false
-		var benchUntil time.Duration
-		if opt.Blacklist {
-			now := eng.Now()
-			if now < bench[dest].until && now >= bench[other(dest)].until {
-				benchUntil = bench[dest].until
-				dest, blacklisted = other(dest), true
+		// Faults are scheduled before any submission, so at equal instants
+		// the capacity change precedes the arrival (the engine is FIFO per
+		// tick).
+		if err := upSim.ScheduleFaults(opt.Schedule.ForCluster(faults.ClusterUp)); err != nil {
+			return err
+		}
+		if err := outSim.ScheduleFaults(opt.Schedule.ForCluster(faults.ClusterOut)); err != nil {
+			return err
+		}
+
+		// state tracks one workload job (jobs[i]) across its (possibly
+		// retried) submissions; the latest routing decision wins.
+		type state struct {
+			target   Target // Algorithm 1's static choice
+			dest     Target // where the job actually went
+			rerouted bool
+			attempts int
+		}
+		// One backing array for every job's state, indexed by arrival
+		// order. The index rides the submitted job's Tag and comes back in
+		// its Result, so tracking 6000 jobs costs one allocation and no
+		// hashing.
+		backing := make([]state, len(jobs))
+		var bench [2]benchState // blacklist accounts, indexed by Target
+
+		var submit func(idx int)
+		submit = func(idx int) {
+			st := &backing[idx]
+			job := &jobs[idx]
+			st.attempts++
+			target := h.Sched.Decide(*job)
+			dest := target
+			rerouted := false
+			var probe healthProbe
+			if opt.FailureAware {
+				d, pr := h.rerouteForHealth(*job, target, upSim, outSim, runner, fp)
+				probe = pr
+				if d != target {
+					dest, rerouted = d, true
+				}
+			}
+			blacklisted := false
+			var benchUntil time.Duration
+			if opt.Blacklist {
+				now := eng.Now()
+				if now < bench[dest].until && now >= bench[other(dest)].until {
+					benchUntil = bench[dest].until
+					dest, blacklisted = other(dest), true
+				}
+			}
+			if h.Balance != nil {
+				dest = h.Balance.Divert(dest, upSim, outSim)
+			}
+			st.target, st.dest, st.rerouted = target, dest, rerouted
+			if opt.Obs.Audit.Enabled() {
+				cross := h.Sched.CrossPoints()
+				opt.Obs.Audit.Record(obs.Decision{
+					At:              eng.Now(),
+					Job:             job.ID,
+					App:             job.App.Name,
+					Size:            job.SchedulingSize(),
+					Ratio:           float64(job.App.ShuffleInputRatio),
+					RatioKnown:      job.RatioKnown,
+					Threshold:       cross.Threshold(job.App.ShuffleInputRatio, job.RatioKnown),
+					Static:          target.String(),
+					Dest:            dest.String(),
+					Attempt:         st.attempts,
+					Rerouted:        rerouted,
+					Diverted:        dest != target,
+					Probed:          probe.probed,
+					PrefETA:         probe.prefETA,
+					AltETA:          probe.altETA,
+					PrefOK:          probe.prefOK,
+					AltOK:           probe.altOK,
+					UpMachinesDown:  upSim.MachinesDown(),
+					OutMachinesDown: outSim.MachinesDown(),
+					UpStorageDown:   upSim.StorageDown(),
+					OutStorageDown:  outSim.StorageDown(),
+					Blacklisted:     blacklisted,
+					BenchUntil:      benchUntil,
+				})
+			}
+			mj := job.MapReduceJob()
+			mj.Tag = idx
+			if dest == ScaleUp {
+				upSim.SubmitNow(mj)
+			} else {
+				outSim.SubmitNow(mj)
 			}
 		}
-		if h.Balance != nil {
-			dest = h.Balance.Divert(dest, upSim, outSim)
-		}
-		st.target, st.dest, st.rerouted = target, dest, rerouted
-		if opt.Obs.Audit.Enabled() {
-			cross := h.Sched.CrossPoints()
-			opt.Obs.Audit.Record(obs.Decision{
-				At:              eng.Now(),
-				Job:             job.ID,
-				App:             job.App.Name,
-				Size:            job.SchedulingSize(),
-				Ratio:           float64(job.App.ShuffleInputRatio),
-				RatioKnown:      job.RatioKnown,
-				Threshold:       cross.Threshold(job.App.ShuffleInputRatio, job.RatioKnown),
-				Static:          target.String(),
-				Dest:            dest.String(),
-				Attempt:         st.attempts,
-				Rerouted:        rerouted,
-				Diverted:        dest != target,
-				Probed:          probe.probed,
-				PrefETA:         probe.prefETA,
-				AltETA:          probe.altETA,
-				PrefOK:          probe.prefOK,
-				AltOK:           probe.altOK,
-				UpMachinesDown:  upSim.MachinesDown(),
-				OutMachinesDown: outSim.MachinesDown(),
-				UpStorageDown:   upSim.StorageDown(),
-				OutStorageDown:  outSim.StorageDown(),
-				Blacklisted:     blacklisted,
-				BenchUntil:      benchUntil,
+
+		record := func(r mapreduce.Result, now time.Duration) {
+			idx := r.Job.Tag
+			st := &backing[idx]
+			if opt.Blacklist && r.Err != nil {
+				// The half the job actually failed on takes the strike.
+				b := &bench[st.dest]
+				b.strikes++
+				if b.strikes >= strikesCap {
+					b.bench(now, parole)
+					if opt.Invariants != nil && b.until-now > parole<<3 {
+						opt.Invariants.Violate("blacklist-parole", "%s benched until %v at %v: bench exceeds the 8x parole cap (%v)",
+							st.dest, b.until, now, parole<<3)
+					}
+					if opt.Obs.Trace.Enabled() {
+						opt.Obs.Trace.Instant("hybrid", "blacklist", "bench", now,
+							st.dest.String()+" benched until "+b.until.String())
+					}
+				}
+			}
+			if r.Err != nil && opt.FailureAware && st.attempts < maxAttempts {
+				// Exponential backoff in simulated time; the retry is
+				// re-routed at its new arrival instant, so it sees the
+				// cluster's health then.
+				delay := backoff << (st.attempts - 1)
+				eng.After(delay, func(time.Duration) { submit(idx) })
+				return
+			}
+			// Time the job from its original arrival: queueing plus every
+			// retry round trip counts against it.
+			r.Submit = jobs[idx].Submit
+			r.Exec = r.End - r.Submit
+			results = append(results, JobResult{
+				Result:   r,
+				Target:   st.target,
+				Diverted: st.dest != st.target,
+				Rerouted: st.rerouted,
+				Attempts: st.attempts,
 			})
 		}
-		mj := job.MapReduceJob()
-		mj.Tag = idx
-		if dest == ScaleUp {
-			upSim.SubmitNow(mj)
-		} else {
-			outSim.SubmitNow(mj)
-		}
-	}
+		upSim.SetResultHook(record)
+		outSim.SetResultHook(record)
 
-	record := func(r mapreduce.Result, now time.Duration) {
-		idx := r.Job.Tag
-		st := &backing[idx]
-		if opt.Blacklist && r.Err != nil {
-			// The half the job actually failed on takes the strike.
-			b := &bench[st.dest]
-			b.strikes++
-			if b.strikes >= strikesCap {
-				b.bench(now, parole)
-				if opt.Invariants != nil && b.until-now > parole<<3 {
-					opt.Invariants.Violate("blacklist-parole", "%s benched until %v at %v: bench exceeds the 8x parole cap (%v)",
-						st.dest, b.until, now, parole<<3)
-				}
-				if opt.Obs.Trace.Enabled() {
-					opt.Obs.Trace.Instant("hybrid", "blacklist", "bench", now,
-						st.dest.String()+" benched until "+b.until.String())
+		scheduleArrivals(eng, jobs, submit)
+		eng.Run()
+		if opt.Stats != nil {
+			opt.Stats.Events = eng.Events()
+		}
+		if inv := opt.Invariants; inv != nil {
+			upSim.CheckDrainedInvariants()
+			outSim.CheckDrainedInvariants()
+			if len(results) != len(jobs) {
+				inv.Violate("job-conservation", "hybrid: %d jobs submitted, %d results", len(jobs), len(results))
+			}
+			for i := range results {
+				if a := results[i].Attempts; a < 1 || a > maxAttempts {
+					inv.Violate("task-attempts", "hybrid: job %s finished with %d attempts, budget [1,%d]",
+						results[i].Job.ID, a, maxAttempts)
 				}
 			}
 		}
-		if r.Err != nil && opt.FailureAware && st.attempts < maxAttempts {
-			// Exponential backoff in simulated time; the retry is
-			// re-routed at its new arrival instant, so it sees the
-			// cluster's health then.
-			delay := backoff << (st.attempts - 1)
-			eng.After(delay, func(time.Duration) { submit(idx) })
-			return
-		}
-		// Time the job from its original arrival: queueing plus every
-		// retry round trip counts against it.
-		r.Submit = st.job.Submit
-		r.Exec = r.End - st.job.Submit
-		results = append(results, JobResult{
-			Result:   r,
-			Target:   st.target,
-			Diverted: st.dest != st.target,
-			Rerouted: st.rerouted,
-			Attempts: st.attempts,
-		})
-	}
-	upSim.SetResultHook(record)
-	outSim.SetResultHook(record)
-
-	scheduleArrivals(eng, jobs, func(i int, _ workload.Job) { submit(i) })
-	eng.Run()
-	if opt.Stats != nil {
-		opt.Stats.Events = eng.Events()
-	}
-	if inv := opt.Invariants; inv != nil {
-		upSim.CheckDrainedInvariants()
-		outSim.CheckDrainedInvariants()
-		if len(results) != len(jobs) {
-			inv.Violate("job-conservation", "hybrid: %d jobs submitted, %d results", len(jobs), len(results))
-		}
-		for i := range results {
-			if a := results[i].Attempts; a < 1 || a > maxAttempts {
-				inv.Violate("task-attempts", "hybrid: job %s finished with %d attempts, budget [1,%d]",
-					results[i].Job.ID, a, maxAttempts)
-			}
-		}
-	}
-
-	sort.Slice(results, func(i, j int) bool {
-		a, b := results[i], results[j]
-		if a.Submit != b.Submit {
-			return a.Submit < b.Submit
-		}
-		return a.Job.ID < b.Job.ID
+		return nil
 	})
+	if err != nil {
+		return nil, err
+	}
+	slices.SortFunc(results, func(a, b JobResult) int { return mapreduce.ByArrival(a.Result, b.Result) })
 	return results, nil
 }
 
@@ -436,7 +430,7 @@ func etaOn(sim *mapreduce.Simulator, job workload.Job, runner *sweep.Runner, fau
 	if err != nil {
 		return 0, false
 	}
-	r := runner.RunIsolatedFaulted(p, job.MapReduceJob(), faultsFP)
+	r := runner.Cache().RunIsolated(p, job.MapReduceJob(), faultsFP)
 	if r.Err != nil {
 		return 0, false
 	}
@@ -444,65 +438,52 @@ func etaOn(sim *mapreduce.Simulator, job workload.Job, runner *sweep.Runner, fau
 	return time.Duration(float64(r.Exec) * load * sim.GraySlowdown()), true
 }
 
-// RunBaselineFaulted is RunBaseline under a fault timeline and injection:
-// the undivided baseline replays the given events (callers pass
-// Schedule.ForBaseline()). Failed jobs stay failed — the traditional
-// architectures have no second half to retry on.
-func RunBaselineFaulted(p *mapreduce.Platform, jobs []workload.Job, policy mapreduce.Policy, events []faults.Event, inj Inject) ([]mapreduce.Result, error) {
-	return RunBaselineFaultedStats(p, jobs, policy, events, inj, nil)
-}
-
-// RunBaselineFaultedStats is RunBaselineFaulted with kernel statistics: a
-// non-nil stats receives the replay's executed-event count.
-func RunBaselineFaultedStats(p *mapreduce.Platform, jobs []workload.Job, policy mapreduce.Policy, events []faults.Event, inj Inject, stats *ReplayStats) ([]mapreduce.Result, error) {
-	return RunBaselineGuarded(p, jobs, policy, events, inj, stats, sweep.Budget{})
-}
-
-// RunBaselineGuarded is RunBaselineFaultedStats under a watchdog budget: an
-// over-budget replay stops by panicking with a *simclock.BudgetError, which
-// callers convert into a typed per-point error via sweep.Protect. The zero
-// budget runs unguarded.
-func RunBaselineGuarded(p *mapreduce.Platform, jobs []workload.Job, policy mapreduce.Policy, events []faults.Event, inj Inject, stats *ReplayStats, budget sweep.Budget) ([]mapreduce.Result, error) {
-	return RunBaselineChecked(p, jobs, policy, events, inj, stats, budget, nil)
-}
-
-// RunBaselineChecked is RunBaselineGuarded with the invariant layer attached:
-// a non-nil checker observes the whole replay and the drain. The fifo_crash
-// golden test and the chaos engine's baseline rounds run through it; a nil
-// checker reproduces RunBaselineGuarded exactly.
+// RunBaselineChecked replays the workload on one undivided baseline
+// platform under a fault timeline (callers pass Schedule.ForBaseline()),
+// task-level injection, a watchdog budget and an optional invariant checker.
+// Failed jobs stay failed — the traditional architectures have no second
+// half to retry on. A non-nil stats receives the replay's executed-event
+// count; an over-budget replay stops by panicking with a
+// *simclock.BudgetError, which callers convert into a typed per-point error
+// via sweep.Protect (the zero budget runs unguarded); a non-nil checker
+// observes the whole replay and the drain. RunBaseline is the clean case.
 func RunBaselineChecked(p *mapreduce.Platform, jobs []workload.Job, policy mapreduce.Policy, events []faults.Event, inj Inject, stats *ReplayStats, budget sweep.Budget, inv *mapreduce.InvariantChecker) ([]mapreduce.Result, error) {
-	rst := mapreduce.AcquireState()
-	defer mapreduce.ReleaseState(rst)
-	sim := rst.Simulator(p)
-	if w := budget.Watchdog(nil); w != nil {
-		sim.Engine().SetWatchdog(w)
-	}
-	sim.SetPolicy(policy)
-	if inv != nil {
-		sim.SetInvariants(inv)
-	}
-	if err := inj.Apply(sim); err != nil {
-		return nil, err
-	}
-	if err := sim.ScheduleFaults(events); err != nil {
-		return nil, err
-	}
-	for _, j := range jobs {
-		sim.Submit(j.MapReduceJob())
-	}
-	// Copy the results out: the deferred release resets the simulator's
-	// internal buffer, which sim.Run returns a view of.
-	run := sim.Run()
-	if inv != nil {
-		sim.CheckDrainedInvariants()
-		if len(run) != len(jobs) {
-			inv.Violate("job-conservation", "%s: %d jobs submitted, %d results", p.Name, len(jobs), len(run))
+	rs := make([]mapreduce.Result, 0, len(jobs))
+	err := mapreduce.WithState(func(rst *mapreduce.ReplayState) error {
+		eng := rst.Engine()
+		if w := budget.Watchdog(nil); w != nil {
+			eng.SetWatchdog(w)
 		}
+		sim := rst.Simulator(p)
+		sim.SetPolicy(policy)
+		if inv != nil {
+			sim.SetInvariants(inv)
+		}
+		if err := inj.Apply(sim); err != nil {
+			return err
+		}
+		if err := sim.ScheduleFaults(events); err != nil {
+			return err
+		}
+		sim.SetResultHook(func(r mapreduce.Result, _ time.Duration) { rs = append(rs, r) })
+		for _, j := range jobs {
+			sim.Submit(j.MapReduceJob())
+		}
+		eng.Run()
+		if inv != nil {
+			sim.CheckDrainedInvariants()
+			if len(rs) != len(jobs) {
+				inv.Violate("job-conservation", "%s: %d jobs submitted, %d results", p.Name, len(jobs), len(rs))
+			}
+		}
+		if stats != nil {
+			stats.Events = eng.Events()
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	rs := make([]mapreduce.Result, len(run))
-	copy(rs, run)
-	if stats != nil {
-		stats.Events = sim.Engine().Events()
-	}
+	slices.SortFunc(rs, mapreduce.ByArrival)
 	return rs, nil
 }

@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -59,10 +61,11 @@ func meanExec(rs []JobResult) time.Duration {
 	return sum / time.Duration(n)
 }
 
-// RunFaulted with zero options reproduces Run exactly — the clean path is
-// untouched. FailureAware on a healthy cluster must change nothing either:
-// a healthy preferred half is never second-guessed.
-func TestRunFaultedCleanMatchesRun(t *testing.T) {
+// FailureAware on a healthy cluster changes nothing: a healthy preferred
+// half is never second-guessed, so the failure-aware replay matches the
+// clean static replay (FaultRun{}, what Run executes) job for job, and no
+// job is rerouted or retried.
+func TestRunFaultedFailureAwareHealthyMatchesStatic(t *testing.T) {
 	h := newHybridT(t)
 	cfg := workload.DefaultConfig()
 	cfg.Jobs = 400
@@ -71,32 +74,72 @@ func TestRunFaultedCleanMatchesRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := h.Run(jobs)
+	want, err := h.RunFaulted(jobs, FaultRun{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := h.RunFaulted(jobs, FaultRun{FailureAware: true, Runner: sweep.New(1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(want) || len(got) != len(jobs) {
+		t.Fatalf("%d failure-aware results, %d static, want %d", len(got), len(want), len(jobs))
+	}
+	for i := range got {
+		g, w := got[i], want[i]
+		if g.Job.ID != w.Job.ID || g.Exec != w.Exec || g.End != w.End ||
+			g.Submit != w.Submit || g.Platform != w.Platform ||
+			g.Target != w.Target || g.Ran() != w.Ran() ||
+			(g.Err == nil) != (w.Err == nil) {
+			t.Fatalf("job %s diverged: got %+v want %+v", w.Job.ID, g, w)
+		}
+		if g.Rerouted {
+			t.Errorf("job %s rerouted on a healthy cluster", g.Job.ID)
+		}
+		if g.Attempts != 1 || w.Attempts != 1 {
+			t.Errorf("job %s: %d failure-aware / %d static attempts, want 1", g.Job.ID, g.Attempts, w.Attempts)
+		}
+	}
+}
 
-	for _, opt := range []FaultRun{
-		{},
-		{FailureAware: true, Runner: sweep.New(1)},
-	} {
-		got, err := h.RunFaulted(jobs, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("FailureAware=%v: %d results, want %d", opt.FailureAware, len(got), len(want))
-		}
-		for i := range got {
-			g, w := got[i], want[i]
-			if g.Job.ID != w.Job.ID || g.Exec != w.Exec || g.End != w.End ||
-				g.Submit != w.Submit || g.Platform != w.Platform ||
-				g.Target != w.Target || g.Ran() != w.Ran() ||
-				(g.Err == nil) != (w.Err == nil) {
-				t.Fatalf("FailureAware=%v: job %s diverged: got %+v want %+v",
-					opt.FailureAware, w.Job.ID, g, w)
-			}
-			if g.Rerouted {
-				t.Errorf("job %s rerouted on a healthy cluster", g.Job.ID)
-			}
-		}
+// The replay entry points hand back results the caller owns: a later replay
+// that reuses the same pooled state (sequential replays draw the state the
+// previous one released) and overwrites its buffers leaves earlier results
+// untouched.
+func TestReplayResultsSurvivePoolReuse(t *testing.T) {
+	h := newHybridT(t)
+	th, err := mapreduce.NewTHadoop(mapreduce.DefaultCalibration())
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs := upHeavyJobs(30)
+	hy, err := h.RunFaulted(jobs, FaultRun{Schedule: upCrash(t), FailureAware: true, Runner: sweep.New(1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bl, err := RunBaselineChecked(th, jobs, mapreduce.Fair, nil, Inject{}, nil, sweep.Budget{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hySnap, blSnap := slices.Clone(hy), slices.Clone(bl)
+
+	other := upHeavyJobs(45)
+	for i := range other {
+		other[i].ID = "other-" + other[i].ID
+		other[i].Input = 2 * units.GB
+	}
+	inj := Inject{FailureRate: 0.05, StragglerFrac: 0.2, Seed: 3}
+	if _, err := h.RunFaulted(other, FaultRun{Inject: inj}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := RunBaselineChecked(th, other, mapreduce.FIFO, nil, inj, nil, sweep.Budget{}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(hy, hySnap) {
+		t.Error("RunFaulted results changed after a later replay reused the pooled state")
+	}
+	if !reflect.DeepEqual(bl, blSnap) {
+		t.Error("RunBaselineChecked results changed after a later replay reused the pooled state")
 	}
 }
 
@@ -249,7 +292,7 @@ func TestInjectApplyUsesSimulatorErrors(t *testing.T) {
 	}
 }
 
-// RunBaselineFaulted replays the full event list on the undivided baseline
+// RunBaselineChecked replays the full event list on the undivided baseline
 // and slows it down relative to the clean baseline.
 func TestRunBaselineFaulted(t *testing.T) {
 	p, err := mapreduce.NewTHadoop(mapreduce.DefaultCalibration())
@@ -265,7 +308,7 @@ func TestRunBaselineFaulted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	faulted, err := RunBaselineFaulted(p, jobs, mapreduce.Fair, sched.ForBaseline(), Inject{})
+	faulted, err := RunBaselineChecked(p, jobs, mapreduce.Fair, sched.ForBaseline(), Inject{}, nil, sweep.Budget{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +324,7 @@ func TestRunBaselineFaulted(t *testing.T) {
 		t.Errorf("faulted baseline total %v not above clean %v", faultSum, cleanSum)
 	}
 
-	if _, err := RunBaselineFaulted(p, jobs, mapreduce.Fair, nil, Inject{FailureRate: -1}); err == nil {
+	if _, err := RunBaselineChecked(p, jobs, mapreduce.Fair, nil, Inject{FailureRate: -1}, nil, sweep.Budget{}, nil); err == nil {
 		t.Error("bad injection accepted")
 	}
 }

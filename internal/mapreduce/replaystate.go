@@ -1,6 +1,7 @@
 package mapreduce
 
 import (
+	"fmt"
 	"sync"
 
 	"hybridmr/internal/simclock"
@@ -12,24 +13,28 @@ import (
 // once, and every later replay on the same ReplayState runs in that warm
 // storage: Reset() restores everything to its just-constructed state, so a
 // replay on a reset state is byte-for-byte identical to one on a fresh state
-// (pinned by TestReplayStateReuseIdentical and the testing/quick equivalence
-// property in replaystate_test.go), while allocating almost nothing. The
-// process-wide StatePool recycles whole states across reports, so the 5–7
-// replays of a resilience report and repeated Fig. 10 renders stop paying
-// the ~170k-allocation setup cost per replay.
+// (pinned by the testing/quick equivalence property in replaystate_test.go),
+// while allocating almost nothing. The process-wide pool behind WithState
+// recycles whole states across reports, so the 5–7 replays of a resilience
+// report and repeated Fig. 10 renders stop paying the ~170k-allocation setup
+// cost per replay.
 
 // ReplayState owns one simulated clock and the simulators bound to it. It is
 // not safe for concurrent use — one replay runs on it at a time; concurrent
-// replays each acquire their own state from a StatePool.
+// replays each run inside their own WithState.
 //
 //simlint:exhaustive Reset
 type ReplayState struct {
 	eng  *simclock.Engine
 	sims []*Simulator // every simulator ever built on this state
 	free []*Simulator // shells ready for reinitialization
+	// pooled marks a state owned by the WithState pool; its simulators
+	// refuse Results so no view into pooled buffers outlives the replay.
+	pooled bool //simlint:allow fieldcover fixed when the pool builds the state; Reset keeps ownership
 }
 
-// NewReplayState returns an empty state with a fresh engine.
+// NewReplayState returns an empty state with a fresh engine, owned by the
+// caller (unlike a WithState state, its simulators' Results stay usable).
 func NewReplayState() *ReplayState {
 	return &ReplayState{eng: simclock.New()}
 }
@@ -46,10 +51,11 @@ func (st *ReplayState) Simulator(p *Platform) *Simulator {
 		s := st.free[n-1]
 		st.free[n-1] = nil
 		st.free = st.free[:n-1]
-		s.reinit(st.eng, p)
+		s.reinit(st.eng, p, st.pooled)
 		return s
 	}
 	s := NewSimulatorOn(st.eng, p)
+	s.pooled = st.pooled
 	st.sims = append(st.sims, s)
 	return s
 }
@@ -94,6 +100,7 @@ func (s *Simulator) recycle() {
 		s.active[i] = nil
 	}
 	s.active = s.active[:0]
+	s.running = 0
 	// Empty the value buffers, clearing first so job IDs and error strings
 	// are released rather than pinned by the spare capacity.
 	clear(s.results)
@@ -120,9 +127,10 @@ func (s *Simulator) recycle() {
 
 // reinit rebinds a recycled shell to an engine and platform, reproducing
 // NewSimulatorOn field-for-field; recycle already restored everything else.
-func (s *Simulator) reinit(eng *simclock.Engine, p *Platform) {
+func (s *Simulator) reinit(eng *simclock.Engine, p *Platform, pooled bool) {
 	s.platform = p
 	s.eng = eng
+	s.pooled = pooled
 	s.freeMap, s.capMap = p.Spec.MapSlots(), p.Spec.MapSlots()
 	s.freeRed, s.capRed = p.Spec.ReduceSlots(), p.Spec.ReduceSlots()
 	s.setupMaps, s.queuedMaps = 0, 0
@@ -134,17 +142,42 @@ func (s *Simulator) reinit(eng *simclock.Engine, p *Platform) {
 	s.cpuSlow, s.diskSlow, s.nicSlow, s.rackSlow = 1, 1, 1, 1
 }
 
-// StatePool recycles ReplayStates across replays. Acquire pops a warm state
-// (or builds a fresh one); Release resets the state and returns it. The
-// mutex only guards the freelist — each acquired state is owned by exactly
-// one replay, so the simulation itself stays single-threaded.
-type StatePool struct {
+// statePool recycles ReplayStates across replays. The mutex only guards the
+// freelist — each handed-out state is owned by exactly one replay, so the
+// simulation itself stays single-threaded.
+type statePool struct {
 	mu   sync.Mutex
 	free []*ReplayState
 }
 
-// Acquire returns a pristine state: a recycled one when available, else new.
-func (p *StatePool) Acquire() *ReplayState {
+// sharedStates is the process-wide pool WithState draws from.
+var sharedStates statePool
+
+// WithState runs fn on a pristine ReplayState from the process-wide pool and
+// then resets the state and returns it to the pool — on every path,
+// including a panic unwinding out of fn (a watchdog's *simclock.BudgetError),
+// so an abandoned replay's half-consumed state is reclaimed, not leaked.
+//
+// The state's simulators are pool-owned: Results and Run panic on them, so no
+// view into the buffers the release clears can leave fn. Collect results with
+// SetResultHook into storage the caller owns. When fn returns without error,
+// every job it started must have finished (the engine drained cleanly).
+func WithState(fn func(*ReplayState) error) error {
+	st := sharedStates.acquire()
+	defer sharedStates.release(st)
+	if err := fn(st); err != nil {
+		return err
+	}
+	for _, s := range st.sims {
+		if s.eng.Pending() == 0 && s.running != 0 {
+			panic(fmt.Sprintf("mapreduce: %d jobs still running after drain", s.running))
+		}
+	}
+	return nil
+}
+
+// acquire returns a pristine state: a recycled one when available, else new.
+func (p *statePool) acquire() *ReplayState {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if n := len(p.free); n > 0 {
@@ -153,28 +186,13 @@ func (p *StatePool) Acquire() *ReplayState {
 		p.free = p.free[:n-1]
 		return st
 	}
-	return NewReplayState()
+	return &ReplayState{eng: simclock.New(), pooled: true}
 }
 
-// Release resets the state and returns it to the pool. Release only states
-// whose results have been copied out: Reset clears the simulators' internal
-// result buffers. nil is ignored.
-func (p *StatePool) Release(st *ReplayState) {
-	if st == nil {
-		return
-	}
+// release resets the state and returns it to the pool.
+func (p *statePool) release(st *ReplayState) {
 	st.Reset()
 	p.mu.Lock()
 	p.free = append(p.free, st)
 	p.mu.Unlock()
 }
-
-// sharedStates is the process-wide pool the replay entry points
-// (core.RunFaulted, core.Hybrid.Run, the baselines) draw from.
-var sharedStates StatePool
-
-// AcquireState takes a pristine ReplayState from the process-wide pool.
-func AcquireState() *ReplayState { return sharedStates.Acquire() }
-
-// ReleaseState resets st and returns it to the process-wide pool.
-func ReleaseState(st *ReplayState) { sharedStates.Release(st) }

@@ -2,6 +2,7 @@ package mapreduce
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -27,6 +28,13 @@ type replayScenario struct {
 
 // run replays the scenario on the given simulator and returns its results.
 func (sc replayScenario) run(t testing.TB, sim *Simulator) []Result {
+	t.Helper()
+	sc.submit(t, sim)
+	return sim.Run()
+}
+
+// submit configures the simulator for the scenario and submits its jobs.
+func (sc replayScenario) submit(t testing.TB, sim *Simulator) {
 	t.Helper()
 	if sc.Fair {
 		sim.SetPolicy(Fair)
@@ -58,7 +66,18 @@ func (sc replayScenario) run(t testing.TB, sim *Simulator) []Result {
 			Submit: time.Duration(s%600) * time.Second,
 		})
 	}
-	return sim.Run()
+}
+
+// hooked replays the scenario like run, collecting the results through
+// SetResultHook in Results' order — the only way out of a WithState state.
+func (sc replayScenario) hooked(t testing.TB, sim *Simulator) []Result {
+	t.Helper()
+	var rs []Result
+	sim.SetResultHook(func(r Result, _ time.Duration) { rs = append(rs, r) })
+	sc.submit(t, sim)
+	sim.Engine().Run()
+	slices.SortFunc(rs, ByArrival)
+	return rs
 }
 
 // TestReplayStateEquivalenceProperty is the reuse contract as a property:
@@ -79,8 +98,7 @@ func TestReplayStateEquivalenceProperty(t *testing.T) {
 		want := sc.run(t, NewSimulator(p))
 		got := sc.run(t, st.Simulator(p))
 		// Compare before Reset: Run returns the simulator's internal buffer,
-		// which Reset clears — the same copy-before-release contract the
-		// replay entry points follow.
+		// which Reset clears — why WithState simulators refuse Run.
 		equal := reflect.DeepEqual(got, want)
 		st.Reset()
 		return equal
@@ -116,36 +134,123 @@ func TestReplayStateResetAfterAbandonedRun(t *testing.T) {
 	}
 }
 
-// TestStatePoolRecycles pins the pool mechanics: Release resets the state
-// and hands the same object back to the next Acquire, and an acquired state
-// is pristine (no pending events, clock at zero, no stale results).
+// TestStatePoolRecycles pins the pool mechanics: WithState resets the state
+// on the way out and hands the same object to the next WithState, and a
+// handed-out state is pristine (no pending events, clock at zero, no stale
+// results in its recycled simulator).
 func TestStatePoolRecycles(t *testing.T) {
-	var pool StatePool
-	st := pool.Acquire()
 	p := MustArch(OutOFS, DefaultCalibration())
-	sim := st.Simulator(p)
+	var first *ReplayState
+	var firstSim *Simulator
+	var got []Result
+	if err := WithState(func(st *ReplayState) error {
+		first = st
+		firstSim = st.Simulator(p)
+		firstSim.SetResultHook(func(r Result, _ time.Duration) { got = append(got, r) })
+		firstSim.Submit(Job{ID: "j", App: apps.Grep(), Input: units.GB})
+		st.Engine().Run()
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 1 {
+		t.Fatalf("replay returned %d results", len(got))
+	}
+
+	if err := WithState(func(again *ReplayState) error {
+		if again != first {
+			t.Error("pool did not recycle the released state")
+		}
+		if n := again.Engine().Pending(); n != 0 {
+			t.Errorf("recycled state has %d pending events", n)
+		}
+		if now := again.Engine().Now(); now != 0 {
+			t.Errorf("recycled state's clock at %v, want 0", now)
+		}
+		sim2 := again.Simulator(p)
+		if sim2 != firstSim {
+			t.Error("reset state did not recycle its simulator shell")
+		}
+		if n := len(sim2.results); n != 0 {
+			t.Errorf("recycled simulator holds %d stale results", n)
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestWithStateRecyclesAfterWatchdogPanic pins the unwind path WithState
+// guarantees: a replay stopped mid-flight by a watchdog panic still returns
+// its state to the pool, reset, and the next replay on that state matches a
+// fresh one.
+func TestWithStateRecyclesAfterWatchdogPanic(t *testing.T) {
+	p := MustArch(OutOFS, DefaultCalibration())
+	sc := replayScenario{Seeds: []uint32{7, 19, 3, 250, 77, 41, 960, 12}, Fair: true, Jitter: 1, Speculate: true}
+	want := sc.run(t, NewSimulator(p))
+
+	var abandoned *ReplayState
+	func() {
+		defer func() {
+			if _, ok := recover().(*simclock.BudgetError); !ok {
+				t.Fatal("watchdog did not fire mid-replay")
+			}
+		}()
+		_ = WithState(func(st *ReplayState) error {
+			abandoned = st
+			st.Engine().SetWatchdog(&simclock.Watchdog{MaxEvents: 40})
+			sc.hooked(t, st.Simulator(p))
+			return nil
+		})
+		t.Fatal("WithState returned from a panicking replay")
+	}()
+
+	var got []Result
+	if err := WithState(func(st *ReplayState) error {
+		if st != abandoned {
+			t.Error("abandoned state was not returned to the pool")
+		}
+		if n := st.Engine().Pending(); n != 0 {
+			t.Errorf("abandoned state kept %d pending events", n)
+		}
+		got = sc.hooked(t, st.Simulator(p))
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Error("replay on the recycled state differs from a fresh replay")
+	}
+}
+
+// TestPooledSimulatorRefusesResults pins the by-construction half of the
+// pool contract: a WithState simulator's Results and Run panic, since the
+// release clears the buffer they would return a view of, while a simulator
+// from a caller-owned NewReplayState keeps both.
+func TestPooledSimulatorRefusesResults(t *testing.T) {
+	p := MustArch(OutOFS, DefaultCalibration())
+	mustPanic := func(name string, fn func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s on a pooled simulator did not panic", name)
+			}
+		}()
+		fn()
+	}
+	if err := WithState(func(st *ReplayState) error {
+		sim := st.Simulator(p)
+		mustPanic("Results", func() { sim.Results() })
+		mustPanic("Run", func() { sim.Run() })
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+
+	sim := NewReplayState().Simulator(p)
 	sim.Submit(Job{ID: "j", App: apps.Grep(), Input: units.GB})
 	if res := sim.Run(); len(res) != 1 {
-		t.Fatalf("replay returned %d results", len(res))
-	}
-	pool.Release(st)
-
-	again := pool.Acquire()
-	if again != st {
-		t.Error("pool did not recycle the released state")
-	}
-	if n := again.Engine().Pending(); n != 0 {
-		t.Errorf("recycled state has %d pending events", n)
-	}
-	if now := again.Engine().Now(); now != 0 {
-		t.Errorf("recycled state's clock at %v, want 0", now)
-	}
-	sim2 := again.Simulator(p)
-	if sim2 != sim {
-		t.Error("reset state did not recycle its simulator shell")
-	}
-	if got := len(sim2.Results()); got != 0 {
-		t.Errorf("recycled simulator holds %d stale results", got)
+		t.Errorf("caller-owned state replayed %d results, want 1", len(res))
 	}
 }
 

@@ -89,8 +89,12 @@ type Simulator struct {
 	// tasks and takes whichever finishes first).
 	jitterFrac  float64
 	speculative bool
-	jitterRNG   *stats.RNG
-	jitterVar   stats.LogUniformVar
+	// pooled marks a simulator handed out by a WithState state: Results
+	// (and so Run) panic, because the release clears the buffer they view.
+	// It sits in speculative's padding so the hot fields keep their offsets.
+	pooled    bool
+	jitterRNG *stats.RNG
+	jitterVar stats.LogUniformVar
 
 	// Utilization accounting: slot-seconds integrated over simulated time,
 	// O(1) per slot-count transition (no rescan of active jobs).
@@ -305,30 +309,42 @@ func (s *Simulator) SubmitNow(job Job) {
 }
 
 // Run executes the workload to completion and returns the per-job results
-// ordered by submission time (ties by job ID).
+// ordered by submission time (ties by job ID). Like Results, it panics on a
+// simulator from a WithState state.
 func (s *Simulator) Run() []Result {
 	s.eng.Run()
 	return s.Results()
 }
 
 // Results returns the finished jobs' results, sorted by submission time
-// (ties by job ID). It panics if the engine was drained with jobs still in
-// flight — a model bug, not a workload condition. The capture-free
-// slices.SortFunc keeps the post-drain tail off the allocator (sort.Slice
-// costs a closure plus a reflect swapper per call).
+// (ties by job ID). The slice views the simulator's internal buffer. It
+// panics on a simulator from a WithState state — the pool's release would
+// clear that buffer under the caller; collect with SetResultHook there — and
+// if the engine was drained with jobs still in flight, a model bug, not a
+// workload condition. The capture-free slices.SortFunc keeps the post-drain
+// tail off the allocator (sort.Slice costs a closure plus a reflect swapper
+// per call).
 //
 //simlint:hotpath
 func (s *Simulator) Results() []Result {
+	if s.pooled {
+		panic("mapreduce: Results on a pooled simulator; collect with SetResultHook inside WithState")
+	}
 	if s.eng.Pending() == 0 && s.running != 0 {
 		panic(fmt.Sprintf("mapreduce: %d jobs still running after drain", s.running))
 	}
-	slices.SortFunc(s.results, func(a, b Result) int {
-		if a.Submit != b.Submit {
-			return cmp.Compare(a.Submit, b.Submit)
-		}
-		return strings.Compare(a.Job.ID, b.Job.ID)
-	})
+	slices.SortFunc(s.results, ByArrival)
 	return s.results
+}
+
+// ByArrival orders results by submission time, ties by job ID — the order
+// Results returns and the replay entry points sort hook-collected results
+// into. With unique job IDs the order is total.
+func ByArrival(a, b Result) int {
+	if a.Submit != b.Submit {
+		return cmp.Compare(a.Submit, b.Submit)
+	}
+	return strings.Compare(a.Job.ID, b.Job.ID)
 }
 
 // Engine exposes the simulated clock, for tests and shared-clock setups.

@@ -12,6 +12,5 @@ func All() []*Analyzer {
 		Selectorder,
 		Hotalloc,
 		Fieldcover,
-		Poolsafe,
 	}
 }

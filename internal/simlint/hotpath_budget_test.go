@@ -36,7 +36,7 @@ var budgetCoverage = map[string]map[string][]string{
 		"TestSamplerSteadyStateAllocs": {"RNG.Float64", "LogUniformVar.Sample"},
 	},
 	"../sweep": {
-		// One KeyFor/KeyForFaulted probe folds every fingerprint helper;
+		// A clean and a faulted KeyFor probe fold every fingerprint helper;
 		// the warm Cache.Do hit picks its shard.
 		"TestKeyForSteadyStateAllocs": {
 			"KeyFor", "calHash", "specFP", "profileFP", "Cache.shard",

@@ -67,13 +67,6 @@ func TestFieldcover(t *testing.T) {
 	simlinttest.Run(t, fixture("fieldcover"), simlint.Fieldcover)
 }
 
-// TestPoolsafe pins the pooled-state lifecycle: unpaired or non-deferred
-// releases, uses after release and escapes of pooled pointers are
-// diagnostics; the copy-before-release idiom and ownership transfers pass.
-func TestPoolsafe(t *testing.T) {
-	simlinttest.Run(t, fixture("poolsafe"), simlint.Poolsafe)
-}
-
 // TestSuppression pins the directive contract: a reasoned //simlint:allow
 // suppresses its line, a reasonless one suppresses nothing and is itself
 // diagnosed, and a stale one is reported.

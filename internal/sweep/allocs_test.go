@@ -21,19 +21,19 @@ func TestKeyForSteadyStateAllocs(t *testing.T) {
 
 	c := NewCache()
 	compute := func() mapreduce.Result { return mapreduce.Result{Platform: p.Name} }
-	warm := KeyFor(p, job) // warms the calHash memo and the cache shard
+	warm := KeyFor(p, job, 0) // warms the calHash memo and the cache shard
 	c.Do(warm, compute)
 
 	var sink Key
 	avg := testing.AllocsPerRun(1000, func() {
-		sink = KeyFor(p, job)
-		sink = KeyForFaulted(p, faulted, 0xfeed)
+		sink = KeyFor(p, job, 0)
+		sink = KeyFor(p, faulted, 0xfeed)
 		c.Do(warm, compute)
 	})
 	if avg != 0 {
-		t.Errorf("KeyFor+KeyForFaulted+warm Do: %v allocs/op, want 0", avg)
+		t.Errorf("clean+faulted KeyFor+warm Do: %v allocs/op, want 0", avg)
 	}
 	if sink == (Key{}) {
-		t.Error("KeyForFaulted returned the zero key")
+		t.Error("faulted KeyFor returned the zero key")
 	}
 }

@@ -20,7 +20,7 @@ import (
 // them, which is what lets "fig", "norm" and "sweep" probes of the same
 // point share one simulation.
 //
-//simlint:exhaustive KeyFor,KeyForFaulted,shard
+//simlint:exhaustive KeyFor,shard
 type Key struct {
 	Platform string
 	Spec     uint64
@@ -38,10 +38,11 @@ type Key struct {
 	Faults uint64
 }
 
-// KeyFor builds the content key of running job isolated on p.
+// KeyFor builds the content key of running job isolated on p under the
+// fault scenario with Fingerprint faultsFP; 0 is the clean key.
 //
 //simlint:hotpath
-func KeyFor(p *mapreduce.Platform, job mapreduce.Job) Key {
+func KeyFor(p *mapreduce.Platform, job mapreduce.Job, faultsFP uint64) Key {
 	return Key{
 		Platform: p.Name,
 		Spec:     specFP(p.Spec, p.FS.Name()),
@@ -51,6 +52,7 @@ func KeyFor(p *mapreduce.Platform, job mapreduce.Job) Key {
 		Reducers: job.Reducers,
 		MapTasks: job.MapTasks,
 		Cal:      calHash(p.Cal),
+		Faults:   faultsFP,
 	}
 }
 
@@ -78,14 +80,6 @@ func calHash(c mapreduce.Calibration) uint64 {
 	// equality hit above and allocates nothing.
 	lastCalHash.Store(&calHashEntry{cal: c, hash: h}) //simlint:allow hotalloc one alloc per calibration change, not per probe; the hit path above is alloc-free
 	return h
-}
-
-// KeyForFaulted is KeyFor under a fault scenario: faultsFP is the schedule's
-// Fingerprint (0 degenerates to the clean key).
-func KeyForFaulted(p *mapreduce.Platform, job mapreduce.Job, faultsFP uint64) Key {
-	k := KeyFor(p, job)
-	k.Faults = faultsFP
-	return k
 }
 
 // hashFP accumulates words into an allocation-free FNV-1a fingerprint
@@ -260,20 +254,14 @@ func (c *Cache) Do(k Key, compute func() mapreduce.Result) mapreduce.Result {
 	return e.res
 }
 
-// RunIsolated is Platform.RunIsolated memoized through the cache. The
-// returned result carries the caller's Job (the key excludes Job.ID and
+// RunIsolated is Platform.RunIsolated memoized through the cache. A
+// nonzero faultsFP keys a probe under a fault scenario — p is then typically
+// a degraded platform view and faultsFP the schedule's Fingerprint — so the
+// entry never aliases a clean estimate of the same point; 0 is a clean run.
+// The returned result carries the caller's Job (the key excludes Job.ID and
 // Job.Submit, so a cached result may have been computed under another ID).
-func (c *Cache) RunIsolated(p *mapreduce.Platform, job mapreduce.Job) mapreduce.Result {
-	r := c.Do(KeyFor(p, job), func() mapreduce.Result { return p.RunIsolated(job) })
-	r.Job = job
-	return r
-}
-
-// RunIsolatedFaulted memoizes an isolated run probed under a fault scenario:
-// p is typically a degraded platform view and faultsFP the schedule's
-// Fingerprint, so the entry never aliases clean estimates of the same point.
-func (c *Cache) RunIsolatedFaulted(p *mapreduce.Platform, job mapreduce.Job, faultsFP uint64) mapreduce.Result {
-	r := c.Do(KeyForFaulted(p, job, faultsFP), func() mapreduce.Result { return p.RunIsolated(job) })
+func (c *Cache) RunIsolated(p *mapreduce.Platform, job mapreduce.Job, faultsFP uint64) mapreduce.Result {
+	r := c.Do(KeyFor(p, job, faultsFP), func() mapreduce.Result { return p.RunIsolated(job) })
 	r.Job = job
 	return r
 }

@@ -16,14 +16,11 @@ func TestFaultKeyNeverAliasesClean(t *testing.T) {
 		t.Fatal(err)
 	}
 	job := mapreduce.Job{ID: "j", App: wordcount(), Input: units.GB}
-	clean := KeyFor(p, job)
+	clean := KeyFor(p, job, 0)
 	demoFP := faults.Demo().Fingerprint()
-	faulted := KeyForFaulted(p, job, demoFP)
+	faulted := KeyFor(p, job, demoFP)
 	if clean == faulted {
 		t.Fatal("faulted key aliases the clean key")
-	}
-	if KeyForFaulted(p, job, 0) != clean {
-		t.Error("zero fingerprint must degenerate to the clean key")
 	}
 	other, err := faults.NewSchedule([]faults.Event{
 		{At: 0, Kind: faults.MachineCrash, Cluster: faults.ClusterUp, Count: 1},
@@ -31,7 +28,7 @@ func TestFaultKeyNeverAliasesClean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if KeyForFaulted(p, job, other.Fingerprint()) == faulted {
+	if KeyFor(p, job, other.Fingerprint()) == faulted {
 		t.Error("distinct schedules alias each other")
 	}
 }
@@ -49,21 +46,21 @@ func TestFaultKeySeparatesDegradedViews(t *testing.T) {
 	}
 	job := mapreduce.Job{ID: "j", App: wordcount(), Input: units.GB}
 	fp := faults.Demo().Fingerprint()
-	if KeyForFaulted(p, job, fp) == KeyForFaulted(d, job, fp) {
+	if KeyFor(p, job, fp) == KeyFor(d, job, fp) {
 		t.Error("healthy and degraded views share a key")
 	}
 
 	// And the memoized faulted run caches exactly once per (view, schedule).
 	c := NewCache()
-	r1 := c.RunIsolatedFaulted(d, job, fp)
-	r2 := c.RunIsolatedFaulted(d, job, fp)
+	r1 := c.RunIsolated(d, job, fp)
+	r2 := c.RunIsolated(d, job, fp)
 	if r1.Exec != r2.Exec {
 		t.Error("faulted memoization not stable")
 	}
 	if hits, misses := c.Stats(); hits != 1 || misses != 1 {
 		t.Errorf("stats = %d hits / %d misses, want 1/1", hits, misses)
 	}
-	if rc := c.RunIsolated(d, job); rc.Exec != r1.Exec {
+	if rc := c.RunIsolated(d, job, 0); rc.Exec != r1.Exec {
 		t.Error("same view under clean key computed a different result")
 	}
 	if c.Len() != 2 {

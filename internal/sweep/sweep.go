@@ -110,24 +110,19 @@ func (r *Runner) Workers() int { return r.workers }
 // Cache returns the runner's memoization cache.
 func (r *Runner) Cache() *Cache { return r.cache }
 
-// RunIsolated runs one job alone on the platform, memoized: a key-equal
-// point already simulated (by any worker) returns the cached result with
-// the caller's Job identity restored.
+// RunIsolated runs one job alone on the clean platform, memoized: a
+// key-equal point already simulated (by any worker) returns the cached
+// result with the caller's Job identity restored. Probes under a fault
+// scenario go through Cache().RunIsolated with the schedule's fingerprint.
 func (r *Runner) RunIsolated(p *mapreduce.Platform, job mapreduce.Job) mapreduce.Result {
-	return r.cache.RunIsolated(p, job)
-}
-
-// RunIsolatedFaulted is RunIsolated keyed additionally by a fault schedule's
-// fingerprint, for degraded-ETA probes that must never alias clean entries.
-func (r *Runner) RunIsolatedFaulted(p *mapreduce.Platform, job mapreduce.Job, faultsFP uint64) mapreduce.Result {
-	return r.cache.RunIsolatedFaulted(p, job, faultsFP)
+	return r.cache.RunIsolated(p, job, 0)
 }
 
 // RunPoints evaluates every point on the worker pool and returns one result
 // per point, in input order, memoizing each isolated run.
 func (r *Runner) RunPoints(pts []Point) []mapreduce.Result {
 	return Map(r.workers, len(pts), func(i int) mapreduce.Result {
-		return r.cache.RunIsolated(pts[i].Platform, pts[i].Job)
+		return r.cache.RunIsolated(pts[i].Platform, pts[i].Job, 0)
 	})
 }
 
@@ -137,7 +132,7 @@ func (r *Runner) RunPoints(pts []Point) []mapreduce.Result {
 func (r *Runner) Sweep(p *mapreduce.Platform, prof apps.Profile, sizes []units.Bytes) []mapreduce.Result {
 	return Map(r.workers, len(sizes), func(i int) mapreduce.Result {
 		job := mapreduce.Job{ID: fmt.Sprintf("sweep-%d", i), App: prof, Input: sizes[i]}
-		return r.cache.RunIsolated(p, job)
+		return r.cache.RunIsolated(p, job, 0)
 	})
 }
 

@@ -170,12 +170,12 @@ func TestCacheKeyExcludesJobIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := KeyFor(p, mapreduce.Job{ID: "fig", App: wordcount(), Input: units.GB})
-	b := KeyFor(p, mapreduce.Job{ID: "norm", App: wordcount(), Input: units.GB, Submit: 99})
+	a := KeyFor(p, mapreduce.Job{ID: "fig", App: wordcount(), Input: units.GB}, 0)
+	b := KeyFor(p, mapreduce.Job{ID: "norm", App: wordcount(), Input: units.GB, Submit: 99}, 0)
 	if a != b {
 		t.Errorf("job identity leaked into the key:\n%+v\n%+v", a, b)
 	}
-	if c := KeyFor(p, mapreduce.Job{ID: "fig", App: wordcount(), Input: 2 * units.GB}); c == a {
+	if c := KeyFor(p, mapreduce.Job{ID: "fig", App: wordcount(), Input: 2 * units.GB}, 0); c == a {
 		t.Error("size not in key")
 	}
 	recal := cal()
@@ -184,7 +184,7 @@ func TestCacheKeyExcludesJobIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c := KeyFor(p2, mapreduce.Job{ID: "fig", App: wordcount(), Input: units.GB}); c == a {
+	if c := KeyFor(p2, mapreduce.Job{ID: "fig", App: wordcount(), Input: units.GB}, 0); c == a {
 		t.Error("calibration not in key")
 	}
 }
