@@ -104,38 +104,53 @@ func goldenArtifacts(cal mapreduce.Calibration) []struct {
 		// cluster busy, so this scenario forces kills (188+ task retries).
 		// Pinned per-job, byte for byte.
 		{"fifo_crash", func() (string, error) {
-			jobs, err := workload.Generate(smallTraceConfig(300))
-			if err != nil {
-				return "", err
-			}
-			for i := range jobs {
-				jobs[i].Submit = 0
-			}
-			p, err := mapreduce.NewTHadoop(cal)
-			if err != nil {
-				return "", err
-			}
-			sched, err := faults.NewSchedule([]faults.Event{
-				{At: 5 * time.Minute, Kind: faults.MachineCrash, Cluster: faults.ClusterAll, Count: 12},
-				{At: 20 * time.Minute, Kind: faults.MachineRecover, Cluster: faults.ClusterAll, Count: 12},
-				{At: 30 * time.Minute, Kind: faults.MachineCrash, Cluster: faults.ClusterAll, Count: 16},
-				{At: 45 * time.Minute, Kind: faults.MachineRecover, Cluster: faults.ClusterAll, Count: 16},
-			})
-			if err != nil {
-				return "", err
-			}
-			inv := mapreduce.NewInvariantChecker()
-			rs, err := core.RunBaselineChecked(p, jobs, mapreduce.FIFO, sched.ForBaseline(), core.Inject{},
-				nil, sweep.Budget{}, inv)
-			if err != nil {
-				return "", err
-			}
-			if verr := inv.Err(); verr != nil {
-				return "", verr
-			}
-			return renderBaselineReplay("THadoop FIFO deep queue under mass crashes", rs), nil
+			return crashReplay(cal, mapreduce.FIFO, "THadoop FIFO deep queue under mass crashes")
+		}},
+		// The same deep-queue crash scenario under Fair: a crash kills many
+		// running tasks of many jobs in one step, so their Fair keys drop
+		// several at a time before the next pick — the path where the Fair
+		// ready heap's deferred decrease-key must flush the held job.
+		{"fair_crash", func() (string, error) {
+			return crashReplay(cal, mapreduce.Fair, "THadoop Fair deep queue under mass crashes")
 		}},
 	}
+}
+
+// crashReplay is the deep-queue crash-requeue scenario behind the fifo_crash
+// and fair_crash goldens: a 300-job trace all submitted at t=0 on THadoop,
+// two mass crashes that kill in-flight tasks, the invariant checker attached,
+// rendered per job.
+func crashReplay(cal mapreduce.Calibration, policy mapreduce.Policy, title string) (string, error) {
+	jobs, err := workload.Generate(smallTraceConfig(300))
+	if err != nil {
+		return "", err
+	}
+	for i := range jobs {
+		jobs[i].Submit = 0
+	}
+	p, err := mapreduce.NewTHadoop(cal)
+	if err != nil {
+		return "", err
+	}
+	sched, err := faults.NewSchedule([]faults.Event{
+		{At: 5 * time.Minute, Kind: faults.MachineCrash, Cluster: faults.ClusterAll, Count: 12},
+		{At: 20 * time.Minute, Kind: faults.MachineRecover, Cluster: faults.ClusterAll, Count: 12},
+		{At: 30 * time.Minute, Kind: faults.MachineCrash, Cluster: faults.ClusterAll, Count: 16},
+		{At: 45 * time.Minute, Kind: faults.MachineRecover, Cluster: faults.ClusterAll, Count: 16},
+	})
+	if err != nil {
+		return "", err
+	}
+	inv := mapreduce.NewInvariantChecker()
+	rs, err := core.RunBaselineChecked(p, jobs, policy, sched.ForBaseline(), core.Inject{},
+		nil, sweep.Budget{}, inv)
+	if err != nil {
+		return "", err
+	}
+	if verr := inv.Err(); verr != nil {
+		return "", verr
+	}
+	return renderBaselineReplay(title, rs), nil
 }
 
 // renderBaselineReplay renders a faulted baseline replay deterministically:
