@@ -114,19 +114,38 @@ func BenchmarkFig9(b *testing.B) {
 }
 
 // BenchmarkFig10 regenerates Figure 10: the full 6000-job Facebook trace on
-// the hybrid and both baselines. One warm-up run primes the shared trace and
+// the hybrid and both baselines. Warm-up renders prime the shared trace and
 // platform memo and the replay-state pool before the timer starts, so the
 // loop measures the steady state — pooled state, zero setup — that a report
-// generator actually runs in, and allocs/op is stable at any -benchtime.
+// generator actually runs in.
 func BenchmarkFig10(b *testing.B) {
 	cfg := traceConfig(6000)
-	if _, err := figures.Fig10(cal(), cfg); err != nil {
-		b.Fatal(err)
-	}
+	warmReplayPool(b, 3, func() error { // hybrid, THadoop, RHadoop
+		_, err := figures.Fig10(cal(), cfg)
+		return err
+	})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := figures.Fig10(cal(), cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// warmReplayPool runs render, an artifact that fans replays distinct
+// replays out over the default sweep runner's workers, until the
+// process-wide replay-state pool is warm for it. Each concurrent replay draws
+// its own state from the pool, so which state serves which replay follows
+// the goroutine schedule; a state that has served only a one-simulator
+// baseline grows a second simulator's buffers the first time a hybrid replay
+// lands on it. replays × workers renders give every pooled state a turn at
+// every replay in practice (not by construction), so the timed loop measures
+// steady-state allocations rather than pool growth.
+func warmReplayPool(b *testing.B, replays int, render func() error) {
+	b.Helper()
+	for i := 0; i < replays*sweep.Default().Workers(); i++ {
+		if err := render(); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -237,7 +256,7 @@ func replayJobs(b *testing.B, p *mapreduce.Platform, jobs []workload.Job, policy
 // BenchmarkDispatchDeepQueue replays bursty traces whose slot queue stays
 // thousands of jobs deep — the workload that made the former O(active jobs)
 // pick scans quadratic. Sizes span 5k–50k jobs; both scheduling policies are
-// exercised at 5k.
+// exercised at 5k and at 50k, FIFO also at 20k.
 func BenchmarkDispatchDeepQueue(b *testing.B) {
 	p := mapreduce.MustArch(mapreduce.OutOFS, cal())
 	bench := func(n int, policy mapreduce.Policy) func(*testing.B) {
@@ -256,6 +275,7 @@ func BenchmarkDispatchDeepQueue(b *testing.B) {
 	b.Run("jobs=5000/fair", bench(5000, mapreduce.Fair))
 	b.Run("jobs=20000/fifo", bench(20000, mapreduce.FIFO))
 	b.Run("jobs=50000/fifo", bench(50000, mapreduce.FIFO))
+	b.Run("jobs=50000/fair", bench(50000, mapreduce.Fair))
 }
 
 // BenchmarkTraceReplay replays the full FB-2009 day (6000 jobs, the paper's
@@ -315,7 +335,7 @@ func BenchmarkTraceReplayObserved(b *testing.B) {
 // injection. This is the heaviest report in the repo and the acceptance
 // benchmark for the shared-setup + pooled-replay-state optimization: the
 // trace, sizing and platforms are built once and every replay draws a warm
-// ReplayState from the pool. One warm-up run primes both before the timer.
+// ReplayState from the pool. Warm-up reports prime both before the timer.
 func BenchmarkResilienceReport(b *testing.B) {
 	cfg := traceConfig(2000)
 	jobs, err := workload.Generate(cfg)
@@ -323,9 +343,10 @@ func BenchmarkResilienceReport(b *testing.B) {
 		b.Fatal(err)
 	}
 	inj := core.Inject{FailureRate: 0.005, StragglerFrac: 0.1, Speculate: true, Seed: 7}
-	if _, err := figures.RunResilienceOpts(cal(), jobs, faults.Demo(), inj, obs.Set{}, nil, figures.ResilienceOpts{}); err != nil {
-		b.Fatal(err)
-	}
+	warmReplayPool(b, 5, func() error { // Hybrid-FA, -static, -clean, THadoop, RHadoop
+		_, err := figures.RunResilienceOpts(cal(), jobs, faults.Demo(), inj, obs.Set{}, nil, figures.ResilienceOpts{})
+		return err
+	})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -341,7 +362,7 @@ func BenchmarkResilienceReport(b *testing.B) {
 
 // BenchmarkReplayReuse contrasts a cold replay — fresh engine, fresh
 // simulator, every buffer grown from zero — with one on a reset ReplayState
-// whose arena already holds the high-water capacity of a previous replay.
+// whose arena already holds the high-water capacity of earlier replays.
 // The pooled case is the steady state of every replay that runs inside
 // mapreduce.WithState; the gap between the two sub-benchmarks is what
 // cross-replay state reuse buys.
@@ -372,8 +393,20 @@ func BenchmarkReplayReuse(b *testing.B) {
 	// hand back: each invocation starts from the arena the last one left.
 	rst := mapreduce.NewReplayState()
 	b.Run("pooled", func(b *testing.B) {
-		replay(b, rst) // warm the arena to the replay's high-water mark
-		rst.Reset()
+		// Warm the arena to its steady state. The first replay sizes the
+		// engine and simulator buffers; later ones still grow the pooled
+		// job runs' per-run slices whenever the freelist hands a run a
+		// larger job than it has served before, so warm until a replay
+		// allocates nothing.
+		pooled := func() {
+			replay(b, rst)
+			rst.Reset()
+		}
+		for i := 0; i < 64; i++ {
+			if testing.AllocsPerRun(1, pooled) == 0 {
+				break
+			}
+		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {

@@ -75,8 +75,8 @@ type Simulator struct {
 	// ready indexes the jobs a free slot can go to, per task kind — the
 	// former pickMap/pickReduce linear scans over every active job, made
 	// incremental: FIFO keeps an intrusive arrival-ordered list (O(1)
-	// pick), Fair a positional heap on (running tasks, arrival), updated
-	// as tasks start and finish.
+	// pick), Fair a heap of stored (running tasks, arrival) keys with a
+	// deferred decrease-key, updated as tasks start and finish.
 	ready [nKinds]readySet
 
 	// Failure injection (Hadoop re-executes failed tasks, up to
@@ -568,16 +568,52 @@ func (r *jobRun) runningOf(kind int) int {
 // submission order: pick is the head in O(1), and insertion is O(1) in the
 // fault-free steady state (jobs become runnable in arrival order, so they
 // append at the tail); only a fault/failure re-queue of an old job walks
-// from the head. Under Fair it is a positional binary min-heap keyed on
-// (running tasks, submission seq) with back-pointers on jobRun, fixed
-// incrementally as tasks start and finish. Both pick exactly the job the
-// former pickMap/pickReduce scans chose: the key orders are total (seq is
-// unique), so the minimum is unique and replay output is byte-identical.
+// from the head.
+//
+// Under Fair it is a 4-ary min-heap of fairEntry slots, each carrying its
+// job's key running<<fairRunShift | seq inline, so a sift compares
+// contiguous integers instead of chasing jobRun pointers; jobRun.heapPos is
+// the back-pointer. A key that drops (a task of a heap job finished or was
+// killed) is not sifted: the job becomes the one held job, its true key in
+// heldKey and its stored key left stale-high, so the heap stays valid on
+// stored keys and pick returns the smaller of the root and the held job. In
+// the common case the freed slot goes straight back to the held job, whose
+// key returns to the stored value with nothing moved; a second job's
+// decrease first flushes the held one (sifts it up to its true key), and an
+// increase or removal of the held job clears it.
+//
+// Both policies pick exactly the job the former pickMap/pickReduce scans
+// chose: the key orders are total (seq is unique), so the minimum is unique
+// and replay output is byte-identical.
 type readySet struct {
 	policy     Policy
 	kind       int
-	head, tail *jobRun   // FIFO list
-	heap       []*jobRun // Fair heap
+	head, tail *jobRun     // FIFO list
+	heap       []fairEntry // Fair heap, on stored keys
+	held       *jobRun     // Fair: the heap job whose key dropped below its stored key, or nil
+	heldKey    uint64      // held's true key
+}
+
+// fairEntry is one Fair heap slot: a job and its stored key.
+type fairEntry struct {
+	key uint64
+	run *jobRun
+}
+
+// fairRunShift places the running-task count above the submission seq in a
+// Fair key; 2^40 submissions per simulator is far beyond any replay.
+const fairRunShift = 40
+
+// fairArity is the Fair heap's fan-out: a 4-ary heap halves the depth of a
+// binary one, and a sift-down level scans four adjacent child slots.
+const fairArity = 4
+
+// key returns the job's Fair key: fewest running tasks first (max-min
+// fairness), oldest submission on ties.
+//
+//simlint:hotpath
+func (rs *readySet) key(r *jobRun) uint64 {
+	return uint64(r.runningOf(rs.kind))<<fairRunShift | uint64(r.seq)
 }
 
 // pick returns the job the next free slot goes to, or nil.
@@ -588,25 +624,28 @@ func (rs *readySet) pick() *jobRun {
 		if len(rs.heap) == 0 {
 			return nil
 		}
-		return rs.heap[0]
+		if rs.held != nil && rs.heldKey < rs.heap[0].key {
+			return rs.held
+		}
+		return rs.heap[0].run
 	}
 	return rs.head
 }
 
 // set reconciles the job's membership: insert when it became ready, remove
-// when it no longer is, re-position (Fair) when its key may have changed.
+// when it no longer is, re-key (Fair) when its key may have changed.
 //
 //simlint:hotpath
 func (rs *readySet) set(r *jobRun, ready bool) {
 	if rs.policy == Fair {
-		in := r.heapPos[rs.kind] != 0
+		i := r.heapPos[rs.kind] - 1
 		switch {
-		case ready && !in:
+		case ready && i < 0:
 			rs.heapPush(r)
-		case ready && in:
-			rs.heapFix(r)
-		case !ready && in:
-			rs.heapRemove(r)
+		case ready:
+			rs.heapRekey(r, i)
+		case i >= 0:
+			rs.heapRemove(r, i)
 		}
 		return
 	}
@@ -666,81 +705,109 @@ func (rs *readySet) listRemove(r *jobRun) {
 	r.inList[k] = false
 }
 
-// less orders the Fair heap: fewest running tasks first (max-min fairness),
-// oldest submission on ties.
-//
-//simlint:hotpath
-func (rs *readySet) less(a, b *jobRun) bool {
-	ka, kb := a.runningOf(rs.kind), b.runningOf(rs.kind)
-	return ka < kb || (ka == kb && a.seq < b.seq)
-}
-
 //simlint:hotpath
 func (rs *readySet) heapPush(r *jobRun) {
-	rs.heap = append(rs.heap, r)
-	r.heapPos[rs.kind] = len(rs.heap)
-	rs.heapUp(len(rs.heap) - 1)
+	rs.heap = append(rs.heap, fairEntry{})
+	rs.heapUp(len(rs.heap)-1, fairEntry{rs.key(r), r})
 }
 
+// heapRekey re-positions heap job r (at index i) after its key may have
+// changed. A decrease is deferred by holding r; an increase sifts down.
+//
 //simlint:hotpath
-func (rs *readySet) heapSwap(i, j int) {
-	rs.heap[i], rs.heap[j] = rs.heap[j], rs.heap[i]
-	rs.heap[i].heapPos[rs.kind] = i + 1
-	rs.heap[j].heapPos[rs.kind] = j + 1
+func (rs *readySet) heapRekey(r *jobRun, i int) {
+	key, stored := rs.key(r), rs.heap[i].key
+	if key < stored {
+		if rs.held != nil && rs.held != r {
+			rs.heapFlush()
+		}
+		rs.held, rs.heldKey = r, key
+		return
+	}
+	if rs.held == r {
+		rs.held = nil
+	}
+	if key > stored {
+		rs.heapDown(i, fairEntry{key, r})
+	}
 }
 
+// heapFlush sifts the held job up to its true key and clears the hold.
+//
 //simlint:hotpath
-func (rs *readySet) heapUp(i int) {
+func (rs *readySet) heapFlush() {
+	r := rs.held
+	rs.held = nil
+	rs.heapUp(r.heapPos[rs.kind]-1, fairEntry{rs.heldKey, r})
+}
+
+// heapUp places e at or above hole i, moving larger parents down into it.
+//
+//simlint:hotpath
+func (rs *readySet) heapUp(i int, e fairEntry) {
+	h, k := rs.heap, rs.kind
 	for i > 0 {
-		p := (i - 1) / 2
-		if !rs.less(rs.heap[i], rs.heap[p]) {
+		p := (i - 1) / fairArity
+		if h[p].key < e.key {
 			break
 		}
-		rs.heapSwap(i, p)
+		h[i] = h[p]
+		h[i].run.heapPos[k] = i + 1
 		i = p
 	}
+	h[i] = e
+	e.run.heapPos[k] = i + 1
 }
 
+// heapDown places e at or below hole i, moving smaller children up into it.
+//
 //simlint:hotpath
-func (rs *readySet) heapDown(i int) {
-	n := len(rs.heap)
+func (rs *readySet) heapDown(i int, e fairEntry) {
+	h, k := rs.heap, rs.kind
+	n := len(h)
 	for {
-		l := 2*i + 1
-		if l >= n {
-			return
+		first := i*fairArity + 1
+		if first >= n {
+			break
 		}
-		best := l
-		if r := l + 1; r < n && rs.less(rs.heap[r], rs.heap[l]) {
-			best = r
+		end := min(first+fairArity, n)
+		best, bk := first, h[first].key
+		for c := first + 1; c < end; c++ {
+			if h[c].key < bk {
+				best, bk = c, h[c].key
+			}
 		}
-		if !rs.less(rs.heap[best], rs.heap[i]) {
-			return
+		if bk > e.key {
+			break
 		}
-		rs.heapSwap(i, best)
+		h[i] = h[best]
+		h[i].run.heapPos[k] = i + 1
 		i = best
 	}
+	h[i] = e
+	e.run.heapPos[k] = i + 1
 }
 
+// heapRemove drops heap job r (at index i): the last slot refills the hole
+// and sifts whichever way its stored key needs.
+//
 //simlint:hotpath
-func (rs *readySet) heapFix(r *jobRun) {
-	i := r.heapPos[rs.kind] - 1
-	rs.heapUp(i)
-	rs.heapDown(i)
-}
-
-//simlint:hotpath
-func (rs *readySet) heapRemove(r *jobRun) {
-	i := r.heapPos[rs.kind] - 1
-	last := len(rs.heap) - 1
-	if i != last {
-		rs.heapSwap(i, last)
+func (rs *readySet) heapRemove(r *jobRun, i int) {
+	if rs.held == r {
+		rs.held = nil
 	}
-	rs.heap[last] = nil
+	last := len(rs.heap) - 1
+	e := rs.heap[last]
+	rs.heap[last] = fairEntry{}
 	rs.heap = rs.heap[:last]
 	r.heapPos[rs.kind] = 0
-	if i != last {
-		rs.heapUp(i)
-		rs.heapDown(i)
+	if i == last {
+		return
+	}
+	if i > 0 && e.key < rs.heap[(i-1)/fairArity].key {
+		rs.heapUp(i, e)
+	} else {
+		rs.heapDown(i, e)
 	}
 }
 

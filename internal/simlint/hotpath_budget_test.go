@@ -60,10 +60,10 @@ var budgetCoverage = map[string]map[string][]string{
 			"Simulator.graySlow", "Simulator.jitterDuration",
 			"jobRun.pendingLen", "jobRun.popTask", "jobRun.pushTask",
 			"jobRun.runningOf", "jobRun.setupDone", "jobRun.shuffleFire",
-			"readySet.pick", "readySet.set", "readySet.listInsert",
-			"readySet.listRemove", "readySet.less", "readySet.heapPush",
-			"readySet.heapSwap", "readySet.heapUp", "readySet.heapDown",
-			"readySet.heapFix", "readySet.heapRemove",
+			"readySet.key", "readySet.pick", "readySet.set",
+			"readySet.listInsert", "readySet.listRemove", "readySet.heapPush",
+			"readySet.heapRekey", "readySet.heapFlush", "readySet.heapUp",
+			"readySet.heapDown", "readySet.heapRemove",
 		},
 		// The faulted replay adds the failure/straggler machinery: attempt
 		// kills and retries, jitter draws, speculation.
