@@ -19,7 +19,7 @@ NS_TOL ?= 300
 BENCH_GATE = BenchmarkFig10 BenchmarkTraceReplay BenchmarkResilienceReport \
 	BenchmarkReplayReuse/fresh BenchmarkReplayReuse/pooled BenchmarkEngineRaw
 
-.PHONY: all build test race vet lint resilience chaos bench-smoke bench-json bench-check golden check
+.PHONY: all build test race vet lint resilience chaos bench-smoke bench-json bench-check golden loc check
 
 all: check
 
@@ -117,5 +117,10 @@ chaos:
 # Refresh the golden figure snapshots after an intentional model change.
 golden:
 	$(GO) test ./internal/figures -run TestGolden -update
+
+# Non-test Go lines outside the benchmark module and test fixtures: the
+# size figure ROADMAP and CHANGES quote.
+loc:
+	@find . -name '*.go' -not -name '*_test.go' -not -path './perfbench/*' -not -path '*/testdata/*' | xargs cat | wc -l
 
 check: build vet lint test race resilience chaos bench-smoke

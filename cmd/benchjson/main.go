@@ -52,10 +52,6 @@ type Report struct {
 	GOOS       string      `json:"goos"`
 	GOARCH     string      `json:"goarch"`
 	Benchmarks []Benchmark `json:"benchmarks"`
-	// Baseline optionally records the same benchmarks measured before an
-	// optimization (filled by hand or by a prior run), so one file carries
-	// a before/after pair.
-	Baseline []Benchmark `json:"baseline,omitempty"`
 }
 
 func main() {

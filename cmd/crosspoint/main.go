@@ -21,6 +21,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"runtime"
 	"strconv"
@@ -134,8 +135,8 @@ func parseDegrade(spec string) (nic, rack float64, err error) {
 			return 0, 0, fmt.Errorf("-degrade %q: want key=factor", kv)
 		}
 		f, ferr := strconv.ParseFloat(strings.TrimSpace(val), 64)
-		if ferr != nil || f < 1 {
-			return 0, 0, fmt.Errorf("-degrade %s=%q: want a factor ≥ 1", key, val)
+		if ferr != nil || !(f >= 1) || math.IsInf(f, 1) {
+			return 0, 0, fmt.Errorf("-degrade %s=%q: want a finite factor ≥ 1", key, val)
 		}
 		switch strings.TrimSpace(key) {
 		case "nic":

@@ -8,6 +8,7 @@ package cluster
 
 import (
 	"fmt"
+	"math"
 
 	"hybridmr/internal/netmodel"
 	"hybridmr/internal/units"
@@ -134,7 +135,7 @@ func (s Spec) Validate() error {
 	case s.MapSlotFraction <= 0 || s.MapSlotFraction >= 1:
 		return fmt.Errorf("cluster: %s: map slot fraction %v outside (0,1)", s.Name, s.MapSlotFraction)
 	}
-	if s.Bisection < 0 || s.Bisection > 1 {
+	if !(s.Bisection >= 0 && s.Bisection <= 1) { // NaN fails both
 		return fmt.Errorf("cluster: %s: bisection %v outside [0,1]", s.Name, s.Bisection)
 	}
 	if s.MapSlotsPerMachine() < 1 || s.ReduceSlotsPerMachine() < 1 {
@@ -145,7 +146,7 @@ func (s Spec) Validate() error {
 
 // Throttle returns the spec seen through a gray network failure: every
 // machine's NIC bandwidth divided by nicFactor and the cluster's bisection
-// bandwidth divided by rackFactor (both ≥ 1; 1 is the identity). The
+// bandwidth divided by rackFactor (both finite and ≥ 1; 1 is the identity). The
 // transforms route through netmodel.Fabric so the network semantics live in
 // one place.
 func (s Spec) Throttle(nicFactor, rackFactor float64) (Spec, error) {
@@ -153,8 +154,8 @@ func (s Spec) Throttle(nicFactor, rackFactor float64) (Spec, error) {
 		return s, nil
 	}
 	for _, f := range []float64{nicFactor, rackFactor} {
-		if f < 1 {
-			return Spec{}, fmt.Errorf("cluster: %s: throttle factor %v below 1", s.Name, f)
+		if !(f >= 1) || math.IsInf(f, 1) {
+			return Spec{}, fmt.Errorf("cluster: %s: throttle factor %v: want a finite factor ≥ 1", s.Name, f)
 		}
 	}
 	fab := netmodel.Fabric{
@@ -206,26 +207,13 @@ func (s Spec) MapSlots() int { return s.Machines * s.MapSlotsPerMachine() }
 // ReduceSlots returns the cluster-wide reduce slot count.
 func (s Spec) ReduceSlots() int { return s.Machines * s.ReduceSlotsPerMachine() }
 
-// TotalCores returns the cluster-wide core count.
-func (s Spec) TotalCores() int { return s.Machines * s.Machine.Cores }
-
 // TotalPrice returns the cluster's total machine price.
 func (s Spec) TotalPrice() float64 { return float64(s.Machines) * s.Machine.PriceUSD }
-
-// TotalDiskCapacity returns the summed local disk capacity.
-func (s Spec) TotalDiskCapacity() units.Bytes {
-	return units.Bytes(s.Machines) * s.Machine.DiskCapacity
-}
 
 // AggregateNIC returns the network bandwidth available when every machine
 // transmits at once: the summed links discounted by the bisection factor.
 func (s Spec) AggregateNIC() units.BytesPerSec {
 	return units.BytesPerSec(float64(s.Machine.NICBW) * float64(s.Machines) * s.bisection())
-}
-
-// AggregateShuffleBW returns the summed shuffle-store bandwidth.
-func (s Spec) AggregateShuffleBW() units.BytesPerSec {
-	return s.Machine.ShuffleStoreBW() * units.BytesPerSec(s.Machines)
 }
 
 // TasksPerNode returns how many of `active` concurrently running tasks land

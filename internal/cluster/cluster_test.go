@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"math"
 	"testing"
 
 	"hybridmr/internal/units"
@@ -116,19 +117,6 @@ func TestAggregates(t *testing.T) {
 	if got := out.AggregateNIC(); got != units.GBps(1.25)*12 {
 		t.Errorf("AggregateNIC = %v", got)
 	}
-	if got := out.AggregateShuffleBW(); got != out.Machine.DiskBW*12 {
-		t.Errorf("AggregateShuffleBW = %v", got)
-	}
-	up := ScaleUp2()
-	if got := up.AggregateShuffleBW(); got != units.GBps(3)*2 {
-		t.Errorf("scale-up AggregateShuffleBW = %v", got)
-	}
-	if got := up.TotalDiskCapacity(); got != 182*units.GB {
-		t.Errorf("scale-up TotalDiskCapacity = %v, want 182GB", got)
-	}
-	if up.TotalCores() != 48 || out.TotalCores() != 96 {
-		t.Errorf("total cores = %d/%d, want 48/96", up.TotalCores(), out.TotalCores())
-	}
 }
 
 func TestValidationErrors(t *testing.T) {
@@ -223,8 +211,15 @@ func TestThrottle(t *testing.T) {
 	if err != nil || id != s {
 		t.Errorf("unit throttle changed the spec: %v", err)
 	}
-	if _, err := s.Throttle(0.5, 1); err == nil {
-		t.Error("sub-1 throttle factor accepted")
+	// Sub-1 and non-finite factors are errors on either axis. +Inf would
+	// otherwise zero the bisection, which reads as "unset, full".
+	for _, f := range []float64{0.5, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := s.Throttle(f, 1); err == nil {
+			t.Errorf("NIC throttle factor %v accepted", f)
+		}
+		if _, err := s.Throttle(1, f); err == nil {
+			t.Errorf("rack throttle factor %v accepted", f)
+		}
 	}
 }
 
@@ -241,9 +236,11 @@ func TestBisectionZeroValueIsFull(t *testing.T) {
 	if err := full.Validate(); err != nil {
 		t.Errorf("explicit full bisection invalid: %v", err)
 	}
-	bad := s
-	bad.Bisection = 1.5
-	if err := bad.Validate(); err == nil {
-		t.Error("bisection above 1 accepted")
+	for _, b := range []float64{1.5, -0.5, math.NaN()} {
+		bad := s
+		bad.Bisection = b
+		if err := bad.Validate(); err == nil {
+			t.Errorf("bisection %v accepted", b)
+		}
 	}
 }

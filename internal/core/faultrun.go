@@ -61,32 +61,19 @@ type FaultRun struct {
 	// attempts and exponential backoff in simulated time. False replays
 	// the paper's static Algorithm 1 under the same faults.
 	FailureAware bool
-	// MaxJobAttempts bounds submissions per job under FailureAware
-	// (including the first); ≤ 0 means 3.
-	MaxJobAttempts int
-	// RetryBackoff is the first retry delay, doubling per attempt; ≤ 0
-	// means 30s of simulated time.
-	RetryBackoff time.Duration
 	// Inject adds task-level chaos on both halves.
 	Inject Inject
 	// Blacklist enables per-half flaky-cluster benching: a half whose jobs
-	// keep failing accumulates strikes, and at BlacklistStrikes it is
-	// benched for BlacklistParole of simulated time — doubling per bench,
+	// keep failing accumulates strikes, and at blacklistStrikes it is
+	// benched for blacklistParole of simulated time — doubling per bench,
 	// capped at 8× — during which new jobs route to the other half (unless
 	// both are benched). Strikes reset when the bench is served.
 	Blacklist bool
-	// BlacklistStrikes is the job failures that bench a half; ≤ 0 means 3.
-	BlacklistStrikes int
-	// BlacklistParole is the first bench duration; ≤ 0 means 10m.
-	BlacklistParole time.Duration
 	// CloneStragglers enables speculative clone attempts on both halves: when
-	// a gray slowdown window pushes a cluster past CloneThreshold, its
+	// a gray slowdown window pushes a cluster past cloneThreshold, its
 	// in-flight attempts get healthy-speed backups and the first finisher
 	// wins.
 	CloneStragglers bool
-	// CloneThreshold is the gray slowdown that triggers cloning; ≤ 0 means
-	// 1.5.
-	CloneThreshold float64
 	// Watchdog bounds the replay's kernel: exceeding the budget panics with
 	// a *simclock.BudgetError, which sweep.Protect converts into a typed
 	// per-point error at the experiment layer. The zero budget is unlimited.
@@ -111,34 +98,21 @@ type FaultRun struct {
 	Invariants *mapreduce.InvariantChecker
 }
 
-func (opt *FaultRun) defaults() (int, time.Duration, *sweep.Runner) {
-	maxAttempts := opt.MaxJobAttempts
-	if maxAttempts <= 0 {
-		maxAttempts = 3
-	}
-	backoff := opt.RetryBackoff
-	if backoff <= 0 {
-		backoff = 30 * time.Second
-	}
-	runner := opt.Runner
-	if runner == nil {
-		runner = sweep.Default()
-	}
-	return maxAttempts, backoff, runner
-}
-
-// blacklistDefaults resolves the benching knobs.
-func (opt *FaultRun) blacklistDefaults() (int, time.Duration) {
-	strikes := opt.BlacklistStrikes
-	if strikes <= 0 {
-		strikes = 3
-	}
-	parole := opt.BlacklistParole
-	if parole <= 0 {
-		parole = 10 * time.Minute
-	}
-	return strikes, parole
-}
+// The failure-aware and resilience policies of RunFaulted.
+const (
+	// maxJobAttempts bounds submissions per job under FailureAware,
+	// including the first.
+	maxJobAttempts = 3
+	// retryBackoff is the first retry delay in simulated time, doubling
+	// per attempt.
+	retryBackoff = 30 * time.Second
+	// blacklistStrikes is the job failures that bench a half.
+	blacklistStrikes = 3
+	// blacklistParole is the first bench duration.
+	blacklistParole = 10 * time.Minute
+	// cloneThreshold is the gray slowdown that triggers cloning.
+	cloneThreshold = 1.5
+)
 
 // benchState is one half's blacklist account: consecutive job-failure
 // strikes, the exponential bench level already served, and the sim-time
@@ -149,13 +123,14 @@ type benchState struct {
 	until   time.Duration
 }
 
-// bench serves a bench: parole doubled per prior bench, capped at 8×.
-func (b *benchState) bench(now, parole time.Duration) {
+// bench serves a bench: blacklistParole doubled per prior bench, capped
+// at 8×.
+func (b *benchState) bench(now time.Duration) {
 	shift := b.level
 	if shift > 3 {
 		shift = 3
 	}
-	b.until = now + parole<<shift
+	b.until = now + blacklistParole<<shift
 	b.level++
 	b.strikes = 0
 }
@@ -176,8 +151,10 @@ func (h *Hybrid) RunFaulted(jobs []workload.Job, opt FaultRun) ([]JobResult, err
 	if h.Sched == nil {
 		return nil, fmt.Errorf("core: hybrid has no scheduler")
 	}
-	maxAttempts, backoff, runner := opt.defaults()
-	strikesCap, parole := opt.blacklistDefaults()
+	runner := opt.Runner
+	if runner == nil {
+		runner = sweep.Default()
+	}
 	fp := opt.Schedule.Fingerprint()
 	results := make([]JobResult, 0, len(jobs))
 
@@ -206,14 +183,10 @@ func (h *Hybrid) RunFaulted(jobs []workload.Job, opt FaultRun) ([]JobResult, err
 			return err
 		}
 		if opt.CloneStragglers {
-			threshold := opt.CloneThreshold
-			if threshold <= 0 {
-				threshold = 1.5
-			}
-			if err := upSim.SpeculateClones(threshold); err != nil {
+			if err := upSim.SpeculateClones(cloneThreshold); err != nil {
 				return err
 			}
-			if err := outSim.SpeculateClones(threshold); err != nil {
+			if err := outSim.SpeculateClones(cloneThreshold); err != nil {
 				return err
 			}
 		}
@@ -315,11 +288,11 @@ func (h *Hybrid) RunFaulted(jobs []workload.Job, opt FaultRun) ([]JobResult, err
 				// The half the job actually failed on takes the strike.
 				b := &bench[st.dest]
 				b.strikes++
-				if b.strikes >= strikesCap {
-					b.bench(now, parole)
-					if opt.Invariants != nil && b.until-now > parole<<3 {
+				if b.strikes >= blacklistStrikes {
+					b.bench(now)
+					if opt.Invariants != nil && b.until-now > blacklistParole<<3 {
 						opt.Invariants.Violate("blacklist-parole", "%s benched until %v at %v: bench exceeds the 8x parole cap (%v)",
-							st.dest, b.until, now, parole<<3)
+							st.dest, b.until, now, blacklistParole<<3)
 					}
 					if opt.Obs.Trace.Enabled() {
 						opt.Obs.Trace.Instant("hybrid", "blacklist", "bench", now,
@@ -327,11 +300,11 @@ func (h *Hybrid) RunFaulted(jobs []workload.Job, opt FaultRun) ([]JobResult, err
 					}
 				}
 			}
-			if r.Err != nil && opt.FailureAware && st.attempts < maxAttempts {
+			if r.Err != nil && opt.FailureAware && st.attempts < maxJobAttempts {
 				// Exponential backoff in simulated time; the retry is
 				// re-routed at its new arrival instant, so it sees the
 				// cluster's health then.
-				delay := backoff << (st.attempts - 1)
+				delay := retryBackoff << (st.attempts - 1)
 				eng.After(delay, func(time.Duration) { submit(idx) })
 				return
 			}
@@ -362,9 +335,9 @@ func (h *Hybrid) RunFaulted(jobs []workload.Job, opt FaultRun) ([]JobResult, err
 				inv.Violate("job-conservation", "hybrid: %d jobs submitted, %d results", len(jobs), len(results))
 			}
 			for i := range results {
-				if a := results[i].Attempts; a < 1 || a > maxAttempts {
+				if a := results[i].Attempts; a < 1 || a > maxJobAttempts {
 					inv.Violate("task-attempts", "hybrid: job %s finished with %d attempts, budget [1,%d]",
-						results[i].Job.ID, a, maxAttempts)
+						results[i].Job.ID, a, maxJobAttempts)
 				}
 			}
 		}

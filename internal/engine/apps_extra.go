@@ -115,11 +115,6 @@ func DFSIORead(store BlockStore, prefix string, mapSlots int) (DFSIOResult, erro
 	return res, nil
 }
 
-// TopKMapper emits (word, count-of-1) like Wordcount; combined with
-// TopKReducer it produces the k most frequent words — a second-stage job
-// often chained after Wordcount in production pipelines.
-type TopKMapper = WordcountMapper
-
 // TopKReducer keeps only keys whose summed count reaches the threshold —
 // a selective reducer exercising emit-filtering.
 type TopKReducer struct {

@@ -95,7 +95,7 @@ func TestTopKReducer(t *testing.T) {
 		Store:       store,
 		Input:       "in",
 		Output:      "out",
-		Mapper:      TopKMapper{},
+		Mapper:      WordcountMapper{},
 		Reducer:     TopKReducer{MinCount: 10},
 		Combiner:    SumReducer{},
 		Reducers:    2,

@@ -25,9 +25,6 @@ type Reducer interface {
 	Reduce(key string, values []string, emit func(key, value string)) error
 }
 
-// Partitioner assigns a key to one of n reduce partitions.
-type Partitioner func(key string, n int) int
-
 // HashPartitioner is Hadoop's default: hash the key modulo the partitions.
 func HashPartitioner(key string, n int) int {
 	h := fnv.New32a()
@@ -51,8 +48,6 @@ type Config struct {
 	Reducer Reducer
 	// Combiner, when non-nil, pre-aggregates map output per task.
 	Combiner Reducer
-	// Partitioner routes keys to reducers; nil uses HashPartitioner.
-	Partitioner Partitioner
 	// Reducers is the reduce-partition count (≥ 1).
 	Reducers int
 	// MapSlots and ReduceSlots bound task concurrency, like the paper's
@@ -143,10 +138,6 @@ func Run(cfg Config) (Counters, error) {
 	if err := cfg.validate(); err != nil {
 		return Counters{}, err
 	}
-	part := cfg.Partitioner
-	if part == nil {
-		part = HashPartitioner
-	}
 	ds, err := cfg.Store.Open(cfg.Input)
 	if err != nil {
 		return Counters{}, err
@@ -174,7 +165,7 @@ func Run(cfg Config) (Counters, error) {
 		go func() { //simlint:allow locksafe real execution: map-slot-bounded worker pool, joined before any result is read
 			defer wg.Done()
 			defer func() { <-sem }()
-			out, nIn, nOut, nSpill, err := runMapTask(cfg, ds, task, part)
+			out, nIn, nOut, nSpill, err := runMapTask(cfg, ds, task)
 			if err != nil {
 				firstErr.set(err)
 				return
@@ -270,7 +261,7 @@ func Run(cfg Config) (Counters, error) {
 // runMapTask processes the line-aligned split of one block: like Hadoop's
 // TextInputFormat, a task owns every line that *starts* within its block,
 // reading past the block end to finish the last line.
-func runMapTask(cfg Config, ds Dataset, task int, part Partitioner) (out [][]kv, nIn, nOut, nSpill int64, err error) {
+func runMapTask(cfg Config, ds Dataset, task int) (out [][]kv, nIn, nOut, nSpill int64, err error) {
 	split, err := readSplit(ds, task)
 	if err != nil {
 		return nil, 0, 0, 0, fmt.Errorf("engine: job %s task %d: %w", cfg.Name, task, err)
@@ -313,10 +304,7 @@ func runMapTask(cfg Config, ds Dataset, task int, part Partitioner) (out [][]kv,
 	}
 	out = make([][]kv, cfg.Reducers)
 	for _, p := range local {
-		r := part(p.k, cfg.Reducers)
-		if r < 0 || r >= cfg.Reducers {
-			return nil, 0, 0, 0, fmt.Errorf("engine: job %s: partitioner returned %d of %d", cfg.Name, r, cfg.Reducers)
-		}
+		r := HashPartitioner(p.k, cfg.Reducers)
 		out[r] = append(out[r], p)
 	}
 	return out, nIn, nOut, nSpill, nil

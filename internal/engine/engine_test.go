@@ -313,18 +313,6 @@ func TestRunValidation(t *testing.T) {
 	}
 }
 
-func TestBadPartitioner(t *testing.T) {
-	store := newOFS(t)
-	if err := store.Create("in", []byte("a b c\n")); err != nil {
-		t.Fatal(err)
-	}
-	cfg := NewWordcount(store, "in", "", 2, 2, 2)
-	cfg.Partitioner = func(string, int) int { return 99 }
-	if _, err := Run(cfg); err == nil {
-		t.Error("out-of-range partitioner accepted")
-	}
-}
-
 func TestMapperErrorPropagates(t *testing.T) {
 	store := newOFS(t)
 	if err := store.Create("in", []byte("boom\n")); err != nil {

@@ -279,7 +279,6 @@ func ceilDiv(a, b int) int { return (a + b - 1) / b }
 // per-node; the busy share is prorated (ceiling) and the newest attempts die
 // first, which is deterministic and biases against speculative progress.
 func (s *Simulator) crashMachines(k int, now time.Duration) {
-	s.accrue(now)
 	spec := s.platform.Spec
 	avail := spec.Machines - s.machinesDown
 	mps, rps := spec.MapSlotsPerMachine(), spec.ReduceSlotsPerMachine()
@@ -402,7 +401,6 @@ func (s *Simulator) loseCompletedMaps(k, avail int) int {
 
 // recoverMachines brings k machines back; their slots rejoin the pools empty.
 func (s *Simulator) recoverMachines(k int, now time.Duration) {
-	s.accrue(now)
 	spec := s.platform.Spec
 	s.machinesDown -= k
 	if s.obsv.trace.Enabled() {

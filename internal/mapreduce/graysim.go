@@ -207,7 +207,6 @@ func (s *Simulator) speculateClones(now time.Duration) {
 // startClone launches the speculative backup of orig: a full attempt on a
 // free slot, jitter-free at healthy speed.
 func (s *Simulator) startClone(orig *attempt, d, now time.Duration) {
-	s.accrue(now)
 	run := orig.run
 	if orig.isMap {
 		s.freeMap--
@@ -243,7 +242,6 @@ func (s *Simulator) loseSpeculation(winner *attempt, now time.Duration) {
 	winner.partner, loser.partner = nil, nil
 	loser.killed = true
 	s.removeAttempt(loser)
-	s.accrue(now)
 	run := loser.run
 	if loser.isMap {
 		s.freeMap++

@@ -181,40 +181,3 @@ func TestSimulatorDeterminism(t *testing.T) {
 		}
 	}
 }
-
-// Utilization accounting: an empty simulator reports zero; a single job on
-// an otherwise idle cluster reports a map-slot busy fraction matching its
-// occupancy (tasks × duration / (slots × makespan)); the fraction is always
-// within [0, 1].
-func TestUtilization(t *testing.T) {
-	p := MustArch(OutOFS, DefaultCalibration())
-	empty := NewSimulator(p)
-	if mu, ru := empty.Utilization(); mu != 0 || ru != 0 {
-		t.Errorf("empty utilization = %v/%v", mu, ru)
-	}
-	sim := NewSimulator(p)
-	sim.Submit(Job{ID: "j", App: apps.Grep(), Input: 8 * units.GB})
-	res := sim.Run()[0]
-	if res.Err != nil {
-		t.Fatal(res.Err)
-	}
-	mu, ru := sim.Utilization()
-	if mu <= 0 || mu > 1 || ru <= 0 || ru > 1 {
-		t.Fatalf("utilization out of range: map %v reduce %v", mu, ru)
-	}
-	// 64 map tasks on 72 slots, busy for one wave of the makespan: the
-	// busy fraction is well below 1 but clearly above the reduce pool's.
-	if mu > 0.6 {
-		t.Errorf("map utilization %v implausibly high for one 1-wave job", mu)
-	}
-	// A saturating stream of jobs pushes utilization up.
-	busy := NewSimulator(p)
-	for i := 0; i < 20; i++ {
-		busy.Submit(Job{ID: string(rune('a' + i)), App: apps.Grep(), Input: 32 * units.GB})
-	}
-	busy.Run()
-	bmu, _ := busy.Utilization()
-	if bmu <= mu {
-		t.Errorf("busy utilization %v not above single-job %v", bmu, mu)
-	}
-}

@@ -135,8 +135,6 @@ func (s *Simulator) reinit(eng *simclock.Engine, p *Platform, pooled bool) {
 	s.freeRed, s.capRed = p.Spec.ReduceSlots(), p.Spec.ReduceSlots()
 	s.setupMaps, s.queuedMaps = 0, 0
 	s.running, s.seq = 0, 0
-	s.lastChange = 0
-	s.mapSlotNs, s.redSlotNs = 0, 0
 	s.machinesDown, s.storageDown = 0, 0
 	s.attemptSeq = 0
 	s.cpuSlow, s.diskSlow, s.nicSlow, s.rackSlow = 1, 1, 1, 1

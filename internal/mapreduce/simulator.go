@@ -96,12 +96,6 @@ type Simulator struct {
 	jitterRNG *stats.RNG
 	jitterVar stats.LogUniformVar
 
-	// Utilization accounting: slot-seconds integrated over simulated time,
-	// O(1) per slot-count transition (no rescan of active jobs).
-	lastChange time.Duration
-	mapSlotNs  int64
-	redSlotNs  int64
-
 	// Fault injection (faultsim.go): current machine/storage losses, the
 	// memoized degraded platform views jobs are planned against, and the
 	// in-flight attempts a crash can kill (swap-remove via attempt.idx,
@@ -355,36 +349,8 @@ func (s *Simulator) Engine() *simclock.Engine { return s.eng }
 // uses it. O(1): the counts are maintained incrementally.
 func (s *Simulator) MapQueueDepth() int { return s.setupMaps + s.queuedMaps }
 
-// MapSlotsInUse reports currently occupied map slots.
-func (s *Simulator) MapSlotsInUse() int { return s.capMap - s.freeMap }
-
 // MapSlotCapacity reports the cluster's total map slots.
 func (s *Simulator) MapSlotCapacity() int { return s.capMap }
-
-// accrue integrates busy slot-seconds up to the current instant; call
-// before any slot-count change. O(1) per transition: only the elapsed
-// interval and the current busy counts are read, never the job list.
-//
-//simlint:hotpath
-func (s *Simulator) accrue(now time.Duration) {
-	if dt := int64(now - s.lastChange); dt > 0 {
-		s.mapSlotNs += dt * int64(s.capMap-s.freeMap)
-		s.redSlotNs += dt * int64(s.capRed-s.freeRed)
-		s.lastChange = now
-	}
-}
-
-// Utilization reports the time-averaged busy fraction of the map and reduce
-// slot pools over [0, Engine().Now()]. Call after Run.
-func (s *Simulator) Utilization() (mapUtil, redUtil float64) {
-	s.accrue(s.eng.Now())
-	total := s.eng.Now().Seconds()
-	if total <= 0 {
-		return 0, 0
-	}
-	return float64(s.mapSlotNs) / 1e9 / (total * float64(s.capMap)),
-		float64(s.redSlotNs) / 1e9 / (total * float64(s.capRed))
-}
 
 // jobRun tracks one in-flight job. Runs are pooled: completeJob (and the
 // last attempt drain of a failed job) returns the record to the simulator's
@@ -916,7 +882,6 @@ func (s *Simulator) dispatch(now time.Duration) {
 
 //simlint:hotpath
 func (s *Simulator) startMapTask(run *jobRun, now time.Duration) {
-	s.accrue(now)
 	s.freeMap--
 	taskID := run.popTask(kMap)
 	s.queuedMaps--
@@ -937,7 +902,6 @@ func (s *Simulator) startMapTask(run *jobRun, now time.Duration) {
 //
 //simlint:hotpath
 func (s *Simulator) mapTaskDone(run *jobRun, taskID int, now time.Duration) {
-	s.accrue(now)
 	s.freeMap++
 	run.runningMaps--
 	if s.attemptFails() && !run.failed {
@@ -975,7 +939,6 @@ func (s *Simulator) mapTaskDone(run *jobRun, taskID int, now time.Duration) {
 
 //simlint:hotpath
 func (s *Simulator) startReduceTask(run *jobRun, now time.Duration) {
-	s.accrue(now)
 	s.freeRed--
 	taskID := run.popTask(kRed)
 	run.runningReds++
@@ -990,7 +953,6 @@ func (s *Simulator) startReduceTask(run *jobRun, now time.Duration) {
 //
 //simlint:hotpath
 func (s *Simulator) redTaskDone(run *jobRun, taskID int, now time.Duration) {
-	s.accrue(now)
 	s.freeRed++
 	run.runningReds--
 	if s.attemptFails() && !run.failed {

@@ -8,7 +8,6 @@ package netmodel
 
 import (
 	"fmt"
-	"math"
 	"time"
 
 	"hybridmr/internal/units"
@@ -81,7 +80,7 @@ func (f Fabric) Throttled(factor float64) Fabric {
 // Partitioned returns the fabric with its bisection bandwidth divided by
 // factor — a partial rack partition: every node stays reachable, but the
 // inter-rack links carry 1/factor of their aggregate traffic. Per-node
-// bandwidth is untouched; only Aggregate (and so TransferTime) shrinks.
+// bandwidth is untouched; only Aggregate shrinks.
 func (f Fabric) Partitioned(factor float64) Fabric {
 	if factor == 1 {
 		return f
@@ -98,24 +97,4 @@ func (f Fabric) Aggregate(n int) units.BytesPerSec {
 		return 0
 	}
 	return units.BytesPerSec(float64(f.PerNodeBW) * float64(n) * f.BisectionFactor)
-}
-
-// ShareAmong returns one stream's bandwidth when k streams share a node's
-// link; fewer than one stream still gets the full link.
-func (f Fabric) ShareAmong(k float64) units.BytesPerSec {
-	if k < 1 {
-		k = 1
-	}
-	return units.BytesPerSec(float64(f.PerNodeBW) / k)
-}
-
-// TransferTime returns the time to move b bytes across the fabric using n
-// sending nodes, including the base latency. With no senders the transfer
-// never completes (the maximum representable duration).
-func (f Fabric) TransferTime(b units.Bytes, n int) time.Duration {
-	t := units.Transfer(b, f.Aggregate(n))
-	if int64(t) > math.MaxInt64-int64(f.Latency) {
-		return time.Duration(math.MaxInt64)
-	}
-	return f.Latency + t
 }

@@ -59,30 +59,6 @@ func TestAggregate(t *testing.T) {
 	}
 }
 
-func TestShareAmong(t *testing.T) {
-	m := Myrinet10G()
-	if got := m.ShareAmong(0.5); got != m.PerNodeBW {
-		t.Errorf("sub-unit share = %v, want full link", got)
-	}
-	if got := m.ShareAmong(5); got != m.PerNodeBW/5 {
-		t.Errorf("ShareAmong(5) = %v", got)
-	}
-}
-
-func TestTransferTime(t *testing.T) {
-	m := Myrinet10G()
-	// 12.5 GB over 10 nodes at 12.5 GB/s aggregate ≈ 1 s + latency.
-	got := m.TransferTime(units.Bytes(12.5*float64(units.GB)), 10)
-	want := time.Second + m.Latency
-	if got < want-time.Millisecond || got > want+time.Millisecond {
-		t.Errorf("TransferTime = %v, want ≈%v", got, want)
-	}
-	if got := m.TransferTime(units.GB, 0); got < time.Hour*24*365 {
-		// zero nodes → zero bandwidth → effectively infinite
-		t.Errorf("TransferTime with 0 nodes = %v, want huge", got)
-	}
-}
-
 func TestThrottled(t *testing.T) {
 	f := Myrinet10G()
 	th := f.Throttled(2)
@@ -124,9 +100,5 @@ func TestPartitioned(t *testing.T) {
 	}
 	if got, want := p.Aggregate(8), f.Aggregate(8)/4; got != want {
 		t.Errorf("partitioned aggregate = %v, want %v", got, want)
-	}
-	// ShareAmong (a per-link quantity) is unaffected.
-	if p.ShareAmong(3) != f.ShareAmong(3) {
-		t.Error("partition changed per-link sharing")
 	}
 }

@@ -5,9 +5,8 @@ import (
 	"time"
 )
 
-// The zero-alloc contract of the event kernel: once the heap slice and the
-// pool's waiter ring have grown to their steady-state footprint, scheduling
-// and slot traffic must not allocate. These budgets are what keeps a
+// The zero-alloc contract of the event kernel: once the heap slice has grown
+// to its steady-state footprint, scheduling must not allocate. These budgets are what keeps a
 // million-job replay out of the allocator; any regression fails here before
 // it shows up as a benchmark drift.
 
@@ -45,77 +44,5 @@ func TestEngineAtSteadyStateAllocs(t *testing.T) {
 	})
 	if avg != 0 {
 		t.Errorf("Engine.At+Step steady state: %v allocs/op, want 0", avg)
-	}
-}
-
-// TestPoolSteadyStateAllocs pins Acquire/Release at zero allocations once
-// the waiter ring is warm: each iteration queues a request behind a held
-// slot, releases (granting it through the engine), and runs the grant.
-func TestPoolSteadyStateAllocs(t *testing.T) {
-	e := New()
-	p := NewPool(e, 1)
-	noop := Event(func(time.Duration) {})
-	p.Acquire(noop) // occupy the only slot for the whole test
-	e.Run()
-	// Warm the ring past the steady-state depth, then drain the backlog.
-	for i := 0; i < 64; i++ {
-		p.Acquire(noop)
-	}
-	for i := 0; i < 64; i++ {
-		p.Release()
-		e.Run()
-	}
-	if p.InUse() != 1 || p.Queued() != 0 {
-		t.Fatalf("warmup left inUse=%d queued=%d", p.InUse(), p.Queued())
-	}
-	avg := testing.AllocsPerRun(1000, func() {
-		p.Acquire(noop) // queues: the slot is held
-		p.Release()     // grants the queued waiter
-		if !e.Step() {  // runs the grant; the slot stays held
-			t.Fatal("grant event missing")
-		}
-	})
-	if avg != 0 {
-		t.Errorf("Pool.Acquire/Release steady state: %v allocs/op, want 0", avg)
-	}
-	if p.InUse() != 1 || p.Queued() != 0 {
-		t.Errorf("steady state drifted: inUse=%d queued=%d", p.InUse(), p.Queued())
-	}
-}
-
-// TestPoolRingWrap exercises wrap-around: interleaved enqueues and grants
-// push head around the ring repeatedly while preserving FIFO order.
-func TestPoolRingWrap(t *testing.T) {
-	e := New()
-	p := NewPool(e, 1)
-	var order []int
-	p.Acquire(func(time.Duration) {}) // hold the slot
-	e.Run()
-	next := 0
-	enqueue := func() {
-		id := next
-		next++
-		p.Acquire(func(time.Duration) { order = append(order, id) })
-	}
-	// Fill to force one growth, then cycle enough times to wrap repeatedly.
-	for i := 0; i < 5; i++ {
-		enqueue()
-	}
-	for i := 0; i < 100; i++ {
-		p.Release() // grants the oldest; inUse stays 1 after the grant
-		e.Run()
-		enqueue()
-	}
-	for p.Queued() > 0 {
-		p.Release()
-		e.Run()
-	}
-	for i, id := range order {
-		if id != i {
-			t.Fatalf("ring broke FIFO at %d: %v...", i, order[:i+1])
-		}
-	}
-	if len(order) != next {
-		t.Fatalf("granted %d of %d", len(order), next)
 	}
 }

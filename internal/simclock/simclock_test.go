@@ -137,114 +137,3 @@ func TestEngineOrderProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestPoolBasics(t *testing.T) {
-	e := New()
-	p := NewPool(e, 2)
-	if p.Capacity() != 2 {
-		t.Fatalf("capacity = %d", p.Capacity())
-	}
-	var starts []time.Duration
-	task := func(hold time.Duration) {
-		p.Acquire(func(now time.Duration) {
-			starts = append(starts, now)
-			e.After(hold, func(time.Duration) { p.Release() })
-		})
-	}
-	// Three 10s tasks on 2 slots: third starts at 10s.
-	task(10 * time.Second)
-	task(10 * time.Second)
-	task(10 * time.Second)
-	end := e.Run()
-	if len(starts) != 3 {
-		t.Fatalf("starts = %v", starts)
-	}
-	if starts[0] != 0 || starts[1] != 0 || starts[2] != 10*time.Second {
-		t.Errorf("starts = %v, want [0 0 10s]", starts)
-	}
-	if end != 20*time.Second {
-		t.Errorf("end = %v, want 20s", end)
-	}
-	if p.InUse() != 0 {
-		t.Errorf("InUse after drain = %d", p.InUse())
-	}
-	if p.Peak() != 2 {
-		t.Errorf("Peak = %d, want 2", p.Peak())
-	}
-}
-
-func TestPoolFIFO(t *testing.T) {
-	e := New()
-	p := NewPool(e, 1)
-	var order []int
-	for i := 0; i < 5; i++ {
-		i := i
-		p.Acquire(func(time.Duration) {
-			order = append(order, i)
-			e.After(time.Second, func(time.Duration) { p.Release() })
-		})
-	}
-	if p.Queued() != 4 {
-		t.Errorf("Queued = %d, want 4", p.Queued())
-	}
-	e.Run()
-	for i, v := range order {
-		if v != i {
-			t.Fatalf("pool grants out of order: %v", order)
-		}
-	}
-}
-
-func TestPoolReleaseWithoutAcquirePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Release without Acquire did not panic")
-		}
-	}()
-	NewPool(New(), 1).Release()
-}
-
-func TestPoolBadCapacityPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("NewPool(0) did not panic")
-		}
-	}()
-	NewPool(New(), 0)
-}
-
-func TestPoolNilCallbackPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Acquire(nil) did not panic")
-		}
-	}()
-	NewPool(New(), 1).Acquire(nil)
-}
-
-// Property: n tasks of equal duration d on a pool of k slots complete in
-// ceil(n/k)*d — the wave arithmetic the MapReduce model relies on.
-func TestPoolWaveProperty(t *testing.T) {
-	f := func(nRaw, kRaw uint8) bool {
-		n := int(nRaw%50) + 1
-		k := int(kRaw%8) + 1
-		e := New()
-		p := NewPool(e, k)
-		d := 7 * time.Second
-		done := 0
-		for i := 0; i < n; i++ {
-			p.Acquire(func(time.Duration) {
-				e.After(d, func(time.Duration) {
-					p.Release()
-					done++
-				})
-			})
-		}
-		end := e.Run()
-		waves := (n + k - 1) / k
-		return done == n && end == time.Duration(waves)*d
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}

@@ -48,7 +48,7 @@ var budgetCoverage = map[string]map[string][]string{
 		// submission/arrival, dispatch, ready-set ladder and task heaps,
 		// job-run pool, attempt arming, completion and the sorted results.
 		"TestPooledReplaySteadyStateAllocs": {
-			"Simulator.Submit", "Simulator.nextArrival", "Simulator.accrue",
+			"Simulator.Submit", "Simulator.nextArrival",
 			"Simulator.startJob", "Simulator.dispatch", "Simulator.touch",
 			"Simulator.removeActive", "Simulator.startMapTask",
 			"Simulator.mapTaskDone", "Simulator.startReduceTask",

@@ -111,11 +111,6 @@ func (c *CDF) Points(n int) []Point {
 	return pts
 }
 
-// FractionAbove returns the fraction of samples strictly greater than v.
-func (c *CDF) FractionAbove(v float64) float64 {
-	return 1 - c.At(v)
-}
-
 // Point is an (x, y) pair of a plotted series.
 type Point struct {
 	X, Y float64

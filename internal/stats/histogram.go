@@ -75,9 +75,6 @@ func (h *Histogram) Buckets() []Bucket {
 	return out
 }
 
-// OutOfRange returns the underflow and overflow counts.
-func (h *Histogram) OutOfRange() (under, over int) { return h.under, h.over }
-
 // Render draws the histogram as text bars, one per non-empty bucket, scaled
 // to the given width.
 func (h *Histogram) Render(width int) string {

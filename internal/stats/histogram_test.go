@@ -29,9 +29,8 @@ func TestHistogramBuckets(t *testing.T) {
 	if h.N() != 6 {
 		t.Errorf("N = %d", h.N())
 	}
-	under, over := h.OutOfRange()
-	if under != 1 || over != 1 {
-		t.Errorf("out of range = %d/%d", under, over)
+	if h.under != 1 || h.over != 1 {
+		t.Errorf("out of range = %d/%d", h.under, h.over)
 	}
 	buckets := h.Buckets()
 	if len(buckets) != 3 {
@@ -67,8 +66,7 @@ func TestHistogramConservationProperty(t *testing.T) {
 		for _, b := range h.Buckets() {
 			total += b.Count
 		}
-		under, over := h.OutOfRange()
-		return total+under+over == n && h.N() == n
+		return total+h.under+h.over == n && h.N() == n
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)

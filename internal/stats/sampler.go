@@ -207,14 +207,3 @@ func (s *PiecewiseLogSampler) SampleWithBand(g *RNG) (float64, int) {
 	b := s.bands[i]
 	return g.LogUniform(b.Lo, b.Hi), i
 }
-
-// BandFraction returns the normalized probability mass of band i.
-func (s *PiecewiseLogSampler) BandFraction(i int) float64 {
-	if i < 0 || i >= len(s.cum) {
-		panic("stats: band index out of range")
-	}
-	if i == 0 {
-		return s.cum[0]
-	}
-	return s.cum[i] - s.cum[i-1]
-}

@@ -81,16 +81,6 @@ func TestQuantilePanics(t *testing.T) {
 	check("q>1", func() { NewCDF([]float64{1}).Quantile(1.1) })
 }
 
-func TestFractionAbove(t *testing.T) {
-	c := NewCDF([]float64{1, 2, 3, 4})
-	if got := c.FractionAbove(2); got != 0.5 {
-		t.Errorf("FractionAbove(2) = %v, want 0.5", got)
-	}
-	if got := c.FractionAbove(4); got != 0 {
-		t.Errorf("FractionAbove(4) = %v, want 0", got)
-	}
-}
-
 func TestPoints(t *testing.T) {
 	c := NewCDF([]float64{1, 2, 3, 4, 5})
 	pts := c.Points(5)
@@ -330,12 +320,6 @@ func TestPiecewiseLogSamplerFractions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantFrac := []float64{0.40, 0.49, 0.11}
-	for i, w := range wantFrac {
-		if got := s.BandFraction(i); math.Abs(got-w) > 1e-12 {
-			t.Errorf("BandFraction(%d) = %v, want %v", i, got, w)
-		}
-	}
 	g := NewRNG(9)
 	const n = 50000
 	var small, mid, large int
@@ -378,16 +362,6 @@ func TestPiecewiseSampleBoundsProperty(t *testing.T) {
 			t.Fatalf("sample %v outside all bands", v)
 		}
 	}
-}
-
-func TestBandFractionPanics(t *testing.T) {
-	s, _ := NewPiecewiseLogSampler([]Band{{Weight: 1, Lo: 1, Hi: 2}})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("BandFraction(5) did not panic")
-		}
-	}()
-	s.BandFraction(5)
 }
 
 func TestPermAndIntn(t *testing.T) {

@@ -219,10 +219,7 @@ func (s *System) CheckJobFit(input, output units.Bytes) error {
 // fraction is additionally throttled by the node's NIC share. The two paths
 // blend harmonically, since a task's read time is the weighted sum of both.
 func (s *System) PerTaskReadBW(ctx storage.AccessContext) units.BytesPerSec {
-	readers := float64(ctx.TasksPerNode) * ctx.ReadDuty
-	if readers < 1 {
-		readers = 1
-	}
+	readers := ctx.ReadersPerNode()
 	mediumBW := s.cfg.DiskBW
 	if s.cached(ctx.DatasetBytes) {
 		mediumBW = s.cfg.PageCacheBW
@@ -255,10 +252,7 @@ func (s *System) cached(dataset units.Bytes) bool {
 // divided by the replication factor and by the NIC share for the remote
 // copies.
 func (s *System) PerTaskWriteBW(ctx storage.AccessContext) units.BytesPerSec {
-	writers := float64(ctx.TasksPerNode) * ctx.WriteDuty
-	if writers < 1 {
-		writers = 1
-	}
+	writers := ctx.WritersPerNode()
 	diskShare := units.BytesPerSec(float64(s.cfg.DiskBW) / writers / float64(s.cfg.Replication))
 	bw := storage.MinBW(s.cfg.StreamBW, diskShare)
 	if s.cfg.Replication > 1 {

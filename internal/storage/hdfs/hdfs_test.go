@@ -186,11 +186,11 @@ func TestPlacementInvariants(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	blocks := p.PlaceBlocks(500)
-	if len(blocks) != 500 {
-		t.Fatalf("placed %d blocks", len(blocks))
-	}
-	for i, locs := range blocks {
+	// 500 blocks written round-robin from all nodes, as the engine store
+	// writes them.
+	per := make([]int, 12)
+	for i := 0; i < 500; i++ {
+		locs := p.Place(i, i%12)
 		if len(locs) != 2 {
 			t.Fatalf("block %d has %d replicas, want 2", i, len(locs))
 		}
@@ -201,18 +201,21 @@ func TestPlacementInvariants(t *testing.T) {
 			if n < 0 || n >= 12 {
 				t.Fatalf("block %d replica on invalid node %d", i, n)
 			}
+			per[n]++
 		}
 	}
-	if imb := p.Imbalance(); imb > 1.25 {
-		t.Errorf("placement imbalance = %v, want ≤ 1.25", imb)
-	}
-	per := p.ReplicasPerNode()
-	var total int
+	var total, max int
 	for _, c := range per {
 		total += c
+		if c > max {
+			max = c
+		}
 	}
 	if total != 1000 {
 		t.Errorf("total replicas = %d, want 1000", total)
+	}
+	if imb := float64(max) / (float64(total) / 12); imb > 1.25 {
+		t.Errorf("placement imbalance = %v, want ≤ 1.25", imb)
 	}
 }
 
@@ -234,7 +237,8 @@ func TestPlacementDistinctProperty(t *testing.T) {
 		if p.EffectiveReplication() != want {
 			return false
 		}
-		for _, locs := range p.PlaceBlocks(b) {
+		for i := 0; i < b; i++ {
+			locs := p.Place(i, i%n)
 			if len(locs) != want {
 				return false
 			}
@@ -267,11 +271,4 @@ func TestPlacementErrors(t *testing.T) {
 		}
 	}()
 	p.Place(0, 7)
-}
-
-func TestImbalanceEmpty(t *testing.T) {
-	p, _ := NewPlacement(4, 2)
-	if p.Imbalance() != 0 {
-		t.Errorf("Imbalance before placement = %v, want 0", p.Imbalance())
-	}
 }

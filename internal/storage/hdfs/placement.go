@@ -9,7 +9,6 @@ import "fmt"
 type Placement struct {
 	nodes       int
 	replication int
-	counts      []int // blocks stored per node, to report balance
 }
 
 // NewPlacement creates a placement over n datanodes with the given
@@ -21,7 +20,7 @@ func NewPlacement(n, replication int) (*Placement, error) {
 	if replication < 1 {
 		return nil, fmt.Errorf("hdfs: replication %d", replication)
 	}
-	return &Placement{nodes: n, replication: replication, counts: make([]int, n)}, nil
+	return &Placement{nodes: n, replication: replication}, nil
 }
 
 // EffectiveReplication returns min(replication, nodes): with fewer nodes
@@ -53,42 +52,7 @@ func (p *Placement) Place(b, writer int) []int {
 		}
 		next = (next + 1) % p.nodes
 	}
-	for _, n := range locs {
-		p.counts[n]++
-	}
 	return locs
-}
-
-// PlaceBlocks places n blocks written round-robin from all nodes and
-// returns each block's replica locations.
-func (p *Placement) PlaceBlocks(n int) [][]int {
-	out := make([][]int, n)
-	for b := 0; b < n; b++ {
-		out[b] = p.Place(b, b%p.nodes)
-	}
-	return out
-}
-
-// ReplicasPerNode returns how many block replicas each node holds so far.
-func (p *Placement) ReplicasPerNode() []int {
-	return append([]int(nil), p.counts...)
-}
-
-// Imbalance returns max/mean of per-node replica counts (1.0 is perfectly
-// balanced); it returns 0 before any block is placed.
-func (p *Placement) Imbalance() float64 {
-	var sum, max int
-	for _, c := range p.counts {
-		sum += c
-		if c > max {
-			max = c
-		}
-	}
-	if sum == 0 {
-		return 0
-	}
-	mean := float64(sum) / float64(p.nodes)
-	return float64(max) / mean
 }
 
 func contains(s []int, v int) bool {

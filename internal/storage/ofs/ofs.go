@@ -205,29 +205,13 @@ func (s *System) perTaskBW(global, perNode float64, nic units.BytesPerSec) units
 
 // PerTaskReadBW implements storage.System.
 func (s *System) PerTaskReadBW(ctx storage.AccessContext) units.BytesPerSec {
-	global := float64(ctx.ActiveTasks) * ctx.ReadDuty
-	if global < 1 {
-		global = 1
-	}
-	perNode := float64(ctx.TasksPerNode) * ctx.ReadDuty
-	if perNode < 1 {
-		perNode = 1
-	}
-	return s.perTaskBW(global, perNode, ctx.NodeNIC)
+	return s.perTaskBW(ctx.ReadersGlobal(), ctx.ReadersPerNode(), ctx.NodeNIC)
 }
 
 // PerTaskWriteBW implements storage.System. Writes are symmetric to reads:
 // no replication pipeline, same striping.
 func (s *System) PerTaskWriteBW(ctx storage.AccessContext) units.BytesPerSec {
-	global := float64(ctx.ActiveTasks) * ctx.WriteDuty
-	if global < 1 {
-		global = 1
-	}
-	perNode := float64(ctx.TasksPerNode) * ctx.WriteDuty
-	if perNode < 1 {
-		perNode = 1
-	}
-	return s.perTaskBW(global, perNode, ctx.NodeNIC)
+	return s.perTaskBW(ctx.WritersGlobal(), ctx.WritersPerNode(), ctx.NodeNIC)
 }
 
 // TaskReadLatency implements storage.System.

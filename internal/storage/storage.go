@@ -66,41 +66,28 @@ func (c AccessContext) Validate() error {
 	return nil
 }
 
-// readers returns the effective number of concurrent readers per node,
-// never below one stream.
-func (c AccessContext) readersPerNode() float64 {
-	n := float64(c.TasksPerNode) * c.ReadDuty
-	if n < 1 {
-		return 1
-	}
-	return n
-}
+// ReadersPerNode returns the effective number of concurrent readers per
+// node: TasksPerNode discounted by ReadDuty, never below one stream.
+func (c AccessContext) ReadersPerNode() float64 { return streams(c.TasksPerNode, c.ReadDuty) }
 
-// writersPerNode is the write-side analogue of readersPerNode.
-func (c AccessContext) writersPerNode() float64 {
-	n := float64(c.TasksPerNode) * c.WriteDuty
-	if n < 1 {
-		return 1
-	}
-	return n
-}
+// WritersPerNode is the write-side analogue of ReadersPerNode.
+func (c AccessContext) WritersPerNode() float64 { return streams(c.TasksPerNode, c.WriteDuty) }
 
-// readersGlobal returns the effective number of concurrent readers across
-// the cluster, never below one.
-func (c AccessContext) readersGlobal() float64 {
-	n := float64(c.ActiveTasks) * c.ReadDuty
-	if n < 1 {
-		return 1
-	}
-	return n
-}
+// ReadersGlobal returns the effective number of concurrent readers across
+// the cluster: ActiveTasks discounted by ReadDuty, never below one stream.
+func (c AccessContext) ReadersGlobal() float64 { return streams(c.ActiveTasks, c.ReadDuty) }
 
-func (c AccessContext) writersGlobal() float64 {
-	n := float64(c.ActiveTasks) * c.WriteDuty
-	if n < 1 {
+// WritersGlobal is the write-side analogue of ReadersGlobal.
+func (c AccessContext) WritersGlobal() float64 { return streams(c.ActiveTasks, c.WriteDuty) }
+
+// streams discounts n concurrent tasks by an I/O duty cycle, never below
+// one stream.
+func streams(n int, duty float64) float64 {
+	s := float64(n) * duty
+	if s < 1 {
 		return 1
 	}
-	return n
+	return s
 }
 
 // System is the file-system model the simulator runs jobs against.

@@ -66,23 +66,23 @@ func TestAccessContextValidate(t *testing.T) {
 func TestDutyFloors(t *testing.T) {
 	c := AccessContext{ActiveTasks: 1, TasksPerNode: 1, Nodes: 1, ReadDuty: 0.1, WriteDuty: 0.1}
 	// A single task is never discounted below one full stream.
-	if got := c.readersPerNode(); got != 1 {
-		t.Errorf("readersPerNode = %v, want 1", got)
+	if got := c.ReadersPerNode(); got != 1 {
+		t.Errorf("ReadersPerNode = %v, want 1", got)
 	}
-	if got := c.writersPerNode(); got != 1 {
-		t.Errorf("writersPerNode = %v, want 1", got)
+	if got := c.WritersPerNode(); got != 1 {
+		t.Errorf("WritersPerNode = %v, want 1", got)
 	}
-	if got := c.readersGlobal(); got != 1 {
-		t.Errorf("readersGlobal = %v, want 1", got)
+	if got := c.ReadersGlobal(); got != 1 {
+		t.Errorf("ReadersGlobal = %v, want 1", got)
 	}
-	if got := c.writersGlobal(); got != 1 {
-		t.Errorf("writersGlobal = %v, want 1", got)
+	if got := c.WritersGlobal(); got != 1 {
+		t.Errorf("WritersGlobal = %v, want 1", got)
 	}
 	c = AccessContext{ActiveTasks: 100, TasksPerNode: 10, Nodes: 10, ReadDuty: 0.5, WriteDuty: 0.2}
-	if got := c.readersPerNode(); got != 5 {
-		t.Errorf("readersPerNode = %v, want 5", got)
+	if got := c.ReadersPerNode(); got != 5 {
+		t.Errorf("ReadersPerNode = %v, want 5", got)
 	}
-	if got := c.writersGlobal(); got != 20 {
-		t.Errorf("writersGlobal = %v, want 20", got)
+	if got := c.WritersGlobal(); got != 20 {
+		t.Errorf("WritersGlobal = %v, want 20", got)
 	}
 }

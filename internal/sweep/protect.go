@@ -1,19 +1,16 @@
 // Panic isolation and run budgets: one pathological sweep point — a
-// simulation that panics, runs away past its watchdog budget, or outlives a
-// canceled context — must yield a typed per-point error and leave the rest
-// of the experiment's results intact, not crash the process.
+// simulation that panics or runs away past its watchdog budget — must yield
+// a typed per-point error and leave the rest of the experiment's results
+// intact, not crash the process.
 
 package sweep
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"runtime/debug"
 	"strconv"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"hybridmr/internal/simclock"
@@ -76,58 +73,6 @@ func toError(r any) error {
 		return err
 	}
 	return errors.New("sweep: non-error panic")
-}
-
-// MapCtx is Map with cooperative cancellation: once ctx is done, workers
-// stop claiming batches and MapCtx returns the partial results with
-// ctx.Err(). Completed slots hold their results; unvisited slots hold the
-// zero value. fn should itself watch ctx (e.g. via a watchdog Cancel hook)
-// if single points can run long.
-func MapCtx[T any](ctx context.Context, workers, n int, fn func(int) T) ([]T, error) {
-	if n <= 0 {
-		return nil, ctx.Err()
-	}
-	out := make([]T, n)
-	workers = normWorkers(workers)
-	if workers > n {
-		workers = n
-	}
-	if workers == 1 {
-		for i := range out {
-			if ctx.Err() != nil {
-				return out, ctx.Err()
-			}
-			out[i] = fn(i)
-		}
-		return out, ctx.Err()
-	}
-	batch := n / (workers * 4)
-	if batch < 1 {
-		batch = 1
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for ctx.Err() == nil {
-				lo := int(next.Add(int64(batch))) - batch
-				if lo >= n {
-					return
-				}
-				hi := lo + batch
-				if hi > n {
-					hi = n
-				}
-				for i := lo; i < hi; i++ {
-					out[i] = fn(i)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	return out, ctx.Err()
 }
 
 // Budget is the user-facing watchdog configuration carried by the CLIs'

@@ -1,7 +1,6 @@
 package sweep
 
 import (
-	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -55,49 +54,6 @@ func TestProtectBudget(t *testing.T) {
 	}
 	if len(perr.Stack) != 0 {
 		t.Error("budget stop carries a stack (it is not a bug site)")
-	}
-}
-
-func TestMapCtx(t *testing.T) {
-	// Uncanceled: identical to Map.
-	got, err := MapCtx(context.Background(), 4, 100, func(i int) int { return i * i })
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range got {
-		if v != i*i {
-			t.Fatalf("out[%d] = %d", i, v)
-		}
-	}
-	// Pre-canceled: nothing claimed, context error surfaced.
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	ran := 0
-	_, err = MapCtx(ctx, 1, 100, func(i int) int { ran++; return i })
-	if !errors.Is(err, context.Canceled) {
-		t.Errorf("err = %v, want context.Canceled", err)
-	}
-	if ran != 0 {
-		t.Errorf("%d points ran after cancellation", ran)
-	}
-	// Mid-run cancellation (serial path): later points are skipped.
-	ctx2, cancel2 := context.WithCancel(context.Background())
-	ran = 0
-	out, err := MapCtx(ctx2, 1, 100, func(i int) int {
-		ran++
-		if i == 9 {
-			cancel2()
-		}
-		return i + 1
-	})
-	if !errors.Is(err, context.Canceled) {
-		t.Errorf("err = %v, want context.Canceled", err)
-	}
-	if ran != 10 {
-		t.Errorf("%d points ran, want 10", ran)
-	}
-	if out[9] != 10 || out[50] != 0 {
-		t.Error("completed slots lost or skipped slots filled")
 	}
 }
 

@@ -41,17 +41,8 @@ func GBps(n float64) BytesPerSec { return BytesPerSec(n * float64(GB)) }
 // It accepts fractional sizes such as 0.5 for the paper's 0.5 GB inputs.
 func GiB(n float64) Bytes { return Bytes(math.Round(n * float64(GB))) }
 
-// MiB returns a size of n binary megabytes, rounding to whole bytes.
-func MiB(n float64) Bytes { return Bytes(math.Round(n * float64(MB))) }
-
-// Float returns the size as a float64 byte count.
-func (b Bytes) Float() float64 { return float64(b) }
-
 // GiBf returns the size expressed in (possibly fractional) binary gigabytes.
 func (b Bytes) GiBf() float64 { return float64(b) / float64(GB) }
-
-// MiBf returns the size expressed in (possibly fractional) binary megabytes.
-func (b Bytes) MiBf() float64 { return float64(b) / float64(MB) }
 
 // Scale returns the size multiplied by f, rounded to whole bytes.
 // Scaling a non-negative size by a non-negative factor never goes negative.
@@ -187,16 +178,6 @@ func unitMultiplier(u string) (Bytes, error) {
 		return PB, nil
 	}
 	return 0, fmt.Errorf("unknown unit %q", u)
-}
-
-// MustParseBytes is ParseBytes that panics on error, for use in tests,
-// presets and package-level tables.
-func MustParseBytes(s string) Bytes {
-	b, err := ParseBytes(s)
-	if err != nil {
-		panic(err)
-	}
-	return b
 }
 
 // Ratio is a dimensionless data-size ratio, e.g. the paper's shuffle/input
