@@ -2,13 +2,12 @@
 // uses 10 Gbps Myrinet everywhere — compute nodes, the namenode and the 32
 // OrangeFS servers — and credits its low protocol overhead for OFS's I/O
 // performance (§II-D). The fabric model provides per-node and bisection
-// bandwidth plus a base message latency; an Ethernet preset exists for
-// ablations showing how the paper's conclusions shift on a slower fabric.
+// bandwidth; an Ethernet preset exists for ablations showing how the
+// paper's conclusions shift on a slower fabric.
 package netmodel
 
 import (
 	"fmt"
-	"time"
 
 	"hybridmr/internal/units"
 )
@@ -19,21 +18,17 @@ type Fabric struct {
 	Name string
 	// PerNodeBW is each host's link bandwidth.
 	PerNodeBW units.BytesPerSec
-	// Latency is the base one-way message latency.
-	Latency time.Duration
 	// BisectionFactor scales the aggregate bandwidth available when all
 	// nodes communicate at once: 1.0 is full bisection (Myrinet's Clos
 	// topology), below 1 models oversubscription.
 	BisectionFactor float64
 }
 
-// Myrinet10G returns the Palmetto fabric: 10 Gbps, full bisection, µs-scale
-// latency.
+// Myrinet10G returns the Palmetto fabric: 10 Gbps, full bisection.
 func Myrinet10G() Fabric {
 	return Fabric{
 		Name:            "myrinet-10g",
 		PerNodeBW:       units.GBps(1.25),
-		Latency:         30 * time.Microsecond,
 		BisectionFactor: 1.0,
 	}
 }
@@ -44,7 +39,6 @@ func Ethernet1G() Fabric {
 	return Fabric{
 		Name:            "ethernet-1g",
 		PerNodeBW:       units.MBps(118),
-		Latency:         200 * time.Microsecond,
 		BisectionFactor: 0.25,
 	}
 }
@@ -56,8 +50,6 @@ func (f Fabric) Validate() error {
 		return fmt.Errorf("netmodel: fabric has no name")
 	case f.PerNodeBW <= 0:
 		return fmt.Errorf("netmodel: %s: non-positive link bandwidth", f.Name)
-	case f.Latency < 0:
-		return fmt.Errorf("netmodel: %s: negative latency", f.Name)
 	case f.BisectionFactor <= 0 || f.BisectionFactor > 1:
 		return fmt.Errorf("netmodel: %s: bisection factor %v outside (0,1]", f.Name, f.BisectionFactor)
 	}

@@ -2,7 +2,6 @@ package netmodel
 
 import (
 	"testing"
-	"time"
 
 	"hybridmr/internal/units"
 )
@@ -33,7 +32,6 @@ func TestValidateErrors(t *testing.T) {
 	}{
 		{"no name", mut(func(f *Fabric) { f.Name = "" })},
 		{"no bw", mut(func(f *Fabric) { f.PerNodeBW = 0 })},
-		{"negative latency", mut(func(f *Fabric) { f.Latency = -time.Second })},
 		{"zero bisection", mut(func(f *Fabric) { f.BisectionFactor = 0 })},
 		{"bisection > 1", mut(func(f *Fabric) { f.BisectionFactor = 1.5 })},
 	}

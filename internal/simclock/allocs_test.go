@@ -6,9 +6,9 @@ import (
 )
 
 // The zero-alloc contract of the event kernel: once the heap slice has grown
-// to its steady-state footprint, scheduling must not allocate. These budgets are what keeps a
-// million-job replay out of the allocator; any regression fails here before
-// it shows up as a benchmark drift.
+// to its steady-state footprint, scheduling must not allocate. These budgets
+// are what keeps a million-job replay out of the allocator; any regression
+// fails here before it shows up as a benchmark drift.
 
 // TestEngineAfterSteadyStateAllocs pins Engine.After + Step at zero
 // allocations against a standing 64-event backlog (so both sift paths run).
