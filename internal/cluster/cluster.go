@@ -146,9 +146,9 @@ func (s Spec) Validate() error {
 
 // Throttle returns the spec seen through a gray network failure: every
 // machine's NIC bandwidth divided by nicFactor and the cluster's bisection
-// bandwidth divided by rackFactor (both finite and ≥ 1; 1 is the identity). The
-// transforms route through netmodel.Fabric so the network semantics live in
-// one place.
+// bandwidth divided by rackFactor (both finite and ≥ 1; 1 is the
+// identity). The transforms route through netmodel.Fabric so the network
+// semantics live in one place.
 func (s Spec) Throttle(nicFactor, rackFactor float64) (Spec, error) {
 	if nicFactor == 1 && rackFactor == 1 {
 		return s, nil
