@@ -156,7 +156,7 @@ func (h *Hybrid) RunFaulted(jobs []workload.Job, opt FaultRun) ([]JobResult, err
 		runner = sweep.Default()
 	}
 	fp := opt.Schedule.Fingerprint()
-	results := make([]JobResult, 0, len(jobs))
+	results := newResultSlots[JobResult](len(jobs), opt.Invariants, "hybrid")
 
 	// The replay runs on pooled state: engine heap, simulators, job and
 	// attempt records all come back warm from earlier replays. WithState
@@ -309,16 +309,18 @@ func (h *Hybrid) RunFaulted(jobs []workload.Job, opt FaultRun) ([]JobResult, err
 				return
 			}
 			// Time the job from its original arrival: queueing plus every
-			// retry round trip counts against it.
+			// retry round trip counts against it. The slot index rode in
+			// Tag; the result leaves without it.
 			r.Submit = jobs[idx].Submit
 			r.Exec = r.End - r.Submit
-			results = append(results, JobResult{
+			r.Job.Tag = 0
+			results.put(idx, JobResult{
 				Result:   r,
 				Target:   st.target,
 				Diverted: st.dest != st.target,
 				Rerouted: st.rerouted,
 				Attempts: st.attempts,
-			})
+			}, r.Job.ID)
 		}
 		upSim.SetResultHook(record)
 		outSim.SetResultHook(record)
@@ -331,13 +333,14 @@ func (h *Hybrid) RunFaulted(jobs []workload.Job, opt FaultRun) ([]JobResult, err
 		if inv := opt.Invariants; inv != nil {
 			upSim.CheckDrainedInvariants()
 			outSim.CheckDrainedInvariants()
-			if len(results) != len(jobs) {
-				inv.Violate("job-conservation", "hybrid: %d jobs submitted, %d results", len(jobs), len(results))
-			}
-			for i := range results {
-				if a := results[i].Attempts; a < 1 || a > maxJobAttempts {
+			results.checkCount()
+			for i := range results.vals {
+				if !results.filled[i] {
+					continue // a missing result; checkCount flagged it
+				}
+				if a := results.vals[i].Attempts; a < 1 || a > maxJobAttempts {
 					inv.Violate("task-attempts", "hybrid: job %s finished with %d attempts, budget [1,%d]",
-						results[i].Job.ID, a, maxJobAttempts)
+						results.vals[i].Job.ID, a, maxJobAttempts)
 				}
 			}
 		}
@@ -346,8 +349,10 @@ func (h *Hybrid) RunFaulted(jobs []workload.Job, opt FaultRun) ([]JobResult, err
 	if err != nil {
 		return nil, err
 	}
-	slices.SortFunc(results, func(a, b JobResult) int { return mapreduce.ByArrival(a.Result, b.Result) })
-	return results, nil
+	if !arrivalOrdered(jobs) {
+		slices.SortFunc(results.vals, func(a, b JobResult) int { return mapreduce.ByArrival(a.Result, b.Result) })
+	}
+	return results.vals, nil
 }
 
 // healthProbe reports what the failure-aware reroute looked at, for the
@@ -420,8 +425,10 @@ func etaOn(sim *mapreduce.Simulator, job workload.Job, runner *sweep.Runner, fau
 // *simclock.BudgetError, which callers convert into a typed per-point error
 // via sweep.Protect (the zero budget runs unguarded); a non-nil checker
 // observes the whole replay and the drain. RunBaseline is the clean case.
+// Results come back in mapreduce.ByArrival order, each written into its
+// job's slot as it finishes.
 func RunBaselineChecked(p *mapreduce.Platform, jobs []workload.Job, policy mapreduce.Policy, events []faults.Event, inj Inject, stats *ReplayStats, budget sweep.Budget, inv *mapreduce.InvariantChecker) ([]mapreduce.Result, error) {
-	rs := make([]mapreduce.Result, 0, len(jobs))
+	rs := newResultSlots[mapreduce.Result](len(jobs), inv, p.Name)
 	err := mapreduce.WithState(func(rst *mapreduce.ReplayState) error {
 		eng := rst.Engine()
 		if w := budget.Watchdog(nil); w != nil {
@@ -438,16 +445,16 @@ func RunBaselineChecked(p *mapreduce.Platform, jobs []workload.Job, policy mapre
 		if err := sim.ScheduleFaults(events); err != nil {
 			return err
 		}
-		sim.SetResultHook(func(r mapreduce.Result, _ time.Duration) { rs = append(rs, r) })
-		for _, j := range jobs {
-			sim.Submit(j.MapReduceJob())
+		sim.SetResultHook(placeResult(rs))
+		for i, j := range jobs {
+			mj := j.MapReduceJob()
+			mj.Tag = i
+			sim.Submit(mj)
 		}
 		eng.Run()
 		if inv != nil {
 			sim.CheckDrainedInvariants()
-			if len(rs) != len(jobs) {
-				inv.Violate("job-conservation", "%s: %d jobs submitted, %d results", p.Name, len(jobs), len(rs))
-			}
+			rs.checkCount()
 		}
 		if stats != nil {
 			stats.Events = eng.Events()
@@ -457,6 +464,8 @@ func RunBaselineChecked(p *mapreduce.Platform, jobs []workload.Job, policy mapre
 	if err != nil {
 		return nil, err
 	}
-	slices.SortFunc(rs, mapreduce.ByArrival)
-	return rs, nil
+	if !arrivalOrdered(jobs) {
+		slices.SortFunc(rs.vals, mapreduce.ByArrival)
+	}
+	return rs.vals, nil
 }

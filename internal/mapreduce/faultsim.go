@@ -161,7 +161,8 @@ func (s *Simulator) recycleAttempt(att *attempt) {
 // a timeline that would ever leave the cluster with no machine, exceed what
 // the file system can survive, or recover capacity that never failed is
 // rejected up front. Call before Submit, so fault events at an instant
-// precede job arrivals at the same instant.
+// precede job arrivals at the same instant. A schedule with a machine crash
+// makes the simulator keep the map-output ledger the crash re-queues from.
 func (s *Simulator) ScheduleFaults(events []faults.Event) error {
 	fsName := s.platform.FS.Name()
 	relevant := make([]faults.Event, 0, len(events))
@@ -235,6 +236,11 @@ func (s *Simulator) ScheduleFaults(events []faults.Event) error {
 	for _, ev := range relevant {
 		ev := ev
 		s.eng.At(ev.At, func(now time.Duration) { s.applyFault(ev, now) })
+		if ev.Kind == faults.MachineCrash {
+			// Only a crash can lose completed map outputs, so only a
+			// simulator that may crash records them.
+			s.keepLedger = true
+		}
 	}
 	return nil
 }
@@ -365,29 +371,26 @@ func (s *Simulator) killAttempts(isMap bool, n int, now time.Duration) int {
 
 // loseCompletedMaps re-queues the prorated share of each map-phase job's
 // completed maps — their outputs lived on the crashed machines' local disks —
-// and returns how many were lost in total.
+// and returns how many were lost in total. The newest outputs go first.
 func (s *Simulator) loseCompletedMaps(k, avail int) int {
 	total := 0
 	for _, run := range s.active {
 		if run.failed || run.mapsDone == 0 || run.mapsDone == run.pl.mapTasks {
 			continue // nothing done yet, or already past the map phase
 		}
-		lost := ceilDiv(run.mapsDone*k, avail)
-		if lost > len(run.doneMapIDs) {
-			lost = len(run.doneMapIDs)
-		}
+		lost := min(ceilDiv(run.mapsDone*k, avail), int(run.ledger.n))
 		if silentMapLossBug {
 			// Deliberate defect (invariants.go): drop the outputs from the
 			// ledger but forget to re-queue them — the job's bookkeeping
 			// still counts the maps done. The chaos engine's invariant layer
 			// must catch this as map-output-ledger.
-			run.doneMapIDs = run.doneMapIDs[:len(run.doneMapIDs)-lost]
+			for range lost {
+				s.stackPop(&run.ledger)
+			}
 			continue
 		}
-		for i := 0; i < lost; i++ {
-			id := run.doneMapIDs[len(run.doneMapIDs)-1]
-			run.doneMapIDs = run.doneMapIDs[:len(run.doneMapIDs)-1]
-			run.pushTask(kMap, id)
+		for range lost {
+			run.pushTask(kMap, s.stackPop(&run.ledger))
 		}
 		s.queuedMaps += lost
 		run.mapsDone -= lost

@@ -135,17 +135,18 @@ func (s *Simulator) invFinish(r Result, now time.Duration) {
 // accounted for, and the completed-map output ledger in sync — a completed
 // map whose output was lost to a crash must have been re-executed, never
 // silently kept on the books (Hadoop 1.x tasktracker-loss semantics,
-// faultsim.go). Called from completeJob behind the nil guard, before the run
-// recycles.
+// faultsim.go). A simulator that cannot crash keeps no ledger, so only the
+// counts are checked there. Called from completeJob behind the nil guard,
+// before the run recycles.
 func (s *Simulator) invComplete(run *jobRun, end time.Duration) {
 	c := s.inv.checker
 	if run.mapsDone != run.pl.mapTasks || run.redsDone != run.pl.reducers {
 		c.Violate("job-conservation", "%s: job %s completed at %v with %d/%d maps, %d/%d reduces done",
 			s.platform.Name, run.job.ID, end, run.mapsDone, run.pl.mapTasks, run.redsDone, run.pl.reducers)
 	}
-	if len(run.doneMapIDs) != run.mapsDone {
+	if s.keepLedger && int(run.ledger.n) != run.mapsDone {
 		c.Violate("map-output-ledger", "%s: job %s completed with %d map outputs on record but %d maps counted done — a lost completed-map output was never re-executed",
-			s.platform.Name, run.job.ID, len(run.doneMapIDs), run.mapsDone)
+			s.platform.Name, run.job.ID, run.ledger.n, run.mapsDone)
 	}
 }
 

@@ -112,6 +112,13 @@ func (s *Simulator) recycle() {
 	// Drop the memoized degraded views: the next replay may bind a different
 	// platform, and rebuilding the few visited levels is cheap.
 	clear(s.degraded)
+	// The task storage is per replay (the runs above already freed their
+	// slots); the next replay's fault schedule decides afresh whether it
+	// keeps a map-output ledger.
+	s.taskSlab = s.taskSlab[:0]
+	s.slabFree = 0
+	s.keepLedger = false
+	clear(s.taskFailures)
 	// Injection, policy, hooks and observers do not carry over.
 	s.policy = FIFO
 	s.ready[kMap].policy = FIFO

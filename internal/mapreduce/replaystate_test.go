@@ -281,3 +281,62 @@ func TestReplayStateSharedEngine(t *testing.T) {
 		t.Errorf("results bound to wrong platforms: %s, %s", a1.Platform, b1.Platform)
 	}
 }
+
+// TestPooledRunsRetainNoJobStorage pins the no-ratchet contract of the
+// per-replay task storage: a job run's re-queue stacks, map-output ledger
+// and failure counts live in simulator-level storage that Reset empties, so
+// after a 20,000-map job no pooled run holds a slice or map sized to it. A
+// clean replay (no crash in its schedule) keeps no ledger at all.
+func TestPooledRunsRetainNoJobStorage(t *testing.T) {
+	p := MustArch(OutOFS, DefaultCalibration())
+	big := Job{ID: "big", App: apps.Grep(), Input: 64 * units.GB, MapTasks: 20000}
+
+	st := NewReplayState()
+	sim := st.Simulator(p)
+	if err := sim.ScheduleFaults([]faults.Event{
+		{At: 2 * time.Minute, Kind: faults.MachineCrash, Cluster: faults.ClusterOut, Count: 3},
+		{At: 30 * time.Minute, Kind: faults.MachineRecover, Cluster: faults.ClusterOut, Count: 3},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := sim.InjectFailures(0.02, 42); err != nil {
+		t.Fatal(err)
+	}
+	sim.Submit(big)
+	res := sim.Run()
+	if len(res) != 1 || res[0].Err != nil || res[0].TaskRetries == 0 {
+		t.Fatalf("crash replay: %+v, want one finished job with retries", res)
+	}
+	// The ledger held every completed map until the job finished.
+	if len(sim.taskSlab) < big.MapTasks || len(sim.taskFailures) == 0 {
+		t.Fatalf("crash replay: slab %d entries for %d maps, %d failure counts", len(sim.taskSlab), big.MapTasks, len(sim.taskFailures))
+	}
+	st.Reset()
+	for _, s := range st.sims {
+		if len(s.jobFree) == 0 {
+			t.Fatal("no pooled job runs to inspect")
+		}
+		for _, run := range s.jobFree {
+			v := reflect.ValueOf(run).Elem()
+			for i := 0; i < v.NumField(); i++ {
+				f := v.Field(i)
+				if (f.Kind() == reflect.Slice && f.Cap() > 0) || (f.Kind() == reflect.Map && !f.IsNil()) {
+					t.Errorf("pooled jobRun.%s keeps job-sized storage after Reset", v.Type().Field(i).Name)
+				}
+			}
+		}
+		if len(s.taskSlab) != 0 || s.slabFree != 0 || len(s.taskFailures) != 0 || s.keepLedger {
+			t.Errorf("Reset left task storage: slab %d (free head %d), failures %d, ledger kept %v",
+				len(s.taskSlab), s.slabFree, len(s.taskFailures), s.keepLedger)
+		}
+	}
+
+	sim = st.Simulator(p)
+	sim.Submit(big)
+	if res := sim.Run(); len(res) != 1 || res[0].Err != nil {
+		t.Fatalf("clean replay: %+v", res)
+	}
+	if sim.keepLedger || len(sim.taskSlab) != 0 {
+		t.Errorf("clean replay wrote %d slab entries (ledger kept %v), want none", len(sim.taskSlab), sim.keepLedger)
+	}
+}

@@ -107,6 +107,19 @@ type Simulator struct {
 	attemptSeq   uint64
 	attemptFree  []*attempt
 
+	// Per-replay task storage, emptied by recycle(), so no job run keeps
+	// storage sized to the largest job it ever served. taskSlab holds every
+	// job's task-ID stacks (jobRun.req and jobRun.ledger, see taskStack);
+	// popped slots chain into the slabFree list and are reused. The
+	// map-output ledger is kept only when the fault schedule can crash a
+	// machine (keepLedger, set by ScheduleFaults): nothing else reads it.
+	// taskFailures counts failed attempts per (run, task) against
+	// Cal.MaxTaskAttempts.
+	taskSlab     []taskEntry
+	slabFree     int32
+	keepLedger   bool
+	taskFailures map[taskKey]int
+
 	// jobFree recycles jobRun records: a completed (or fully drained
 	// failed) job's run returns here and the next arrival reuses it, so
 	// steady-state job traffic allocates no per-job state (replaystate.go).
@@ -374,15 +387,17 @@ type jobRun struct {
 	// representation reproduces that order with no per-job allocation:
 	// initial IDs are issued by counting initX down (base+initX-1 first),
 	// and re-queued IDs (crash kills, injected failures, lost map outputs)
-	// pop LIFO from the reqX stacks first — exactly the old end-pop order.
+	// pop LIFO from the req stacks first — exactly the old end-pop order.
 	initMaps, initReds int
-	reqMaps, reqReds   []int
+	req                [nKinds]taskStack
 
-	doneMapIDs               []int // completed maps, re-queued on machine loss
+	// ledger is the map-output ledger: the job's completed maps, newest on
+	// top, re-queued when a crash loses their outputs. It stays empty on a
+	// simulator that cannot crash.
+	ledger                   taskStack
 	runningMaps, runningReds int
 	mapsDone, redsDone       int
 	shuffling                bool
-	attempts                 map[int]int // failed attempts per logical task
 	failed                   bool
 	retries                  int
 
@@ -413,9 +428,9 @@ type jobRun struct {
 //simlint:hotpath
 func (r *jobRun) pendingLen(kind int) int {
 	if kind == kMap {
-		return r.initMaps + len(r.reqMaps)
+		return r.initMaps + int(r.req[kMap].n)
 	}
-	return r.initReds + len(r.reqReds)
+	return r.initReds + int(r.req[kRed].n)
 }
 
 // popTask issues the next pending task ID of one kind: re-queued IDs first
@@ -424,19 +439,12 @@ func (r *jobRun) pendingLen(kind int) int {
 //
 //simlint:hotpath
 func (r *jobRun) popTask(kind int) int {
+	if r.req[kind].n > 0 {
+		return r.sim.stackPop(&r.req[kind])
+	}
 	if kind == kMap {
-		if n := len(r.reqMaps); n > 0 {
-			id := r.reqMaps[n-1]
-			r.reqMaps = r.reqMaps[:n-1]
-			return id
-		}
 		r.initMaps--
 		return r.initMaps
-	}
-	if n := len(r.reqReds); n > 0 {
-		id := r.reqReds[n-1]
-		r.reqReds = r.reqReds[:n-1]
-		return id
 	}
 	r.initReds--
 	return r.pl.mapTasks + r.initReds
@@ -446,10 +454,54 @@ func (r *jobRun) popTask(kind int) int {
 //
 //simlint:hotpath
 func (r *jobRun) pushTask(kind, id int) {
-	if kind == kMap {
-		r.reqMaps = append(r.reqMaps, id)
+	r.sim.stackPush(&r.req[kind], id)
+}
+
+// taskStack is a LIFO of task IDs threaded through the simulator's taskSlab:
+// top is the newest entry's slab index+1 (0 = empty) and n the entry count.
+// The zero value is an empty stack, so a job run holds no storage of its own.
+type taskStack struct{ top, n int32 }
+
+// taskEntry is one taskSlab slot: a task ID and the next-older entry of its
+// stack (slab index+1, 0 = bottom). A free slot links the free list the same
+// way.
+type taskEntry struct{ id, prev int32 }
+
+// stackPush pushes a task ID, reusing a freed slab slot when there is one.
+//
+//simlint:hotpath
+func (s *Simulator) stackPush(st *taskStack, id int) {
+	i := s.slabFree
+	if i != 0 {
+		s.slabFree = s.taskSlab[i-1].prev
+		s.taskSlab[i-1] = taskEntry{int32(id), st.top}
 	} else {
-		r.reqReds = append(r.reqReds, id)
+		s.taskSlab = append(s.taskSlab, taskEntry{int32(id), st.top})
+		i = int32(len(s.taskSlab))
+	}
+	st.top = i
+	st.n++
+}
+
+// stackPop pops a non-empty stack's newest task ID and frees its slot.
+//
+//simlint:hotpath
+func (s *Simulator) stackPop(st *taskStack) int {
+	i := st.top
+	e := s.taskSlab[i-1]
+	st.top = e.prev
+	st.n--
+	s.taskSlab[i-1].prev = s.slabFree
+	s.slabFree = i
+	return int(e.id)
+}
+
+// stackDrop empties a stack, freeing its slots.
+//
+//simlint:hotpath
+func (s *Simulator) stackDrop(st *taskStack) {
+	for st.n > 0 {
+		s.stackPop(st)
 	}
 }
 
@@ -487,13 +539,14 @@ func (s *Simulator) recycleJob(run *jobRun) {
 	run.seq = 0
 	run.submit, run.start = 0, 0
 	run.initMaps, run.initReds = 0, 0
-	run.reqMaps = run.reqMaps[:0]
-	run.reqReds = run.reqReds[:0]
-	run.doneMapIDs = run.doneMapIDs[:0]
+	// The re-queue stacks are empty here unless recycle() is reclaiming an
+	// abandoned replay's run; the ledger still holds the job's map outputs.
+	s.stackDrop(&run.req[kMap])
+	s.stackDrop(&run.req[kRed])
+	s.stackDrop(&run.ledger)
 	run.runningMaps, run.runningReds = 0, 0
 	run.mapsDone, run.redsDone = 0, 0
 	run.shuffling = false
-	clear(run.attempts)
 	run.failed = false
 	run.retries = 0
 	run.firstMapAt, run.startedMap = 0, false
@@ -926,7 +979,9 @@ func (s *Simulator) mapTaskDone(run *jobRun, taskID int, now time.Duration) {
 		return
 	}
 	run.mapsDone++
-	run.doneMapIDs = append(run.doneMapIDs, taskID)
+	if s.keepLedger {
+		s.stackPush(&run.ledger, taskID)
+	}
 	s.touch(kMap, run)
 	if run.mapsDone == run.pl.mapTasks {
 		run.lastMapDone = now
@@ -982,18 +1037,24 @@ func (s *Simulator) redTaskDone(run *jobRun, taskID int, now time.Duration) {
 	s.dispatch(now)
 }
 
+// taskKey names one logical task of one job run within a replay: the run's
+// submission seq is unique per simulator until recycle() resets it.
+type taskKey struct{ seq, task int }
+
 // recordFailure counts one failed attempt of a task and reports whether the
 // task may retry.
 func (s *Simulator) recordFailure(run *jobRun, taskID int) bool {
-	if run.attempts == nil {
-		run.attempts = make(map[int]int)
+	if s.taskFailures == nil {
+		s.taskFailures = make(map[taskKey]int)
 	}
-	run.attempts[taskID]++
-	if s.inv.checker != nil && run.attempts[taskID] > s.platform.Cal.MaxTaskAttempts {
+	k := taskKey{run.seq, taskID}
+	n := s.taskFailures[k] + 1
+	s.taskFailures[k] = n
+	if s.inv.checker != nil && n > s.platform.Cal.MaxTaskAttempts {
 		s.inv.checker.Violate("task-attempts", "%s: job %s task %d reached %d failed attempts, budget %d",
-			s.platform.Name, run.job.ID, taskID, run.attempts[taskID], s.platform.Cal.MaxTaskAttempts)
+			s.platform.Name, run.job.ID, taskID, n, s.platform.Cal.MaxTaskAttempts)
 	}
-	return run.attempts[taskID] < s.platform.Cal.MaxTaskAttempts
+	return n < s.platform.Cal.MaxTaskAttempts
 }
 
 // failJob marks the job failed; its remaining tasks are dropped and the
@@ -1005,8 +1066,8 @@ func (s *Simulator) failJob(run *jobRun, now time.Duration, phase string) {
 	run.failed = true
 	s.queuedMaps -= run.pendingLen(kMap)
 	run.initMaps, run.initReds = 0, 0
-	run.reqMaps = run.reqMaps[:0]
-	run.reqReds = run.reqReds[:0]
+	s.stackDrop(&run.req[kMap])
+	s.stackDrop(&run.req[kRed])
 	s.traceJobFailed(run, now, phase)
 	s.touch(kMap, run)
 	s.touch(kRed, run)

@@ -54,7 +54,7 @@ var budgetCoverage = map[string]map[string][]string{
 			"Simulator.mapTaskDone", "Simulator.startReduceTask",
 			"Simulator.redTaskDone", "Simulator.completeJob",
 			"Simulator.finish", "Simulator.Results",
-			"Simulator.newJobRun", "Simulator.recycleJob",
+			"Simulator.newJobRun", "Simulator.recycleJob", "Simulator.stackDrop",
 			"Simulator.addAttempt", "Simulator.removeAttempt",
 			"Simulator.recycleAttempt", "Simulator.armAttempt",
 			"Simulator.graySlow", "Simulator.jitterDuration",
@@ -66,10 +66,11 @@ var budgetCoverage = map[string]map[string][]string{
 			"readySet.heapDown", "readySet.heapRemove",
 		},
 		// The faulted replay adds the failure/straggler machinery: attempt
-		// kills and retries, jitter draws, speculation.
+		// kills and retries (re-queued through the task slab), jitter draws,
+		// speculation.
 		"TestFaultedReplaySteadyStateAllocs": {
 			"Simulator.attemptFails", "Simulator.retireFailed",
-			"attempt.fire",
+			"Simulator.stackPush", "Simulator.stackPop", "attempt.fire",
 		},
 		"TestCalibrationHashSteadyStateAllocs": {"Calibration.Hash", "fnvWord"},
 	},
