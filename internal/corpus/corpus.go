@@ -6,8 +6,8 @@
 package corpus
 
 import (
-	"bytes"
 	"fmt"
+	"strconv"
 
 	"hybridmr/internal/stats"
 	"hybridmr/internal/units"
@@ -43,8 +43,18 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// Word returns the rank-th vocabulary word (rank ≥ 1), e.g. "w00017".
-func Word(rank int) string { return fmt.Sprintf("w%06d", rank) }
+// Word returns the rank-th vocabulary word (rank ≥ 1), e.g. "w000017".
+func Word(rank int) string { return string(appendWord(make([]byte, 0, 8), rank)) }
+
+// appendWord appends the rank-th vocabulary word to dst: "w" and the rank
+// zero-padded to six digits, as fmt's "w%06d" formats it for rank ≥ 1.
+func appendWord(dst []byte, rank int) []byte {
+	dst = append(dst, 'w')
+	for pad := 100000; pad > rank && pad > 1; pad /= 10 {
+		dst = append(dst, '0')
+	}
+	return strconv.AppendInt(dst, int64(rank), 10)
+}
 
 // Generate produces at least `size` bytes of newline-terminated text.
 func Generate(cfg Config, size units.Bytes) ([]byte, error) {
@@ -56,17 +66,16 @@ func Generate(cfg Config, size units.Bytes) ([]byte, error) {
 	}
 	rng := stats.NewRNG(cfg.Seed)
 	zipf := stats.NewZipfTable(cfg.Vocabulary, cfg.ZipfExponent)
-	var buf bytes.Buffer
-	buf.Grow(int(size) + 64)
-	for buf.Len() < int(size) {
+	buf := make([]byte, 0, int(size)+64)
+	for len(buf) < int(size) {
 		words := 1 + rng.Intn(2*cfg.WordsPerLine)
 		for w := 0; w < words; w++ {
 			if w > 0 {
-				buf.WriteByte(' ')
+				buf = append(buf, ' ')
 			}
-			buf.WriteString(Word(zipf.Sample(rng)))
+			buf = appendWord(buf, zipf.Sample(rng))
 		}
-		buf.WriteByte('\n')
+		buf = append(buf, '\n')
 	}
-	return buf.Bytes(), nil
+	return buf, nil
 }

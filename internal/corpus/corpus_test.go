@@ -2,6 +2,8 @@ package corpus
 
 import (
 	"bytes"
+	"fmt"
+	"hash/fnv"
 	"strings"
 	"testing"
 
@@ -83,5 +85,28 @@ func TestGenerateErrors(t *testing.T) {
 func TestWord(t *testing.T) {
 	if Word(17) != "w000017" {
 		t.Errorf("Word(17) = %q", Word(17))
+	}
+	// Word formats as "w%06d" does, across every padding width and past
+	// six digits.
+	for _, rank := range []int{0, 1, 9, 10, 99, 100, 999, 1000, 5000, 99999, 100000, 999999, 1000000, 12345678} {
+		if got, want := Word(rank), fmt.Sprintf("w%06d", rank); got != want {
+			t.Errorf("Word(%d) = %q, want %q", rank, got, want)
+		}
+	}
+}
+
+// The corpus bytes for a fixed configuration are pinned: the engine's
+// pinned counters and the benchmark's recorded digests depend on them.
+func TestGeneratePinned(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Seed = 2009
+	data, err := Generate(cfg, 256*units.KB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := fnv.New64a()
+	h.Write(data)
+	if len(data) != 262168 || h.Sum64() != 0x36cffd1fdbb00418 {
+		t.Errorf("corpus: %d bytes, digest %#x; want 262168, 0x36cffd1fdbb00418", len(data), h.Sum64())
 	}
 }

@@ -1,11 +1,9 @@
 package engine
 
 import (
-	"bytes"
 	"fmt"
 	"regexp"
 	"strconv"
-	"sync"
 	"time"
 
 	"hybridmr/internal/units"
@@ -17,8 +15,8 @@ type WordcountMapper struct{}
 
 // Map implements Mapper.
 func (WordcountMapper) Map(line []byte, emit func(k, v string)) error {
-	for _, w := range bytes.Fields(line) {
-		emit(string(w), "1")
+	for start, end := nextField(line, 0); start < end; start, end = nextField(line, end) {
+		emit(string(line[start:end]), "1")
 	}
 	return nil
 }
@@ -123,29 +121,16 @@ func DFSIOWrite(store BlockStore, prefix string, files int, fileSize units.Bytes
 		return DFSIOResult{}, fmt.Errorf("engine: dfsio: %d slots", mapSlots)
 	}
 	start := time.Now() //simlint:allow walltime DFSIO measures real I/O wall time by definition
-	sem := make(chan struct{}, mapSlots)
-	var wg sync.WaitGroup
-	var firstErr errOnce
-	for i := 0; i < files; i++ {
-		i := i
-		wg.Add(1)
-		sem <- struct{}{}
-		go func() { //simlint:allow locksafe real execution: slot-bounded writer pool, joined before results are read
-			defer wg.Done()
-			defer func() { <-sem }()
-			data := make([]byte, fileSize)
-			// A cheap deterministic fill; TestDFSIO writes a
-			// repeating pattern too.
-			for j := range data {
-				data[j] = byte('a' + (i+j)%26)
-			}
-			if err := store.Create(fmt.Sprintf("%s-%05d", prefix, i), data); err != nil {
-				firstErr.set(err)
-			}
-		}()
-	}
-	wg.Wait()
-	if err := firstErr.get(); err != nil {
+	err := runTasks(files, mapSlots, func(_, i int) error {
+		data := make([]byte, fileSize)
+		// A cheap deterministic fill; TestDFSIO writes a
+		// repeating pattern too.
+		for j := range data {
+			data[j] = byte('a' + (i+j)%26)
+		}
+		return store.Create(fmt.Sprintf("%s-%05d", prefix, i), data)
+	})
+	if err != nil {
 		return DFSIOResult{}, err
 	}
 	wall := time.Since(start) //simlint:allow walltime DFSIO measures real I/O wall time by definition

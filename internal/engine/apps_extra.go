@@ -1,10 +1,8 @@
 package engine
 
 import (
-	"bytes"
 	"fmt"
 	"strconv"
-	"sync"
 	"time"
 
 	"hybridmr/internal/units"
@@ -17,8 +15,8 @@ type SortMapper struct{}
 
 // Map implements Mapper.
 func (SortMapper) Map(line []byte, emit func(k, v string)) error {
-	for _, w := range bytes.Fields(line) {
-		emit(string(w), "")
+	for start, end := nextField(line, 0); start < end; start, end = nextField(line, end) {
+		emit(string(line[start:end]), "")
 	}
 	return nil
 }
@@ -68,47 +66,34 @@ func DFSIORead(store BlockStore, prefix string, mapSlots int) (DFSIOResult, erro
 		return DFSIOResult{}, fmt.Errorf("engine: dfsio-read: no files with prefix %q", prefix)
 	}
 	start := time.Now() //simlint:allow walltime DFSIO measures real I/O wall time by definition
-	sem := make(chan struct{}, mapSlots)
-	var wg sync.WaitGroup
-	var firstErr errOnce
-	var total int64
-	var mu sync.Mutex
-	var fileSize units.Bytes
-	for _, name := range names {
-		name := name
-		wg.Add(1)
-		sem <- struct{}{}
-		go func() { //simlint:allow locksafe real execution: slot-bounded reader pool, joined before results are read
-			defer wg.Done()
-			defer func() { <-sem }()
-			ds, err := store.Open(name)
-			if err != nil {
-				firstErr.set(err)
-				return
-			}
-			buf := make([]byte, ds.Size())
-			if _, err := readFull(ds, buf, 0); err != nil {
-				firstErr.set(fmt.Errorf("engine: dfsio-read %s: %w", name, err))
-				return
-			}
-			// Touch the bytes so the read cannot be elided.
-			var sum byte
-			for _, c := range buf {
-				sum ^= c
-			}
-			_ = sum
-			mu.Lock()
-			total += int64(len(buf))
-			fileSize = ds.Size()
-			mu.Unlock()
-		}()
-	}
-	wg.Wait()
-	if err := firstErr.get(); err != nil {
+	sizes := make([]units.Bytes, len(names))
+	err := runTasks(len(names), mapSlots, func(_, i int) error {
+		ds, err := store.Open(names[i])
+		if err != nil {
+			return err
+		}
+		buf := make([]byte, ds.Size())
+		if _, err := readFull(ds, buf, 0); err != nil {
+			return fmt.Errorf("engine: dfsio-read %s: %w", names[i], err)
+		}
+		// Touch the bytes so the read cannot be elided.
+		var sum byte
+		for _, c := range buf {
+			sum ^= c
+		}
+		_ = sum
+		sizes[i] = units.Bytes(len(buf))
+		return nil
+	})
+	if err != nil {
 		return DFSIOResult{}, err
 	}
+	var total units.Bytes
+	for _, n := range sizes {
+		total += n
+	}
 	wall := time.Since(start) //simlint:allow walltime DFSIO measures real I/O wall time by definition
-	res := DFSIOResult{Files: len(names), FileSize: fileSize, TotalBytes: units.Bytes(total), Wall: wall}
+	res := DFSIOResult{Files: len(names), FileSize: sizes[len(sizes)-1], TotalBytes: total, Wall: wall}
 	if wall > 0 {
 		res.Throughput = units.BytesPerSec(float64(total) / wall.Seconds())
 	}

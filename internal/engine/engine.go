@@ -3,7 +3,6 @@ package engine
 import (
 	"bytes"
 	"fmt"
-	"hash/fnv"
 	"slices"
 	"strings"
 	"sync"
@@ -13,7 +12,9 @@ import (
 	"hybridmr/internal/units"
 )
 
-// Mapper transforms one input record (a line) into key/value pairs.
+// Mapper transforms one input record (a line) into key/value pairs. As in
+// Hadoop, the engine reuses the line's storage once Map returns, so a
+// Mapper must not keep the slice.
 type Mapper interface {
 	// Map processes one line; emit may be called any number of times.
 	Map(line []byte, emit func(key, value string)) error
@@ -21,15 +22,21 @@ type Mapper interface {
 
 // Reducer folds all values of one key into output pairs. A Reducer may also
 // serve as the combiner, Hadoop-style, when its operation is associative.
+// As in Hadoop, the engine reuses the values' storage once Reduce returns,
+// so a Reducer must not keep the slice.
 type Reducer interface {
 	Reduce(key string, values []string, emit func(key, value string)) error
 }
 
 // HashPartitioner is Hadoop's default: hash the key modulo the partitions.
 func HashPartitioner(key string, n int) int {
-	h := fnv.New32a()
-	_, _ = h.Write([]byte(key))
-	return int(h.Sum32() % uint32(n))
+	// FNV-1a, 32-bit (hash/fnv's New32a), inlined so it allocates nothing.
+	h := uint32(2166136261)
+	for i := 0; i < len(key); i++ {
+		h ^= uint32(key[i])
+		h *= 16777619
+	}
+	return int(h % uint32(n))
 }
 
 // Config describes one engine job.
@@ -68,9 +75,14 @@ type Counters struct {
 	InputRecords     int64
 	MapTasks         int
 	MapOutputRecords int64
-	ShuffleBytes     units.Bytes
-	OutputRecords    int64
-	OutputBytes      units.Bytes
+	// MapOutputBytes is Hadoop's "Map output bytes": len(key)+len(value)
+	// of every emitted pair, counted before any combiner runs.
+	MapOutputBytes units.Bytes
+	// ShuffleBytes is the same sum over the pairs the reducers receive,
+	// after the combiner (Hadoop's "Reduce shuffle bytes").
+	ShuffleBytes  units.Bytes
+	OutputRecords int64
+	OutputBytes   units.Bytes
 	// Spills counts map-side buffer spills (Hadoop's "Spilled Records"
 	// cousin); nonzero only when SortBufferRecords bounds the buffer.
 	Spills      int64
@@ -131,6 +143,43 @@ func (e *errOnce) get() error {
 	return e.err
 }
 
+// runTasks runs tasks 0..n-1 on min(slots, n) worker goroutines, the
+// engine's one slot pool. Workers pull task numbers from a shared counter
+// and start no new task once one has failed; runTasks returns after every
+// worker has exited, with the first error reported. run is passed the
+// worker's number w (0 ≤ w < min(slots, n)) so that state indexed by it is
+// owned by one goroutine and reused across that worker's tasks. Callers
+// store a task's result in the task's own slot, so output never depends on
+// which worker ran which task.
+func runTasks(n, slots int, run func(worker, task int) error) error {
+	var next atomic.Int64
+	var firstErr errOnce
+	var wg sync.WaitGroup
+	workers := min(slots, n)
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func() { //simlint:allow locksafe real execution: slot-bounded worker pool, joined before any result is read
+			defer wg.Done()
+			for task := int(next.Add(1) - 1); task < n && firstErr.get() == nil; task = int(next.Add(1) - 1) {
+				if err := run(w, task); err != nil {
+					firstErr.set(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	return firstErr.get()
+}
+
+// worker is the storage one worker reuses across its tasks. Worker w of the
+// map phase and worker w of the reduce phase share it, one phase after the
+// other.
+type worker struct {
+	g     grouper
+	split []byte // the map task's input split
+}
+
 // Run executes the job: line-aligned splits per block, a map worker pool of
 // MapSlots, per-task grouping and combining, hash partitioning into Reducers
 // partitions, and a reduce worker pool of ReduceSlots.
@@ -152,37 +201,21 @@ func Run(cfg Config) (Counters, error) {
 
 	// ---- Map phase ----
 	mapStart := time.Now() //simlint:allow walltime Counters report the real engine's measured wall time, not sim time
+	workers := make([]worker, max(min(cfg.MapSlots, ctr.MapTasks), min(cfg.ReduceSlots, cfg.Reducers)))
 	// partitions[task][r] collects task-local output per reduce partition.
 	partitions := make([][][]kv, ctr.MapTasks)
-	var inputRecords, mapRecords, spills int64
-	var firstErr errOnce
-	sem := make(chan struct{}, cfg.MapSlots)
-	var wg sync.WaitGroup
-	for task := 0; task < ctr.MapTasks; task++ {
-		task := task
-		wg.Add(1)
-		sem <- struct{}{}
-		go func() { //simlint:allow locksafe real execution: map-slot-bounded worker pool, joined before any result is read
-			defer wg.Done()
-			defer func() { <-sem }()
-			out, nIn, nOut, nSpill, err := runMapTask(cfg, ds, task)
-			if err != nil {
-				firstErr.set(err)
-				return
-			}
-			partitions[task] = out
-			atomic.AddInt64(&inputRecords, nIn)
-			atomic.AddInt64(&mapRecords, nOut)
-			atomic.AddInt64(&spills, nSpill)
-		}()
-	}
-	wg.Wait()
-	if err := firstErr.get(); err != nil {
+	var mc mapCounters
+	err = runTasks(ctr.MapTasks, cfg.MapSlots, func(w, task int) (err error) {
+		partitions[task], err = runMapTask(cfg, ds, task, &workers[w], &mc)
+		return err
+	})
+	if err != nil {
 		return Counters{}, err
 	}
-	ctr.InputRecords = inputRecords
-	ctr.MapOutputRecords = mapRecords
-	ctr.Spills = spills
+	ctr.InputRecords = mc.inputRecords.Load()
+	ctr.MapOutputRecords = mc.outputRecords.Load()
+	ctr.MapOutputBytes = units.Bytes(mc.outputBytes.Load())
+	ctr.Spills = mc.spills.Load()
 	ctr.MapWall = time.Since(mapStart) //simlint:allow walltime Counters report the real engine's measured wall time, not sim time
 
 	// ---- Shuffle: regroup per reduce partition ----
@@ -210,27 +243,16 @@ func Run(cfg Config) (Counters, error) {
 	// ---- Reduce phase ----
 	reduceStart := time.Now() //simlint:allow walltime Counters report the real engine's measured wall time, not sim time
 	results := make([][]kv, cfg.Reducers)
-	var outRecords int64
-	sem = make(chan struct{}, cfg.ReduceSlots)
-	for r := 0; r < cfg.Reducers; r++ {
-		r := r
-		wg.Add(1)
-		sem <- struct{}{}
-		go func() { //simlint:allow locksafe real execution: reduce-slot-bounded worker pool, joined before any result is read
-			defer wg.Done()
-			defer func() { <-sem }()
-			out, err := runReduceTask(cfg, byReducer[r])
-			if err != nil {
-				firstErr.set(err)
-				return
-			}
-			results[r] = out
-			atomic.AddInt64(&outRecords, int64(len(out)))
-		}()
-	}
-	wg.Wait()
-	if err := firstErr.get(); err != nil {
+	err = runTasks(cfg.Reducers, cfg.ReduceSlots, func(w, r int) (err error) {
+		results[r], err = runReduceTask(cfg, byReducer[r], &workers[w].g)
+		return err
+	})
+	if err != nil {
 		return Counters{}, err
+	}
+	var outRecords int64
+	for _, out := range results {
+		outRecords += int64(len(out))
 	}
 	ctr.OutputRecords = outRecords
 	ctr.ReduceWall = time.Since(reduceStart) //simlint:allow walltime Counters report the real engine's measured wall time, not sim time
@@ -258,20 +280,31 @@ func Run(cfg Config) (Counters, error) {
 	return ctr, nil
 }
 
+// mapCounters sums the map tasks' counts across workers.
+type mapCounters struct {
+	inputRecords, outputRecords, outputBytes, spills atomic.Int64
+}
+
 // runMapTask processes the line-aligned split of one block: like Hadoop's
 // TextInputFormat, a task owns every line that *starts* within its block,
-// reading past the block end to finish the last line.
-func runMapTask(cfg Config, ds Dataset, task int) (out [][]kv, nIn, nOut, nSpill int64, err error) {
-	split, err := readSplit(ds, task)
+// reading past the block end to finish the last line. The worker's grouper
+// is empty on entry and, when the task succeeds, on return (a failed task
+// ends its worker).
+func runMapTask(cfg Config, ds Dataset, task int, wk *worker, mc *mapCounters) ([][]kv, error) {
+	var err error
+	wk.split, err = readSplit(ds, task, wk.split)
 	if err != nil {
-		return nil, 0, 0, 0, fmt.Errorf("engine: job %s task %d: %w", cfg.Name, task, err)
+		return nil, fmt.Errorf("engine: job %s task %d: %w", cfg.Name, task, err)
 	}
-	// Map output goes straight into the task's grouper as it is emitted;
-	// a bounded sort buffer spills it to sorted segments as it fills.
-	sb := newSpillBuffer(cfg.SortBufferRecords, cfg.Combiner)
+	split := wk.split
+	// Map output goes straight into the grouper as it is emitted; a
+	// bounded sort buffer spills it to sorted segments as it fills.
+	sb := spillBuffer{bound: cfg.SortBufferRecords, combiner: cfg.Combiner, g: &wk.g}
+	var nIn, nOut, outBytes int64
 	var emitErr error
 	emit := func(k, v string) {
 		nOut++
+		outBytes += int64(len(k) + len(v))
 		if emitErr == nil {
 			emitErr = sb.add(k, v)
 		}
@@ -289,29 +322,41 @@ func runMapTask(cfg Config, ds Dataset, task int) (out [][]kv, nIn, nOut, nSpill
 		}
 		nIn++
 		if err := cfg.Mapper.Map(line, emit); err != nil {
-			return nil, 0, 0, 0, fmt.Errorf("engine: job %s task %d: %w", cfg.Name, task, err)
+			return nil, fmt.Errorf("engine: job %s task %d: %w", cfg.Name, task, err)
 		}
 		if emitErr != nil {
-			return nil, 0, 0, 0, fmt.Errorf("engine: job %s task %d spill: %w", cfg.Name, task, emitErr)
+			return nil, fmt.Errorf("engine: job %s task %d spill: %w", cfg.Name, task, emitErr)
 		}
 	}
 	local, err := sb.drain()
 	if err != nil {
-		return nil, 0, 0, 0, fmt.Errorf("engine: job %s task %d combiner: %w", cfg.Name, task, err)
+		return nil, fmt.Errorf("engine: job %s task %d combiner: %w", cfg.Name, task, err)
 	}
-	if cfg.SortBufferRecords > 0 {
-		nSpill = int64(sb.spills)
+	// Count each partition first, so each is allocated once at its size.
+	counts := make([]int, cfg.Reducers)
+	for _, p := range local {
+		counts[HashPartitioner(p.k, cfg.Reducers)]++
 	}
-	out = make([][]kv, cfg.Reducers)
+	out := make([][]kv, cfg.Reducers)
+	for r, n := range counts {
+		out[r] = make([]kv, 0, n)
+	}
 	for _, p := range local {
 		r := HashPartitioner(p.k, cfg.Reducers)
 		out[r] = append(out[r], p)
 	}
-	return out, nIn, nOut, nSpill, nil
+	mc.inputRecords.Add(nIn)
+	mc.outputRecords.Add(nOut)
+	mc.outputBytes.Add(outBytes)
+	if cfg.SortBufferRecords > 0 {
+		mc.spills.Add(int64(sb.spills))
+	}
+	return out, nil
 }
 
-// readSplit returns the bytes of the task's line-aligned split.
-func readSplit(ds Dataset, task int) ([]byte, error) {
+// readSplit returns the bytes of the task's line-aligned split, read into
+// buf's storage when it is large enough.
+func readSplit(ds Dataset, task int, buf []byte) ([]byte, error) {
 	block := int64(ds.BlockSize())
 	size := int64(ds.Size())
 	start := int64(task) * block
@@ -337,9 +382,9 @@ func readSplit(ds Dataset, task int) ([]byte, error) {
 		end = off
 	}
 	if start >= end {
-		return nil, nil
+		return buf[:0], nil
 	}
-	buf := make([]byte, end-start)
+	buf = slices.Grow(buf[:0], int(end-start))[:end-start]
 	if _, err := readFull(ds, buf, start); err != nil {
 		return nil, err
 	}
@@ -385,52 +430,100 @@ type group struct {
 	values []string
 }
 
-// grouper is the engine's one grouping primitive: it hashes pairs into
-// per-key groups as they arrive, and sorted() then yields what Hadoop's
-// sort-merge step yields — keys ascending, each key's values ascending —
-// by sorting the distinct keys rather than every pair. Every map task,
-// spill and reduce task owns its grouper.
+// grouper is the engine's one grouping primitive. It numbers keys in the
+// order they first arrive and records each added pair as a (group number,
+// value) entry in two flat slices, so once its storage has grown an add
+// allocates nothing. sorted() then yields what Hadoop's sort-merge step
+// yields — keys ascending, each key's values ascending — by counting-sorting
+// the values into their groups and sorting the group numbers by key, never
+// every pair. A worker owns one grouper and resets it between tasks and
+// spills, so the storage is sized by the worker's largest task, not
+// allocated per task.
 type grouper struct {
-	index  map[string]int // key → position in groups
-	groups []group        // in first-seen order until sorted
-	n      int            // pairs added since the last reset
+	index map[string]int32 // key → group number
+	keys  []string         // group number → key
+	gids  []int32          // group number of each pair, in add order
+	vals  []string         // value of each pair, in add order
+
+	// Scratch for sorted(), reused across calls.
+	ends   []int32  // group number → end of its values in flat
+	flat   []string // the values, grouped by group number
+	perm   []int32  // group numbers in key order
+	groups []group
 }
 
 func (g *grouper) add(k, v string) {
 	i, ok := g.index[k]
 	if !ok {
 		if g.index == nil {
-			g.index = make(map[string]int)
+			g.index = make(map[string]int32)
 		}
-		i = len(g.groups)
+		i = int32(len(g.keys))
 		g.index[k] = i
-		g.groups = append(g.groups, group{key: k})
+		g.keys = append(g.keys, k)
 	}
-	g.groups[i].values = append(g.groups[i].values, v)
-	g.n++
+	g.gids = append(g.gids, i)
+	g.vals = append(g.vals, v)
 }
 
-// sorted orders the groups by key and each group's values ascending, and
-// returns them. It invalidates the index: call reset before adding again.
+// len returns the number of pairs added since the last reset.
+func (g *grouper) len() int { return len(g.vals) }
+
+// sorted returns the groups in key order, each group's values ascending.
+// The groups and their values live in the grouper's scratch storage: they
+// are valid until sorted is called again.
 func (g *grouper) sorted() []group {
-	slices.SortFunc(g.groups, func(a, b group) int { return strings.Compare(a.key, b.key) })
-	for _, gr := range g.groups {
-		if !slices.IsSorted(gr.values) {
-			slices.Sort(gr.values)
+	n := len(g.keys)
+	// Counting sort, stable in add order. ends[i+1] counts group i, the
+	// prefix sum turns ends[i] into group i's start, and placing the values
+	// advances it to group i's end; so group i is flat[ends[i-1]:ends[i]],
+	// with ends[-1] read as 0.
+	g.ends = slices.Grow(g.ends[:0], n+1)[:n+1]
+	clear(g.ends)
+	for _, i := range g.gids {
+		g.ends[i+1]++
+	}
+	for i := 1; i <= n; i++ {
+		g.ends[i] += g.ends[i-1]
+	}
+	g.flat = slices.Grow(g.flat[:0], len(g.vals))[:len(g.vals)]
+	for j, i := range g.gids {
+		g.flat[g.ends[i]] = g.vals[j]
+		g.ends[i]++
+	}
+	g.perm = g.perm[:0]
+	for i := range int32(n) {
+		g.perm = append(g.perm, i)
+	}
+	slices.SortFunc(g.perm, func(a, b int32) int { return strings.Compare(g.keys[a], g.keys[b]) })
+	g.groups = g.groups[:0]
+	for _, i := range g.perm {
+		start := int32(0)
+		if i > 0 {
+			start = g.ends[i-1]
 		}
+		// The capacity bound keeps a combiner that appends to its values
+		// from overwriting the next group's.
+		values := g.flat[start:g.ends[i]:g.ends[i]]
+		if !slices.IsSorted(values) {
+			slices.Sort(values)
+		}
+		g.groups = append(g.groups, group{key: g.keys[i], values: values})
 	}
 	return g.groups
 }
 
-// reset empties the grouper, keeping its index and group storage for reuse.
+// reset empties the grouper, keeping all of its storage for reuse.
 func (g *grouper) reset() {
 	clear(g.index)
-	g.groups = g.groups[:0]
-	g.n = 0
+	g.keys = g.keys[:0]
+	g.gids = g.gids[:0]
+	g.vals = g.vals[:0]
 }
 
-func runReduceTask(cfg Config, pairs []kv) ([]kv, error) {
-	var g grouper
+// runReduceTask groups one partition's shuffled pairs in the worker's
+// grouper g and runs the reducer over each group in key order.
+func runReduceTask(cfg Config, pairs []kv, g *grouper) ([]kv, error) {
 	for _, p := range pairs {
 		g.add(p.k, p.v)
 	}
@@ -442,6 +535,7 @@ func runReduceTask(cfg Config, pairs []kv) ([]kv, error) {
 			return nil, fmt.Errorf("engine: job %s reduce(%q): %w", cfg.Name, gr.key, err)
 		}
 	}
+	g.reset()
 	return out, nil
 }
 

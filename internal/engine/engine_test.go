@@ -286,6 +286,20 @@ func TestMeasuredShuffleRatios(t *testing.T) {
 	}
 }
 
+// Property: HashPartitioner is FNV-1a (hash/fnv's New32a) modulo n, so a
+// key's partition is the one Hadoop-style hash partitioning gives it.
+func TestHashPartitionerIsFNV1a(t *testing.T) {
+	f := func(key string, n uint8) bool {
+		parts := int(n) + 1
+		h := fnv.New32a()
+		h.Write([]byte(key))
+		return HashPartitioner(key, parts) == int(h.Sum32()%uint32(parts))
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
+		t.Error(err)
+	}
+}
+
 func TestRunValidation(t *testing.T) {
 	store := newOFS(t)
 	good := NewWordcount(store, "in", "", 1, 1, 1)
@@ -518,7 +532,7 @@ func groupsMatchReference(g *grouper, pairs []kv) bool {
 		g.add(p.k, p.v)
 	}
 	got := g.sorted()
-	ok := g.n == len(pairs) && equalGroups(got, groupByKey(slices.Clone(pairs)))
+	ok := g.len() == len(pairs) && equalGroups(got, groupByKey(slices.Clone(pairs)))
 	g.reset()
 	return ok
 }
@@ -575,15 +589,15 @@ func TestCountersPinned(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, tc := range []struct {
-		app                             string
-		sortBuffer                      int
-		mapOut, shuffle, outRecs, spill int64
-		digest                          uint64
+		app                                          string
+		sortBuffer                                   int
+		mapOut, mapOutBytes, shuffle, outRecs, spill int64
+		digest                                       uint64
 	}{
-		{"wordcount", 0, 32771, 128524, 3570, 0, 0xddc0b5149be68f15},
-		{"wordcount", 512, 32771, 128524, 3570, 96, 0xddc0b5149be68f15},
-		{"grep", 0, 2560, 448, 1, 0, 0xabdab8a9dbbc6ddc},
-		{"grep", 512, 2560, 448, 1, 64, 0xabdab8a9dbbc6ddc},
+		{"wordcount", 0, 32771, 262168, 128524, 3570, 0, 0xddc0b5149be68f15},
+		{"wordcount", 512, 32771, 262168, 128524, 3570, 96, 0xddc0b5149be68f15},
+		{"grep", 0, 2560, 15360, 448, 1, 0, 0xabdab8a9dbbc6ddc},
+		{"grep", 512, 2560, 15360, 448, 1, 64, 0xabdab8a9dbbc6ddc},
 	} {
 		t.Run(fmt.Sprintf("%s-buffer%d", tc.app, tc.sortBuffer), func(t *testing.T) {
 			store := newOFS(t)
@@ -604,12 +618,80 @@ func TestCountersPinned(t *testing.T) {
 			h := fnv.New64a()
 			h.Write(readAll(t, store, "out"))
 			if ctr.InputBytes != 262168 || ctr.MapOutputRecords != tc.mapOut ||
+				int64(ctr.MapOutputBytes) != tc.mapOutBytes ||
 				int64(ctr.ShuffleBytes) != tc.shuffle || ctr.OutputRecords != tc.outRecs ||
 				ctr.Spills != tc.spill || h.Sum64() != tc.digest {
-				t.Errorf("input %d, map output %d, shuffle %d, output %d, spills %d, digest %#x; want 262168, %d, %d, %d, %d, %#x",
-					ctr.InputBytes, ctr.MapOutputRecords, ctr.ShuffleBytes, ctr.OutputRecords, ctr.Spills, h.Sum64(),
-					tc.mapOut, tc.shuffle, tc.outRecs, tc.spill, tc.digest)
+				t.Errorf("input %d, map output %d records %d bytes, shuffle %d, output %d, spills %d, digest %#x; want 262168, %d, %d, %d, %d, %d, %#x",
+					ctr.InputBytes, ctr.MapOutputRecords, ctr.MapOutputBytes, ctr.ShuffleBytes, ctr.OutputRecords, ctr.Spills, h.Sum64(),
+					tc.mapOut, tc.mapOutBytes, tc.shuffle, tc.outRecs, tc.spill, tc.digest)
 			}
 		})
+	}
+}
+
+// Workers reuse their grouper and split buffer across tasks, in any order
+// the shared task counter hands tasks out. Output bytes and every counter
+// but the wall times are the same for every slot count and sort buffer
+// (Spills aside, which only the buffer sets). Lines of up to ~6 KB over
+// 4 KB blocks make splits from empty to several blocks long, so a worker's
+// storage serves a large task and then a small one.
+func TestWorkerReuseDeterminism(t *testing.T) {
+	ccfg := corpus.DefaultConfig()
+	ccfg.WordsPerLine = 400
+	text, err := corpus.Generate(ccfg, 128*units.KB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	counts := referenceWordcount(text)
+	for _, app := range []string{"wordcount", "sort"} {
+		var want []byte
+		var wantCtr Counters
+		for _, buffer := range []int{0, 64} {
+			for _, slots := range []int{1, 2, 3, 16} {
+				store := newOFS(t)
+				if err := store.Create("in", text); err != nil {
+					t.Fatal(err)
+				}
+				cfg := NewWordcount(store, "in", "out", 5, slots, slots)
+				if app == "sort" {
+					cfg = NewSort(store, "in", "out", 5, slots, slots)
+				}
+				cfg.SortBufferRecords = buffer
+				ctr, err := Run(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				out := readAll(t, store, "out")
+				if (buffer > 0) != (ctr.Spills > 0) {
+					t.Errorf("%s buffer %d: %d spills", app, buffer, ctr.Spills)
+				}
+				ctr.MapWall, ctr.ShuffleWall, ctr.ReduceWall, ctr.Spills = 0, 0, 0, 0
+				if want == nil {
+					want, wantCtr = out, ctr
+					if ctr.MapTasks < 2*16 {
+						t.Fatalf("%d map tasks: too few for 16 workers to reuse storage", ctr.MapTasks)
+					}
+					continue
+				}
+				if !bytes.Equal(out, want) || ctr != wantCtr {
+					t.Errorf("%s slots %d buffer %d: counters %+v, output %d bytes; want %+v, %d bytes",
+						app, slots, buffer, ctr, len(out), wantCtr, len(want))
+				}
+			}
+		}
+		if app == "wordcount" {
+			got, err := ParseOutput(want)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != len(counts) {
+				t.Fatalf("%d words, want %d", len(got), len(counts))
+			}
+			for w, n := range counts {
+				if got[w] != strconv.FormatInt(n, 10) {
+					t.Errorf("count[%q] = %s, want %d", w, got[w], n)
+				}
+			}
+		}
 	}
 }

@@ -12,23 +12,20 @@ package engine
 // segment is one sorted (and possibly combined) run of pairs.
 type segment []kv
 
-// spillBuffer groups map output under a record bound.
+// spillBuffer groups one map task's output under a record bound, in the
+// map worker's grouper.
 type spillBuffer struct {
 	bound    int // records per spill; 0 spills only at drain
 	combiner Reducer
-	g        grouper
+	g        *grouper
 	segments []segment
 	spills   int
-}
-
-func newSpillBuffer(bound int, combiner Reducer) *spillBuffer {
-	return &spillBuffer{bound: bound, combiner: combiner}
 }
 
 // add groups one pair, spilling when the buffer is full.
 func (s *spillBuffer) add(k, v string) error {
 	s.g.add(k, v)
-	if s.bound > 0 && s.g.n >= s.bound {
+	if s.bound > 0 && s.g.len() >= s.bound {
 		return s.spill()
 	}
 	return nil
@@ -36,7 +33,7 @@ func (s *spillBuffer) add(k, v string) error {
 
 // spill turns the buffered groups into a new segment.
 func (s *spillBuffer) spill() error {
-	if s.g.n == 0 {
+	if s.g.len() == 0 {
 		return nil
 	}
 	seg, err := s.g.flush(s.combiner)
@@ -60,13 +57,13 @@ func (s *spillBuffer) drain() ([]kv, error) {
 	case 1:
 		return s.segments[0], nil
 	}
-	return mergeSegments(s.segments, s.combiner)
+	return mergeSegments(s.segments, s.combiner, s.g)
 }
 
-// mergeSegments merges segments into one sorted run, combining equal keys
-// from different segments when a combiner is set.
-func mergeSegments(segs []segment, combiner Reducer) (segment, error) {
-	var g grouper
+// mergeSegments merges segments into one sorted run through the empty
+// grouper g, combining equal keys from different segments when a combiner
+// is set.
+func mergeSegments(segs []segment, combiner Reducer, g *grouper) (segment, error) {
 	for _, seg := range segs {
 		for _, p := range seg {
 			g.add(p.k, p.v)
@@ -82,7 +79,7 @@ func (g *grouper) flush(combiner Reducer) (segment, error) {
 	groups := g.sorted()
 	var out segment
 	if combiner == nil {
-		out = make(segment, 0, g.n)
+		out = make(segment, 0, g.len())
 		for _, gr := range groups {
 			for _, v := range gr.values {
 				out = append(out, kv{gr.key, v})

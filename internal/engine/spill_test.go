@@ -139,7 +139,7 @@ func TestMergeSegments(t *testing.T) {
 		{},
 		{{"a", "0"}},
 	}
-	merged, err := mergeSegments(segs, nil)
+	merged, err := mergeSegments(segs, nil, &grouper{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestMergeSegments(t *testing.T) {
 		t.Errorf("value tie-break wrong: %v", merged[:2])
 	}
 	// With a combiner, equal keys from different segments collapse.
-	combined, err := mergeSegments(segs, SumReducer{})
+	combined, err := mergeSegments(segs, SumReducer{}, &grouper{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +166,7 @@ func TestMergeSegments(t *testing.T) {
 }
 
 func TestSpillBufferDrainEmpty(t *testing.T) {
-	sb := newSpillBuffer(4, SumReducer{})
+	sb := spillBuffer{bound: 4, combiner: SumReducer{}, g: &grouper{}}
 	out, err := sb.drain()
 	if err != nil || len(out) != 0 {
 		t.Errorf("empty drain = %v, %v", out, err)
