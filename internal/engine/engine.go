@@ -291,12 +291,11 @@ type mapCounters struct {
 // is empty on entry and, when the task succeeds, on return (a failed task
 // ends its worker).
 func runMapTask(cfg Config, ds Dataset, task int, wk *worker, mc *mapCounters) ([][]kv, error) {
-	var err error
-	wk.split, err = readSplit(ds, task, wk.split)
+	split, err := readSplit(ds, task, wk.split)
 	if err != nil {
 		return nil, fmt.Errorf("engine: job %s task %d: %w", cfg.Name, task, err)
 	}
-	split := wk.split
+	wk.split = split
 	// Map output goes straight into the grouper as it is emitted; a
 	// bounded sort buffer spills it to sorted segments as it fills.
 	sb := spillBuffer{bound: cfg.SortBufferRecords, combiner: cfg.Combiner, g: &wk.g}
