@@ -422,9 +422,9 @@ func fnvStr(h uint64, s string) uint64 {
 
 // Fingerprint returns a 64-bit content hash of the schedule: two schedules
 // fingerprint equal exactly when their (sorted) events are field-for-field
-// equal. It composes with Calibration.Hash() in the sweep cache's key, so a
-// simulation under a fault schedule can never alias a clean run — or a run
-// under a different schedule. A nil or empty schedule fingerprints to 0, the
+// equal. It is the sweep cache key's Faults field, next to the platform
+// hash, so a simulation under a fault schedule can never alias a clean run —
+// or a run under a different schedule. A nil or empty schedule fingerprints to 0, the
 // clean-run sentinel.
 func (s *Schedule) Fingerprint() uint64 {
 	if s.Empty() {

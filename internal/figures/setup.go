@@ -1,10 +1,10 @@
 package figures
 
 import (
-	"math"
+	"hash/maphash"
 	"sync"
+	"time"
 
-	"hybridmr/internal/apps"
 	"hybridmr/internal/core"
 	"hybridmr/internal/mapreduce"
 	"hybridmr/internal/workload"
@@ -23,10 +23,8 @@ import (
 // immutable — the same setup is shared by concurrent replays and by later
 // runs with the same calibration and workload config.
 type ReplaySetup struct {
-	Jobs    []workload.Job
-	Hybrid  *core.Hybrid
-	THadoop *mapreduce.Platform
-	RHadoop *mapreduce.Platform
+	Jobs []workload.Job
+	*ArchSet
 }
 
 // ArchSet is the architecture bundle for one calibration: the paper's hybrid
@@ -56,64 +54,47 @@ func NewArchSet(cal mapreduce.Calibration) (*ArchSet, error) {
 
 var (
 	setupMu sync.Mutex
-	arches  map[uint64]*ArchSet
+	arches  map[mapreduce.Calibration]*ArchSet
 	traces  map[uint64][]workload.Job
 )
 
-// SharedArches returns the memoized architecture bundle for the calibration,
-// keyed by Calibration.Hash (the same identity the sweep cache trusts).
-// Errors are not memoized — an invalid calibration fails every time.
-func SharedArches(cal mapreduce.Calibration) (*ArchSet, error) {
-	key := cal.Hash()
+// memoize returns (*m)[key], building and storing it on the first request.
+// build runs outside the lock; when two builders race, the first stored
+// value wins and both callers share it. Errors are not memoized.
+func memoize[K comparable, V any](m *map[K]V, key K, build func() (V, error)) (V, error) {
 	setupMu.Lock()
-	a, ok := arches[key]
+	v, ok := (*m)[key]
 	setupMu.Unlock()
 	if ok {
-		return a, nil
+		return v, nil
 	}
-	a, err := NewArchSet(cal)
+	v, err := build()
 	if err != nil {
-		return nil, err
+		return v, err
 	}
 	setupMu.Lock()
-	if prev, ok := arches[key]; ok {
-		a = prev // a concurrent builder won; share its bundle
-	} else {
-		if arches == nil {
-			arches = make(map[uint64]*ArchSet)
-		}
-		arches[key] = a
+	defer setupMu.Unlock()
+	if prev, ok := (*m)[key]; ok {
+		return prev, nil
 	}
-	setupMu.Unlock()
-	return a, nil
+	if *m == nil {
+		*m = make(map[K]V)
+	}
+	(*m)[key] = v
+	return v, nil
+}
+
+// SharedArches returns the memoized architecture bundle for the calibration,
+// keyed by the calibration itself (its == equality covers every field).
+// Errors are not memoized — an invalid calibration fails every time.
+func SharedArches(cal mapreduce.Calibration) (*ArchSet, error) {
+	return memoize(&arches, cal, func() (*ArchSet, error) { return NewArchSet(cal) })
 }
 
 // sharedTrace returns the memoized generated trace for the workload config,
-// keyed by a fingerprint over every Config field. The slice is shared —
-// callers must not mutate it.
+// keyed by configFP. The slice is shared — callers must not mutate it.
 func sharedTrace(cfg workload.Config) ([]workload.Job, error) {
-	key := configFP(cfg)
-	setupMu.Lock()
-	jobs, ok := traces[key]
-	setupMu.Unlock()
-	if ok {
-		return jobs, nil
-	}
-	jobs, err := workload.Generate(cfg)
-	if err != nil {
-		return nil, err
-	}
-	setupMu.Lock()
-	if prev, ok := traces[key]; ok {
-		jobs = prev
-	} else {
-		if traces == nil {
-			traces = make(map[uint64][]workload.Job)
-		}
-		traces[key] = jobs
-	}
-	setupMu.Unlock()
-	return jobs, nil
+	return memoize(&traces, configFP(cfg), func() ([]workload.Job, error) { return workload.Generate(cfg) })
 }
 
 // SharedSetup returns the memoized shared prefix for (cal, cfg): trace and
@@ -129,74 +110,39 @@ func SharedSetup(cal mapreduce.Calibration, cfg workload.Config) (*ReplaySetup, 
 	if err != nil {
 		return nil, err
 	}
-	return &ReplaySetup{Jobs: jobs, Hybrid: a.Hybrid, THadoop: a.THadoop, RHadoop: a.RHadoop}, nil
+	return &ReplaySetup{Jobs: jobs, ArchSet: a}, nil
 }
 
-// configFP fingerprints every workload.Config field (FNV-1a), including the
-// band mixture and the application mix, so two configs collide only if they
-// generate the identical trace.
+// configScalars is everything of a workload.Config except its two slices,
+// whose lengths stand in for them here and whose elements configFP hashes
+// one by one. configFP fills it positionally, so a field added here without
+// a value there does not compile.
+type configScalars struct {
+	jobs, bands, appMix                                           int
+	seed                                                          int64
+	duration, burstGap                                            time.Duration
+	shrink, unknownRatioFraction, burstFraction, diurnalAmplitude float64
+}
+
+// configSeed seeds configFP; the trace memo lives only in this process.
+var configSeed = maphash.MakeSeed()
+
+// configFP hashes every workload.Config field, including each band and each
+// application weight (maphash hashes a Band or AppWeight by ==, so every
+// field of theirs, the whole apps.Profile included, is covered), so two
+// configs collide only if they generate the identical trace.
 func configFP(cfg workload.Config) uint64 {
-	h := fp(fnvOffset)
-	h = h.word(uint64(cfg.Jobs))
-	h = h.word(uint64(cfg.Seed))
-	h = h.word(uint64(cfg.Duration))
-	h = h.word(uint64(len(cfg.Bands)))
+	var h maphash.Hash
+	h.SetSeed(configSeed)
+	maphash.WriteComparable(&h, configScalars{
+		cfg.Jobs, len(cfg.Bands), len(cfg.AppMix), cfg.Seed, cfg.Duration, cfg.BurstGap,
+		cfg.Shrink, cfg.UnknownRatioFraction, cfg.BurstFraction, cfg.DiurnalAmplitude,
+	})
 	for _, b := range cfg.Bands {
-		h = h.float(b.Fraction)
-		h = h.word(uint64(b.Lo)).word(uint64(b.Hi))
-		h = h.word(uint64(b.TasksLo)).word(uint64(b.TasksHi))
+		maphash.WriteComparable(&h, b)
 	}
-	h = h.float(cfg.Shrink)
-	h = h.word(uint64(len(cfg.AppMix)))
 	for _, aw := range cfg.AppMix {
-		h = h.profile(aw.App)
-		h = h.float(aw.Weight)
+		maphash.WriteComparable(&h, aw)
 	}
-	h = h.float(cfg.UnknownRatioFraction)
-	h = h.float(cfg.BurstFraction)
-	h = h.word(uint64(cfg.BurstGap))
-	h = h.float(cfg.DiurnalAmplitude)
-	return uint64(h)
-}
-
-const (
-	fnvOffset = 14695981039346656037
-	fnvPrime  = 1099511628211
-)
-
-// fp is a minimal FNV-1a accumulator for configFP.
-type fp uint64
-
-func (h fp) word(w uint64) fp {
-	for i := 0; i < 8; i++ {
-		h = (h ^ fp(byte(w>>(8*i)))) * fnvPrime
-	}
-	return h
-}
-
-func (h fp) float(f float64) fp { return h.word(math.Float64bits(f)) }
-
-func (h fp) flag(b bool) fp {
-	if b {
-		return h.word(1)
-	}
-	return h.word(0)
-}
-
-func (h fp) str(s string) fp {
-	for i := 0; i < len(s); i++ {
-		h = (h ^ fp(s[i])) * fnvPrime
-	}
-	return h.word(uint64(len(s)))
-}
-
-func (h fp) profile(p apps.Profile) fp {
-	return h.str(p.Name).
-		word(uint64(p.Class)).
-		float(float64(p.ShuffleInputRatio)).
-		float(float64(p.OutputShuffleRatio)).
-		flag(p.MapReadsInput).
-		float(float64(p.MapFSWriteRatio)).
-		float(float64(p.MapRate)).
-		float(float64(p.ReduceRate))
+	return h.Sum64()
 }

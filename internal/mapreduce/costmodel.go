@@ -16,11 +16,8 @@ import (
 // re-measure, as the paper recommends (§IV: "other designers can follow the
 // same method to measure the cross points in their systems").
 //
-// Every field must be folded into Hash(): the sweep cache keys memoized
-// simulations on it, so an unhashed field would let two different
-// calibrations alias one cached result.
-//
-//simlint:exhaustive Hash
+// Calibration must stay comparable: the sweep cache and the figures setup
+// memo key on its == equality, which covers every field by construction.
 type Calibration struct {
 	// BlockSize is the HDFS block / OFS stripe size; 128 MB in the paper.
 	BlockSize units.Bytes

@@ -109,19 +109,3 @@ func TestFaultedReplaySteadyStateAllocs(t *testing.T) {
 		t.Errorf("warm faulted replay: %v allocs/op vs %v for injection setup alone; the replay machinery must add zero", full, setup)
 	}
 }
-
-// TestCalibrationHashSteadyStateAllocs pins Calibration.Hash (and its
-// fnvWord folds) at zero allocations: the sweep cache hashes it per probe.
-func TestCalibrationHashSteadyStateAllocs(t *testing.T) {
-	cal := DefaultCalibration()
-	var sink uint64
-	avg := testing.AllocsPerRun(1000, func() {
-		sink ^= cal.Hash()
-	})
-	if avg != 0 {
-		t.Errorf("Calibration.Hash: %v allocs/op, want 0", avg)
-	}
-	if sink == 0 {
-		t.Error("hash folded to zero on every call")
-	}
-}

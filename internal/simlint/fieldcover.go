@@ -20,9 +20,9 @@ import (
 // for pooled records often lives on the owning container, not the record.
 //
 // This is the lint-time half of the byte-for-byte Reset() and
-// every-field-hashed contracts (DESIGN §11, §12): adding a field to
-// mapreduce.ReplayState without resetting it, or to mapreduce.Calibration
-// without folding it into Hash(), fails make lint at the new field's line. A
+// every-field-set contracts (DESIGN §11, §12): adding a field to
+// mapreduce.ReplayState without resetting it, or to sweep.Key without
+// setting it in KeyFor, fails make lint at the new field's line. A
 // field that deliberately survives (a freelist, a rebound closure) carries a
 // //simlint:allow fieldcover directive with the reason.
 var Fieldcover = &Analyzer{

@@ -39,12 +39,10 @@ var Hotalloc = &Analyzer{
 // innermost per-event/per-probe entry points; the rest of the marked set
 // (sift helpers, ready-set maintenance, attempt lifecycle) hangs off these.
 var KnownHotPaths = map[string][]string{
-	"hybridmr/internal/simclock": {"Engine.At", "Engine.After", "Engine.Step"},
-	"hybridmr/internal/mapreduce": {
-		"Simulator.dispatch", "Simulator.touch", "Calibration.Hash",
-	},
-	"hybridmr/internal/stats": {"LogUniformVar.Sample", "RNG.Float64"},
-	"hybridmr/internal/sweep": {"KeyFor", "calHash"},
+	"hybridmr/internal/simclock":  {"Engine.At", "Engine.After", "Engine.Step"},
+	"hybridmr/internal/mapreduce": {"Simulator.dispatch", "Simulator.touch"},
+	"hybridmr/internal/stats":     {"LogUniformVar.Sample", "RNG.Float64"},
+	"hybridmr/internal/sweep":     {"KeyFor"},
 }
 
 func runHotalloc(p *Pass) error {

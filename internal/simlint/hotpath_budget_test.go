@@ -36,12 +36,9 @@ var budgetCoverage = map[string]map[string][]string{
 		"TestSamplerSteadyStateAllocs": {"RNG.Float64", "LogUniformVar.Sample"},
 	},
 	"../sweep": {
-		// A clean and a faulted KeyFor probe fold every fingerprint helper;
-		// the warm Cache.Do hit picks its shard.
-		"TestKeyForSteadyStateAllocs": {
-			"KeyFor", "calHash", "specFP", "profileFP", "Cache.shard",
-			"hashFP.word", "hashFP.float", "hashFP.str", "hashFP.flag",
-		},
+		// Clean and faulted KeyFor probes on healthy, degraded and
+		// gray-throttled platform views.
+		"TestKeyForSteadyStateAllocs": {"KeyFor"},
 	},
 	"../mapreduce": {
 		// A clean warm trace replay runs the whole scheduling kernel:
@@ -72,7 +69,6 @@ var budgetCoverage = map[string]map[string][]string{
 			"Simulator.attemptFails", "Simulator.retireFailed",
 			"Simulator.stackPush", "Simulator.stackPop", "attempt.fire",
 		},
-		"TestCalibrationHashSteadyStateAllocs": {"Calibration.Hash", "fnvWord"},
 	},
 }
 

@@ -76,6 +76,8 @@ type System struct {
 	// they survive in the name so throttled instances never alias healthy
 	// ones in cache keys.
 	diskF, nicF float64
+	// name is Name's result, formatted by setName.
+	name string
 }
 
 // New validates the configuration and builds the model.
@@ -96,7 +98,9 @@ func New(cfg Config) (*System, error) {
 	case cfg.RebuildTax < 0 || cfg.RebuildTax >= 1:
 		return nil, fmt.Errorf("ofs: rebuild tax %v outside [0,1)", cfg.RebuildTax)
 	}
-	return &System{cfg: cfg, healthy: cfg}, nil
+	s := &System{cfg: cfg, healthy: cfg}
+	s.setName()
+	return s, nil
 }
 
 // Config returns the model's configuration.
@@ -105,15 +109,19 @@ func (s *System) Config() Config { return s.cfg }
 // Name implements storage.System. Degraded instances carry the loss in the
 // name, so every cache key and report that embeds the file-system name
 // distinguishes degraded from healthy I/O.
-func (s *System) Name() string {
-	name := "OFS"
+func (s *System) Name() string { return s.name }
+
+// setName formats the name from the degradation state. New, Degrade and
+// Throttle call it once, so Name allocates nothing: the sweep cache reads it
+// on every probe, degraded views included.
+func (s *System) setName() {
+	s.name = "OFS"
 	if s.lost > 0 {
-		name = fmt.Sprintf("OFS(-%dsrv)", s.lost)
+		s.name = fmt.Sprintf("OFS(-%dsrv)", s.lost)
 	}
 	if s.diskF > 1 || s.nicF > 1 {
-		name = fmt.Sprintf("%s÷(d%g,n%g)", name, s.diskF, s.nicF)
+		s.name = fmt.Sprintf("%s÷(d%g,n%g)", s.name, s.diskF, s.nicF)
 	}
-	return name
 }
 
 // Throttle implements storage.Throttleable. The storage servers sit behind
@@ -139,6 +147,7 @@ func (s *System) Throttle(disk, nic float64) (storage.System, error) {
 	d.lost = s.lost
 	d.diskF = max(s.diskF, 1) * disk
 	d.nicF = max(s.nicF, 1) * nic
+	d.setName()
 	return d, nil
 }
 
@@ -169,6 +178,7 @@ func (s *System) Degrade(lost int) (storage.System, error) {
 	}
 	d.healthy = base
 	d.lost = lost
+	d.setName()
 	return d, nil
 }
 

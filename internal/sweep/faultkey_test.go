@@ -34,7 +34,7 @@ func TestFaultKeyNeverAliasesClean(t *testing.T) {
 }
 
 // Degraded platform views get distinct keys even under the same schedule:
-// the platform name, spec fingerprint and FS name all change.
+// the platform name, spec and FS name all change.
 func TestFaultKeySeparatesDegradedViews(t *testing.T) {
 	p, err := mapreduce.NewArch(mapreduce.OutOFS, cal())
 	if err != nil {

@@ -8,6 +8,7 @@ package sweep
 import (
 	"errors"
 	"fmt"
+	"math"
 	"runtime/debug"
 	"strconv"
 	"strings"
@@ -99,9 +100,23 @@ func (b Budget) Watchdog(cancel func() bool) *simclock.Watchdog {
 	return &simclock.Watchdog{MaxEvents: b.MaxEvents, MaxSimTime: b.MaxSimTime, Cancel: cancel}
 }
 
+// SpecError reports one entry of a -watchdog spec that ParseBudget rejects.
+type SpecError struct {
+	// Entry is the offending comma-separated entry, as written.
+	Entry string
+	// Reason says what a valid entry needs.
+	Reason string
+}
+
+func (e *SpecError) Error() string {
+	return fmt.Sprintf("sweep: watchdog spec %q: %s", e.Entry, e.Reason)
+}
+
 // ParseBudget parses the -watchdog flag syntax: comma-separated
 // "events=N,simtime=D" with either key optional, e.g. "events=5000000",
 // "simtime=48h", "events=1e7,simtime=72h". An empty spec is the zero budget.
+// A malformed entry — including an event count that is not a whole number
+// in [1, 2^53], such as NaN, +Inf, 1e30 or 2.7 — is a *SpecError.
 func ParseBudget(spec string) (Budget, error) {
 	var b Budget
 	spec = strings.TrimSpace(spec)
@@ -115,24 +130,26 @@ func ParseBudget(spec string) (Budget, error) {
 		}
 		key, val, ok := strings.Cut(kv, "=")
 		if !ok {
-			return Budget{}, fmt.Errorf("sweep: watchdog spec %q: want key=value", kv)
+			return Budget{}, &SpecError{Entry: kv, Reason: "want key=value"}
 		}
 		key, val = strings.TrimSpace(key), strings.TrimSpace(val)
 		switch key {
 		case "events":
+			// Float notation ("1e7") is allowed, but the count must be a
+			// whole number a float64 holds exactly.
 			f, err := strconv.ParseFloat(val, 64)
-			if err != nil || f < 1 {
-				return Budget{}, fmt.Errorf("sweep: watchdog events %q: want a count ≥ 1", val)
+			if err != nil || !(f >= 1 && f <= 1<<53) || f != math.Trunc(f) {
+				return Budget{}, &SpecError{Entry: kv, Reason: "want a whole event count in [1, 2^53]"}
 			}
 			b.MaxEvents = uint64(f)
 		case "simtime":
 			d, err := time.ParseDuration(val)
 			if err != nil || d <= 0 {
-				return Budget{}, fmt.Errorf("sweep: watchdog simtime %q: want a positive duration", val)
+				return Budget{}, &SpecError{Entry: kv, Reason: "want a positive duration"}
 			}
 			b.MaxSimTime = d
 		default:
-			return Budget{}, fmt.Errorf("sweep: watchdog spec: unknown key %q (want events=, simtime=)", key)
+			return Budget{}, &SpecError{Entry: kv, Reason: "unknown key (want events=, simtime=)"}
 		}
 	}
 	return b, nil

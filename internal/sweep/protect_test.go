@@ -65,6 +65,9 @@ func TestParseBudget(t *testing.T) {
 		"simtime=48h":               {MaxSimTime: 48 * time.Hour},
 		"events=100, simtime=30m":   {MaxEvents: 100, MaxSimTime: 30 * time.Minute},
 		" events=1 , simtime=1s , ": {MaxEvents: 1, MaxSimTime: time.Second},
+		"events=1e8":                {MaxEvents: 100000000},
+		"events=5e7,simtime=720h":   {MaxEvents: 50000000, MaxSimTime: 720 * time.Hour},
+		"events=9007199254740992":   {MaxEvents: 1 << 53},
 	}
 	for spec, want := range good {
 		got, err := ParseBudget(spec)
@@ -72,10 +75,17 @@ func TestParseBudget(t *testing.T) {
 			t.Errorf("ParseBudget(%q) = %+v, %v; want %+v", spec, got, err, want)
 		}
 	}
-	bad := []string{"events", "events=", "events=zero", "events=0", "simtime=never", "simtime=-1h", "walltime=5s"}
+	bad := []string{
+		"events", "events=", "events=zero", "events=0", "simtime=never", "simtime=-1h", "walltime=5s",
+		// Event counts that are not whole numbers in [1, 2^64).
+		"events=NaN", "events=+Inf", "events=-Inf", "events=1e30", "events=2.7", "events=0.5",
+		"events=18446744073709551615", "events=9007199254740994", "events=-3",
+	}
 	for _, spec := range bad {
-		if _, err := ParseBudget(spec); err == nil {
-			t.Errorf("ParseBudget(%q) accepted", spec)
+		_, err := ParseBudget(spec)
+		var serr *SpecError
+		if !errors.As(err, &serr) {
+			t.Errorf("ParseBudget(%q) = %v, want a *SpecError", spec, err)
 		}
 	}
 	if (Budget{}).Enabled() {

@@ -46,7 +46,7 @@ func TestQuickCacheTotality(t *testing.T) {
 		c := NewCache()
 		distinct := make(map[Key]units.Bytes)
 		for n, b := range seq {
-			k := Key{App: "quick", Input: units.Bytes(b % 16)}
+			k := Key{App: 1, Input: units.Bytes(b % 16)}
 			val := units.Bytes(n) // first write wins; later values must not overwrite
 			r := c.Do(k, func() mapreduce.Result {
 				return mapreduce.Result{Exec: 1, Job: mapreduce.Job{Input: val}}

@@ -88,7 +88,7 @@ func TestCacheSingleExecution(t *testing.T) {
 			for i := 0; i < keys; i++ {
 				// Each goroutine walks the key space from a different
 				// offset so first-touches are spread across goroutines.
-				k := Key{App: "hammer", Input: units.Bytes((i + g) % keys)}
+				k := Key{App: 1, Input: units.Bytes((i + g) % keys)}
 				r := c.Do(k, func() mapreduce.Result {
 					computed.Add(1)
 					return mapreduce.Result{Platform: "hammer", Exec: 1}
