@@ -8,6 +8,7 @@
 package main
 
 import (
+	"bytes"
 	"fmt"
 	"log"
 
@@ -94,8 +95,8 @@ func main() {
 // (word, count) pairs for the TopK stage.
 type countLineMapper struct{}
 
-func (countLineMapper) Map(line []byte, emit func(k, v string)) error {
-	word, count, ok := cutTab(line)
+func (countLineMapper) MapLine(line []byte, emit func(k, v []byte)) error {
+	word, count, ok := bytes.Cut(line, []byte{'\t'})
 	if !ok {
 		return fmt.Errorf("pipeline: malformed count line %q", line)
 	}
@@ -107,21 +108,11 @@ func (countLineMapper) Map(line []byte, emit func(k, v string)) error {
 // engine's sort-merge orders the output by frequency.
 type byFrequencyMapper struct{}
 
-func (byFrequencyMapper) Map(line []byte, emit func(k, v string)) error {
-	word, count, ok := cutTab(line)
+func (byFrequencyMapper) MapLine(line []byte, emit func(k, v []byte)) error {
+	word, count, ok := bytes.Cut(line, []byte{'\t'})
 	if !ok {
 		return fmt.Errorf("pipeline: malformed count line %q", line)
 	}
-	emit(fmt.Sprintf("%010s", count), word)
+	emit(fmt.Appendf(nil, "%010s", count), word)
 	return nil
-}
-
-// cutTab splits a "key\tvalue" line.
-func cutTab(line []byte) (k, v string, ok bool) {
-	for i, c := range line {
-		if c == '\t' {
-			return string(line[:i]), string(line[i+1:]), true
-		}
-	}
-	return "", "", false
 }

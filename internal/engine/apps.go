@@ -9,16 +9,46 @@ import (
 	"hybridmr/internal/units"
 )
 
+// one is the value a counting Mapper emits. The engine only reads it.
+var one = []byte("1")
+
 // WordcountMapper emits (word, "1") for every whitespace-separated token —
 // the paper's shuffle-intensive Wordcount (§III-A).
 type WordcountMapper struct{}
 
-// Map implements Mapper.
+// MapLine implements Mapper. The word it emits is a sub-slice of line.
+func (WordcountMapper) MapLine(line []byte, emit func(k, v []byte)) error {
+	for start, end := nextField(line, 0); start < end; start, end = nextField(line, end) {
+		emit(line[start:end], one)
+	}
+	return nil
+}
+
+// Map is MapLine for callers that want string pairs: it emits the same
+// pairs, each word as a new string.
 func (WordcountMapper) Map(line []byte, emit func(k, v string)) error {
 	for start, end := nextField(line, 0); start < end; start, end = nextField(line, end) {
 		emit(string(line[start:end]), "1")
 	}
 	return nil
+}
+
+// parseCount returns strconv.ParseInt(v, 10, 64), error included. A plain
+// decimal of 1 to 18 digits, which cannot overflow, is parsed by a loop;
+// anything else, a sign, an empty or a longer string, goes to ParseInt.
+func parseCount(v string) (int64, error) {
+	if len(v) == 0 || len(v) > 18 {
+		return strconv.ParseInt(v, 10, 64)
+	}
+	var n int64
+	for i := 0; i < len(v); i++ {
+		d := v[i] - '0'
+		if d > 9 {
+			return strconv.ParseInt(v, 10, 64)
+		}
+		n = n*10 + int64(d)
+	}
+	return n, nil
 }
 
 // SumReducer adds integer values; it doubles as Wordcount's combiner.
@@ -28,7 +58,7 @@ type SumReducer struct{}
 func (SumReducer) Reduce(key string, values []string, emit func(k, v string)) error {
 	total := int64(0)
 	for _, v := range values {
-		n, err := strconv.ParseInt(v, 10, 64)
+		n, err := parseCount(v)
 		if err != nil {
 			return fmt.Errorf("engine: sum reducer: %q: %w", v, err)
 		}
@@ -69,10 +99,10 @@ func NewGrepMapper(pattern string) (*GrepMapper, error) {
 	return &GrepMapper{re: re}, nil
 }
 
-// Map implements Mapper.
-func (g *GrepMapper) Map(line []byte, emit func(k, v string)) error {
+// MapLine implements Mapper.
+func (g *GrepMapper) MapLine(line []byte, emit func(k, v []byte)) error {
 	if m := g.re.Find(line); m != nil {
-		emit(string(m), "1")
+		emit(m, one)
 	}
 	return nil
 }

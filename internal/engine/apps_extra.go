@@ -13,10 +13,10 @@ import (
 // Wordcount in the scheduler's ratio bands.
 type SortMapper struct{}
 
-// Map implements Mapper.
-func (SortMapper) Map(line []byte, emit func(k, v string)) error {
+// MapLine implements Mapper.
+func (SortMapper) MapLine(line []byte, emit func(k, v []byte)) error {
 	for start, end := nextField(line, 0); start < end; start, end = nextField(line, end) {
-		emit(string(line[start:end]), "")
+		emit(line[start:end], nil)
 	}
 	return nil
 }
@@ -111,7 +111,7 @@ type TopKReducer struct {
 func (r TopKReducer) Reduce(key string, values []string, emit func(k, v string)) error {
 	var total int64
 	for _, v := range values {
-		n, err := strconv.ParseInt(v, 10, 64)
+		n, err := parseCount(v)
 		if err != nil {
 			return fmt.Errorf("engine: topk reducer: %q: %w", v, err)
 		}

@@ -142,9 +142,9 @@ func TestIdentityReducer(t *testing.T) {
 // pairLineMapper emits each "key value" line as one (key, value) pair.
 type pairLineMapper struct{}
 
-func (pairLineMapper) Map(line []byte, emit func(k, v string)) error {
+func (pairLineMapper) MapLine(line []byte, emit func(k, v []byte)) error {
 	k, v, _ := bytes.Cut(line, []byte{' '})
-	emit(string(k), string(v))
+	emit(k, v)
 	return nil
 }
 

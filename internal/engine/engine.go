@@ -2,7 +2,9 @@ package engine
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 	"sync"
@@ -13,11 +15,14 @@ import (
 )
 
 // Mapper transforms one input record (a line) into key/value pairs. As in
-// Hadoop, the engine reuses the line's storage once Map returns, so a
-// Mapper must not keep the slice.
+// Hadoop, where an OutputCollector serializes reused Writables, the engine
+// reuses storage on both sides of the call: a Mapper must not keep the line
+// once MapLine returns, and the engine copies what it keeps of an emitted
+// key and value before emit returns, so the Mapper may overwrite them at
+// once.
 type Mapper interface {
-	// Map processes one line; emit may be called any number of times.
-	Map(line []byte, emit func(key, value string)) error
+	// MapLine processes one line; emit may be called any number of times.
+	MapLine(line []byte, emit func(key, value []byte)) error
 }
 
 // Reducer folds all values of one key into output pairs. A Reducer may also
@@ -301,7 +306,7 @@ func runMapTask(cfg Config, ds Dataset, task int, wk *worker, mc *mapCounters) (
 	sb := spillBuffer{bound: cfg.SortBufferRecords, combiner: cfg.Combiner, g: &wk.g}
 	var nIn, nOut, outBytes int64
 	var emitErr error
-	emit := func(k, v string) {
+	emit := func(k, v []byte) {
 		nOut++
 		outBytes += int64(len(k) + len(v))
 		if emitErr == nil {
@@ -320,7 +325,7 @@ func runMapTask(cfg Config, ds Dataset, task int, wk *worker, mc *mapCounters) (
 			continue
 		}
 		nIn++
-		if err := cfg.Mapper.Map(line, emit); err != nil {
+		if err := cfg.Mapper.MapLine(line, emit); err != nil {
 			return nil, fmt.Errorf("engine: job %s task %d: %w", cfg.Name, task, err)
 		}
 		if emitErr != nil {
@@ -354,7 +359,8 @@ func runMapTask(cfg Config, ds Dataset, task int, wk *worker, mc *mapCounters) (
 }
 
 // readSplit returns the bytes of the task's line-aligned split, read into
-// buf's storage when it is large enough.
+// buf's storage when it is large enough. The boundary probes read into the
+// same storage before the split does.
 func readSplit(ds Dataset, task int, buf []byte) ([]byte, error) {
 	block := int64(ds.BlockSize())
 	size := int64(ds.Size())
@@ -363,49 +369,45 @@ func readSplit(ds Dataset, task int, buf []byte) ([]byte, error) {
 	if end > size {
 		end = size
 	}
+	probe := slices.Grow(buf[:0], lineProbe)[:lineProbe]
 	// Skip the partial first line (owned by the previous task), except in
 	// the first block.
 	if task > 0 {
-		off, err := nextLineStart(ds, start-1)
-		if err != nil {
-			return nil, err
-		}
-		start = off
+		start = nextLineStart(ds, start-1, probe)
 	}
 	// Extend past the block boundary to the end of the last line.
 	if end < size {
-		off, err := nextLineStart(ds, end-1)
-		if err != nil {
-			return nil, err
-		}
-		end = off
+		end = nextLineStart(ds, end-1, probe)
 	}
+	buf = probe[:0]
 	if start >= end {
-		return buf[:0], nil
+		return buf, nil
 	}
-	buf = slices.Grow(buf[:0], int(end-start))[:end-start]
+	buf = slices.Grow(buf, int(end-start))[:end-start]
 	if _, err := readFull(ds, buf, start); err != nil {
 		return nil, err
 	}
 	return buf, nil
 }
 
+// lineProbe is the read size nextLineStart scans for a newline with.
+const lineProbe = 4096
+
 // nextLineStart returns the offset just past the first newline at or after
-// off (or the dataset end).
-func nextLineStart(ds Dataset, off int64) (int64, error) {
+// off (or the dataset end), reading through buf.
+func nextLineStart(ds Dataset, off int64, buf []byte) int64 {
 	size := int64(ds.Size())
-	buf := make([]byte, 4096)
 	for off < size {
 		n, err := ds.ReadAt(buf, off)
 		if n == 0 && err != nil {
-			return size, nil
+			return size
 		}
 		if i := bytes.IndexByte(buf[:n], '\n'); i >= 0 {
-			return off + int64(i) + 1, nil
+			return off + int64(i) + 1
 		}
 		off += int64(n)
 	}
-	return size, nil
+	return size
 }
 
 func readFull(ds Dataset, p []byte, off int64) (int, error) {
@@ -431,18 +433,20 @@ type group struct {
 
 // grouper is the engine's one grouping primitive. It numbers keys in the
 // order they first arrive and records each added pair as a (group number,
-// value) entry in two flat slices, so once its storage has grown an add
-// allocates nothing. sorted() then yields what Hadoop's sort-merge step
-// yields — keys ascending, each key's values ascending — by counting-sorting
-// the values into their groups and sorting the group numbers by key, never
-// every pair. A worker owns one grouper and resets it between tasks and
-// spills, so the storage is sized by the worker's largest task, not
-// allocated per task.
+// value end) entry in two flat slices, the value's bytes appended to one
+// arena, so once its storage has grown an add allocates nothing but the
+// copy of a key the grouper has not seen since its last reset. sorted()
+// then yields what Hadoop's sort-merge step yields — keys ascending, each
+// key's values ascending — by counting-sorting the values into their groups
+// and sorting the group numbers by key, never every pair. A worker owns one
+// grouper and resets it between tasks and spills, so the storage is sized
+// by the worker's largest task, not allocated per task.
 type grouper struct {
 	index map[string]int32 // key → group number
 	keys  []string         // group number → key
 	gids  []int32          // group number of each pair, in add order
-	vals  []string         // value of each pair, in add order
+	arena []byte           // the values, concatenated in add order
+	vends []int32          // end of each pair's value in arena
 
 	// Scratch for sorted(), reused across calls.
 	ends   []int32  // group number → end of its values in flat
@@ -451,26 +455,41 @@ type grouper struct {
 	groups []group
 }
 
-func (g *grouper) add(k, v string) {
-	i, ok := g.index[k]
+// add groups one pair. It is the grouper's one add path, for the byte
+// slices a Mapper emits and the strings the combiner, merge and shuffle
+// pass on alike. It keeps no reference to k or v: the lookup
+// index[string(k)] does not allocate, a key new to the grouper is copied
+// once, and the value is copied into the arena. The arena's int32 offsets
+// bound it to 2 GiB; an add past that fails.
+func add[T string | []byte](g *grouper, k, v T) error {
+	if len(g.arena)+len(v) > math.MaxInt32 {
+		return errArenaFull
+	}
+	i, ok := g.index[string(k)]
 	if !ok {
 		if g.index == nil {
 			g.index = make(map[string]int32)
 		}
 		i = int32(len(g.keys))
-		g.index[k] = i
-		g.keys = append(g.keys, k)
+		key := string(k)
+		g.index[key] = i
+		g.keys = append(g.keys, key)
 	}
 	g.gids = append(g.gids, i)
-	g.vals = append(g.vals, v)
+	g.arena = append(g.arena, v...)
+	g.vends = append(g.vends, int32(len(g.arena)))
+	return nil
 }
 
+var errArenaFull = errors.New("engine: over 2 GiB of values in one grouping buffer")
+
 // len returns the number of pairs added since the last reset.
-func (g *grouper) len() int { return len(g.vals) }
+func (g *grouper) len() int { return len(g.gids) }
 
 // sorted returns the groups in key order, each group's values ascending.
-// The groups and their values live in the grouper's scratch storage: they
-// are valid until sorted is called again.
+// The values are substrings of one string copied from the arena per call.
+// The groups and their value slices live in the grouper's scratch storage:
+// they are valid until sorted is called again.
 func (g *grouper) sorted() []group {
 	n := len(g.keys)
 	// Counting sort, stable in add order. ends[i+1] counts group i, the
@@ -485,10 +504,14 @@ func (g *grouper) sorted() []group {
 	for i := 1; i <= n; i++ {
 		g.ends[i] += g.ends[i-1]
 	}
-	g.flat = slices.Grow(g.flat[:0], len(g.vals))[:len(g.vals)]
+	arena := string(g.arena)
+	g.flat = slices.Grow(g.flat[:0], len(g.gids))[:len(g.gids)]
+	start := int32(0)
 	for j, i := range g.gids {
-		g.flat[g.ends[i]] = g.vals[j]
+		end := g.vends[j]
+		g.flat[g.ends[i]] = arena[start:end]
 		g.ends[i]++
+		start = end
 	}
 	g.perm = g.perm[:0]
 	for i := range int32(n) {
@@ -517,14 +540,17 @@ func (g *grouper) reset() {
 	clear(g.index)
 	g.keys = g.keys[:0]
 	g.gids = g.gids[:0]
-	g.vals = g.vals[:0]
+	g.arena = g.arena[:0]
+	g.vends = g.vends[:0]
 }
 
 // runReduceTask groups one partition's shuffled pairs in the worker's
 // grouper g and runs the reducer over each group in key order.
 func runReduceTask(cfg Config, pairs []kv, g *grouper) ([]kv, error) {
 	for _, p := range pairs {
-		g.add(p.k, p.v)
+		if err := add(g, p.k, p.v); err != nil {
+			return nil, fmt.Errorf("engine: job %s reduce: %w", cfg.Name, err)
+		}
 	}
 	grouped := g.sorted()
 	out := make([]kv, 0, len(grouped))
@@ -539,7 +565,8 @@ func runReduceTask(cfg Config, pairs []kv, g *grouper) ([]kv, error) {
 }
 
 // ParseOutput parses an engine output dataset ("key\tvalue" lines) into a
-// map, for tests and examples.
+// map, for tests and examples. A key on two lines is an error: the map
+// could keep only one of its values.
 func ParseOutput(data []byte) (map[string]string, error) {
 	out := make(map[string]string)
 	for _, line := range strings.Split(string(data), "\n") {
@@ -549,6 +576,9 @@ func ParseOutput(data []byte) (map[string]string, error) {
 		k, v, ok := strings.Cut(line, "\t")
 		if !ok {
 			return nil, fmt.Errorf("engine: malformed output line %q", line)
+		}
+		if _, dup := out[k]; dup {
+			return nil, fmt.Errorf("engine: duplicate output key %q", k)
 		}
 		out[k] = v
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"hash/fnv"
+	"maps"
 	"slices"
 	"sort"
 	"strconv"
@@ -212,8 +213,8 @@ func TestSplitAlignmentProperty(t *testing.T) {
 
 type countLinesMapper struct{}
 
-func (countLinesMapper) Map(line []byte, emit func(k, v string)) error {
-	emit("lines", "1")
+func (countLinesMapper) MapLine(line []byte, emit func(k, v []byte)) error {
+	emit([]byte("lines"), one)
 	return nil
 }
 
@@ -345,7 +346,7 @@ func TestMapperErrorPropagates(t *testing.T) {
 
 type failingMapper struct{}
 
-func (failingMapper) Map([]byte, func(string, string)) error {
+func (failingMapper) MapLine([]byte, func(k, v []byte)) error {
 	return fmt.Errorf("boom mapper")
 }
 
@@ -436,6 +437,42 @@ func TestParseOutputErrors(t *testing.T) {
 	if err != nil || len(m) != 2 || m["a"] != "1" {
 		t.Errorf("ParseOutput = %v, %v", m, err)
 	}
+	if _, err := ParseOutput([]byte("a\t1\nb\t2\na\t3\n")); err == nil || !strings.Contains(err.Error(), `"a"`) {
+		t.Errorf("duplicate key: %v, want an error naming \"a\"", err)
+	}
+}
+
+// ParseOutput never panics, and what it accepts round-trips: every
+// non-empty line is one key of the map, and writing the map back out as
+// sorted "key\tvalue" lines parses to the same map.
+func FuzzParseOutput(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m, err := ParseOutput(data)
+		if err != nil {
+			return
+		}
+		lines := 0
+		for _, line := range strings.Split(string(data), "\n") {
+			if line != "" {
+				lines++
+				k, v, _ := strings.Cut(line, "\t")
+				if got, ok := m[k]; !ok || got != v {
+					t.Fatalf("line %q: map has %q, %v", line, got, ok)
+				}
+			}
+		}
+		if len(m) != lines {
+			t.Fatalf("%d keys from %d lines", len(m), lines)
+		}
+		var out strings.Builder
+		for _, k := range slices.Sorted(maps.Keys(m)) {
+			out.WriteString(k + "\t" + m[k] + "\n")
+		}
+		again, err := ParseOutput([]byte(out.String()))
+		if err != nil || !maps.Equal(again, m) {
+			t.Fatalf("round trip: %v, %v; want %v", again, err, m)
+		}
+	})
 }
 
 // Many engine jobs running concurrently against one shared store produce
@@ -529,7 +566,9 @@ func equalGroups(a, b []group) bool {
 // its sorted groups against the sort-merge reference.
 func groupsMatchReference(g *grouper, pairs []kv) bool {
 	for _, p := range pairs {
-		g.add(p.k, p.v)
+		if add(g, p.k, p.v) != nil {
+			return false
+		}
 	}
 	got := g.sorted()
 	ok := g.len() == len(pairs) && equalGroups(got, groupByKey(slices.Clone(pairs)))

@@ -22,9 +22,11 @@ type spillBuffer struct {
 	spills   int
 }
 
-// add groups one pair, spilling when the buffer is full.
-func (s *spillBuffer) add(k, v string) error {
-	s.g.add(k, v)
+// add groups one emitted pair, spilling when the buffer is full.
+func (s *spillBuffer) add(k, v []byte) error {
+	if err := add(s.g, k, v); err != nil {
+		return err
+	}
 	if s.bound > 0 && s.g.len() >= s.bound {
 		return s.spill()
 	}
@@ -66,7 +68,9 @@ func (s *spillBuffer) drain() ([]kv, error) {
 func mergeSegments(segs []segment, combiner Reducer, g *grouper) (segment, error) {
 	for _, seg := range segs {
 		for _, p := range seg {
-			g.add(p.k, p.v)
+			if err := add(g, p.k, p.v); err != nil {
+				return nil, err
+			}
 		}
 	}
 	return g.flush(combiner)
