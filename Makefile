@@ -44,7 +44,7 @@ vet:
 # The determinism-and-contract linter (see DESIGN.md §8 and §12 and
 # internal/simlint): vet, module verification (the module is deliberately
 # dependency-free), the simlint analyzers over the whole tree — determinism
-# checks plus the hotalloc/fieldcover contract analyzers — and a
+# checks plus the hotalloc contract analyzer — and a
 # focused race pass over the concurrency-bearing packages (the engine runs
 # real map and reduce worker goroutines, each owning its grouper). CI runs simlint
 # with -json/-github on top for inline PR annotations.

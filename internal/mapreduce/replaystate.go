@@ -5,7 +5,6 @@ import (
 	"sync"
 
 	"hybridmr/internal/simclock"
-	"hybridmr/internal/stats"
 )
 
 // This file is the cross-replay reuse layer. A trace replay allocates its
@@ -21,16 +20,15 @@ import (
 
 // ReplayState owns one simulated clock and the simulators bound to it. It is
 // not safe for concurrent use — one replay runs on it at a time; concurrent
-// replays each run inside their own WithState.
-//
-//simlint:exhaustive Reset
+// replays each run inside their own WithState. Every field is storage or
+// ownership that Reset keeps.
 type ReplayState struct {
 	eng  *simclock.Engine
 	sims []*Simulator // every simulator ever built on this state
-	free []*Simulator // shells ready for reinitialization
+	free []*Simulator // recycled shells ready for init
 	// pooled marks a state owned by the WithState pool; its simulators
 	// refuse Results so no view into pooled buffers outlives the replay.
-	pooled bool //simlint:allow fieldcover fixed when the pool builds the state; Reset keeps ownership
+	pooled bool
 }
 
 // NewReplayState returns an empty state with a fresh engine, owned by the
@@ -44,14 +42,16 @@ func (st *ReplayState) Engine() *simclock.Engine { return st.eng }
 
 // Simulator hands out a simulator for the platform, bound to the state's
 // engine: a recycled shell when Reset has returned one (its buffers, job and
-// attempt freelists stay warm), a fresh one otherwise. Equivalent to
-// NewSimulatorOn(st.Engine(), p) in every observable way.
+// attempt freelists stay warm), a fresh one otherwise. Both go through the
+// initializer NewSimulatorOn uses, so the result equals
+// NewSimulatorOn(st.Engine(), p) in every field but kept storage
+// (TestRecycledSimulatorMatchesFresh).
 func (st *ReplayState) Simulator(p *Platform) *Simulator {
 	if n := len(st.free); n > 0 {
 		s := st.free[n-1]
 		st.free[n-1] = nil
 		st.free = st.free[:n-1]
-		s.reinit(st.eng, p, st.pooled)
+		s.init(st.eng, p, st.pooled)
 		return s
 	}
 	s := NewSimulatorOn(st.eng, p)
@@ -75,11 +75,13 @@ func (st *ReplayState) Reset() {
 	}
 }
 
-// recycle returns the simulator to its post-construction state while keeping
-// every buffer's capacity and the pooled runs' and attempts' bound event
-// methods. Call only with the engine already reset: leftover runs and
-// attempts are reclaimed unconditionally because no scheduled event can
-// reference them anymore.
+// recycle returns the simulator to a blank shell for init, keeping every
+// buffer's capacity and the pooled runs' and attempts' bound event methods.
+// Call only with the engine already reset: leftover runs and attempts are
+// reclaimed unconditionally because no scheduled event can reference them
+// anymore. The shell is then one Simulator value naming only the kept
+// storage, so policy, injection, hooks, observers, counters and any field
+// added later start from zero without being listed.
 func (s *Simulator) recycle() {
 	// Reclaim in-flight attempts (abandoned replays only; a drained replay
 	// has none). The pointers are nilled so a recycled run is not pinned.
@@ -89,62 +91,38 @@ func (s *Simulator) recycle() {
 		s.attemptFree = append(s.attemptFree, att)
 		s.inflight[i] = nil
 	}
-	s.inflight = s.inflight[:0]
 	// Reclaim still-active runs, detaching them from the ready sets first so
 	// the intrusive linkage recycleJob relies on is clean.
 	for i, run := range s.active {
 		s.ready[kMap].set(run, false)
 		s.ready[kRed].set(run, false)
-		run.activeIdx = -1
 		s.recycleJob(run)
 		s.active[i] = nil
 	}
-	s.active = s.active[:0]
-	s.running = 0
-	// Empty the value buffers, clearing first so job IDs and error strings
-	// are released rather than pinned by the spare capacity.
+	// Clear the buffers' contents so job IDs and error strings are released
+	// rather than pinned by the spare capacity. The memoized degraded views
+	// go too: the next replay may bind a different platform, and rebuilding
+	// the few visited levels is cheap.
 	clear(s.results)
-	s.results = s.results[:0]
 	clear(s.arrivals)
-	s.arrivals = s.arrivals[:0]
-	s.arriveNext = 0
-	s.lastQueued = 0
-	// Drop the memoized degraded views: the next replay may bind a different
-	// platform, and rebuilding the few visited levels is cheap.
 	clear(s.degraded)
-	// The task storage is per replay (the runs above already freed their
-	// slots); the next replay's fault schedule decides afresh whether it
-	// keeps a map-output ledger.
-	s.taskSlab = s.taskSlab[:0]
-	s.slabFree = 0
-	s.keepLedger = false
 	clear(s.taskFailures)
-	// Injection, policy, hooks and observers do not carry over.
-	s.policy = FIFO
-	s.ready[kMap].policy = FIFO
-	s.ready[kRed].policy = FIFO
-	s.failureRate, s.failRNG = 0, nil
-	s.jitterFrac, s.speculative, s.jitterRNG = 0, false, nil
-	s.jitterVar = stats.LogUniformVar{}
-	s.cloneThreshold, s.clonesStarted, s.clonesWon = 0, 0, 0
-	s.onResult = nil
-	s.obsv = simObs{}
-	s.inv = invState{}
-}
-
-// reinit rebinds a recycled shell to an engine and platform, reproducing
-// NewSimulatorOn field-for-field; recycle already restored everything else.
-func (s *Simulator) reinit(eng *simclock.Engine, p *Platform, pooled bool) {
-	s.platform = p
-	s.eng = eng
-	s.pooled = pooled
-	s.freeMap, s.capMap = p.Spec.MapSlots(), p.Spec.MapSlots()
-	s.freeRed, s.capRed = p.Spec.ReduceSlots(), p.Spec.ReduceSlots()
-	s.setupMaps, s.queuedMaps = 0, 0
-	s.running, s.seq = 0, 0
-	s.machinesDown, s.storageDown = 0, 0
-	s.attemptSeq = 0
-	s.cpuSlow, s.diskSlow, s.nicSlow, s.rackSlow = 1, 1, 1, 1
+	*s = Simulator{
+		active:  s.active[:0],
+		results: s.results[:0],
+		ready: [nKinds]readySet{
+			{kind: kMap, heap: s.ready[kMap].heap[:0]},
+			{kind: kRed, heap: s.ready[kRed].heap[:0]},
+		},
+		degraded:     s.degraded,
+		inflight:     s.inflight[:0],
+		attemptFree:  s.attemptFree,
+		taskSlab:     s.taskSlab[:0],
+		taskFailures: s.taskFailures,
+		jobFree:      s.jobFree,
+		arrivals:     s.arrivals[:0],
+		arriveFn:     s.arriveFn,
+	}
 }
 
 // statePool recycles ReplayStates across replays. The mutex only guards the
@@ -173,9 +151,11 @@ func WithState(fn func(*ReplayState) error) error {
 	if err := fn(st); err != nil {
 		return err
 	}
-	for _, s := range st.sims {
-		if s.eng.Pending() == 0 && s.running != 0 {
-			panic(fmt.Sprintf("mapreduce: %d jobs still running after drain", s.running))
+	if st.eng.Pending() == 0 {
+		for _, s := range st.sims {
+			if s.running != 0 {
+				panic(fmt.Sprintf("mapreduce: %d jobs still running after drain", s.running))
+			}
 		}
 	}
 	return nil

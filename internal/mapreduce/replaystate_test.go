@@ -1,6 +1,7 @@
 package mapreduce
 
 import (
+	"fmt"
 	"reflect"
 	"slices"
 	"testing"
@@ -9,6 +10,7 @@ import (
 
 	"hybridmr/internal/apps"
 	"hybridmr/internal/faults"
+	"hybridmr/internal/obs"
 	"hybridmr/internal/simclock"
 	"hybridmr/internal/units"
 )
@@ -338,5 +340,95 @@ func TestPooledRunsRetainNoJobStorage(t *testing.T) {
 	}
 	if sim.keepLedger || len(sim.taskSlab) != 0 {
 		t.Errorf("clean replay wrote %d slab entries (ledger kept %v), want none", len(sim.taskSlab), sim.keepLedger)
+	}
+}
+
+// TestRecycledSimulatorMatchesFresh is the reset contract with no field
+// list: after a replay that turns on every optional mode, ReplayState.Reset
+// and Simulator yield a simulator equal to NewSimulatorOn field by field,
+// found by reflection, so a field added later is covered without naming it.
+// Only the two cross-replay pools (jobFree, attemptFree) may differ. The
+// records those pools hand out again must equal freshly allocated ones too.
+func TestRecycledSimulatorMatchesFresh(t *testing.T) {
+	p := MustArch(OutOFS, DefaultCalibration())
+	st := NewReplayState()
+	sim := st.Simulator(p)
+	sim.SetObserver(obs.NewTracer(), obs.NewRegistry())
+	sim.SetInvariants(NewInvariantChecker())
+	if err := sim.SpeculateClones(1.5); err != nil {
+		t.Fatal(err)
+	}
+	// The crash and the CPU window stay open at the end of the replay, so
+	// the capacity and slowdown state is still dirty when Reset runs.
+	mustFaults(t, sim, []faults.Event{
+		{At: 5 * time.Minute, Kind: faults.CPUSlow, Cluster: faults.ClusterOut, Count: 0, Factor: 3},
+		{At: 20 * time.Minute, Kind: faults.MachineCrash, Cluster: faults.ClusterOut, Count: 2},
+	})
+	sc := replayScenario{Fair: true, Failure: 2, Jitter: 1, Speculate: true}
+	for i := range 40 {
+		sc.Seeds = append(sc.Seeds, uint32(i*7919+13))
+	}
+	sc.hooked(t, sim)
+	if started, _ := sim.SpeculationStats(); started == 0 {
+		t.Fatal("dirtying replay started no speculative clones")
+	}
+
+	st.Reset()
+	rec := st.Simulator(p)
+	fresh := NewSimulatorOn(st.Engine(), p)
+	if rec == fresh || len(rec.attemptFree) == 0 || len(rec.jobFree) == 0 {
+		t.Fatal("Reset returned no recycled simulator with pooled records")
+	}
+	sameFields(t, "Simulator", reflect.ValueOf(rec).Elem(), reflect.ValueOf(fresh).Elem(), "jobFree", "attemptFree")
+
+	// Hand every pooled record out again next to a fresh allocation. The
+	// two simulators' counters advance in step, so only the owner differs.
+	for len(rec.jobFree) > 0 {
+		got, want := rec.newJobRun(Job{}, plan{}), fresh.newJobRun(Job{}, plan{})
+		if got.sim != rec {
+			t.Fatal("recycled jobRun not bound to its simulator")
+		}
+		sameFields(t, "jobRun", reflect.ValueOf(got).Elem(), reflect.ValueOf(want).Elem(), "sim")
+	}
+	for len(rec.attemptFree) > 0 {
+		got, want := rec.addAttempt(nil, 0, true), fresh.addAttempt(nil, 0, true)
+		if got.sim != rec {
+			t.Fatal("recycled attempt not bound to its simulator")
+		}
+		sameFields(t, "attempt", reflect.ValueOf(got).Elem(), reflect.ValueOf(want).Elem(), "sim", "fireFn")
+	}
+}
+
+// sameFields reports every field of two structs of one type that differs,
+// skipping the named top-level fields. Slices and maps compare by length
+// (their capacity is storage a reset may keep), funcs by nil-ness (a bound
+// method is a different value per object), structs and arrays element by
+// element, and everything else by value.
+func sameFields(t *testing.T, path string, got, want reflect.Value, skip ...string) {
+	t.Helper()
+	switch got.Kind() {
+	case reflect.Struct:
+		for i := range got.NumField() {
+			name := got.Type().Field(i).Name
+			if !slices.Contains(skip, name) {
+				sameFields(t, path+"."+name, got.Field(i), want.Field(i))
+			}
+		}
+	case reflect.Array:
+		for i := range got.Len() {
+			sameFields(t, fmt.Sprintf("%s[%d]", path, i), got.Index(i), want.Index(i))
+		}
+	case reflect.Slice, reflect.Map:
+		if got.Len() != want.Len() {
+			t.Errorf("%s: len %d, fresh %d", path, got.Len(), want.Len())
+		}
+	case reflect.Func:
+		if got.IsNil() != want.IsNil() {
+			t.Errorf("%s: nil %v, fresh nil %v", path, got.IsNil(), want.IsNil())
+		}
+	default:
+		if !got.Equal(want) {
+			t.Errorf("%s: %v, fresh %v", path, got, want)
+		}
 	}
 }

@@ -53,11 +53,10 @@ const (
 // queueing (the effect the paper blames for THadoop's poor performance in
 // §V) emerges from the slot accounting.
 //
-// Every field must be restored by recycle() or reinit() — the pooled-state
-// reuse contract (replaystate.go); the two deliberate carry-overs below are
-// annotated where they are declared.
-//
-//simlint:exhaustive recycle,reinit
+// A simulator is pooled across replays (replaystate.go): recycle() rebuilds
+// it as one value that names only the storage it keeps, and init() sets the
+// non-zero defaults, so a field added later starts from zero on every reuse
+// without being listed anywhere.
 type Simulator struct {
 	platform *Platform
 	eng      *simclock.Engine
@@ -125,7 +124,7 @@ type Simulator struct {
 	// steady-state job traffic allocates no per-job state (replaystate.go).
 	// It deliberately survives recycle(): pooled runs are engine-agnostic
 	// (recycleJob zeroes them) and keeping them warm is the whole point.
-	jobFree []*jobRun //simlint:allow fieldcover the warm run pool is the cross-replay carry-over; recycleJob zeroes each pooled record
+	jobFree []*jobRun
 
 	// Arrival queue: monotone submissions ride one shared event instead of
 	// a per-job closure. Queued arrivals fire in (at, seq) order, which is
@@ -135,7 +134,7 @@ type Simulator struct {
 	arriveNext int
 	// arriveFn is the bound nextArrival method, created once in
 	// NewSimulatorOn and engine-independent, so it survives recycle().
-	arriveFn   simclock.Event //simlint:allow fieldcover bound method of the simulator itself; rebinding per recycle would allocate for no observable change
+	arriveFn   simclock.Event
 	lastQueued time.Duration
 
 	// Gray degradation (graysim.go): the per-stream attempt-level slowdown
@@ -171,22 +170,20 @@ func NewSimulator(p *Platform) *Simulator {
 // several clusters (e.g. the hybrid's scale-up and scale-out halves) share
 // one simulated clock while keeping separate slot pools.
 func NewSimulatorOn(eng *simclock.Engine, p *Platform) *Simulator {
-	s := &Simulator{
-		platform: p,
-		eng:      eng,
-		freeMap:  p.Spec.MapSlots(),
-		freeRed:  p.Spec.ReduceSlots(),
-		capMap:   p.Spec.MapSlots(),
-		capRed:   p.Spec.ReduceSlots(),
-		cpuSlow:  1,
-		diskSlow: 1,
-		nicSlow:  1,
-		rackSlow: 1,
-	}
-	s.ready[kMap].kind = kMap
-	s.ready[kRed].kind = kRed
+	s := &Simulator{ready: [nKinds]readySet{{kind: kMap}, {kind: kRed}}}
 	s.arriveFn = s.nextArrival
+	s.init(eng, p, false)
 	return s
+}
+
+// init binds a new or recycled simulator to an engine and platform and sets
+// the non-zero defaults: full slot pools and clean (1×) slowdown weights.
+// Every other field starts from zero.
+func (s *Simulator) init(eng *simclock.Engine, p *Platform, pooled bool) {
+	s.platform, s.eng, s.pooled = p, eng, pooled
+	s.freeMap, s.capMap = p.Spec.MapSlots(), p.Spec.MapSlots()
+	s.freeRed, s.capRed = p.Spec.ReduceSlots(), p.Spec.ReduceSlots()
+	s.cpuSlow, s.diskSlow, s.nicSlow, s.rackSlow = 1, 1, 1, 1
 }
 
 // SetPolicy selects the slot-sharing policy; call before Run.
@@ -368,12 +365,9 @@ func (s *Simulator) MapSlotCapacity() int { return s.capMap }
 // jobRun tracks one in-flight job. Runs are pooled: completeJob (and the
 // last attempt drain of a failed job) returns the record to the simulator's
 // freelist, and the next arrival reuses it, so steady-state job traffic
-// allocates nothing per job. Every field must be restored before reuse:
-// recycleJob zeroes the per-job state, newJobRun rebinds the identity and
-// the once-per-object bound events, and the ready-set unlink operations
-// (listRemove/heapRemove) reset the intrusive linkage.
-//
-//simlint:exhaustive recycleJob,newJobRun,listRemove,heapRemove
+// allocates nothing per job. recycleJob rebuilds the record as one value
+// that keeps only the once-per-object bound events, so every other field
+// starts from zero; newJobRun then sets the job's identity.
 type jobRun struct {
 	sim    *Simulator
 	job    Job
@@ -517,7 +511,7 @@ func (s *Simulator) newJobRun(job Job, pl plan) *jobRun {
 		s.jobFree[n-1] = nil
 		s.jobFree = s.jobFree[:n-1]
 	} else {
-		run = &jobRun{} //simlint:allow hotalloc freelist miss: allocates only until the job pool reaches the workload's high-water mark
+		run = &jobRun{activeIdx: -1} //simlint:allow hotalloc freelist miss: allocates only until the job pool reaches the workload's high-water mark
 		run.setupFn = run.setupDone
 		run.shuffleFn = run.shuffleFire
 	}
@@ -533,28 +527,12 @@ func (s *Simulator) newJobRun(job Job, pl plan) *jobRun {
 //
 //simlint:hotpath
 func (s *Simulator) recycleJob(run *jobRun) {
-	run.sim = nil
-	run.job = Job{}
-	run.pl = plan{}
-	run.seq = 0
-	run.submit, run.start = 0, 0
-	run.initMaps, run.initReds = 0, 0
 	// The re-queue stacks are empty here unless recycle() is reclaiming an
 	// abandoned replay's run; the ledger still holds the job's map outputs.
 	s.stackDrop(&run.req[kMap])
 	s.stackDrop(&run.req[kRed])
 	s.stackDrop(&run.ledger)
-	run.runningMaps, run.runningReds = 0, 0
-	run.mapsDone, run.redsDone = 0, 0
-	run.shuffling = false
-	run.failed = false
-	run.retries = 0
-	run.firstMapAt, run.startedMap = 0, false
-	run.lastMapDone, run.shuffleDone = 0, 0
-	// The dispatch linkage is already clean — removeActive, listRemove and
-	// heapRemove reset their back-pointers — so only activeIdx needs its
-	// absent sentinel.
-	run.activeIdx = -1
+	*run = jobRun{setupFn: run.setupFn, shuffleFn: run.shuffleFn, activeIdx: -1}
 	s.jobFree = append(s.jobFree, run)
 }
 

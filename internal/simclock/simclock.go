@@ -42,8 +42,6 @@ func (a item) before(b item) bool {
 // TestEngineAfterSteadyStateAllocs). The (at, seq) order is identical, so
 // execution order is byte-for-byte unchanged (see
 // TestEngineMatchesReferenceHeap).
-//
-//simlint:exhaustive Reset
 type Engine struct {
 	now     time.Duration
 	seq     uint64
@@ -175,27 +173,21 @@ func (e *Engine) Now() time.Duration { return e.now }
 
 // Reset restores the engine to its just-constructed state — clock at zero,
 // sequence counter at zero, no pending events, no watchdog — while keeping
-// the pending heap's capacity, so a replay on a reset engine schedules into
-// warm storage but is byte-for-byte identical to one on a fresh engine (the
-// seq counter restarts, so the (at, seq) total order is reproduced exactly).
-// The vacated slots are cleared first so dropped event closures are released
-// for GC rather than pinned by the spare capacity.
+// the storage of the pending heap and the sorted runs, so a replay on a reset
+// engine schedules into warm storage but is byte-for-byte identical to one on
+// a fresh engine (the seq counter restarts, so the (at, seq) total order is
+// reproduced exactly). The vacated slots are cleared first so dropped event
+// closures are released for GC rather than pinned by the spare capacity.
+// The engine is then rebuilt as one value naming only the kept storage, so
+// every other field, including one added later, starts from zero.
 func (e *Engine) Reset() {
 	clear(e.pending)
-	e.pending = e.pending[:0]
-	for k := range e.streams {
-		r := &e.streams[k]
+	var streams [numStreams]sortedRun
+	for k, r := range e.streams {
 		clear(r.items)
-		r.items = r.items[:0]
-		r.next = 0
+		streams[k].items = r.items[:0]
 	}
-	e.used = 0
-	e.head = [numStreams]runKey{}
-	e.tail = [numStreams]time.Duration{}
-	e.now = 0
-	e.seq = 0
-	e.ran = 0
-	e.watch = nil
+	*e = Engine{pending: e.pending[:0], streams: streams}
 }
 
 // Events reports how many events have been executed so far.

@@ -11,6 +11,5 @@ func All() []*Analyzer {
 		Locksafe,
 		Selectorder,
 		Hotalloc,
-		Fieldcover,
 	}
 }

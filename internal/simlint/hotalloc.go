@@ -46,7 +46,7 @@ var KnownHotPaths = map[string][]string{
 }
 
 func runHotalloc(p *Pass) error {
-	markers := parseMarkers(p.Fset, p.Files, hotpathPrefix)
+	markers := parseMarkers(p.Fset, p.Files)
 	marked := make(map[*ast.FuncDecl]bool)
 	byName := make(map[string]*ast.FuncDecl)
 	for _, f := range p.Files {

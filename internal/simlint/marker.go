@@ -8,51 +8,42 @@ import (
 	"strings"
 )
 
-// Contract markers opt code into the contract analyzers:
+// A contract marker opts a function into the hotalloc analyzer:
 //
 //	//simlint:hotpath
 //	func (e *Engine) Step() bool { ... }          // hotalloc: may not allocate
 //
-//	//simlint:exhaustive Reset,recycle
-//	type ReplayState struct { ... }               // fieldcover: every field
-//	                                              // mentioned in the methods
-//
 // A marker goes in the declaration's doc comment (any line of it) or on the
 // line directly above the declaration. A marker that attaches to nothing is
 // itself a diagnostic — contracts must not silently fall off when code moves.
-const (
-	hotpathPrefix    = "simlint:hotpath"
-	exhaustivePrefix = "simlint:exhaustive"
-)
+const hotpathPrefix = "simlint:hotpath"
 
 // marker is one parsed contract-marker comment.
 type marker struct {
-	rest string // text after the prefix, trimmed
 	pos  token.Pos
 	file string
 	line int
 	used bool
 }
 
-// parseMarkers extracts every comment starting with the given prefix. The
-// prefix must be followed by end-of-comment or whitespace, so the hotpath
-// prefix does not also match a hypothetical longer marker name.
-func parseMarkers(fset *token.FileSet, files []*ast.File, prefix string) []*marker {
+// parseMarkers extracts every hotpath marker comment. The prefix must be
+// followed by end-of-comment or whitespace, so it does not also match a
+// hypothetical longer marker name.
+func parseMarkers(fset *token.FileSet, files []*ast.File) []*marker {
 	var out []*marker
 	for _, f := range files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
 				text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
-				if !strings.HasPrefix(text, prefix) {
+				if !strings.HasPrefix(text, hotpathPrefix) {
 					continue
 				}
-				rest := text[len(prefix):]
+				rest := text[len(hotpathPrefix):]
 				if rest != "" && rest[0] != ' ' && rest[0] != '\t' {
 					continue
 				}
 				p := fset.Position(c.Pos())
 				out = append(out, &marker{
-					rest: strings.TrimSpace(rest),
 					pos:  c.Pos(),
 					file: p.Filename,
 					line: p.Line,
@@ -92,7 +83,7 @@ func MarkedHotpaths(dir string) ([]string, error) {
 		}
 		files = append(files, f)
 	}
-	markers := parseMarkers(fset, files, hotpathPrefix)
+	markers := parseMarkers(fset, files)
 	var out []string
 	for _, f := range files {
 		for _, decl := range f.Decls {

@@ -24,7 +24,8 @@ func (f Finding) String() string {
 }
 
 // DirectiveAnalyzer is the pseudo-analyzer name under which directive
-// hygiene violations (missing reason, suppressing nothing) are reported.
+// hygiene violations (missing reason, unknown analyzer, suppressing nothing)
+// are reported.
 const DirectiveAnalyzer = "directive"
 
 // Run executes the analyzers over one package and returns the surviving
@@ -78,6 +79,12 @@ func Run(pkg *Package, analyzers []*Analyzer, sim bool) ([]Finding, error) {
 				Pos:      pkg.Fset.Position(dir.pos),
 				Message:  fmt.Sprintf("simlint:allow %s has no reason; the reason is mandatory", dir.analyzer),
 			})
+		case !exists(dir.analyzer):
+			out = append(out, Finding{
+				Analyzer: DirectiveAnalyzer,
+				Pos:      pkg.Fset.Position(dir.pos),
+				Message:  fmt.Sprintf("simlint:allow %s names no analyzer; delete the directive or fix the name", dir.analyzer),
+			})
 		case !known[dir.analyzer]:
 			// A directive for an analyzer that did not run this pass
 			// (e.g. fixture tests run one analyzer at a time) cannot be
@@ -104,4 +111,18 @@ func Run(pkg *Package, analyzers []*Analyzer, sim bool) ([]Finding, error) {
 		return out[i].Analyzer < out[j].Analyzer
 	})
 	return out, nil
+}
+
+// exists reports whether a directive's analyzer name is one simlint has:
+// a member of All() or the directive pseudo-analyzer.
+func exists(name string) bool {
+	if name == DirectiveAnalyzer {
+		return true
+	}
+	for _, a := range All() {
+		if a.Name == name {
+			return true
+		}
+	}
+	return false
 }

@@ -59,14 +59,6 @@ func TestHotalloc(t *testing.T) {
 	simlinttest.Run(t, fixture("hotalloc"), simlint.Hotalloc)
 }
 
-// TestFieldcover pins the exhaustive-coverage contract: uncovered fields
-// (named and embedded) are diagnosed at their declaration line, mentions
-// count through selectors / keyed literals / whole-value writes on any
-// listed function, and malformed markers are diagnosed.
-func TestFieldcover(t *testing.T) {
-	simlinttest.Run(t, fixture("fieldcover"), simlint.Fieldcover)
-}
-
 // TestSuppression pins the directive contract: a reasoned //simlint:allow
 // suppresses its line, a reasonless one suppresses nothing and is itself
 // diagnosed, and a stale one is reported.

@@ -3,7 +3,9 @@
 //
 //   - a directive with a reason suppresses its line (and only its line);
 //   - a reasonless directive suppresses nothing and is itself a diagnostic;
-//   - a directive that matches no diagnostic is reported as stale.
+//   - a directive that matches no diagnostic is reported as stale;
+//   - a directive naming no analyzer is reported, even though the fixture
+//     runs only walltime.
 package suppress
 
 import "time"
@@ -30,4 +32,12 @@ func stale() int {
 	// want-next "suppresses nothing"
 	x := 1 //simlint:allow walltime fixture: stale directive kept to pin the unused check
 	return x
+}
+
+// Unknown: a directive for an analyzer that does not exist is reported, so
+// it cannot outlive the analyzer it once named.
+func unknown() int {
+	// want-next "names no analyzer"
+	y := 2 //simlint:allow nosuchanalyzer fixture: names an analyzer that does not exist
+	return y
 }

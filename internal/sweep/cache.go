@@ -18,9 +18,8 @@ import (
 // size and task-layout overrides, and the fault scenario. Job.ID and
 // Job.Submit are deliberately excluded — RunIsolated ignores them, which is
 // what lets "fig", "norm" and "sweep" probes of the same point share one
-// simulation.
-//
-//simlint:exhaustive KeyFor
+// simulation. KeyFor builds it as a positional literal, so adding a field
+// fails to compile until KeyFor fills it.
 type Key struct {
 	Plat, App uint64
 	Input     units.Bytes
@@ -56,12 +55,12 @@ var keySeed = maphash.MakeSeed()
 //simlint:hotpath
 func KeyFor(p *mapreduce.Platform, job mapreduce.Job, faultsFP uint64) Key {
 	return Key{
-		Plat:     maphash.Comparable(keySeed, platformID{p.Name, p.Spec, p.FS.Name(), p.Cal}),
-		App:      maphash.Comparable(keySeed, job.App),
-		Input:    job.Input,
-		Reducers: job.Reducers,
-		MapTasks: job.MapTasks,
-		Faults:   faultsFP,
+		maphash.Comparable(keySeed, platformID{p.Name, p.Spec, p.FS.Name(), p.Cal}),
+		maphash.Comparable(keySeed, job.App),
+		job.Input,
+		job.Reducers,
+		job.MapTasks,
+		faultsFP,
 	}
 }
 
