@@ -120,7 +120,7 @@ func BenchmarkFig9(b *testing.B) {
 // generator actually runs in.
 func BenchmarkFig10(b *testing.B) {
 	cfg := traceConfig(6000)
-	warmReplayPool(b, 3, func() error { // hybrid, THadoop, RHadoop
+	warmReplayPool(b, 4, func() error { // RHadoop, THadoop and the hybrid's two halves
 		_, err := figures.Fig10(cal(), cfg)
 		return err
 	})

@@ -1,6 +1,7 @@
 package figures
 
 import (
+	"errors"
 	"fmt"
 
 	"hybridmr/internal/core"
@@ -11,8 +12,9 @@ import (
 	"hybridmr/internal/workload"
 )
 
-// TraceResult bundles the §V trace experiment's outcome for reuse by the
-// figure, the CLI and the tests.
+// TraceResult is the §V trace experiment's outcome keyed by job ID, for
+// callers that look jobs up by name. Fig10 itself reads the index-aligned
+// columns of runTrace and builds none of these maps.
 type TraceResult struct {
 	Jobs []workload.Job
 	// UpClass marks job IDs Algorithm 1 routes to the scale-up cluster.
@@ -22,71 +24,151 @@ type TraceResult struct {
 }
 
 // RunTrace executes the trace experiment: the workload on the hybrid and on
-// the two 24-machine baselines, under the Fair scheduler. The three replays
-// are independent whole-cluster simulations — each runs on its own pooled
-// replay state over the shared read-only job slice — so they run concurrently
-// on the process-wide sweep runner's worker pool. The trace and the
-// architectures come from the memoized shared setup (setup.go): a repeated
-// render with the same calibration and config skips regeneration entirely.
+// the two 24-machine baselines, under the Fair scheduler (see runTrace), and
+// returns per-job results keyed by job ID. The trace and the architectures
+// come from the memoized shared setup (setup.go): a repeated run with the
+// same calibration and config skips regeneration entirely.
 func RunTrace(cal mapreduce.Calibration, cfg workload.Config) (*TraceResult, error) {
 	setup, err := SharedSetup(cal, cfg)
 	if err != nil {
 		return nil, err
 	}
-	jobs, hybrid := setup.Jobs, setup.Hybrid
-	upJobs, _ := hybrid.Sched.Classify(jobs)
+	run, err := runTrace(setup)
+	if err != nil {
+		return nil, err
+	}
+	n := len(run.jobs)
 	tr := &TraceResult{
-		Jobs:    jobs,
-		UpClass: make(map[string]bool, len(upJobs)),
-		Hybrid:  make(map[string]float64, len(jobs)),
-		THadoop: make(map[string]float64, len(jobs)),
-		RHadoop: make(map[string]float64, len(jobs)),
+		Jobs:    run.jobs,
+		UpClass: make(map[string]bool, run.nUp),
+		Hybrid:  make(map[string]float64, n),
+		THadoop: make(map[string]float64, n),
+		RHadoop: make(map[string]float64, n),
 	}
-	for _, j := range upJobs {
-		tr.UpClass[j.ID] = true
-	}
-	type replay struct {
-		name string
-		into map[string]float64
-		run  func() ([]mapreduce.Result, error)
-	}
-	baseline := func(p *mapreduce.Platform) func() ([]mapreduce.Result, error) {
-		return func() ([]mapreduce.Result, error) {
-			return core.RunBaseline(p, jobs, mapreduce.Fair), nil
+	for i, j := range run.jobs {
+		if run.up[i] {
+			tr.UpClass[j.ID] = true
 		}
-	}
-	replays := []replay{
-		{"hybrid", tr.Hybrid, func() ([]mapreduce.Result, error) {
-			rs := hybrid.Run(jobs)
-			out := make([]mapreduce.Result, len(rs))
-			for i, r := range rs {
-				out[i] = r.Result
-			}
-			return out, nil
-		}},
-		{"THadoop", tr.THadoop, baseline(setup.THadoop)},
-		{"RHadoop", tr.RHadoop, baseline(setup.RHadoop)},
-	}
-	type outcome struct {
-		results []mapreduce.Result
-		err     error
-	}
-	outs := sweep.Map(sweep.Default().Workers(), len(replays), func(i int) outcome {
-		rs, err := replays[i].run()
-		return outcome{results: rs, err: err}
-	})
-	for i, o := range outs {
-		if o.err != nil {
-			return nil, fmt.Errorf("figures: %s: %w", replays[i].name, o.err)
-		}
-		for _, r := range o.results {
-			if r.Err != nil {
-				return nil, fmt.Errorf("figures: %s job %s: %w", replays[i].name, r.Job.ID, r.Err)
-			}
-			replays[i].into[r.Job.ID] = r.Exec.Seconds()
-		}
+		tr.Hybrid[j.ID] = run.hybrid[i]
+		tr.THadoop[j.ID] = run.thadoop[i]
+		tr.RHadoop[j.ID] = run.rhadoop[i]
 	}
 	return tr, nil
+}
+
+// traceRun is the trace experiment's outcome as columns aligned with jobs:
+// entry i of every slice belongs to jobs[i].
+type traceRun struct {
+	jobs []workload.Job
+	// up[i] reports that Algorithm 1 routes jobs[i] to the scale-up
+	// cluster; nUp counts those jobs.
+	up  []bool
+	nUp int
+	// hybrid, thadoop and rhadoop hold execution seconds.
+	hybrid, thadoop, rhadoop []float64
+}
+
+// runTrace replays the setup's trace on the hybrid, THadoop and RHadoop as
+// four independent replays fanned out on the process-wide sweep runner's
+// worker pool, each on its own pooled replay state over read-only inputs.
+//
+// The hybrid replays as two halves. Algorithm 1 routes every job statically
+// and, with no load balancer, neither half ever reads the other's state, so
+// each half runs alone as hybrid.Run over only its own jobs: every job in it
+// routes back to the same half, and its events keep their shared-clock order.
+// A hybrid with a balancer would couple the halves and is refused.
+//
+// The setup's trace must be in arrival order, as generated traces are:
+// RunBaseline returns results in arrival order, so result i is then job i.
+func runTrace(setup *ReplaySetup) (*traceRun, error) {
+	h, jobs := setup.Hybrid, setup.Jobs
+	if h.Balance != nil {
+		return nil, errors.New("figures: the trace replay routes statically; the hybrid has a load balancer")
+	}
+	n := len(jobs)
+	run := &traceRun{
+		jobs:    jobs,
+		up:      make([]bool, n),
+		hybrid:  make([]float64, n),
+		thadoop: make([]float64, n),
+		rhadoop: make([]float64, n),
+	}
+	for i := range jobs {
+		if h.Sched.Decide(jobs[i]) == core.ScaleUp {
+			run.up[i] = true
+			run.nUp++
+		}
+	}
+	split := make([]workload.Job, n)
+	partition(split, jobs, run.up, run.nUp)
+
+	// Longest first: on the 6000-job day the baselines take ~30 and ~28 ms
+	// and the halves ~20 and ~9 ms, so two workers start both baselines and
+	// the halves fill in behind them. Each replay copies its exec seconds out
+	// as it ends, so its results are garbage while the others still run.
+	replays := [...]func() error{
+		func() error { return run.baseline(run.rhadoop, "RHadoop", setup.RHadoop) },
+		func() error { return run.baseline(run.thadoop, "THadoop", setup.THadoop) },
+		func() error { return run.half(false, h.Run(split[run.nUp:])) },
+		func() error { return run.half(true, h.Run(split[:run.nUp])) },
+	}
+	for _, err := range sweep.Map(sweep.Default().Workers(), len(replays), func(i int) error { return replays[i]() }) {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return run, nil
+}
+
+// baseline replays the trace on p under Fair into col.
+func (run *traceRun) baseline(col []float64, name string, p *mapreduce.Platform) error {
+	rs := core.RunBaseline(p, run.jobs, mapreduce.Fair)
+	for i := range rs {
+		if err := putExec(col, i, name, &rs[i]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// half merges one hybrid half's results, in the order of its jobs, back
+// into trace order: the k-th scale-up (or scale-out) job of the trace is
+// that half's k-th result. The two halves fill disjoint entries.
+func (run *traceRun) half(up bool, rs []core.JobResult) error {
+	k := 0
+	for i, isUp := range run.up {
+		if isUp != up {
+			continue
+		}
+		if err := putExec(run.hybrid, i, "hybrid", &rs[k].Result); err != nil {
+			return err
+		}
+		k++
+	}
+	return nil
+}
+
+// putExec stores r's execution seconds in col[i], or reports the replay's
+// failed job.
+func putExec(col []float64, i int, replay string, r *mapreduce.Result) error {
+	if r.Err != nil {
+		return fmt.Errorf("figures: %s job %s: %w", replay, r.Job.ID, r.Err)
+	}
+	col[i] = r.Exec.Seconds()
+	return nil
+}
+
+// partition copies src into dst, which has the same length: the nUp entries
+// up marks first, then the rest from dst[nUp:], each group in src order.
+func partition[T any](dst, src []T, up []bool, nUp int) {
+	u, o := 0, nUp
+	for i := range src {
+		if up[i] {
+			dst[u], u = src[i], u+1
+		} else {
+			dst[o], o = src[i], o+1
+		}
+	}
 }
 
 // ClassCDF builds the execution-time CDF of one architecture's results for
@@ -109,22 +191,35 @@ func (tr *TraceResult) ClassCDF(exec map[string]float64, upClass bool) *stats.CD
 // Fig10 regenerates Figure 10: the CDFs of execution time of scale-up jobs
 // (panel a) and scale-out jobs (panel b) under Hybrid, THadoop and RHadoop.
 func Fig10(cal mapreduce.Calibration, cfg workload.Config) (textplot.Figure, error) {
-	tr, err := RunTrace(cal, cfg)
+	setup, err := SharedSetup(cal, cfg)
 	if err != nil {
 		return textplot.Figure{}, err
 	}
-	panel := func(name string, upClass bool) (textplot.Panel, []string) {
+	run, err := runTrace(setup)
+	if err != nil {
+		return textplot.Figure{}, err
+	}
+	archs := [...]struct {
+		name string
+		exec []float64
+	}{
+		{"Hybrid", run.hybrid},
+		{"THadoop", run.thadoop},
+		{"RHadoop", run.rhadoop},
+	}
+	// cdfs[a] holds architecture a's scale-up and scale-out CDFs. Samples go
+	// in trace order, so CDF.Mean folds them in the order ClassCDF does.
+	var cdfs [len(archs)][2]*stats.CDF
+	samples := make([]float64, len(run.jobs))
+	for a, arch := range archs {
+		partition(samples, arch.exec, run.up, run.nUp)
+		cdfs[a] = [2]*stats.CDF{stats.NewCDF(samples[:run.nUp]), stats.NewCDF(samples[run.nUp:])}
+	}
+	panel := func(name string, class int) (textplot.Panel, []string) {
 		p := textplot.Panel{Name: name, XLabel: "CDF", YLabel: "execution time (s)"}
 		var notes []string
-		for _, arch := range []struct {
-			name string
-			exec map[string]float64
-		}{
-			{"Hybrid", tr.Hybrid},
-			{"THadoop", tr.THadoop},
-			{"RHadoop", tr.RHadoop},
-		} {
-			cdf := tr.ClassCDF(arch.exec, upClass)
+		for a, arch := range archs {
+			cdf := cdfs[a][class]
 			var xs, ys []float64
 			for _, q := range []float64{0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99, 1.0} {
 				xs = append(xs, q)
@@ -135,8 +230,8 @@ func Fig10(cal mapreduce.Calibration, cfg workload.Config) (textplot.Figure, err
 		}
 		return p, notes
 	}
-	a, notesA := panel("a: scale-up jobs", true)
-	b, notesB := panel("b: scale-out jobs", false)
+	a, notesA := panel("a: scale-up jobs", 0)
+	b, notesB := panel("b: scale-out jobs", 1)
 	fig := textplot.Figure{
 		ID:     "Fig. 10",
 		Title:  "Facebook trace experiment: execution-time CDFs per job class",

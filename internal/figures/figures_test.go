@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"hybridmr/internal/core"
 	"hybridmr/internal/mapreduce"
 	"hybridmr/internal/workload"
 )
@@ -197,6 +198,34 @@ func TestRunTraceAndFig10(t *testing.T) {
 	}
 	if len(tr.Hybrid) != 1200 || len(tr.THadoop) != 1200 || len(tr.RHadoop) != 1200 {
 		t.Fatal("missing results")
+	}
+	// The maps hold what each replay gives every job by ID: the hybrid on
+	// its shared clock and each baseline on its own.
+	setup, err := SharedSetup(cal(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []struct {
+		name string
+		got  map[string]float64
+		rs   []mapreduce.Result
+	}{
+		{"THadoop", tr.THadoop, core.RunBaseline(setup.THadoop, setup.Jobs, mapreduce.Fair)},
+		{"RHadoop", tr.RHadoop, core.RunBaseline(setup.RHadoop, setup.Jobs, mapreduce.Fair)},
+	} {
+		for _, r := range want.rs {
+			if got := want.got[r.Job.ID]; got != r.Exec.Seconds() {
+				t.Fatalf("%s job %s: %vs, replay gives %vs", want.name, r.Job.ID, got, r.Exec.Seconds())
+			}
+		}
+	}
+	for _, r := range setup.Hybrid.Run(setup.Jobs) {
+		if got := tr.Hybrid[r.Job.ID]; got != r.Exec.Seconds() {
+			t.Fatalf("hybrid job %s: %vs, shared clock gives %vs", r.Job.ID, got, r.Exec.Seconds())
+		}
+		if tr.UpClass[r.Job.ID] != (r.Target == core.ScaleUp) {
+			t.Fatalf("job %s: UpClass %v, routed %v", r.Job.ID, tr.UpClass[r.Job.ID], r.Target)
+		}
 	}
 	upCDF := tr.ClassCDF(tr.Hybrid, true)
 	outCDF := tr.ClassCDF(tr.Hybrid, false)

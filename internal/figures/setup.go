@@ -13,7 +13,8 @@ import (
 // This file is the shared-prefix layer of the replay experiments: the work
 // every replay of a report repeats — generating the trace, assembling the
 // hybrid and the two baseline platforms — is computed once and memoized, and
-// the 3–7 concurrent replays of RunTrace/RunResilienceOpts share the results.
+// the four concurrent replays of RunTrace and Fig10 and the five or six of
+// RunResilienceOpts share the results.
 // Everything handed out is read-only after construction (the simulators only
 // read jobs and platforms), which is what already made the replays safe to
 // fan out on the sweep pool; the memo just stops rebuilding the inputs.

@@ -80,6 +80,13 @@ func TestUpHDFSCapacityLimit(t *testing.T) {
 	if !errors.Is(err, storage.ErrCapacity) {
 		t.Errorf("128GB job error = %v, want ErrCapacity", err)
 	}
+	var ce *storage.CapacityError
+	if !errors.As(err, &ce) || *ce != (storage.CapacityError{FS: "hdfs", Need: 128 * units.GB, Usable: usable}) {
+		t.Errorf("128GB job error = %#v, want a *CapacityError for 128GB of %v", err, usable)
+	}
+	if got, want := err.Error(), "hdfs: job needs 128.0GB of 81.9GB usable: storage: dataset exceeds file system capacity"; got != want {
+		t.Errorf("128GB job error text = %q, want %q", got, want)
+	}
 }
 
 func TestOutHDFSCapacity(t *testing.T) {

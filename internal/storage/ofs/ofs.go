@@ -197,7 +197,7 @@ func (s *System) UsableCapacity() units.Bytes {
 func (s *System) CheckJobFit(input, output units.Bytes) error {
 	need := input + output
 	if cap := s.UsableCapacity(); need > cap {
-		return fmt.Errorf("ofs: job needs %v of %v usable: %w", need, cap, storage.ErrCapacity)
+		return &storage.CapacityError{FS: "ofs", Need: need, Usable: cap}
 	}
 	return nil
 }

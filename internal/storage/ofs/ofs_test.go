@@ -101,6 +101,13 @@ func TestCapacityHuge(t *testing.T) {
 	if !errors.Is(err, storage.ErrCapacity) {
 		t.Errorf("300TB error = %v, want ErrCapacity", err)
 	}
+	var ce *storage.CapacityError
+	if !errors.As(err, &ce) || *ce != (storage.CapacityError{FS: "ofs", Need: 300 * units.TB, Usable: s.UsableCapacity()}) {
+		t.Errorf("300TB error = %#v, want a *CapacityError for 300TB of %v", err, s.UsableCapacity())
+	}
+	if got, want := err.Error(), "ofs: job needs 300.0TB of 256.0TB usable: storage: dataset exceeds file system capacity"; got != want {
+		t.Errorf("300TB error text = %q, want %q", got, want)
+	}
 }
 
 // Remote access costs a fixed latency regardless of size — the paper's

@@ -24,6 +24,23 @@ import (
 // greater than 80 GB (§III-A).
 var ErrCapacity = errors.New("storage: dataset exceeds file system capacity")
 
+// CapacityError is CheckJobFit's rejection: the job's input plus output
+// (Need) exceeds the data volume the file system can hold (Usable). It
+// unwraps to ErrCapacity. The message is formatted only when asked for, so
+// a sweep that probes many over-capacity points builds no string for them.
+type CapacityError struct {
+	// FS names the file system model ("hdfs" or "ofs").
+	FS           string
+	Need, Usable units.Bytes
+}
+
+func (e *CapacityError) Error() string {
+	return fmt.Sprintf("%s: job needs %v of %v usable: %v", e.FS, e.Need, e.Usable, ErrCapacity)
+}
+
+// Unwrap returns ErrCapacity.
+func (e *CapacityError) Unwrap() error { return ErrCapacity }
+
 // AccessContext describes the concurrency under which tasks of one job
 // access the file system. The duty cycles discount concurrent streams by the
 // fraction of task lifetime actually spent on I/O; tasks overlapping compute
@@ -108,8 +125,8 @@ type System interface {
 	TaskWriteLatency() time.Duration
 	// JobOverhead is the fixed per-job metadata/staging cost.
 	JobOverhead() time.Duration
-	// CheckJobFit reports ErrCapacity (wrapped) when input plus output
-	// data cannot be stored.
+	// CheckJobFit reports a *CapacityError, which wraps ErrCapacity, when
+	// input plus output data cannot be stored.
 	CheckJobFit(input, output units.Bytes) error
 }
 
