@@ -19,7 +19,7 @@ NS_TOL ?= 300
 BENCH_GATE = BenchmarkFig10 BenchmarkTraceReplay BenchmarkResilienceReport \
 	BenchmarkReplayReuse/fresh BenchmarkReplayReuse/pooled BenchmarkEngineRaw
 
-.PHONY: all build test race vet lint resilience chaos bench-smoke bench-json bench-check golden loc check
+.PHONY: all build test race vet lint resilience chaos fuzz bench-smoke bench-json bench-check golden loc check
 
 all: check
 
@@ -113,6 +113,20 @@ bench-check:
 chaos:
 	$(GO) test -race -count=1 ./internal/chaos/
 	$(GO) run ./cmd/chaoshunt -seed 1 -rounds 64 -budget events=5e7,simtime=720h
+
+# Coverage-guided fuzzing of every untrusted-input parser for 10 s each:
+# fault schedules, engine output, byte sizes, watchdog budgets and both
+# trace readers. Each target first replays its committed corpus under
+# testdata/fuzz; a new crasher is written there, so plain `go test` replays
+# it from then on. Open-ended by nature, so it stays out of `make check`;
+# CI runs it as its own job.
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzParseSchedule$$' -fuzztime 10s ./internal/faults/
+	$(GO) test -run '^$$' -fuzz '^FuzzParseOutput$$' -fuzztime 10s ./internal/engine/
+	$(GO) test -run '^$$' -fuzz '^FuzzParseBytes$$' -fuzztime 10s ./internal/units/
+	$(GO) test -run '^$$' -fuzz '^FuzzParseBudget$$' -fuzztime 10s ./internal/sweep/
+	$(GO) test -run '^$$' -fuzz '^FuzzReadJSON$$' -fuzztime 10s ./internal/workload/
+	$(GO) test -run '^$$' -fuzz '^FuzzReadCSV$$' -fuzztime 10s ./internal/workload/
 
 # Refresh the golden figure snapshots after an intentional model change.
 golden:

@@ -10,6 +10,7 @@ package hybridmr_test
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -31,6 +32,44 @@ import (
 )
 
 func cal() mapreduce.Calibration { return mapreduce.DefaultCalibration() }
+
+// resultSink collects replay results through the sink a ReplayState
+// simulator is built with, the only way results leave a simulator. Its
+// buffer is kept across replays, so collecting on a warm state allocates
+// nothing.
+type resultSink struct {
+	res []mapreduce.Result
+	put func(mapreduce.Result, time.Duration)
+}
+
+func newResultSink() *resultSink {
+	s := &resultSink{}
+	s.put = func(r mapreduce.Result, _ time.Duration) { s.res = append(s.res, r) }
+	return s
+}
+
+// replay builds a simulator for p on rst that delivers to the sink,
+// configures it with setup, submits the jobs, drains the engine and returns
+// the results in mapreduce.ByArrival order. It fails the benchmark unless
+// every job reported. The slice is valid until the sink's next replay.
+func (s *resultSink) replay(b *testing.B, rst *mapreduce.ReplayState, p *mapreduce.Platform, jobs []workload.Job, setup func(*mapreduce.Simulator)) []mapreduce.Result {
+	b.Helper()
+	s.res = s.res[:0]
+	sim := rst.Simulator(p, s.put)
+	setup(sim)
+	for _, j := range jobs {
+		sim.Submit(j.MapReduceJob())
+	}
+	rst.Engine().Run()
+	if len(s.res) != len(jobs) {
+		b.Fatalf("replayed %d of %d jobs", len(s.res), len(jobs))
+	}
+	slices.SortFunc(s.res, mapreduce.ByArrival)
+	return s.res
+}
+
+// fairPolicy is the replay setup of the Fair-scheduled benchmarks.
+func fairPolicy(sim *mapreduce.Simulator) { sim.SetPolicy(mapreduce.Fair) }
 
 func traceConfig(jobs int) workload.Config {
 	cfg := workload.DefaultConfig()
@@ -172,14 +211,10 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 		b.Fatal(err)
 	}
 	p := mapreduce.MustArch(mapreduce.OutOFS, cal())
+	sink := newResultSink()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sim := mapreduce.NewSimulator(p)
-		sim.SetPolicy(mapreduce.Fair)
-		for _, j := range jobs {
-			sim.Submit(j.MapReduceJob())
-		}
-		sim.Run()
+		sink.replay(b, mapreduce.NewReplayState(), p, jobs, fairPolicy)
 	}
 }
 
@@ -237,20 +272,13 @@ func deepQueueTrace(b *testing.B, n int) []workload.Job {
 	return jobs
 }
 
-// replayJobs runs one whole-cluster replay and returns the engine's event
-// count, for events/sec reporting.
-func replayJobs(b *testing.B, p *mapreduce.Platform, jobs []workload.Job, policy mapreduce.Policy) uint64 {
+// replayJobs runs one whole-cluster replay on a fresh state and returns the
+// engine's event count, for events/sec reporting.
+func replayJobs(b *testing.B, sink *resultSink, p *mapreduce.Platform, jobs []workload.Job, policy mapreduce.Policy) uint64 {
 	b.Helper()
-	sim := mapreduce.NewSimulator(p)
-	sim.SetPolicy(policy)
-	for _, j := range jobs {
-		sim.Submit(j.MapReduceJob())
-	}
-	res := sim.Run()
-	if len(res) != len(jobs) {
-		b.Fatalf("replayed %d of %d jobs", len(res), len(jobs))
-	}
-	return sim.Engine().Events()
+	rst := mapreduce.NewReplayState()
+	sink.replay(b, rst, p, jobs, func(sim *mapreduce.Simulator) { sim.SetPolicy(policy) })
+	return rst.Engine().Events()
 }
 
 // BenchmarkDispatchDeepQueue replays bursty traces whose slot queue stays
@@ -262,11 +290,12 @@ func BenchmarkDispatchDeepQueue(b *testing.B) {
 	bench := func(n int, policy mapreduce.Policy) func(*testing.B) {
 		return func(b *testing.B) {
 			jobs := deepQueueTrace(b, n)
+			sink := newResultSink()
 			var events uint64
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				events += replayJobs(b, p, jobs, policy)
+				events += replayJobs(b, sink, p, jobs, policy)
 			}
 			b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/sec")
 		}
@@ -288,11 +317,12 @@ func BenchmarkTraceReplay(b *testing.B) {
 		b.Fatal(err)
 	}
 	p := mapreduce.MustArch(mapreduce.OutOFS, cal())
+	sink := newResultSink()
 	var events uint64
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		events += replayJobs(b, p, jobs, mapreduce.Fair)
+		events += replayJobs(b, sink, p, jobs, mapreduce.Fair)
 	}
 	b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/sec")
 }
@@ -310,21 +340,18 @@ func BenchmarkTraceReplayObserved(b *testing.B) {
 		b.Fatal(err)
 	}
 	p := mapreduce.MustArch(mapreduce.OutOFS, cal())
+	sink := newResultSink()
+	observed := func(sim *mapreduce.Simulator) {
+		sim.SetPolicy(mapreduce.Fair)
+		sim.SetObserver(obs.NewTracer(), obs.NewRegistry())
+	}
 	var events uint64
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sim := mapreduce.NewSimulator(p)
-		sim.SetPolicy(mapreduce.Fair)
-		sim.SetObserver(obs.NewTracer(), obs.NewRegistry())
-		for _, j := range jobs {
-			sim.Submit(j.MapReduceJob())
-		}
-		res := sim.Run()
-		if len(res) != len(jobs) {
-			b.Fatalf("replayed %d of %d jobs", len(res), len(jobs))
-		}
-		events += sim.Engine().Events()
+		rst := mapreduce.NewReplayState()
+		sink.replay(b, rst, p, jobs, observed)
+		events += rst.Engine().Events()
 	}
 	b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/sec")
 }
@@ -373,15 +400,11 @@ func BenchmarkReplayReuse(b *testing.B) {
 		b.Fatal(err)
 	}
 	p := mapreduce.MustArch(mapreduce.OutOFS, cal())
+	// One sink for every replay, made outside the timed loops, so both
+	// sub-benchmarks time the replay and not the collection buffer.
+	sink := newResultSink()
 	replay := func(b *testing.B, rst *mapreduce.ReplayState) {
-		sim := rst.Simulator(p)
-		sim.SetPolicy(mapreduce.Fair)
-		for _, j := range jobs {
-			sim.Submit(j.MapReduceJob())
-		}
-		if res := sim.Run(); len(res) != len(jobs) {
-			b.Fatalf("replayed %d of %d jobs", len(res), len(jobs))
-		}
+		sink.replay(b, rst, p, jobs, fairPolicy)
 	}
 	b.Run("fresh", func(b *testing.B) {
 		b.ReportAllocs()
@@ -720,14 +743,14 @@ func BenchmarkAblationInterconnect(b *testing.B) {
 // the per-wave tail.
 func BenchmarkAblationSpeculation(b *testing.B) {
 	p := mapreduce.MustArch(mapreduce.OutOFS, cal())
-	job := mapreduce.Job{ID: "abl", App: apps.Grep(), Input: 32 * units.GB}
+	jobs := []workload.Job{{ID: "abl", App: apps.Grep(), Input: 32 * units.GB}}
+	sink := newResultSink()
 	run := func(speculate bool) float64 {
-		sim := mapreduce.NewSimulator(p)
-		if err := sim.InjectStragglers(1.0, speculate, 17); err != nil {
-			b.Fatal(err)
-		}
-		sim.Submit(job)
-		r := sim.Run()[0]
+		r := sink.replay(b, mapreduce.NewReplayState(), p, jobs, func(sim *mapreduce.Simulator) {
+			if err := sim.InjectStragglers(1.0, speculate, 17); err != nil {
+				b.Fatal(err)
+			}
+		})[0]
 		if r.Err != nil {
 			b.Fatal(r.Err)
 		}

@@ -123,6 +123,13 @@ type benchState struct {
 	until   time.Duration
 }
 
+// half is one cluster of the hybrid during a RunFaulted replay: its
+// simulator and its blacklist account.
+type half struct {
+	sim   *mapreduce.Simulator
+	bench benchState
+}
+
 // bench serves a bench: blacklistParole doubled per prior bench, capped
 // at 8×.
 func (b *benchState) bench(now time.Duration) {
@@ -166,40 +173,6 @@ func (h *Hybrid) RunFaulted(jobs []workload.Job, opt FaultRun) ([]JobResult, err
 		if w := opt.Watchdog.Watchdog(nil); w != nil {
 			eng.SetWatchdog(w)
 		}
-		upSim := rst.Simulator(h.Up)
-		outSim := rst.Simulator(h.Out)
-		upSim.SetPolicy(h.Policy)
-		outSim.SetPolicy(h.Policy)
-		upSim.SetObserver(opt.Obs.Trace, opt.Obs.Metrics)
-		outSim.SetObserver(opt.Obs.Trace, opt.Obs.Metrics)
-		if opt.Invariants != nil {
-			upSim.SetInvariants(opt.Invariants)
-			outSim.SetInvariants(opt.Invariants)
-		}
-		if err := opt.Inject.Apply(upSim); err != nil {
-			return err
-		}
-		if err := opt.Inject.Apply(outSim); err != nil {
-			return err
-		}
-		if opt.CloneStragglers {
-			if err := upSim.SpeculateClones(cloneThreshold); err != nil {
-				return err
-			}
-			if err := outSim.SpeculateClones(cloneThreshold); err != nil {
-				return err
-			}
-		}
-		// Faults are scheduled before any submission, so at equal instants
-		// the capacity change precedes the arrival (the engine is FIFO per
-		// tick).
-		if err := upSim.ScheduleFaults(opt.Schedule.ForCluster(faults.ClusterUp)); err != nil {
-			return err
-		}
-		if err := outSim.ScheduleFaults(opt.Schedule.ForCluster(faults.ClusterOut)); err != nil {
-			return err
-		}
-
 		// state tracks one workload job (jobs[i]) across its (possibly
 		// retried) submissions; the latest routing decision wins.
 		type state struct {
@@ -213,10 +186,15 @@ func (h *Hybrid) RunFaulted(jobs []workload.Job, opt FaultRun) ([]JobResult, err
 		// its Result, so tracking 6000 jobs costs one allocation and no
 		// hashing.
 		backing := make([]state, len(jobs))
-		var bench [2]benchState // blacklist accounts, indexed by Target
+		// Both halves, indexed by Target. submit reaches the simulators
+		// through this array because they are built after record, which
+		// they deliver to; the blacklist accounts need the same shared
+		// storage anyway, so the simulators cost the closures no extra
+		// heap cell.
+		var halves [2]half
 
-		var submit func(idx int)
-		submit = func(idx int) {
+		submit := func(idx int) {
+			upSim, outSim := halves[ScaleUp].sim, halves[ScaleOut].sim
 			st := &backing[idx]
 			job := &jobs[idx]
 			st.attempts++
@@ -235,8 +213,8 @@ func (h *Hybrid) RunFaulted(jobs []workload.Job, opt FaultRun) ([]JobResult, err
 			var benchUntil time.Duration
 			if opt.Blacklist {
 				now := eng.Now()
-				if now < bench[dest].until && now >= bench[other(dest)].until {
-					benchUntil = bench[dest].until
+				if now < halves[dest].bench.until && now >= halves[other(dest)].bench.until {
+					benchUntil = halves[dest].bench.until
 					dest, blacklisted = other(dest), true
 				}
 			}
@@ -286,7 +264,7 @@ func (h *Hybrid) RunFaulted(jobs []workload.Job, opt FaultRun) ([]JobResult, err
 			st := &backing[idx]
 			if opt.Blacklist && r.Err != nil {
 				// The half the job actually failed on takes the strike.
-				b := &bench[st.dest]
+				b := &halves[st.dest].bench
 				b.strikes++
 				if b.strikes >= blacklistStrikes {
 					b.bench(now)
@@ -322,8 +300,41 @@ func (h *Hybrid) RunFaulted(jobs []workload.Job, opt FaultRun) ([]JobResult, err
 				Attempts: st.attempts,
 			}, r.Job.ID)
 		}
-		upSim.SetResultHook(record)
-		outSim.SetResultHook(record)
+
+		upSim := rst.Simulator(h.Up, record)
+		outSim := rst.Simulator(h.Out, record)
+		halves[ScaleUp].sim, halves[ScaleOut].sim = upSim, outSim
+		upSim.SetPolicy(h.Policy)
+		outSim.SetPolicy(h.Policy)
+		upSim.SetObserver(opt.Obs.Trace, opt.Obs.Metrics)
+		outSim.SetObserver(opt.Obs.Trace, opt.Obs.Metrics)
+		if opt.Invariants != nil {
+			upSim.SetInvariants(opt.Invariants)
+			outSim.SetInvariants(opt.Invariants)
+		}
+		if err := opt.Inject.Apply(upSim); err != nil {
+			return err
+		}
+		if err := opt.Inject.Apply(outSim); err != nil {
+			return err
+		}
+		if opt.CloneStragglers {
+			if err := upSim.SpeculateClones(cloneThreshold); err != nil {
+				return err
+			}
+			if err := outSim.SpeculateClones(cloneThreshold); err != nil {
+				return err
+			}
+		}
+		// Faults are scheduled before any submission, so at equal instants
+		// the capacity change precedes the arrival (the engine is FIFO per
+		// tick).
+		if err := upSim.ScheduleFaults(opt.Schedule.ForCluster(faults.ClusterUp)); err != nil {
+			return err
+		}
+		if err := outSim.ScheduleFaults(opt.Schedule.ForCluster(faults.ClusterOut)); err != nil {
+			return err
+		}
 
 		scheduleArrivals(eng, jobs, submit)
 		eng.Run()
@@ -434,7 +445,7 @@ func RunBaselineChecked(p *mapreduce.Platform, jobs []workload.Job, policy mapre
 		if w := budget.Watchdog(nil); w != nil {
 			eng.SetWatchdog(w)
 		}
-		sim := rst.Simulator(p)
+		sim := rst.Simulator(p, placeResult(rs))
 		sim.SetPolicy(policy)
 		if inv != nil {
 			sim.SetInvariants(inv)
@@ -445,7 +456,6 @@ func RunBaselineChecked(p *mapreduce.Platform, jobs []workload.Job, policy mapre
 		if err := sim.ScheduleFaults(events); err != nil {
 			return err
 		}
-		sim.SetResultHook(placeResult(rs))
 		for i, j := range jobs {
 			mj := j.MapReduceJob()
 			mj.Tag = i

@@ -15,6 +15,19 @@ import (
 	"hybridmr/internal/workload"
 )
 
+// testSim builds a simulator for p on st, as every replay does, and returns
+// it with drain: drain runs st's engine to completion and returns the
+// results the simulator's sink collected, in mapreduce.ByArrival order.
+func testSim(st *mapreduce.ReplayState, p *mapreduce.Platform) (*mapreduce.Simulator, func() []mapreduce.Result) {
+	var res []mapreduce.Result
+	sim := st.Simulator(p, func(r mapreduce.Result, _ time.Duration) { res = append(res, r) })
+	return sim, func() []mapreduce.Result {
+		st.Engine().Run()
+		slices.SortFunc(res, mapreduce.ByArrival)
+		return res
+	}
+}
+
 // upHeavyJobs builds a stream of identical 8 GB wordcount jobs — shuffle
 // ratio 1.6 ≥ the high cross point's, size under 32 GB, so Algorithm 1 routes
 // every one to the scale-up half — arriving every 30 s.
@@ -284,7 +297,7 @@ func TestRunFaultedValidation(t *testing.T) {
 // Inject.Apply surfaces the simulator's own error messages verbatim.
 func TestInjectApplyUsesSimulatorErrors(t *testing.T) {
 	p := mapreduce.MustArch(mapreduce.OutOFS, mapreduce.DefaultCalibration())
-	sim := mapreduce.NewSimulator(p)
+	sim, _ := testSim(mapreduce.NewReplayState(), p)
 	got := Inject{FailureRate: 1.5}.Apply(sim)
 	want := sim.InjectFailures(1.5, 0)
 	if got == nil || want == nil || got.Error() != want.Error() {

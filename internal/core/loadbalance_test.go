@@ -105,22 +105,28 @@ func TestBalancerIdleNoDiversion(t *testing.T) {
 // when enabled.
 func TestBalancerBothWays(t *testing.T) {
 	up, out := upOutPlatforms(t)
-	eng1 := mapreduce.NewSimulatorOn(mapreduce.NewSimulator(up).Engine(), up)
-	_ = eng1 // direct Divert unit test below instead
-
 	b := &LoadBalancer{DivertQueueFactor: 0.0001}
-	upSim := mapreduce.NewSimulator(up)
-	outSim := mapreduce.NewSimulator(out)
-	// Queue pressure on the out cluster: submit many jobs but don't run.
-	for i := 0; i < 50; i++ {
+	st := mapreduce.NewReplayState()
+	upSim, _ := testSim(st, up)
+	outSim, drain := testSim(st, out)
+	// Queue pressure on the out cluster: 50 big jobs at time 0, and the
+	// balancer consulted 30 s in, while their maps still wait for slots.
+	const n = 50
+	for i := 0; i < n; i++ {
 		outSim.Submit(mapreduce.Job{ID: string(rune('a' + i)), App: apps.Wordcount(), Input: 64 * units.GB})
 	}
-	outSim.Engine().RunUntil(30 * time.Second)
-	if got := b.Divert(ScaleOut, upSim, outSim); got != ScaleOut {
-		t.Errorf("one-way balancer diverted scale-out job to %v", got)
-	}
-	b.DivertBothWays = true
-	if got := b.Divert(ScaleOut, upSim, outSim); got != ScaleUp {
-		t.Errorf("both-ways balancer kept the job on %v", got)
+	checked := false
+	st.Engine().At(30*time.Second, func(time.Duration) {
+		checked = true
+		if got := b.Divert(ScaleOut, upSim, outSim); got != ScaleOut {
+			t.Errorf("one-way balancer diverted scale-out job to %v", got)
+		}
+		b.DivertBothWays = true
+		if got := b.Divert(ScaleOut, upSim, outSim); got != ScaleUp {
+			t.Errorf("both-ways balancer kept the job on %v", got)
+		}
+	})
+	if res := drain(); !checked || len(res) != n {
+		t.Errorf("balancer checked %v; %d of %d jobs finished", checked, len(res), n)
 	}
 }

@@ -44,7 +44,7 @@ func (s *resultSlots[T]) put(i int, v T, id string) {
 	s.writes++
 }
 
-// placeResult returns RunBaselineChecked's result hook: each result goes to
+// placeResult returns RunBaselineChecked's result sink: each result goes to
 // the slot its Tag names and leaves without the Tag.
 func placeResult(rs *resultSlots[mapreduce.Result]) func(mapreduce.Result, time.Duration) {
 	return func(r mapreduce.Result, _ time.Duration) {

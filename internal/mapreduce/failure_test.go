@@ -10,7 +10,7 @@ import (
 )
 
 func TestInjectFailuresValidation(t *testing.T) {
-	sim := NewSimulator(MustArch(OutOFS, DefaultCalibration()))
+	sim := newTestSim(MustArch(OutOFS, DefaultCalibration()))
 	if err := sim.InjectFailures(-0.1, 1); err == nil {
 		t.Error("negative rate accepted")
 	}
@@ -28,16 +28,16 @@ func TestFailuresRetryAndComplete(t *testing.T) {
 	p := MustArch(OutOFS, DefaultCalibration())
 	job := Job{ID: "j", App: apps.Grep(), Input: 32 * units.GB}
 
-	clean := NewSimulator(p)
+	clean := newTestSim(p)
 	clean.Submit(job)
-	base := clean.Run()[0]
+	base := clean.drain()[0]
 
-	flaky := NewSimulator(p)
+	flaky := newTestSim(p)
 	if err := flaky.InjectFailures(0.10, 42); err != nil {
 		t.Fatal(err)
 	}
 	flaky.Submit(job)
-	res := flaky.Run()[0]
+	res := flaky.drain()[0]
 	if res.Err != nil {
 		t.Fatalf("10%% failures should retry, not fail: %v", res.Err)
 	}
@@ -53,12 +53,12 @@ func TestFailuresRetryAndComplete(t *testing.T) {
 // job fails with a descriptive error — Hadoop's max-attempts semantics.
 func TestFailuresExhaustAttempts(t *testing.T) {
 	p := MustArch(OutOFS, DefaultCalibration())
-	sim := NewSimulator(p)
+	sim := newTestSim(p)
 	if err := sim.InjectFailures(0.9, 7); err != nil {
 		t.Fatal(err)
 	}
 	sim.Submit(Job{ID: "doomed", App: apps.Grep(), Input: 8 * units.GB})
-	res := sim.Run()
+	res := sim.drain()
 	if len(res) != 1 {
 		t.Fatalf("%d results", len(res))
 	}
@@ -73,7 +73,7 @@ func TestFailuresExhaustAttempts(t *testing.T) {
 // A failed job releases its slots: jobs behind it still finish.
 func TestFailedJobReleasesSlots(t *testing.T) {
 	p := MustArch(OutOFS, DefaultCalibration())
-	sim := NewSimulator(p)
+	sim := newTestSim(p)
 	sim.SetPolicy(Fair)
 	if err := sim.InjectFailures(0.9, 11); err != nil {
 		t.Fatal(err)
@@ -83,7 +83,7 @@ func TestFailedJobReleasesSlots(t *testing.T) {
 	// probability... but determinism means we just check completion or
 	// failure, not hang.
 	sim.Submit(Job{ID: "later", App: apps.Grep(), Input: units.MB, Submit: time.Minute})
-	res := sim.Run()
+	res := sim.drain()
 	if len(res) != 2 {
 		t.Fatalf("%d results — a job got stuck", len(res))
 	}
@@ -93,12 +93,12 @@ func TestFailedJobReleasesSlots(t *testing.T) {
 func TestFailuresDeterministic(t *testing.T) {
 	p := MustArch(OutOFS, DefaultCalibration())
 	run := func(seed int64) Result {
-		sim := NewSimulator(p)
+		sim := newTestSim(p)
 		if err := sim.InjectFailures(0.2, seed); err != nil {
 			t.Fatal(err)
 		}
 		sim.Submit(Job{ID: "j", App: apps.Grep(), Input: 16 * units.GB})
-		return sim.Run()[0]
+		return sim.drain()[0]
 	}
 	a, b := run(5), run(5)
 	if a.Exec != b.Exec || a.TaskRetries != b.TaskRetries {

@@ -471,10 +471,3 @@ func (s *Simulator) MachinesDown() int { return s.machinesDown }
 // StorageDown reports how many storage servers (OFS) or datanodes (HDFS) are
 // currently lost.
 func (s *Simulator) StorageDown() int { return s.storageDown }
-
-// SetResultHook diverts every finished job's result to fn (with the
-// completion instant) instead of the internal results list. It is how
-// results leave a WithState replay, and the hybrid's failure-aware
-// scheduler uses it to retry failed jobs in simulated time. Call before
-// Run. With a hook set, Results returns nothing.
-func (s *Simulator) SetResultHook(fn func(Result, time.Duration)) { s.onResult = fn }

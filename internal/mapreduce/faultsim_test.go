@@ -9,7 +9,7 @@ import (
 	"hybridmr/internal/units"
 )
 
-func mustFaults(t *testing.T, sim *Simulator, events []faults.Event) {
+func mustFaults(t *testing.T, sim *testSim, events []faults.Event) {
 	t.Helper()
 	if err := sim.ScheduleFaults(events); err != nil {
 		t.Fatal(err)
@@ -22,16 +22,16 @@ func TestCrashSlowsJob(t *testing.T) {
 	p := MustArch(OutOFS, DefaultCalibration())
 	job := Job{ID: "j", App: apps.Grep(), Input: 64 * units.GB}
 
-	clean := NewSimulator(p)
+	clean := newTestSim(p)
 	clean.Submit(job)
-	base := clean.Run()[0]
+	base := clean.drain()[0]
 
-	crashed := NewSimulator(p)
+	crashed := newTestSim(p)
 	mustFaults(t, crashed, []faults.Event{
 		{At: base.Exec / 2, Kind: faults.MachineCrash, Cluster: faults.ClusterOut, Count: 6},
 	})
 	crashed.Submit(job)
-	res := crashed.Run()[0]
+	res := crashed.drain()[0]
 	if res.Err != nil {
 		t.Fatalf("crash mid-job must not fail the job: %v", res.Err)
 	}
@@ -52,15 +52,15 @@ func TestRecoveryRestoresCapacity(t *testing.T) {
 	p := MustArch(OutOFS, DefaultCalibration())
 	job := Job{ID: "j", App: apps.Sort(), Input: 64 * units.GB}
 
-	clean := NewSimulator(p)
+	clean := newTestSim(p)
 	clean.Submit(job)
-	base := clean.Run()[0]
+	base := clean.drain()[0]
 
 	run := func(events []faults.Event) Result {
-		sim := NewSimulator(p)
+		sim := newTestSim(p)
 		mustFaults(t, sim, events)
 		sim.Submit(job)
-		return sim.Run()[0]
+		return sim.drain()[0]
 	}
 	crashAt := base.Exec / 4
 	healed := run([]faults.Event{
@@ -84,11 +84,11 @@ func TestStorageDegradationAffectsPlanning(t *testing.T) {
 	p := MustArch(OutOFS, DefaultCalibration())
 	job := Job{ID: "j", App: apps.Grep(), Input: 32 * units.GB}
 
-	clean := NewSimulator(p)
+	clean := newTestSim(p)
 	clean.Submit(job)
-	base := clean.Run()[0]
+	base := clean.drain()[0]
 
-	sim := NewSimulator(p)
+	sim := newTestSim(p)
 	mustFaults(t, sim, []faults.Event{
 		{At: 0, Kind: faults.OFSServerDown, Cluster: faults.ClusterAll, Count: 24},
 		{At: 6 * time.Hour, Kind: faults.OFSServerUp, Cluster: faults.ClusterAll, Count: 24},
@@ -100,7 +100,7 @@ func TestStorageDegradationAffectsPlanning(t *testing.T) {
 	after.Submit = 7 * time.Hour
 	sim.Submit(during)
 	sim.Submit(after)
-	res := sim.Run()
+	res := sim.drain()
 	if res[0].Err != nil || res[1].Err != nil {
 		t.Fatalf("errs: %v / %v", res[0].Err, res[1].Err)
 	}
@@ -118,16 +118,16 @@ func TestStorageEventsFilteredByFS(t *testing.T) {
 	p := MustArch(OutHDFS, DefaultCalibration())
 	job := Job{ID: "j", App: apps.Grep(), Input: 32 * units.GB}
 
-	clean := NewSimulator(p)
+	clean := newTestSim(p)
 	clean.Submit(job)
-	base := clean.Run()[0]
+	base := clean.drain()[0]
 
-	sim := NewSimulator(p)
+	sim := newTestSim(p)
 	mustFaults(t, sim, []faults.Event{
 		{At: 0, Kind: faults.OFSServerDown, Cluster: faults.ClusterAll, Count: 31},
 	})
 	sim.Submit(job)
-	res := sim.Run()[0]
+	res := sim.drain()[0]
 	if res.Exec != base.Exec {
 		t.Errorf("OFS loss changed an HDFS platform: %v vs %v", res.Exec, base.Exec)
 	}
@@ -169,7 +169,7 @@ func TestScheduleFaultsValidation(t *testing.T) {
 		}},
 	}
 	for _, tt := range cases {
-		sim := NewSimulator(p)
+		sim := newTestSim(p)
 		if err := sim.ScheduleFaults(tt.events); err == nil {
 			t.Errorf("%s: accepted", tt.name)
 		}
@@ -180,12 +180,12 @@ func TestScheduleFaultsValidation(t *testing.T) {
 func TestFaultsDeterministic(t *testing.T) {
 	p := MustArch(OutOFS, DefaultCalibration())
 	run := func() []Result {
-		sim := NewSimulator(p)
+		sim := newTestSim(p)
 		sim.SetPolicy(Fair)
 		mustFaults(t, sim, faults.Demo().ForCluster(faults.ClusterOut))
 		sim.Submit(Job{ID: "a", App: apps.Sort(), Input: 64 * units.GB})
 		sim.Submit(Job{ID: "b", App: apps.Grep(), Input: 32 * units.GB, Submit: time.Hour})
-		return sim.Run()
+		return sim.drain()
 	}
 	a, b := run(), run()
 	if len(a) != len(b) {
@@ -203,14 +203,14 @@ func TestFaultsDeterministic(t *testing.T) {
 // pools equal the (restored) capacities.
 func TestSlotInvariantAfterFaults(t *testing.T) {
 	p := MustArch(OutOFS, DefaultCalibration())
-	sim := NewSimulator(p)
+	sim := newTestSim(p)
 	mustFaults(t, sim, []faults.Event{
 		{At: 10 * time.Minute, Kind: faults.MachineCrash, Cluster: faults.ClusterOut, Count: 6},
 		{At: 2 * time.Hour, Kind: faults.MachineRecover, Cluster: faults.ClusterOut, Count: 6},
 	})
 	sim.Submit(Job{ID: "a", App: apps.Sort(), Input: 64 * units.GB})
 	sim.Submit(Job{ID: "b", App: apps.Wordcount(), Input: 32 * units.GB, Submit: 30 * time.Minute})
-	res := sim.Run()
+	res := sim.drain()
 	for _, r := range res {
 		if r.Err != nil {
 			t.Fatalf("job %s: %v", r.Job.ID, r.Err)
@@ -231,7 +231,7 @@ func TestSlotInvariantAfterFaults(t *testing.T) {
 // PlatformNow tracks the degradation level and memoizes views.
 func TestPlatformNow(t *testing.T) {
 	p := MustArch(OutOFS, DefaultCalibration())
-	sim := NewSimulator(p)
+	sim := newTestSim(p)
 	if got, _ := sim.PlatformNow(); got != p {
 		t.Error("healthy PlatformNow is not the base platform")
 	}
@@ -251,22 +251,28 @@ func TestPlatformNow(t *testing.T) {
 	}
 }
 
-// The result hook receives every finished job instead of Results().
+// The result sink receives every finished job with its completion instant,
+// and a simulator cannot be built without one.
 func TestResultHook(t *testing.T) {
 	p := MustArch(OutOFS, DefaultCalibration())
-	sim := NewSimulator(p)
-	var hooked []Result
-	sim.SetResultHook(func(r Result, now time.Duration) {
+	st := NewReplayState()
+	var got []Result
+	sim := st.Simulator(p, func(r Result, now time.Duration) {
 		if now != r.End {
-			t.Errorf("hook now %v != result end %v", now, r.End)
+			t.Errorf("sink now %v != result end %v", now, r.End)
 		}
-		hooked = append(hooked, r)
+		got = append(got, r)
 	})
 	sim.Submit(Job{ID: "j", App: apps.Grep(), Input: 8 * units.GB})
-	if got := sim.Run(); len(got) != 0 {
-		t.Errorf("Results returned %d entries with a hook set", len(got))
+	st.Engine().Run()
+	if len(got) != 1 {
+		t.Fatalf("sink saw %d results, want 1", len(got))
 	}
-	if len(hooked) != 1 {
-		t.Fatalf("hook saw %d results, want 1", len(hooked))
-	}
+
+	defer func() {
+		if recover() == nil {
+			t.Error("Simulator accepted a nil result sink")
+		}
+	}()
+	st.Simulator(p, nil)
 }

@@ -27,16 +27,16 @@ func TestGraySlowdownStretchesTasks(t *testing.T) {
 	p := MustArch(OutOFS, DefaultCalibration())
 	job := Job{ID: "j", App: apps.Grep(), Input: 64 * units.GB}
 
-	clean := NewSimulator(p)
+	clean := newTestSim(p)
 	clean.Submit(job)
-	base := clean.Run()[0]
+	base := clean.drain()[0]
 
-	sim := NewSimulator(p)
+	sim := newTestSim(p)
 	mustFaults(t, sim, []faults.Event{
 		{At: 0, Kind: faults.CPUSlow, Cluster: faults.ClusterOut, Count: 0, Factor: 2},
 	})
 	sim.Submit(job)
-	res := sim.Run()[0]
+	res := sim.drain()[0]
 	if res.Err != nil {
 		t.Fatal(res.Err)
 	}
@@ -60,16 +60,16 @@ func TestGrayWeightedSlowdown(t *testing.T) {
 	p := MustArch(OutOFS, DefaultCalibration()) // 12 machines
 	job := Job{ID: "j", App: apps.Grep(), Input: 64 * units.GB}
 
-	clean := NewSimulator(p)
+	clean := newTestSim(p)
 	clean.Submit(job)
-	base := clean.Run()[0]
+	base := clean.drain()[0]
 
-	sim := NewSimulator(p)
+	sim := newTestSim(p)
 	mustFaults(t, sim, []faults.Event{
 		{At: 0, Kind: faults.DiskSlow, Cluster: faults.ClusterOut, Count: 6, Factor: 3},
 	})
 	sim.Submit(job)
-	res := sim.Run()[0]
+	res := sim.drain()[0]
 	// weight = (12-6+6·3)/12 = 2
 	if !approxDur(res.MapPhase, 2*base.MapPhase, time.Microsecond) {
 		t.Errorf("map phase %v, want 2× clean %v under 6-of-12 ×3 disk window", res.MapPhase, base.MapPhase)
@@ -85,9 +85,9 @@ func TestGrayRescaleClosedForm(t *testing.T) {
 	p := MustArch(OutOFS, DefaultCalibration())
 	job := Job{ID: "j", App: apps.Grep(), Input: 4 * units.GB} // one map wave
 
-	clean := NewSimulator(p)
+	clean := newTestSim(p)
 	clean.Submit(job)
-	base := clean.Run()[0]
+	base := clean.drain()[0]
 	if base.MapWaves != 1 {
 		t.Fatalf("want a single-wave job, got %d waves", base.MapWaves)
 	}
@@ -96,13 +96,13 @@ func TestGrayRescaleClosedForm(t *testing.T) {
 
 	// Open ×3 at t0+m/2: remaining m/2 stretches to 3m/2 (fire at t0+2m).
 	// Close at t0+m: remaining m shrinks to m/3 (fire at t0+4m/3).
-	sim := NewSimulator(p)
+	sim := newTestSim(p)
 	mustFaults(t, sim, []faults.Event{
 		{At: t0 + m/2, Kind: faults.CPUSlow, Cluster: faults.ClusterOut, Count: 0, Factor: 3},
 		{At: t0 + m, Kind: faults.CPUOk, Cluster: faults.ClusterOut},
 	})
 	sim.Submit(job)
-	res := sim.Run()[0]
+	res := sim.drain()[0]
 	if res.Err != nil {
 		t.Fatal(res.Err)
 	}
@@ -128,7 +128,7 @@ func TestGrayFactorOneIsIdentity(t *testing.T) {
 		{ID: "b", App: apps.Grep(), Input: 32 * units.GB, Submit: 30 * time.Minute},
 	}
 	run := func(events []faults.Event) []Result {
-		sim := NewSimulator(p)
+		sim := newTestSim(p)
 		sim.SetPolicy(Fair)
 		if err := sim.SpeculateClones(1.5); err != nil {
 			t.Fatal(err)
@@ -136,8 +136,10 @@ func TestGrayFactorOneIsIdentity(t *testing.T) {
 		if events != nil {
 			mustFaults(t, sim, events)
 		}
-		sim.SubmitAll(jobs)
-		return sim.Run()
+		for _, j := range jobs {
+			sim.Submit(j)
+		}
+		return sim.drain()
 	}
 	base := run(nil)
 
@@ -173,21 +175,21 @@ func TestSpeculativeCloneWins(t *testing.T) {
 	p := MustArch(OutOFS, DefaultCalibration())
 	job := Job{ID: "j", App: apps.Grep(), Input: 4 * units.GB} // one wave: slots stay free for clones
 
-	clean := NewSimulator(p)
+	clean := newTestSim(p)
 	clean.Submit(job)
-	base := clean.Run()[0]
+	base := clean.drain()[0]
 	events := []faults.Event{
 		{At: base.Start + base.MapPhase/4, Kind: faults.CPUSlow, Cluster: faults.ClusterOut, Count: 0, Factor: 4},
 	}
 
-	run := func(threshold float64) (Result, *Simulator) {
-		sim := NewSimulator(p)
+	run := func(threshold float64) (Result, *testSim) {
+		sim := newTestSim(p)
 		if err := sim.SpeculateClones(threshold); err != nil {
 			t.Fatal(err)
 		}
 		mustFaults(t, sim, events)
 		sim.Submit(job)
-		return sim.Run()[0], sim
+		return sim.drain()[0], sim
 	}
 	plain, _ := run(0)
 	cloned, sim := run(2)
@@ -219,11 +221,11 @@ func TestCrashOnSpeculationPairs(t *testing.T) {
 	p := MustArch(OutOFS, DefaultCalibration())
 	job := Job{ID: "j", App: apps.Grep(), Input: 4 * units.GB}
 
-	clean := NewSimulator(p)
+	clean := newTestSim(p)
 	clean.Submit(job)
-	base := clean.Run()[0]
+	base := clean.drain()[0]
 
-	sim := NewSimulator(p)
+	sim := newTestSim(p)
 	if err := sim.SpeculateClones(2); err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +235,7 @@ func TestCrashOnSpeculationPairs(t *testing.T) {
 		{At: mid + base.MapPhase/8, Kind: faults.MachineCrash, Cluster: faults.ClusterOut, Count: 9},
 	})
 	sim.Submit(job)
-	res := sim.Run()[0]
+	res := sim.drain()[0]
 	if res.Err != nil {
 		t.Fatal(res.Err)
 	}
@@ -252,11 +254,11 @@ func TestGrayPlanningView(t *testing.T) {
 	p := MustArch(OutOFS, DefaultCalibration())
 	job := Job{ID: "j", App: apps.Sort(), Input: 64 * units.GB} // shuffle-heavy: network-bound
 
-	clean := NewSimulator(p)
+	clean := newTestSim(p)
 	clean.Submit(job)
-	base := clean.Run()[0]
+	base := clean.drain()[0]
 
-	sim := NewSimulator(p)
+	sim := newTestSim(p)
 	mustFaults(t, sim, []faults.Event{
 		{At: 0, Kind: faults.NICThrottle, Cluster: faults.ClusterOut, Count: 1, Factor: 4},
 		{At: 12 * time.Hour, Kind: faults.NICOk, Cluster: faults.ClusterOut, Count: 1},
@@ -268,7 +270,7 @@ func TestGrayPlanningView(t *testing.T) {
 	after.Submit = 13 * time.Hour
 	sim.Submit(during)
 	sim.Submit(after)
-	res := sim.Run()
+	res := sim.drain()
 	if res[0].Err != nil || res[1].Err != nil {
 		t.Fatalf("errs: %v / %v", res[0].Err, res[1].Err)
 	}
@@ -279,7 +281,7 @@ func TestGrayPlanningView(t *testing.T) {
 		t.Errorf("exec after heal %v != healthy %v", res[1].Exec, base.Exec)
 	}
 
-	probe := NewSimulator(p)
+	probe := newTestSim(p)
 	probe.nicSlow, probe.rackSlow = 2, 4
 	view, err := probe.PlatformNow()
 	if err != nil {
@@ -303,7 +305,7 @@ func TestGrayPlanningView(t *testing.T) {
 func TestGrayDeterministic(t *testing.T) {
 	p := MustArch(OutOFS, DefaultCalibration())
 	run := func() []Result {
-		sim := NewSimulator(p)
+		sim := newTestSim(p)
 		sim.SetPolicy(Fair)
 		if err := sim.SpeculateClones(1.5); err != nil {
 			t.Fatal(err)
@@ -312,7 +314,7 @@ func TestGrayDeterministic(t *testing.T) {
 		sim.Submit(Job{ID: "a", App: apps.Sort(), Input: 64 * units.GB})
 		sim.Submit(Job{ID: "b", App: apps.Grep(), Input: 32 * units.GB, Submit: time.Hour})
 		sim.Submit(Job{ID: "c", App: apps.Wordcount(), Input: 16 * units.GB, Submit: 2 * time.Hour})
-		return sim.Run()
+		return sim.drain()
 	}
 	a, b := run(), run()
 	if !reflect.DeepEqual(a, b) {
@@ -322,7 +324,7 @@ func TestGrayDeterministic(t *testing.T) {
 
 // The threshold setter rejects thresholds a clone can never meet.
 func TestSpeculateClonesValidation(t *testing.T) {
-	sim := NewSimulator(MustArch(OutOFS, DefaultCalibration()))
+	sim := newTestSim(MustArch(OutOFS, DefaultCalibration()))
 	for _, bad := range []float64{1, 0.5, -2} {
 		if err := sim.SpeculateClones(bad); err == nil {
 			t.Errorf("threshold %v accepted", bad)

@@ -18,15 +18,24 @@ import (
 // internal/simlint (TestHotpathMarkersHaveAllocBudgets).
 
 // warmReplayAllocs runs the scenario twice on a pooled state to reach the
-// freelists' high-water marks, then measures a steady-state replay.
-func warmReplayAllocs(t *testing.T, run func(*Simulator)) float64 {
+// freelists' high-water marks, then measures a steady-state replay: the
+// simulator is built with one counting sink made outside the measurement,
+// run submits the jobs, and the engine drains. It fails unless every one of
+// the want jobs reported in every replay.
+func warmReplayAllocs(t *testing.T, want int, run func(*Simulator)) float64 {
 	t.Helper()
 	p := MustArch(OutOFS, DefaultCalibration())
 	st := NewReplayState()
+	var n int
+	sink := func(Result, time.Duration) { n++ }
 	replay := func() {
 		st.Reset()
-		sim := st.Simulator(p)
-		run(sim)
+		n = 0
+		run(st.Simulator(p, sink))
+		st.Engine().Run()
+		if n != want {
+			t.Fatalf("replayed %d of %d jobs", n, want)
+		}
 	}
 	replay()
 	replay()
@@ -46,13 +55,10 @@ func TestPooledReplaySteadyStateAllocs(t *testing.T) {
 			Submit: time.Duration(i) * 15 * time.Second,
 		}
 	}
-	avg := warmReplayAllocs(t, func(sim *Simulator) {
+	avg := warmReplayAllocs(t, len(jobs), func(sim *Simulator) {
 		sim.SetPolicy(Fair)
 		for _, j := range jobs {
 			sim.Submit(j)
-		}
-		if res := sim.Run(); len(res) != len(jobs) {
-			t.Fatalf("replayed %d of %d jobs", len(res), len(jobs))
 		}
 	})
 	if avg != 0 {
@@ -78,6 +84,8 @@ func TestFaultedReplaySteadyStateAllocs(t *testing.T) {
 	}
 	p := MustArch(OutOFS, DefaultCalibration())
 	st := NewReplayState()
+	var n int
+	sink := func(Result, time.Duration) { n++ }
 	inject := func(sim *Simulator) {
 		sim.SetPolicy(Fair)
 		if err := sim.InjectFailures(0.05, 42); err != nil {
@@ -89,13 +97,15 @@ func TestFaultedReplaySteadyStateAllocs(t *testing.T) {
 	}
 	replay := func() {
 		st.Reset()
-		sim := st.Simulator(p)
+		n = 0
+		sim := st.Simulator(p, sink)
 		inject(sim)
 		for _, j := range jobs {
 			sim.Submit(j)
 		}
-		if res := sim.Run(); len(res) != len(jobs) {
-			t.Fatalf("replayed %d of %d jobs", len(res), len(jobs))
+		st.Engine().Run()
+		if n != len(jobs) {
+			t.Fatalf("replayed %d of %d jobs", n, len(jobs))
 		}
 	}
 	replay()
@@ -103,7 +113,7 @@ func TestFaultedReplaySteadyStateAllocs(t *testing.T) {
 	full := testing.AllocsPerRun(20, replay)
 	setup := testing.AllocsPerRun(20, func() {
 		st.Reset()
-		inject(st.Simulator(p))
+		inject(st.Simulator(p, sink))
 	})
 	if full != setup {
 		t.Errorf("warm faulted replay: %v allocs/op vs %v for injection setup alone; the replay machinery must add zero", full, setup)

@@ -20,7 +20,7 @@ func invariantAllocs(t *testing.T, nilChecker bool) float64 {
 	p := MustArch(OutOFS, DefaultCalibration())
 	jobs := checkerJobs(40, 20*time.Second)
 	return testing.AllocsPerRun(10, func() {
-		sim := NewSimulator(p)
+		sim := newTestSim(p)
 		sim.SetPolicy(Fair)
 		if nilChecker {
 			sim.SetInvariants(nil)
@@ -28,7 +28,7 @@ func invariantAllocs(t *testing.T, nilChecker bool) float64 {
 		for _, j := range jobs {
 			sim.Submit(j)
 		}
-		if res := sim.Run(); len(res) != len(jobs) {
+		if res := sim.drain(); len(res) != len(jobs) {
 			t.Fatalf("replayed %d of %d jobs", len(res), len(jobs))
 		}
 	})
@@ -69,7 +69,7 @@ func checkerJobsSized(n int, gap time.Duration, input units.Bytes) []Job {
 func TestInvariantsCleanReplay(t *testing.T) {
 	for _, spec := range []string{"", "out:crash@4mx3;out:recover@30m"} {
 		inv := NewInvariantChecker()
-		sim := NewSimulator(MustArch(OutOFS, DefaultCalibration()))
+		sim := newTestSim(MustArch(OutOFS, DefaultCalibration()))
 		sim.SetPolicy(Fair)
 		sim.SetInvariants(inv)
 		if spec != "" {
@@ -81,8 +81,10 @@ func TestInvariantsCleanReplay(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		sim.SubmitAll(checkerJobs(30, 20*time.Second))
-		sim.Run()
+		for _, j := range checkerJobs(30, 20*time.Second) {
+			sim.Submit(j)
+		}
+		sim.drain()
 		sim.CheckDrainedInvariants()
 		if err := inv.Err(); err != nil {
 			t.Errorf("spec %q: %v", spec, err)
@@ -95,7 +97,7 @@ func TestInvariantsCleanReplay(t *testing.T) {
 func TestInvariantsCatchSilentMapLoss(t *testing.T) {
 	defer EnableSilentMapLossBug()()
 	inv := NewInvariantChecker()
-	sim := NewSimulator(MustArch(OutOFS, DefaultCalibration()))
+	sim := newTestSim(MustArch(OutOFS, DefaultCalibration()))
 	sim.SetPolicy(Fair)
 	sim.SetInvariants(inv)
 	sched, err := faults.ParseSchedule("out:crash@4mx3;out:recover@30m")
@@ -107,8 +109,10 @@ func TestInvariantsCatchSilentMapLoss(t *testing.T) {
 	}
 	// Big jobs keep the map phase running across the crash instant, so the
 	// crash hits jobs with completed-but-unfetched map outputs.
-	sim.SubmitAll(checkerJobsSized(8, 30*time.Second, 64*units.GB))
-	sim.Run()
+	for _, j := range checkerJobsSized(8, 30*time.Second, 64*units.GB) {
+		sim.Submit(j)
+	}
+	sim.drain()
 	sim.CheckDrainedInvariants()
 	found := false
 	for _, v := range inv.Violations() {

@@ -20,7 +20,7 @@ func TestSimulatorConservationProperty(t *testing.T) {
 		if len(seeds) == 0 || len(seeds) > 40 {
 			return true
 		}
-		sim := NewSimulator(p)
+		sim := newTestSim(p)
 		if fair {
 			sim.SetPolicy(Fair)
 		}
@@ -35,7 +35,7 @@ func TestSimulatorConservationProperty(t *testing.T) {
 				Submit: time.Duration(s%600) * time.Second,
 			})
 		}
-		results := sim.Run()
+		results := sim.drain()
 		if len(results) != len(seeds) {
 			return false
 		}
@@ -81,7 +81,7 @@ func TestSimulatorContentionProperty(t *testing.T) {
 		if len(sizesRaw) == 0 || len(sizesRaw) > 20 {
 			return true
 		}
-		sim := NewSimulator(p)
+		sim := newTestSim(p)
 		if fair {
 			sim.SetPolicy(Fair)
 		}
@@ -93,7 +93,7 @@ func TestSimulatorContentionProperty(t *testing.T) {
 			// All jobs arrive together: maximum contention.
 			sim.Submit(Job{ID: id, App: apps.Grep(), Input: size})
 		}
-		for _, r := range sim.Run() {
+		for _, r := range sim.drain() {
 			if r.Err != nil {
 				return false
 			}
@@ -115,11 +115,11 @@ func TestSimulatorContentionProperty(t *testing.T) {
 func TestFairKeepsSmallJobsResponsive(t *testing.T) {
 	p := MustArch(OutOFS, DefaultCalibration())
 	run := func(policy Policy) time.Duration {
-		sim := NewSimulator(p)
+		sim := newTestSim(p)
 		sim.SetPolicy(policy)
 		sim.Submit(Job{ID: "huge", App: apps.Wordcount(), Input: 200 * units.GB})
 		sim.Submit(Job{ID: "tiny", App: apps.Grep(), Input: units.MB, Submit: 30 * time.Second})
-		for _, r := range sim.Run() {
+		for _, r := range sim.drain() {
 			if r.Err != nil {
 				t.Fatal(r.Err)
 			}
@@ -159,7 +159,7 @@ func TestPolicyString(t *testing.T) {
 func TestSimulatorDeterminism(t *testing.T) {
 	p := MustArch(OutOFS, DefaultCalibration())
 	build := func() []Result {
-		sim := NewSimulator(p)
+		sim := newTestSim(p)
 		sim.SetPolicy(Fair)
 		for i := 0; i < 30; i++ {
 			sim.Submit(Job{
@@ -169,7 +169,7 @@ func TestSimulatorDeterminism(t *testing.T) {
 				Submit: time.Duration(i) * 7 * time.Second,
 			})
 		}
-		return sim.Run()
+		return sim.drain()
 	}
 	a, b := build(), build()
 	if len(a) != len(b) {

@@ -26,7 +26,7 @@ func replayAllocs(t *testing.T, nilObserver bool) float64 {
 		}
 	}
 	return testing.AllocsPerRun(10, func() {
-		sim := NewSimulator(p)
+		sim := newTestSim(p)
 		sim.SetPolicy(Fair)
 		if nilObserver {
 			sim.SetObserver(nil, nil)
@@ -34,7 +34,7 @@ func replayAllocs(t *testing.T, nilObserver bool) float64 {
 		for _, j := range jobs {
 			sim.Submit(j)
 		}
-		if res := sim.Run(); len(res) != len(jobs) {
+		if res := sim.drain(); len(res) != len(jobs) {
 			t.Fatalf("replayed %d of %d jobs", len(res), len(jobs))
 		}
 	})

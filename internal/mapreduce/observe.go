@@ -39,7 +39,7 @@ var execBounds = []float64{10, 30, 60, 300, 1800, 3600, 6 * 3600, 24 * 3600}
 // inert state. Metric names are prefixed with the platform name, so the two
 // halves of a hybrid sharing one registry stay distinct; registration order
 // is the call order, which the registry's snapshot preserves. Call before
-// Run.
+// the engine runs.
 func (s *Simulator) SetObserver(tr *obs.Tracer, reg *obs.Registry) {
 	name := s.platform.Name
 	if reg == nil {

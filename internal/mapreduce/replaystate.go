@@ -3,6 +3,7 @@ package mapreduce
 import (
 	"fmt"
 	"sync"
+	"time"
 
 	"hybridmr/internal/simclock"
 )
@@ -16,7 +17,9 @@ import (
 // while allocating almost nothing. The process-wide pool behind WithState
 // recycles whole states across reports, so the 5–7 replays of a resilience
 // report and repeated Fig. 10 renders stop paying the ~170k-allocation setup
-// cost per replay.
+// cost per replay. A state is the only way to build a simulator, and a
+// simulator's result sink the only way results leave it, so no view into
+// the buffers Reset clears can outlive a replay.
 
 // ReplayState owns one simulated clock and the simulators bound to it. It is
 // not safe for concurrent use — one replay runs on it at a time; concurrent
@@ -26,13 +29,12 @@ type ReplayState struct {
 	eng  *simclock.Engine
 	sims []*Simulator // every simulator ever built on this state
 	free []*Simulator // recycled shells ready for init
-	// pooled marks a state owned by the WithState pool; its simulators
-	// refuse Results so no view into pooled buffers outlives the replay.
-	pooled bool
 }
 
-// NewReplayState returns an empty state with a fresh engine, owned by the
-// caller (unlike a WithState state, its simulators' Results stay usable).
+// NewReplayState returns an empty state with a fresh engine. WithState's
+// pool builds its states with it; callers that need a state no pool has
+// warmed (a cold-replay benchmark, a test's reference replay) use it
+// directly.
 func NewReplayState() *ReplayState {
 	return &ReplayState{eng: simclock.New()}
 }
@@ -41,21 +43,26 @@ func NewReplayState() *ReplayState {
 func (st *ReplayState) Engine() *simclock.Engine { return st.eng }
 
 // Simulator hands out a simulator for the platform, bound to the state's
-// engine: a recycled shell when Reset has returned one (its buffers, job and
-// attempt freelists stay warm), a fresh one otherwise. Both go through the
-// initializer NewSimulatorOn uses, so the result equals
-// NewSimulatorOn(st.Engine(), p) in every field but kept storage
+// engine and delivering every finished job's result, with its completion
+// instant, to onResult — the only way results leave a simulator. It is the
+// only constructor, and it panics on a nil sink, so a simulator whose
+// results go nowhere cannot exist. The simulator is a recycled shell when
+// Reset has returned one (its buffers, job and attempt freelists stay
+// warm), a fresh one otherwise. Both go through one initializer, so a
+// recycled simulator equals a fresh one in every field but kept storage
 // (TestRecycledSimulatorMatchesFresh).
-func (st *ReplayState) Simulator(p *Platform) *Simulator {
+func (st *ReplayState) Simulator(p *Platform, onResult func(Result, time.Duration)) *Simulator {
+	if onResult == nil {
+		panic("mapreduce: ReplayState.Simulator needs a result sink")
+	}
 	if n := len(st.free); n > 0 {
 		s := st.free[n-1]
 		st.free[n-1] = nil
 		st.free = st.free[:n-1]
-		s.init(st.eng, p, st.pooled)
+		s.init(st.eng, p, onResult)
 		return s
 	}
-	s := NewSimulatorOn(st.eng, p)
-	s.pooled = st.pooled
+	s := newSimulator(st.eng, p, onResult)
 	st.sims = append(st.sims, s)
 	return s
 }
@@ -80,8 +87,8 @@ func (st *ReplayState) Reset() {
 // Call only with the engine already reset: leftover runs and attempts are
 // reclaimed unconditionally because no scheduled event can reference them
 // anymore. The shell is then one Simulator value naming only the kept
-// storage, so policy, injection, hooks, observers, counters and any field
-// added later start from zero without being listed.
+// storage, so policy, injection, the result sink, observers, counters and
+// any field added later start from zero without being listed.
 func (s *Simulator) recycle() {
 	// Reclaim in-flight attempts (abandoned replays only; a drained replay
 	// has none). The pointers are nilled so a recycled run is not pinned.
@@ -103,13 +110,11 @@ func (s *Simulator) recycle() {
 	// rather than pinned by the spare capacity. The memoized degraded views
 	// go too: the next replay may bind a different platform, and rebuilding
 	// the few visited levels is cheap.
-	clear(s.results)
 	clear(s.arrivals)
 	clear(s.degraded)
 	clear(s.taskFailures)
 	*s = Simulator{
-		active:  s.active[:0],
-		results: s.results[:0],
+		active: s.active[:0],
 		ready: [nKinds]readySet{
 			{kind: kMap, heap: s.ready[kMap].heap[:0]},
 			{kind: kRed, heap: s.ready[kRed].heap[:0]},
@@ -141,10 +146,9 @@ var sharedStates statePool
 // including a panic unwinding out of fn (a watchdog's *simclock.BudgetError),
 // so an abandoned replay's half-consumed state is reclaimed, not leaked.
 //
-// The state's simulators are pool-owned: Results and Run panic on them, so no
-// view into the buffers the release clears can leave fn. Collect results with
-// SetResultHook into storage the caller owns. When fn returns without error,
-// every job it started must have finished (the engine drained cleanly).
+// Results leave fn only through the sinks its simulators were built with,
+// into storage the caller owns. When fn returns without error, every job it
+// started must have finished (the engine drained cleanly).
 func WithState(fn func(*ReplayState) error) error {
 	st := sharedStates.acquire()
 	defer sharedStates.release(st)
@@ -171,7 +175,7 @@ func (p *statePool) acquire() *ReplayState {
 		p.free = p.free[:n-1]
 		return st
 	}
-	return &ReplayState{eng: simclock.New(), pooled: true}
+	return NewReplayState()
 }
 
 // release resets the state and returns it to the pool.

@@ -28,11 +28,12 @@ type replayScenario struct {
 	Speculate bool
 }
 
-// run replays the scenario on the given simulator and returns its results.
-func (sc replayScenario) run(t testing.TB, sim *Simulator) []Result {
+// run replays the scenario on the given simulator and returns its results
+// in ByArrival order.
+func (sc replayScenario) run(t testing.TB, sim *testSim) []Result {
 	t.Helper()
-	sc.submit(t, sim)
-	return sim.Run()
+	sc.submit(t, sim.Simulator)
+	return sim.drain()
 }
 
 // submit configures the simulator for the scenario and submits its jobs.
@@ -70,18 +71,6 @@ func (sc replayScenario) submit(t testing.TB, sim *Simulator) {
 	}
 }
 
-// hooked replays the scenario like run, collecting the results through
-// SetResultHook in Results' order — the only way out of a WithState state.
-func (sc replayScenario) hooked(t testing.TB, sim *Simulator) []Result {
-	t.Helper()
-	var rs []Result
-	sim.SetResultHook(func(r Result, _ time.Duration) { rs = append(rs, r) })
-	sc.submit(t, sim)
-	sim.Engine().Run()
-	slices.SortFunc(rs, ByArrival)
-	return rs
-}
-
 // TestReplayStateEquivalenceProperty is the reuse contract as a property:
 // for any workload, policy, fault schedule and injection mix, a replay on a
 // Reset() ReplayState — dirtied by a previous, different replay — produces
@@ -94,16 +83,13 @@ func TestReplayStateEquivalenceProperty(t *testing.T) {
 			return true
 		}
 		// Dirty the pooled state with an unrelated replay, then reset it.
-		dirty.run(t, st.Simulator(p))
+		dirty.run(t, testSimOn(st, p))
 		st.Reset()
 
-		want := sc.run(t, NewSimulator(p))
-		got := sc.run(t, st.Simulator(p))
-		// Compare before Reset: Run returns the simulator's internal buffer,
-		// which Reset clears — why WithState simulators refuse Run.
-		equal := reflect.DeepEqual(got, want)
+		want := sc.run(t, newTestSim(p))
+		got := sc.run(t, testSimOn(st, p))
 		st.Reset()
-		return equal
+		return reflect.DeepEqual(got, want)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
@@ -117,7 +103,7 @@ func TestReplayStateEquivalenceProperty(t *testing.T) {
 func TestReplayStateResetAfterAbandonedRun(t *testing.T) {
 	p := MustArch(OutOFS, DefaultCalibration())
 	sc := replayScenario{Seeds: []uint32{7, 19, 3, 250, 77, 41, 960, 12}, Fair: true, Jitter: 1, Speculate: true}
-	want := sc.run(t, NewSimulator(p))
+	want := sc.run(t, newTestSim(p))
 
 	st := NewReplayState()
 	st.Engine().SetWatchdog(&simclock.Watchdog{MaxEvents: 40})
@@ -127,36 +113,35 @@ func TestReplayStateResetAfterAbandonedRun(t *testing.T) {
 				t.Fatal("watchdog did not fire mid-replay")
 			}
 		}()
-		sc.run(t, st.Simulator(p))
+		sc.run(t, testSimOn(st, p))
 	}()
 	st.Reset()
 
-	if got := sc.run(t, st.Simulator(p)); !reflect.DeepEqual(got, want) {
+	if got := sc.run(t, testSimOn(st, p)); !reflect.DeepEqual(got, want) {
 		t.Error("replay after abandoned run differs from fresh replay")
 	}
 }
 
 // TestStatePoolRecycles pins the pool mechanics: WithState resets the state
 // on the way out and hands the same object to the next WithState, and a
-// handed-out state is pristine (no pending events, clock at zero, no stale
-// results in its recycled simulator).
+// handed-out state is pristine (no pending events, clock at zero, and a
+// recycled simulator that delivers to its new sink, not the old one).
 func TestStatePoolRecycles(t *testing.T) {
 	p := MustArch(OutOFS, DefaultCalibration())
+	job := Job{ID: "j", App: apps.Grep(), Input: units.GB}
 	var first *ReplayState
-	var firstSim *Simulator
-	var got []Result
+	var firstSim *testSim
 	if err := WithState(func(st *ReplayState) error {
 		first = st
-		firstSim = st.Simulator(p)
-		firstSim.SetResultHook(func(r Result, _ time.Duration) { got = append(got, r) })
-		firstSim.Submit(Job{ID: "j", App: apps.Grep(), Input: units.GB})
-		st.Engine().Run()
+		firstSim = testSimOn(st, p)
+		firstSim.Submit(job)
+		firstSim.drain()
 		return nil
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 1 {
-		t.Fatalf("replay returned %d results", len(got))
+	if n := len(firstSim.results); n != 1 {
+		t.Fatalf("replay returned %d results", n)
 	}
 
 	if err := WithState(func(again *ReplayState) error {
@@ -169,12 +154,14 @@ func TestStatePoolRecycles(t *testing.T) {
 		if now := again.Engine().Now(); now != 0 {
 			t.Errorf("recycled state's clock at %v, want 0", now)
 		}
-		sim2 := again.Simulator(p)
-		if sim2 != firstSim {
+		sim2 := testSimOn(again, p)
+		if sim2.Simulator != firstSim.Simulator {
 			t.Error("reset state did not recycle its simulator shell")
 		}
-		if n := len(sim2.results); n != 0 {
-			t.Errorf("recycled simulator holds %d stale results", n)
+		sim2.Submit(job)
+		sim2.drain()
+		if n, old := len(sim2.results), len(firstSim.results); n != 1 || old != 1 {
+			t.Errorf("recycled simulator delivered %d results to its sink and %d to the old one, want 1 and 1", n, old)
 		}
 		return nil
 	}); err != nil {
@@ -189,7 +176,7 @@ func TestStatePoolRecycles(t *testing.T) {
 func TestWithStateRecyclesAfterWatchdogPanic(t *testing.T) {
 	p := MustArch(OutOFS, DefaultCalibration())
 	sc := replayScenario{Seeds: []uint32{7, 19, 3, 250, 77, 41, 960, 12}, Fair: true, Jitter: 1, Speculate: true}
-	want := sc.run(t, NewSimulator(p))
+	want := sc.run(t, newTestSim(p))
 
 	var abandoned *ReplayState
 	func() {
@@ -201,7 +188,7 @@ func TestWithStateRecyclesAfterWatchdogPanic(t *testing.T) {
 		_ = WithState(func(st *ReplayState) error {
 			abandoned = st
 			st.Engine().SetWatchdog(&simclock.Watchdog{MaxEvents: 40})
-			sc.hooked(t, st.Simulator(p))
+			sc.run(t, testSimOn(st, p))
 			return nil
 		})
 		t.Fatal("WithState returned from a panicking replay")
@@ -215,44 +202,13 @@ func TestWithStateRecyclesAfterWatchdogPanic(t *testing.T) {
 		if n := st.Engine().Pending(); n != 0 {
 			t.Errorf("abandoned state kept %d pending events", n)
 		}
-		got = sc.hooked(t, st.Simulator(p))
+		got = sc.run(t, testSimOn(st, p))
 		return nil
 	}); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Error("replay on the recycled state differs from a fresh replay")
-	}
-}
-
-// TestPooledSimulatorRefusesResults pins the by-construction half of the
-// pool contract: a WithState simulator's Results and Run panic, since the
-// release clears the buffer they would return a view of, while a simulator
-// from a caller-owned NewReplayState keeps both.
-func TestPooledSimulatorRefusesResults(t *testing.T) {
-	p := MustArch(OutOFS, DefaultCalibration())
-	mustPanic := func(name string, fn func()) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Errorf("%s on a pooled simulator did not panic", name)
-			}
-		}()
-		fn()
-	}
-	if err := WithState(func(st *ReplayState) error {
-		sim := st.Simulator(p)
-		mustPanic("Results", func() { sim.Results() })
-		mustPanic("Run", func() { sim.Run() })
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-
-	sim := NewReplayState().Simulator(p)
-	sim.Submit(Job{ID: "j", App: apps.Grep(), Input: units.GB})
-	if res := sim.Run(); len(res) != 1 {
-		t.Errorf("caller-owned state replayed %d results, want 1", len(res))
 	}
 }
 
@@ -265,11 +221,11 @@ func TestReplayStateSharedEngine(t *testing.T) {
 	jobB := Job{ID: "b", App: apps.Sort(), Input: 32 * units.GB, Submit: time.Minute}
 
 	replay := func(st *ReplayState) (Result, Result) {
-		upSim, outSim := st.Simulator(up), st.Simulator(out)
+		upSim, outSim := testSimOn(st, up), testSimOn(st, out)
 		upSim.Submit(jobA)
 		outSim.Submit(jobB)
 		st.Engine().Run()
-		return upSim.Results()[0], outSim.Results()[0]
+		return upSim.results[0], outSim.results[0]
 	}
 
 	st := NewReplayState()
@@ -294,7 +250,7 @@ func TestPooledRunsRetainNoJobStorage(t *testing.T) {
 	big := Job{ID: "big", App: apps.Grep(), Input: 64 * units.GB, MapTasks: 20000}
 
 	st := NewReplayState()
-	sim := st.Simulator(p)
+	sim := testSimOn(st, p)
 	if err := sim.ScheduleFaults([]faults.Event{
 		{At: 2 * time.Minute, Kind: faults.MachineCrash, Cluster: faults.ClusterOut, Count: 3},
 		{At: 30 * time.Minute, Kind: faults.MachineRecover, Cluster: faults.ClusterOut, Count: 3},
@@ -305,7 +261,7 @@ func TestPooledRunsRetainNoJobStorage(t *testing.T) {
 		t.Fatal(err)
 	}
 	sim.Submit(big)
-	res := sim.Run()
+	res := sim.drain()
 	if len(res) != 1 || res[0].Err != nil || res[0].TaskRetries == 0 {
 		t.Fatalf("crash replay: %+v, want one finished job with retries", res)
 	}
@@ -333,9 +289,9 @@ func TestPooledRunsRetainNoJobStorage(t *testing.T) {
 		}
 	}
 
-	sim = st.Simulator(p)
+	sim = testSimOn(st, p)
 	sim.Submit(big)
-	if res := sim.Run(); len(res) != 1 || res[0].Err != nil {
+	if res := sim.drain(); len(res) != 1 || res[0].Err != nil {
 		t.Fatalf("clean replay: %+v", res)
 	}
 	if sim.keepLedger || len(sim.taskSlab) != 0 {
@@ -345,14 +301,14 @@ func TestPooledRunsRetainNoJobStorage(t *testing.T) {
 
 // TestRecycledSimulatorMatchesFresh is the reset contract with no field
 // list: after a replay that turns on every optional mode, ReplayState.Reset
-// and Simulator yield a simulator equal to NewSimulatorOn field by field,
+// and Simulator yield a simulator equal to a newly constructed one field by field,
 // found by reflection, so a field added later is covered without naming it.
 // Only the two cross-replay pools (jobFree, attemptFree) may differ. The
 // records those pools hand out again must equal freshly allocated ones too.
 func TestRecycledSimulatorMatchesFresh(t *testing.T) {
 	p := MustArch(OutOFS, DefaultCalibration())
 	st := NewReplayState()
-	sim := st.Simulator(p)
+	sim := testSimOn(st, p)
 	sim.SetObserver(obs.NewTracer(), obs.NewRegistry())
 	sim.SetInvariants(NewInvariantChecker())
 	if err := sim.SpeculateClones(1.5); err != nil {
@@ -368,14 +324,15 @@ func TestRecycledSimulatorMatchesFresh(t *testing.T) {
 	for i := range 40 {
 		sc.Seeds = append(sc.Seeds, uint32(i*7919+13))
 	}
-	sc.hooked(t, sim)
+	sc.run(t, sim)
 	if started, _ := sim.SpeculationStats(); started == 0 {
 		t.Fatal("dirtying replay started no speculative clones")
 	}
 
 	st.Reset()
-	rec := st.Simulator(p)
-	fresh := NewSimulatorOn(st.Engine(), p)
+	sink := func(Result, time.Duration) {}
+	rec := st.Simulator(p, sink)
+	fresh := newSimulator(st.Engine(), p, sink)
 	if rec == fresh || len(rec.attemptFree) == 0 || len(rec.jobFree) == 0 {
 		t.Fatal("Reset returned no recycled simulator with pooled records")
 	}

@@ -3,7 +3,6 @@ package mapreduce
 import (
 	"cmp"
 	"fmt"
-	"slices"
 	"strings"
 	"time"
 
@@ -67,7 +66,6 @@ type Simulator struct {
 	setupMaps        int       // map tasks of jobs still in their setup phase
 	queuedMaps       int       // pending map tasks across active jobs (O(1) MapQueueDepth)
 	active           []*jobRun // jobs with pending or running tasks (swap-remove via activeIdx)
-	results          []Result
 	running          int
 	seq              int
 
@@ -88,12 +86,8 @@ type Simulator struct {
 	// tasks and takes whichever finishes first).
 	jitterFrac  float64
 	speculative bool
-	// pooled marks a simulator handed out by a WithState state: Results
-	// (and so Run) panic, because the release clears the buffer they view.
-	// It sits in speculative's padding so the hot fields keep their offsets.
-	pooled    bool
-	jitterRNG *stats.RNG
-	jitterVar stats.LogUniformVar
+	jitterRNG   *stats.RNG
+	jitterVar   stats.LogUniformVar
 
 	// Fault injection (faultsim.go): current machine/storage losses, the
 	// memoized degraded platform views jobs are planned against, and the
@@ -133,7 +127,7 @@ type Simulator struct {
 	arrivals   []Job
 	arriveNext int
 	// arriveFn is the bound nextArrival method, created once in
-	// NewSimulatorOn and engine-independent, so it survives recycle().
+	// newSimulator and engine-independent, so it survives recycle().
 	arriveFn   simclock.Event
 	lastQueued time.Duration
 
@@ -147,8 +141,9 @@ type Simulator struct {
 	clonesStarted     int
 	clonesWon         int
 
-	// onResult, when set, receives finished results instead of the
-	// internal list (SetResultHook).
+	// onResult receives every finished job's result with its completion
+	// instant: the sink ReplayState.Simulator was given, and the only way
+	// results leave the simulator.
 	onResult func(Result, time.Duration)
 
 	// obsv holds the observability sinks (observe.go); the zero value is
@@ -160,33 +155,28 @@ type Simulator struct {
 	inv invState
 }
 
-// NewSimulator creates an empty FIFO simulator for the platform with its
-// own clock.
-func NewSimulator(p *Platform) *Simulator {
-	return NewSimulatorOn(simclock.New(), p)
-}
-
-// NewSimulatorOn creates a simulator bound to an existing engine, so that
+// newSimulator creates an empty FIFO simulator bound to an engine, so that
 // several clusters (e.g. the hybrid's scale-up and scale-out halves) share
-// one simulated clock while keeping separate slot pools.
-func NewSimulatorOn(eng *simclock.Engine, p *Platform) *Simulator {
+// one simulated clock while keeping separate slot pools. Outside tests,
+// ReplayState.Simulator is its only caller.
+func newSimulator(eng *simclock.Engine, p *Platform, onResult func(Result, time.Duration)) *Simulator {
 	s := &Simulator{ready: [nKinds]readySet{{kind: kMap}, {kind: kRed}}}
 	s.arriveFn = s.nextArrival
-	s.init(eng, p, false)
+	s.init(eng, p, onResult)
 	return s
 }
 
-// init binds a new or recycled simulator to an engine and platform and sets
-// the non-zero defaults: full slot pools and clean (1×) slowdown weights.
-// Every other field starts from zero.
-func (s *Simulator) init(eng *simclock.Engine, p *Platform, pooled bool) {
-	s.platform, s.eng, s.pooled = p, eng, pooled
+// init binds a new or recycled simulator to an engine, platform and result
+// sink and sets the non-zero defaults: full slot pools and clean (1×)
+// slowdown weights. Every other field starts from zero.
+func (s *Simulator) init(eng *simclock.Engine, p *Platform, onResult func(Result, time.Duration)) {
+	s.platform, s.eng, s.onResult = p, eng, onResult
 	s.freeMap, s.capMap = p.Spec.MapSlots(), p.Spec.MapSlots()
 	s.freeRed, s.capRed = p.Spec.ReduceSlots(), p.Spec.ReduceSlots()
 	s.cpuSlow, s.diskSlow, s.nicSlow, s.rackSlow = 1, 1, 1, 1
 }
 
-// SetPolicy selects the slot-sharing policy; call before Run.
+// SetPolicy selects the slot-sharing policy; call before the engine runs.
 func (s *Simulator) SetPolicy(p Policy) {
 	s.policy = p
 	s.ready[kMap].policy = p
@@ -197,7 +187,7 @@ func (s *Simulator) SetPolicy(p Policy) {
 // failed attempt occupies its slot for the full task duration and is then
 // re-executed, up to the calibration's MaxTaskAttempts (Hadoop 1.x defaults
 // to four) — after which the whole job fails. Deterministic per seed. Call
-// before Run.
+// before the engine runs.
 func (s *Simulator) InjectFailures(rate float64, seed int64) error {
 	if rate < 0 || rate >= 1 {
 		return fmt.Errorf("mapreduce: failure rate %v outside [0,1)", rate)
@@ -219,7 +209,7 @@ func (s *Simulator) attemptFails() bool {
 // set, attempts jittered beyond the speculation threshold run at the
 // backup's typical speed instead, modelling Hadoop's speculative execution
 // (a backup attempt starts once the original looks slow, and the faster of
-// the two wins). Deterministic per seed. Call before Run.
+// the two wins). Deterministic per seed. Call before the engine runs.
 func (s *Simulator) InjectStragglers(frac float64, speculate bool, seed int64) error {
 	if frac < 0 || frac > 10 {
 		return fmt.Errorf("mapreduce: straggler fraction %v outside [0,10]", frac)
@@ -256,7 +246,8 @@ func (s *Simulator) jitterDuration(d time.Duration) time.Duration {
 // Policy returns the slot-sharing policy.
 func (s *Simulator) Policy() Policy { return s.policy }
 
-// Submit schedules a job at its Submit time. It must be called before Run.
+// Submit schedules a job at its Submit time, which must not precede the
+// engine's clock.
 //
 //simlint:hotpath
 func (s *Simulator) Submit(job Job) {
@@ -298,13 +289,6 @@ func (s *Simulator) nextArrival(now time.Duration) {
 	s.startJob(job, now)
 }
 
-// SubmitAll submits every job in the slice.
-func (s *Simulator) SubmitAll(jobs []Job) {
-	for _, j := range jobs {
-		s.Submit(j)
-	}
-}
-
 // SubmitNow schedules a job at the current simulated time, for use from
 // inside another event (the hybrid scheduler decides at arrival time).
 func (s *Simulator) SubmitNow(job Job) {
@@ -312,47 +296,15 @@ func (s *Simulator) SubmitNow(job Job) {
 	s.Submit(job)
 }
 
-// Run executes the workload to completion and returns the per-job results
-// ordered by submission time (ties by job ID). Like Results, it panics on a
-// simulator from a WithState state.
-func (s *Simulator) Run() []Result {
-	s.eng.Run()
-	return s.Results()
-}
-
-// Results returns the finished jobs' results, sorted by submission time
-// (ties by job ID). The slice views the simulator's internal buffer. It
-// panics on a simulator from a WithState state — the pool's release would
-// clear that buffer under the caller; collect with SetResultHook there — and
-// if the engine was drained with jobs still in flight, a model bug, not a
-// workload condition. The capture-free slices.SortFunc keeps the post-drain
-// tail off the allocator (sort.Slice costs a closure plus a reflect swapper
-// per call).
-//
-//simlint:hotpath
-func (s *Simulator) Results() []Result {
-	if s.pooled {
-		panic("mapreduce: Results on a pooled simulator; collect with SetResultHook inside WithState")
-	}
-	if s.eng.Pending() == 0 && s.running != 0 {
-		panic(fmt.Sprintf("mapreduce: %d jobs still running after drain", s.running))
-	}
-	slices.SortFunc(s.results, ByArrival)
-	return s.results
-}
-
 // ByArrival orders results by submission time, ties by job ID — the order
-// Results returns and the replay entry points sort hook-collected results
-// into. With unique job IDs the order is total.
+// the replay entry points sort sink-collected results into. With unique job
+// IDs the order is total.
 func ByArrival(a, b Result) int {
 	if a.Submit != b.Submit {
 		return cmp.Compare(a.Submit, b.Submit)
 	}
 	return strings.Compare(a.Job.ID, b.Job.ID)
 }
-
-// Engine exposes the simulated clock, for tests and shared-clock setups.
-func (s *Simulator) Engine() *simclock.Engine { return s.eng }
 
 // MapQueueDepth reports map tasks waiting for a slot right now, including
 // tasks of jobs still in their setup phase; the load balancer extension
@@ -1097,9 +1049,5 @@ func (s *Simulator) finish(r Result, now time.Duration) {
 	if s.inv.checker != nil {
 		s.invFinish(r, now)
 	}
-	if s.onResult != nil {
-		s.onResult(r, now)
-		return
-	}
-	s.results = append(s.results, r)
+	s.onResult(r, now)
 }

@@ -1,17 +1,94 @@
 package mapreduce
 
 import (
+	"fmt"
+	"slices"
 	"testing"
+	"testing/quick"
 	"time"
 
 	"hybridmr/internal/apps"
+	"hybridmr/internal/faults"
 	"hybridmr/internal/units"
 )
 
+// testSim is a simulator built the way every replay builds one — on a
+// ReplayState, with a result sink — whose sink collects into results.
+type testSim struct {
+	*Simulator
+	results []Result
+}
+
+// newTestSim returns a collecting simulator for p on a fresh ReplayState.
+func newTestSim(p *Platform) *testSim { return testSimOn(NewReplayState(), p) }
+
+// testSimOn returns a collecting simulator for p built on st.
+func testSimOn(st *ReplayState, p *Platform) *testSim {
+	ts := &testSim{}
+	ts.Simulator = st.Simulator(p, func(r Result, _ time.Duration) { ts.results = append(ts.results, r) })
+	return ts
+}
+
+// drain runs the engine until no event is pending and returns the collected
+// results in ByArrival order. A job still running after the drain is a model
+// bug, not a workload condition, so it panics.
+func (ts *testSim) drain() []Result {
+	ts.eng.Run()
+	if ts.running != 0 {
+		panic(fmt.Sprintf("mapreduce: %d jobs still running after drain", ts.running))
+	}
+	slices.SortFunc(ts.results, ByArrival)
+	return ts.results
+}
+
+// soloMatchesClosedForm replays job alone on a simulator for p, after the
+// fault events (all at time 0, so they land before the arrival), and
+// reports whether the one result equals view.RunIsolated(job) — same cost
+// model, two evaluation strategies — in Exec and all three phases, or in
+// the error a rejected size yields.
+func soloMatchesClosedForm(t *testing.T, p, view *Platform, events []faults.Event, job Job) bool {
+	t.Helper()
+	want := view.RunIsolated(job)
+	sim := newTestSim(p)
+	mustFaults(t, sim, events)
+	sim.Submit(job)
+	res := sim.drain()
+	if len(res) != 1 {
+		t.Errorf("%s %s: %d results", view.Name, job.ID, len(res))
+		return false
+	}
+	got := res[0]
+	if (got.Err == nil) != (want.Err == nil) || got.Err != nil && got.Err.Error() != want.Err.Error() {
+		t.Errorf("%s %s (%v): sim error %v, closed form %v", view.Name, job.ID, job.Input, got.Err, want.Err)
+		return false
+	}
+	ok := true
+	for _, d := range []struct {
+		phase     string
+		got, want time.Duration
+	}{
+		{"exec", got.Exec, want.Exec},
+		{"map", got.MapPhase, want.MapPhase},
+		{"shuffle", got.ShufflePhase, want.ShufflePhase},
+		{"reduce", got.ReducePhase, want.ReducePhase},
+	} {
+		if d.got != d.want {
+			t.Errorf("%s %s (%v): sim %s %v != closed form %v", view.Name, job.ID, job.Input, d.phase, d.got, d.want)
+			ok = false
+		}
+	}
+	return ok
+}
+
 // An isolated job through the event simulator must match RunIsolated's
-// closed form exactly — same cost model, two evaluation strategies.
+// closed form exactly: the fixed points first, then a property over all
+// four apps, input sizes from 1 KB to 512 GB (the larger ones rejected by
+// up-HDFS, in the same words both ways), every Table I architecture,
+// and three views of it — healthy, degraded by machines crashed before the
+// arrival (the job plans against cluster.Spec.WithMachines), and
+// gray-throttled by a network or bisection window open at the arrival.
 func TestSimulatorMatchesClosedForm(t *testing.T) {
-	upOFS, _, outOFS, outHDFS := fourArches(t)
+	upOFS, upHDFS, outOFS, outHDFS := fourArches(t)
 	jobs := []Job{
 		{ID: "a", App: apps.Wordcount(), Input: 2 * units.GB},
 		{ID: "b", App: apps.Grep(), Input: 32 * units.GB},
@@ -21,30 +98,52 @@ func TestSimulatorMatchesClosedForm(t *testing.T) {
 	}
 	for _, p := range []*Platform{upOFS, outOFS, outHDFS} {
 		for _, job := range jobs {
-			want := p.RunIsolated(job)
-			sim := NewSimulator(p)
-			sim.Submit(job)
-			got := sim.Run()
-			if len(got) != 1 {
-				t.Fatalf("%s %s: %d results", p.Name, job.ID, len(got))
+			soloMatchesClosedForm(t, p, p, nil, job)
+		}
+	}
+
+	arches := []struct {
+		p       *Platform
+		cluster string
+	}{
+		{upOFS, faults.ClusterUp}, {upHDFS, faults.ClusterUp},
+		{outOFS, faults.ClusterOut}, {outHDFS, faults.ClusterOut},
+	}
+	profiles := []apps.Profile{apps.Wordcount(), apps.Grep(), apps.Sort(), apps.DFSIOWrite()}
+	prop := func(app, arch, view, shift, down, factor uint8, frac uint32) bool {
+		a := arches[int(arch)%len(arches)]
+		p, cluster := a.p, a.cluster
+		mag := units.KB << (shift % 29)
+		job := Job{ID: "solo", App: profiles[int(app)%len(profiles)], Input: mag + units.Bytes(frac)%mag}
+		var events []faults.Event
+		oracle := p
+		switch view % 3 {
+		case 1: // degraded: k machines crashed before the arrival
+			k := 1 + int(down)%(p.Spec.Machines-1)
+			events = []faults.Event{{Kind: faults.MachineCrash, Cluster: cluster, Count: k}}
+			spec, err := p.Spec.WithMachines(p.Spec.Machines - k)
+			if err != nil {
+				t.Fatal(err)
 			}
-			r := got[0]
-			if r.Err != nil {
-				t.Fatalf("%s %s: %v", p.Name, job.ID, r.Err)
+			if oracle, err = NewPlatform(p.Name+"-degraded", spec, p.FS, p.Cal); err != nil {
+				t.Fatal(err)
 			}
-			if r.Exec != want.Exec {
-				t.Errorf("%s %s: sim exec %v != closed form %v", p.Name, job.ID, r.Exec, want.Exec)
+		case 2: // gray: a nic or bisection throttle open at the arrival
+			f := 1 + float64(factor%8)/2
+			kind, nic, rack := faults.NICThrottle, f, 1.0
+			if factor&8 != 0 {
+				kind, nic, rack = faults.RackPartition, 1, f
 			}
-			if r.MapPhase != want.MapPhase {
-				t.Errorf("%s %s: sim map %v != closed form %v", p.Name, job.ID, r.MapPhase, want.MapPhase)
-			}
-			if r.ShufflePhase != want.ShufflePhase {
-				t.Errorf("%s %s: sim shuffle %v != %v", p.Name, job.ID, r.ShufflePhase, want.ShufflePhase)
-			}
-			if r.ReducePhase != want.ReducePhase {
-				t.Errorf("%s %s: sim reduce %v != %v", p.Name, job.ID, r.ReducePhase, want.ReducePhase)
+			events = []faults.Event{{Kind: kind, Cluster: cluster, Count: 1, Factor: f}}
+			var err error
+			if oracle, err = grayView(p, nic, rack); err != nil {
+				t.Fatal(err)
 			}
 		}
+		return soloMatchesClosedForm(t, p, oracle, events, job)
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
 	}
 }
 
@@ -56,17 +155,19 @@ func TestSimulatorQueueing(t *testing.T) {
 	small := Job{ID: "small", App: apps.Grep(), Input: units.GB}
 	big := Job{ID: "big", App: apps.Wordcount(), Input: 64 * units.GB}
 
-	alone := NewSimulator(outOFS)
+	alone := newTestSim(outOFS)
 	alone.Submit(small)
-	soloExec := alone.Run()[0].Exec
+	soloExec := alone.drain()[0].Exec
 
-	sim := NewSimulator(outOFS)
+	sim := newTestSim(outOFS)
 	bigFirst := big
 	bigFirst.Submit = 0
 	late := small
 	late.Submit = 5 * time.Second // arrives while the big job owns the slots
-	sim.SubmitAll([]Job{bigFirst, late})
-	res := sim.Run()
+	for _, j := range []Job{bigFirst, late} {
+		sim.Submit(j)
+	}
+	res := sim.drain()
 	var smallRes Result
 	for _, r := range res {
 		if r.Job.ID == "small" {
@@ -81,11 +182,11 @@ func TestSimulatorQueueing(t *testing.T) {
 // Results come back sorted by submission time.
 func TestSimulatorResultOrder(t *testing.T) {
 	_, _, outOFS, _ := fourArches(t)
-	sim := NewSimulator(outOFS)
+	sim := newTestSim(outOFS)
 	for i, d := range []time.Duration{30 * time.Second, 0, 10 * time.Second} {
 		sim.Submit(Job{ID: string(rune('a' + i)), App: apps.Grep(), Input: units.GB, Submit: d})
 	}
-	res := sim.Run()
+	res := sim.drain()
 	if len(res) != 3 {
 		t.Fatalf("%d results", len(res))
 	}
@@ -103,10 +204,10 @@ func TestSimulatorResultOrder(t *testing.T) {
 // the simulator drains.
 func TestSimulatorRejectedJob(t *testing.T) {
 	_, upHDFS, _, _ := fourArches(t)
-	sim := NewSimulator(upHDFS)
+	sim := newTestSim(upHDFS)
 	sim.Submit(Job{ID: "huge", App: apps.Grep(), Input: 200 * units.GB})
 	sim.Submit(Job{ID: "ok", App: apps.Grep(), Input: units.GB})
-	res := sim.Run()
+	res := sim.drain()
 	if len(res) != 2 {
 		t.Fatalf("%d results", len(res))
 	}
@@ -129,11 +230,11 @@ func TestSimulatorRejectedJob(t *testing.T) {
 func TestSimulatorSaturation(t *testing.T) {
 	_, _, outOFS, _ := fourArches(t)
 	makespan := func(n int) time.Duration {
-		sim := NewSimulator(outOFS)
+		sim := newTestSim(outOFS)
 		for i := 0; i < n; i++ {
 			sim.Submit(Job{ID: string(rune('a' + i)), App: apps.Grep(), Input: 8 * units.GB})
 		}
-		res := sim.Run()
+		res := sim.drain()
 		var last time.Duration
 		for _, r := range res {
 			if r.Err != nil {
@@ -151,18 +252,5 @@ func TestSimulatorSaturation(t *testing.T) {
 	}
 	if m4 > 5*m1 {
 		t.Errorf("4-job makespan %v more than 5× 1-job %v — no pipelining?", m4, m1)
-	}
-}
-
-func TestSimulatorEngineExposed(t *testing.T) {
-	_, _, outOFS, _ := fourArches(t)
-	sim := NewSimulator(outOFS)
-	if sim.Engine() == nil {
-		t.Fatal("nil engine")
-	}
-	sim.Submit(Job{ID: "x", App: apps.Grep(), Input: units.GB})
-	sim.Run()
-	if sim.Engine().Events() == 0 {
-		t.Error("no events executed")
 	}
 }

@@ -9,7 +9,7 @@ import (
 )
 
 func TestInjectStragglersValidation(t *testing.T) {
-	sim := NewSimulator(MustArch(OutOFS, DefaultCalibration()))
+	sim := newTestSim(MustArch(OutOFS, DefaultCalibration()))
 	if err := sim.InjectStragglers(-0.1, false, 1); err == nil {
 		t.Error("negative fraction accepted")
 	}
@@ -24,14 +24,14 @@ func TestInjectStragglersValidation(t *testing.T) {
 func stragglerExec(t *testing.T, frac float64, speculate bool, seed int64) time.Duration {
 	t.Helper()
 	p := MustArch(OutOFS, DefaultCalibration())
-	sim := NewSimulator(p)
+	sim := newTestSim(p)
 	if frac > 0 {
 		if err := sim.InjectStragglers(frac, speculate, seed); err != nil {
 			t.Fatal(err)
 		}
 	}
 	sim.Submit(Job{ID: "j", App: apps.Grep(), Input: 32 * units.GB})
-	r := sim.Run()[0]
+	r := sim.drain()[0]
 	if r.Err != nil {
 		t.Fatal(r.Err)
 	}
@@ -69,7 +69,7 @@ func TestStragglersDeterministic(t *testing.T) {
 // Jitter composes with failure injection.
 func TestStragglersWithFailures(t *testing.T) {
 	p := MustArch(OutOFS, DefaultCalibration())
-	sim := NewSimulator(p)
+	sim := newTestSim(p)
 	if err := sim.InjectStragglers(0.5, true, 2); err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestStragglersWithFailures(t *testing.T) {
 		t.Fatal(err)
 	}
 	sim.Submit(Job{ID: "j", App: apps.Wordcount(), Input: 16 * units.GB})
-	r := sim.Run()[0]
+	r := sim.drain()[0]
 	if r.Err != nil {
 		t.Fatal(r.Err)
 	}

@@ -165,14 +165,16 @@ func TestEngineEventsMatchReference(t *testing.T) {
 func TestEngineResetReplayIdentical(t *testing.T) {
 	f := func(ops, dirty []refOp) bool {
 		eng := New()
-		// Dirty the engine: schedule the other workload, execute only part of
-		// it (RunUntil), and reset with the remainder still pending.
+		// Dirty the engine: schedule the other workload, execute only a third
+		// of it, and reset with the remainder still pending.
 		for id, op := range dirty {
 			eng.At(time.Duration(op.Delay%32)*10*time.Millisecond, func(time.Duration) {
 				_ = id
 			})
 		}
-		eng.RunUntil(100 * time.Millisecond)
+		for range len(dirty) / 3 {
+			eng.Step()
+		}
 		eng.Reset()
 		if eng.Now() != 0 || eng.Pending() != 0 || eng.Events() != 0 {
 			return false

@@ -387,37 +387,3 @@ func (e *Engine) Run() time.Duration {
 	}
 	return e.now
 }
-
-// RunUntil executes events with timestamps ≤ deadline, leaving later events
-// pending, and advances the clock to the deadline (or leaves it past it if
-// an executed event scheduled at exactly the deadline advanced it there).
-func (e *Engine) RunUntil(deadline time.Duration) {
-	for {
-		next, ok := e.nextAt()
-		if !ok || next > deadline {
-			break
-		}
-		e.Step()
-	}
-	if e.now < deadline {
-		e.now = deadline
-	}
-}
-
-// nextAt returns the timestamp of the earliest pending event.
-//
-//simlint:hotpath
-func (e *Engine) nextAt() (time.Duration, bool) {
-	has := len(e.pending) > 0
-	var top item
-	if has {
-		top = e.pending[0]
-	}
-	for mask := e.used; mask != 0; mask &= mask - 1 {
-		k := bits.TrailingZeros32(mask)
-		if h := (item{at: e.head[k].at, seq: e.head[k].seq}); !has || h.before(top) {
-			top, has = h, true
-		}
-	}
-	return top.at, has
-}

@@ -90,27 +90,6 @@ func TestEngineNilEventPanics(t *testing.T) {
 	New().At(0, nil)
 }
 
-func TestRunUntil(t *testing.T) {
-	e := New()
-	var ran []int
-	e.At(1*time.Second, func(time.Duration) { ran = append(ran, 1) })
-	e.At(5*time.Second, func(time.Duration) { ran = append(ran, 5) })
-	e.RunUntil(3 * time.Second)
-	if len(ran) != 1 || ran[0] != 1 {
-		t.Errorf("ran = %v, want [1]", ran)
-	}
-	if e.Now() != 3*time.Second {
-		t.Errorf("Now = %v, want 3s", e.Now())
-	}
-	if e.Pending() != 1 {
-		t.Errorf("Pending = %d, want 1", e.Pending())
-	}
-	e.Run()
-	if len(ran) != 2 {
-		t.Errorf("after Run, ran = %v", ran)
-	}
-}
-
 // Property: with arbitrary non-negative delays, events fire in
 // non-decreasing time order and the engine drains completely.
 func TestEngineOrderProperty(t *testing.T) {

@@ -24,11 +24,11 @@ import (
 // annotations cannot drift away from measured budgets.
 var budgetCoverage = map[string]map[string][]string{
 	"../simclock": {
-		// After+Step against a standing 64-event backlog drives the guard,
-		// both sift directions and the next-at peek.
+		// After+Step against a standing 64-event backlog drives the guard
+		// and both sift directions.
 		"TestEngineAfterSteadyStateAllocs": {
 			"Engine.After", "Engine.Step", "Engine.guard",
-			"Engine.siftUp", "Engine.siftDown", "Engine.nextAt",
+			"Engine.siftUp", "Engine.siftDown",
 		},
 		"TestEngineAtSteadyStateAllocs": {"Engine.At"},
 	},
@@ -43,14 +43,14 @@ var budgetCoverage = map[string]map[string][]string{
 	"../mapreduce": {
 		// A clean warm trace replay runs the whole scheduling kernel:
 		// submission/arrival, dispatch, ready-set ladder and task heaps,
-		// job-run pool, attempt arming, completion and the sorted results.
+		// job-run pool, attempt arming, and completion into the result sink.
 		"TestPooledReplaySteadyStateAllocs": {
 			"Simulator.Submit", "Simulator.nextArrival",
 			"Simulator.startJob", "Simulator.dispatch", "Simulator.touch",
 			"Simulator.removeActive", "Simulator.startMapTask",
 			"Simulator.mapTaskDone", "Simulator.startReduceTask",
 			"Simulator.redTaskDone", "Simulator.completeJob",
-			"Simulator.finish", "Simulator.Results",
+			"Simulator.finish",
 			"Simulator.newJobRun", "Simulator.recycleJob", "Simulator.stackDrop",
 			"Simulator.addAttempt", "Simulator.removeAttempt",
 			"Simulator.recycleAttempt", "Simulator.armAttempt",

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -277,6 +278,34 @@ func TestReadErrors(t *testing.T) {
 	neg := "id,app,input_bytes,nominal_bytes,submit_ms,ratio_known,map_tasks\nj,grep,1024,0,-5,true,0\n"
 	if _, err := ReadCSV(strings.NewReader(neg)); err == nil {
 		t.Error("negative submit accepted")
+	}
+}
+
+// A submit time too large for a time.Duration is rejected by both readers,
+// naming the job, rather than wrapping to a negative arrival; the largest
+// representable one is accepted.
+func TestReadRejectsSubmitOverflow(t *testing.T) {
+	const over = "9300000000000" // ms; × 1e6 ns overflows int64
+	jsonText := `[{"id":"a","app":"grep","input_bytes":1000,"submit_ms":` + over + `}]`
+	csvText := "id,app,input_bytes,nominal_bytes,submit_ms,ratio_known,map_tasks\na,grep,1000,0," + over + ",false,0\n"
+	for name, read := range map[string]func() ([]Job, error){
+		"json": func() ([]Job, error) { return ReadJSON(strings.NewReader(jsonText)) },
+		"csv":  func() ([]Job, error) { return ReadCSV(strings.NewReader(csvText)) },
+	} {
+		jobs, err := read()
+		if err == nil {
+			t.Errorf("%s: overflowing submit time accepted as %v", name, jobs[0].Submit)
+		} else if !strings.Contains(err.Error(), "job a") {
+			t.Errorf("%s: error %q does not name the job", name, err)
+		}
+	}
+	edge := fmt.Sprintf(`[{"id":"a","app":"grep","input_bytes":1000,"submit_ms":%d}]`, maxSubmitMS)
+	jobs, err := ReadJSON(strings.NewReader(edge))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if jobs[0].Submit <= 0 {
+		t.Errorf("largest representable submit time read as %v", jobs[0].Submit)
 	}
 }
 
