@@ -114,15 +114,18 @@ chaos:
 	$(GO) test -race -count=1 ./internal/chaos/
 	$(GO) run ./cmd/chaoshunt -seed 1 -rounds 64 -budget events=5e7,simtime=720h
 
-# Coverage-guided fuzzing of every untrusted-input parser for 10 s each:
-# fault schedules, engine output, byte sizes, watchdog budgets and both
-# trace readers. Each target first replays its committed corpus under
+# Coverage-guided fuzzing for 10 s per target: every untrusted-input
+# parser (fault schedules, engine output, byte sizes, watchdog budgets and
+# both trace readers) and the engine's map path (Wordcount over arbitrary
+# text, sort buffers and slot counts against a single-threaded oracle).
+# Each target first replays its committed corpus under
 # testdata/fuzz; a new crasher is written there, so plain `go test` replays
 # it from then on. Open-ended by nature, so it stays out of `make check`;
 # CI runs it as its own job.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseSchedule$$' -fuzztime 10s ./internal/faults/
 	$(GO) test -run '^$$' -fuzz '^FuzzParseOutput$$' -fuzztime 10s ./internal/engine/
+	$(GO) test -run '^$$' -fuzz '^FuzzWordcountSpill$$' -fuzztime 10s ./internal/engine/
 	$(GO) test -run '^$$' -fuzz '^FuzzParseBytes$$' -fuzztime 10s ./internal/units/
 	$(GO) test -run '^$$' -fuzz '^FuzzParseBudget$$' -fuzztime 10s ./internal/sweep/
 	$(GO) test -run '^$$' -fuzz '^FuzzReadJSON$$' -fuzztime 10s ./internal/workload/

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"bytes"
 	"fmt"
 	"regexp"
 	"strconv"
@@ -87,7 +88,11 @@ func NewWordcount(store BlockStore, input, output string, reducers, mapSlots, re
 // GrepMapper emits (pattern, "1") per matching line — the paper's Grep,
 // whose shuffle is the match set (§III-A).
 type GrepMapper struct {
-	re *regexp.Regexp
+	// re is nil when the pattern matches only the bytes lit, as
+	// Regexp.LiteralPrefix reports; MapLine then finds lit with
+	// bytes.Index instead of running the regexp.
+	re  *regexp.Regexp
+	lit []byte
 }
 
 // NewGrepMapper compiles the pattern.
@@ -96,12 +101,24 @@ func NewGrepMapper(pattern string) (*GrepMapper, error) {
 	if err != nil {
 		return nil, fmt.Errorf("engine: grep: %w", err)
 	}
+	if lit, complete := re.LiteralPrefix(); complete {
+		return &GrepMapper{lit: []byte(lit)}, nil
+	}
 	return &GrepMapper{re: re}, nil
 }
 
-// MapLine implements Mapper.
+// MapLine implements Mapper. It emits what the regexp's Find returns: the
+// leftmost match, as a sub-slice of line.
 func (g *GrepMapper) MapLine(line []byte, emit func(k, v []byte)) error {
-	if m := g.re.Find(line); m != nil {
+	var m []byte
+	if g.re != nil {
+		m = g.re.Find(line)
+	} else if i := bytes.Index(line, g.lit); i >= 0 {
+		// Sliced as Find slices: nil for a nil line, capacity cut.
+		end := i + len(g.lit)
+		m = line[i:end:end]
+	}
+	if m != nil {
 		emit(m, one)
 	}
 	return nil

@@ -26,7 +26,8 @@ type Mapper interface {
 }
 
 // Reducer folds all values of one key into output pairs. A Reducer may also
-// serve as the combiner, Hadoop-style, when its operation is associative.
+// serve as the combiner, Hadoop-style, when its operation is associative
+// and commutative.
 // As in Hadoop, the engine reuses the values' storage once Reduce returns,
 // so a Reducer must not keep the slice.
 type Reducer interface {
@@ -58,7 +59,9 @@ type Config struct {
 	// Mapper and Reducer implement the application.
 	Mapper  Mapper
 	Reducer Reducer
-	// Combiner, when non-nil, pre-aggregates map output per task.
+	// Combiner, when non-nil, pre-aggregates map output per task. Unlike
+	// the Reducer, it sees keys in the order the task first emitted them
+	// and each key's values in emit order, so it must depend on neither.
 	Combiner Reducer
 	// Reducers is the reduce-partition count (≥ 1).
 	Reducers int
@@ -66,9 +69,10 @@ type Config struct {
 	// per-machine slot settings (§II-D).
 	MapSlots, ReduceSlots int
 	// SortBufferRecords bounds each map task's in-memory output buffer
-	// (Hadoop's io.sort.mb, in records): a full buffer is sorted,
+	// (Hadoop's io.sort.mb, in records): a full buffer is grouped by key,
 	// combined and spilled to a segment, and the segments are merged at
-	// task end. 0 keeps everything in one buffer.
+	// task end. Only the reduce side sorts. 0 keeps everything in one
+	// buffer.
 	SortBufferRecords int
 }
 
@@ -302,7 +306,7 @@ func runMapTask(cfg Config, ds Dataset, task int, wk *worker, mc *mapCounters) (
 	}
 	wk.split = split
 	// Map output goes straight into the grouper as it is emitted; a
-	// bounded sort buffer spills it to sorted segments as it fills.
+	// bounded sort buffer spills it to grouped segments as it fills.
 	sb := spillBuffer{bound: cfg.SortBufferRecords, combiner: cfg.Combiner, g: &wk.g}
 	var nIn, nOut, outBytes int64
 	var emitErr error
@@ -435,12 +439,13 @@ type group struct {
 // order they first arrive and records each added pair as a (group number,
 // value end) entry in two flat slices, the value's bytes appended to one
 // arena, so once its storage has grown an add allocates nothing but the
-// copy of a key the grouper has not seen since its last reset. sorted()
-// then yields what Hadoop's sort-merge step yields — keys ascending, each
-// key's values ascending — by counting-sorting the values into their groups
-// and sorting the group numbers by key, never every pair. A worker owns one
-// grouper and resets it between tasks and spills, so the storage is sized
-// by the worker's largest task, not allocated per task.
+// copy of a key the grouper has not seen since its last reset. groups()
+// counting-sorts the values into their groups and yields them in
+// first-seen key order, which is all the map side needs; sorted() then
+// yields what Hadoop's sort-merge step yields — keys ascending, each key's
+// values ascending — by sorting the groups by key, never every pair. A
+// worker owns one grouper and resets it between tasks and spills, so the
+// storage is sized by the worker's largest task, not allocated per task.
 type grouper struct {
 	index map[string]int32 // key → group number
 	keys  []string         // group number → key
@@ -448,11 +453,10 @@ type grouper struct {
 	arena []byte           // the values, concatenated in add order
 	vends []int32          // end of each pair's value in arena
 
-	// Scratch for sorted(), reused across calls.
-	ends   []int32  // group number → end of its values in flat
-	flat   []string // the values, grouped by group number
-	perm   []int32  // group numbers in key order
-	groups []group
+	// Scratch for groups(), reused across calls.
+	ends    []int32  // group number → end of its values in flat
+	flat    []string // the values, grouped by group number
+	grouped []group  // what groups() and sorted() return
 }
 
 // add groups one pair. It is the grouper's one add path, for the byte
@@ -486,11 +490,12 @@ var errArenaFull = errors.New("engine: over 2 GiB of values in one grouping buff
 // len returns the number of pairs added since the last reset.
 func (g *grouper) len() int { return len(g.gids) }
 
-// sorted returns the groups in key order, each group's values ascending.
-// The values are substrings of one string copied from the arena per call.
-// The groups and their value slices live in the grouper's scratch storage:
-// they are valid until sorted is called again.
-func (g *grouper) sorted() []group {
+// groups returns the groups in the order their keys were first added,
+// each group's values in add order. The values are substrings of one string
+// copied from the arena per call. The groups and their value slices live
+// in the grouper's scratch storage: they are valid until groups or sorted
+// is called again.
+func (g *grouper) groups() []group {
 	n := len(g.keys)
 	// Counting sort, stable in add order. ends[i+1] counts group i, the
 	// prefix sum turns ends[i] into group i's start, and placing the values
@@ -513,26 +518,29 @@ func (g *grouper) sorted() []group {
 		g.ends[i]++
 		start = end
 	}
-	g.perm = g.perm[:0]
-	for i := range int32(n) {
-		g.perm = append(g.perm, i)
-	}
-	slices.SortFunc(g.perm, func(a, b int32) int { return strings.Compare(g.keys[a], g.keys[b]) })
-	g.groups = g.groups[:0]
-	for _, i := range g.perm {
-		start := int32(0)
-		if i > 0 {
-			start = g.ends[i-1]
-		}
+	g.grouped = g.grouped[:0]
+	start = 0
+	for i, key := range g.keys {
+		end := g.ends[i]
 		// The capacity bound keeps a combiner that appends to its values
 		// from overwriting the next group's.
-		values := g.flat[start:g.ends[i]:g.ends[i]]
-		if !slices.IsSorted(values) {
-			slices.Sort(values)
-		}
-		g.groups = append(g.groups, group{key: g.keys[i], values: values})
+		g.grouped = append(g.grouped, group{key: key, values: g.flat[start:end:end]})
+		start = end
 	}
-	return g.groups
+	return g.grouped
+}
+
+// sorted returns groups() in key order, each group's values ascending: the
+// order a reducer sees. Its storage is groups()'s.
+func (g *grouper) sorted() []group {
+	groups := g.groups()
+	slices.SortFunc(groups, func(a, b group) int { return strings.Compare(a.key, b.key) })
+	for _, gr := range groups {
+		if !slices.IsSorted(gr.values) {
+			slices.Sort(gr.values)
+		}
+	}
+	return groups
 }
 
 // reset empties the grouper, keeping all of its storage for reuse.

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"maps"
+	"regexp"
 	"slices"
 	"sort"
 	"strconv"
@@ -12,6 +13,7 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"hybridmr/internal/corpus"
 	"hybridmr/internal/units"
@@ -247,6 +249,56 @@ func TestGrep(t *testing.T) {
 	if out["alpha"] != "2" {
 		t.Errorf("grep output = %v", out)
 	}
+
+	// A literal pattern is found with bytes.Index, others by the regexp;
+	// either way MapLine emits what the regexp's Find returns: the same
+	// sub-slice of the line, or nothing, for a nil line too.
+	lines := [][]byte{nil}
+	for _, s := range []string{"", "alpha beta", "w0000 w00001", "xw00007y", "W0000 w0000",
+		"a.b axb", "a\\.b", "héllo wörld", "wörld\xffwörld", "bad\xff w0\xff0000", "no match"} {
+		lines = append(lines, []byte(s))
+	}
+	for _, tc := range []struct {
+		pattern string
+		literal bool
+	}{
+		{"w0000", true},
+		{"wörld", true},
+		{`a\.b`, true},
+		{"", true},
+		{"w00[0-9]+", false},
+		{"(?i)W0000", false},
+	} {
+		m, err := NewGrepMapper(tc.pattern)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if (m.re == nil) != tc.literal {
+			t.Errorf("%q: literal path %v, want %v", tc.pattern, m.re == nil, tc.literal)
+		}
+		re := regexp.MustCompile(tc.pattern)
+		for _, line := range lines {
+			want := re.Find(line)
+			var got [][]byte
+			if err := m.MapLine(line, func(k, v []byte) { got = append(got, k, v) }); err != nil {
+				t.Fatal(err)
+			}
+			if want == nil {
+				if got != nil {
+					t.Errorf("%q on %q: emitted %q, want nothing", tc.pattern, line, got)
+				}
+				continue
+			}
+			if len(got) != 2 || !sameSlice(got[0], want) || string(got[1]) != "1" {
+				t.Errorf("%q on %q: emitted %q, want %q, \"1\"", tc.pattern, line, got, want)
+			}
+		}
+	}
+}
+
+// sameSlice reports whether a and b are the same slice of the same array.
+func sameSlice(a, b []byte) bool {
+	return len(a) == len(b) && cap(a) == cap(b) && unsafe.SliceData(a) == unsafe.SliceData(b)
 }
 
 func TestGrepBadPattern(t *testing.T) {

@@ -9,12 +9,10 @@ import (
 var asciiSpace = [utf8.RuneSelf]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}
 
 // runeAt reports whether the rune starting at s[i] is white space, and its
-// width. Bytes below utf8.RuneSelf take the table; others are decoded, so
-// an invalid byte is a one-byte RuneError, which is not space.
+// width, for s[i] ≥ utf8.RuneSelf; nextField looks ASCII bytes up in
+// asciiSpace itself. An invalid byte is a one-byte RuneError, which is not
+// space.
 func runeAt(s []byte, i int) (space bool, width int) {
-	if c := s[i]; c < utf8.RuneSelf {
-		return asciiSpace[c], 1
-	}
 	r, width := utf8.DecodeRune(s[i:])
 	return unicode.IsSpace(r), width
 }
@@ -25,6 +23,13 @@ func runeAt(s []byte, i int) (space bool, width int) {
 // left. Unlike bytes.Fields it allocates nothing.
 func nextField(s []byte, i int) (start, end int) {
 	for i < len(s) {
+		if c := s[i]; c < utf8.RuneSelf {
+			if !asciiSpace[c] {
+				break
+			}
+			i++
+			continue
+		}
 		space, w := runeAt(s, i)
 		if !space {
 			break
@@ -33,6 +38,13 @@ func nextField(s []byte, i int) (start, end int) {
 	}
 	start = i
 	for i < len(s) {
+		if c := s[i]; c < utf8.RuneSelf {
+			if asciiSpace[c] {
+				break
+			}
+			i++
+			continue
+		}
 		space, w := runeAt(s, i)
 		if space {
 			break

@@ -7,9 +7,12 @@ package engine
 // for arbitrarily large map outputs — and so the spill/merge machinery the
 // paper's heap-size tuning (§II-D) is about actually exists in the
 // functional substrate. An unbounded buffer is the same machinery with a
-// single spill at task end.
+// single spill at task end. Unlike Hadoop's, the engine's segments are
+// grouped by key but not sorted: the merge regroups them by hash, and the
+// reduce task is the one place that sorts (runReduceTask).
 
-// segment is one sorted (and possibly combined) run of pairs.
+// segment is one grouped (and possibly combined) run of pairs: each key's
+// pairs are adjacent, keys in first-seen order.
 type segment []kv
 
 // spillBuffer groups one map task's output under a record bound, in the
@@ -62,7 +65,7 @@ func (s *spillBuffer) drain() ([]kv, error) {
 	return mergeSegments(s.segments, s.combiner, s.g)
 }
 
-// mergeSegments merges segments into one sorted run through the empty
+// mergeSegments merges segments into one grouped run through the empty
 // grouper g, combining equal keys from different segments when a combiner
 // is set.
 func mergeSegments(segs []segment, combiner Reducer, g *grouper) (segment, error) {
@@ -76,11 +79,11 @@ func mergeSegments(segs []segment, combiner Reducer, g *grouper) (segment, error
 	return g.flush(combiner)
 }
 
-// flush empties the grouper into one sorted run: its groups in key order,
-// each run through the combiner, or expanded pair by pair when there is
-// none.
+// flush empties the grouper into one grouped run: its groups in first-seen
+// key order, each run through the combiner with its values in add order,
+// or expanded pair by pair when there is none.
 func (g *grouper) flush(combiner Reducer) (segment, error) {
-	groups := g.sorted()
+	groups := g.groups()
 	var out segment
 	if combiner == nil {
 		out = make(segment, 0, g.len())

@@ -1,8 +1,10 @@
 package engine
 
 import (
+	"cmp"
 	"slices"
 	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -76,34 +78,98 @@ func TestSpillCombinerShrinksShuffle(t *testing.T) {
 }
 
 // Property: the spill path and the unbounded path agree for any buffer
-// bound, including bounds of 1.
+// bound, including bounds of 1: the same output bytes and the same
+// counters, Spills and the wall times aside. Wordcount spills through its
+// combiner; Sort, which has none, spills every pair.
 func TestSpillEquivalenceProperty(t *testing.T) {
 	text, _ := corpus.Generate(corpus.DefaultConfig(), 8*units.KB)
-	baselineStore := newOFS(t)
-	if err := baselineStore.Create("in", text); err != nil {
-		t.Fatal(err)
-	}
-	base := NewWordcount(baselineStore, "in", "base", 3, 4, 3)
-	if _, err := Run(base); err != nil {
-		t.Fatal(err)
-	}
-	baseOut := readAll(t, baselineStore, "base")
+	for _, newJob := range []func(BlockStore, string, string, int, int, int) Config{NewWordcount, NewSort} {
+		baselineStore := newOFS(t)
+		if err := baselineStore.Create("in", text); err != nil {
+			t.Fatal(err)
+		}
+		base := newJob(baselineStore, "in", "base", 3, 4, 3)
+		baseCtr, err := Run(base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		baseOut := readAll(t, baselineStore, "base")
 
-	f := func(boundRaw uint8) bool {
-		store := newOFS(t)
-		if err := store.Create("in", text); err != nil {
-			return false
+		f := func(boundRaw uint8) bool {
+			store := newOFS(t)
+			if err := store.Create("in", text); err != nil {
+				return false
+			}
+			cfg := newJob(store, "in", "out", 3, 4, 3)
+			cfg.SortBufferRecords = int(boundRaw%200) + 1
+			ctr, err := Run(cfg)
+			if err != nil {
+				return false
+			}
+			return string(readAll(t, store, "out")) == string(baseOut) &&
+				sansSpills(ctr) == sansSpills(baseCtr)
 		}
-		cfg := NewWordcount(store, "in", "out", 3, 4, 3)
-		cfg.SortBufferRecords = int(boundRaw%200) + 1
-		if _, err := Run(cfg); err != nil {
-			return false
+		if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
+			t.Errorf("%s: %v", base.Name, err)
 		}
-		return string(readAll(t, store, "out")) == string(baseOut)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Error(err)
-	}
+}
+
+// sansSpills returns c with Spills and the wall times zeroed: the counters
+// every sort buffer and slot count must agree on.
+func sansSpills(c Counters) Counters {
+	c.Spills, c.MapWall, c.ShuffleWall, c.ReduceWall = 0, 0, 0, 0
+	return c
+}
+
+// The map path under any input, sort buffer and slot count: a Wordcount's
+// output is the single-threaded oracle's, and its counters are those of
+// the unbounded single-slot run, Spills and the wall times aside. Blocks of
+// a sixteenth of the input, and at least 16 bytes, give even a short input
+// several map tasks, some with empty splits, while keeping a long line
+// cheap: each task whose block starts inside a line reads on to its end.
+func FuzzWordcountSpill(f *testing.F) {
+	f.Add([]byte("a b a\nc a\n"), uint8(1), uint8(2))
+	f.Fuzz(func(t *testing.T, text []byte, boundRaw, slotsRaw uint8) {
+		if len(text) == 0 {
+			return // an empty input is a Run error
+		}
+		run := func(bound, slots int) ([]byte, Counters) {
+			store, err := NewMemOFS(4, max(units.Bytes(len(text)/16), 16))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := store.Create("in", text); err != nil {
+				t.Fatal(err)
+			}
+			cfg := NewWordcount(store, "in", "out", 3, slots, slots)
+			cfg.SortBufferRecords = bound
+			ctr, err := Run(cfg)
+			if err != nil {
+				t.Fatalf("bound %d slots %d: %v", bound, slots, err)
+			}
+			return readAll(t, store, "out"), ctr
+		}
+		bound, slots := int(boundRaw)%201, int(slotsRaw)%4+1
+		_, wantCtr := run(0, 1)
+		out, ctr := run(bound, slots)
+		if sansSpills(ctr) != sansSpills(wantCtr) {
+			t.Errorf("bound %d slots %d: counters %+v, want %+v", bound, slots, ctr, wantCtr)
+		}
+		got, err := ParseOutput(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := referenceWordcount(text)
+		if len(got) != len(want) {
+			t.Fatalf("bound %d slots %d: %d words, want %d", bound, slots, len(got), len(want))
+		}
+		for w, n := range want {
+			if got[w] != strconv.FormatInt(n, 10) {
+				t.Errorf("bound %d slots %d: count[%q] = %s, want %d", bound, slots, w, got[w], n)
+			}
+		}
+	})
 }
 
 func readAll(t *testing.T, store BlockStore, name string) []byte {
@@ -131,7 +197,10 @@ func TestSpillValidation(t *testing.T) {
 	}
 }
 
-// Unit coverage of the merge machinery.
+// Unit coverage of the merge machinery. The map side groups but does not
+// sort, so the merge is checked for what the reducers rely on: without a
+// combiner it keeps every pair, each key's pairs together; with one, each
+// key appears once, its values combined across segments.
 func TestMergeSegments(t *testing.T) {
 	segs := []segment{
 		{{"a", "1"}, {"c", "1"}, {"e", "1"}},
@@ -143,25 +212,68 @@ func TestMergeSegments(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(merged) != 6 {
-		t.Fatalf("merged %d pairs", len(merged))
+	want := slices.Concat(segs...)
+	if !slices.Equal(sortedPairs(merged), sortedPairs(want)) {
+		t.Errorf("merge = %v, want the pairs %v", merged, want)
 	}
 	for i := 1; i < len(merged); i++ {
-		if merged[i].k < merged[i-1].k {
-			t.Fatalf("merge not sorted: %v", merged)
+		if k := merged[i].k; k != merged[i-1].k && slices.ContainsFunc(merged[:i], func(p kv) bool { return p.k == k }) {
+			t.Errorf("merge = %v: key %q not grouped", merged, k)
 		}
 	}
-	if merged[0] != (kv{"a", "0"}) || merged[1] != (kv{"a", "1"}) {
-		t.Errorf("value tie-break wrong: %v", merged[:2])
-	}
-	// With a combiner, equal keys from different segments collapse.
 	combined, err := mergeSegments(segs, SumReducer{}, &grouper{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := segment{{"a", "1"}, {"b", "1"}, {"c", "3"}, {"e", "1"}}
-	if !slices.Equal(combined, want) {
-		t.Errorf("combined merge = %v, want %v", combined, want)
+	wantCombined := []kv{{"a", "1"}, {"b", "1"}, {"c", "3"}, {"e", "1"}}
+	if !slices.Equal(sortedPairs(combined), wantCombined) {
+		t.Errorf("combined merge = %v, want the pairs %v", combined, wantCombined)
+	}
+}
+
+// sortedPairs returns a sorted copy of pairs, by key and then value: the
+// multiset of pairs in a canonical order.
+func sortedPairs(pairs []kv) []kv {
+	out := slices.Clone(pairs)
+	slices.SortFunc(out, func(a, b kv) int {
+		return cmp.Or(strings.Compare(a.k, b.k), strings.Compare(a.v, b.v))
+	})
+	return out
+}
+
+// reduceFunc adapts a function to Reducer.
+type reduceFunc func(key string, values []string, emit func(k, v string)) error
+
+func (f reduceFunc) Reduce(key string, values []string, emit func(k, v string)) error {
+	return f(key, values, emit)
+}
+
+// The reduce task is the one place the engine sorts: in whatever order the
+// map tasks emitted the pairs, the reducer gets keys ascending and each
+// key's values ascending, the tie-break of Hadoop's sort-merge step.
+func TestReduceTaskSortsKeysAndValues(t *testing.T) {
+	pairs := []kv{{"c", "1"}, {"a", "1"}, {"c", "2"}, {"b", "1"}, {"a", "0"}, {"e", "1"}, {"c", "0"}}
+	want := []group{{"a", []string{"0", "1"}}, {"b", []string{"1"}}, {"c", []string{"0", "1", "2"}}, {"e", []string{"1"}}}
+	var g grouper
+	for shift := range pairs {
+		for _, reverse := range []bool{false, true} {
+			order := slices.Concat(pairs[shift:], pairs[:shift])
+			if reverse {
+				slices.Reverse(order)
+			}
+			var got []group
+			record := reduceFunc(func(k string, values []string, emit func(k, v string)) error {
+				got = append(got, group{k, slices.Clone(values)})
+				emit(k, strings.Join(values, ","))
+				return nil
+			})
+			if _, err := runReduceTask(Config{Name: "order", Reducer: record}, order, &g); err != nil {
+				t.Fatal(err)
+			}
+			if !equalGroups(got, want) {
+				t.Errorf("pairs %v: reducer got %v, want %v", order, got, want)
+			}
+		}
 	}
 }
 
