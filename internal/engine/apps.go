@@ -88,9 +88,9 @@ func NewWordcount(store BlockStore, input, output string, reducers, mapSlots, re
 // GrepMapper emits (pattern, "1") per matching line — the paper's Grep,
 // whose shuffle is the match set (§III-A).
 type GrepMapper struct {
-	// re is nil when the pattern matches only the bytes lit, as
-	// Regexp.LiteralPrefix reports; MapLine then finds lit with
-	// bytes.Index instead of running the regexp.
+	// re is nil when the pattern is the bare literal lit, quoted as
+	// regexp.QuoteMeta quotes it; MapLine then finds lit with bytes.Index
+	// instead of running the regexp.
 	re  *regexp.Regexp
 	lit []byte
 }
@@ -101,7 +101,9 @@ func NewGrepMapper(pattern string) (*GrepMapper, error) {
 	if err != nil {
 		return nil, fmt.Errorf("engine: grep: %w", err)
 	}
-	if lit, complete := re.LiteralPrefix(); complete {
+	// LiteralPrefix alone is not enough: it also reports a complete
+	// literal for anchored patterns such as ^w0000$, which match less.
+	if lit, complete := re.LiteralPrefix(); complete && regexp.QuoteMeta(lit) == pattern {
 		return &GrepMapper{lit: []byte(lit)}, nil
 	}
 	return &GrepMapper{re: re}, nil

@@ -255,7 +255,7 @@ func TestGrep(t *testing.T) {
 	// sub-slice of the line, or nothing, for a nil line too.
 	lines := [][]byte{nil}
 	for _, s := range []string{"", "alpha beta", "w0000 w00001", "xw00007y", "W0000 w0000",
-		"a.b axb", "a\\.b", "héllo wörld", "wörld\xffwörld", "bad\xff w0\xff0000", "no match"} {
+		"a.b axb", "a\\.b", "w0000", "héllo wörld", "wörld\xffwörld", "bad\xff w0\xff0000", "no match"} {
 		lines = append(lines, []byte(s))
 	}
 	for _, tc := range []struct {
@@ -268,6 +268,9 @@ func TestGrep(t *testing.T) {
 		{"", true},
 		{"w00[0-9]+", false},
 		{"(?i)W0000", false},
+		{"^w0000$", false},
+		{`\Aw0000\z`, false},
+		{"^w0000", false},
 	} {
 		m, err := NewGrepMapper(tc.pattern)
 		if err != nil {

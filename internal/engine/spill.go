@@ -1,15 +1,14 @@
 package engine
 
 // Map-side spill: Hadoop buffers map output in a bounded in-memory buffer
-// (io.sort.mb) and, when it fills, sorts, combines and spills a segment;
+// (io.sort.mb) and, when it fills, groups, combines and spills a segment;
 // the segments are merged at the end of the task. The engine reproduces
 // that path when Config.SortBufferRecords is set, so memory stays bounded
 // for arbitrarily large map outputs — and so the spill/merge machinery the
 // paper's heap-size tuning (§II-D) is about actually exists in the
 // functional substrate. An unbounded buffer is the same machinery with a
-// single spill at task end. Unlike Hadoop's, the engine's segments are
-// grouped by key but not sorted: the merge regroups them by hash, and the
-// reduce task is the one place that sorts (runReduceTask).
+// single spill at task end. Hadoop sorts each spill; here only the reduce
+// task sorts (runReduceTask).
 
 // segment is one grouped (and possibly combined) run of pairs: each key's
 // pairs are adjacent, keys in first-seen order.
