@@ -44,3 +44,30 @@ func TestParseLineKeepsHyphenatedSubName(t *testing.T) {
 		t.Errorf("name = %q, ok=%v", b.Name, ok)
 	}
 }
+
+// Repeated runs of a benchmark merge into one record with the least ns/op,
+// B/op and allocs/op, the fastest run's metrics, in first-seen order.
+func TestLeastOfMergesRepeatedRuns(t *testing.T) {
+	var bs []Benchmark
+	for _, line := range []string{
+		"BenchmarkA-2   10   300 ns/op   9 B/op   621 allocs/op   5 events/sec",
+		"BenchmarkB-2   10   50 ns/op   0 B/op   0 allocs/op",
+		"BenchmarkA-2   10   200 ns/op   8 B/op   622 allocs/op   7 events/sec",
+		"BenchmarkA-2   10   400 ns/op   10 B/op   620 allocs/op   3 events/sec",
+	} {
+		b, ok := parseLine(line)
+		if !ok {
+			t.Fatalf("parseLine(%q) failed", line)
+		}
+		bs = append(bs, b)
+	}
+	got := leastOf(bs)
+	if len(got) != 2 || got[0].Name != "BenchmarkA" || got[1].Name != "BenchmarkB" {
+		t.Fatalf("merged to %+v", got)
+	}
+	a := got[0]
+	if a.NsPerOp != 200 || *a.BytesPerOp != 8 || *a.AllocsPerOp != 620 || a.Metrics["events/sec"] != 7 {
+		t.Errorf("BenchmarkA = %v ns/op, %v B/op, %v allocs/op, %v; want 200, 8, 620 and the 200 ns run's metrics",
+			a.NsPerOp, *a.BytesPerOp, *a.AllocsPerOp, a.Metrics)
+	}
+}

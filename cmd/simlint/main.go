@@ -1,6 +1,5 @@
-// Command simlint runs the repo's determinism-and-contract analyzers
-// (internal/simlint) over Go packages and exits non-zero on any
-// error-severity finding (warnings are printed but do not fail the run).
+// Command simlint runs the repo's determinism analyzers (internal/simlint)
+// over Go packages and exits non-zero on any error-severity finding.
 //
 //	go run ./cmd/simlint ./...
 //	go run ./cmd/simlint -json findings.json -github ./...
@@ -15,9 +14,10 @@
 // commands (::error / ::warning) so findings surface as inline annotations
 // on pull requests.
 //
-// Packages listed in simlint.SimPackages are checked under the full
-// determinism contract; every other package still gets the universal checks
-// (locks copied by value). Suppressions use
+// The analyzers check the packages listed in simlint.SimPackages, which are
+// under the determinism contract; in every package, a suppression directive
+// must still name an analyzer, give a reason and suppress something.
+// Suppressions use
 //
 //	//simlint:allow <analyzer> <reason>
 //

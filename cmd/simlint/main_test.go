@@ -11,12 +11,10 @@ import (
 )
 
 // TestTreeIsClean is the acceptance gate: the linter must exit 0 with zero
-// unsuppressed findings over the whole module — warnings included, even
-// though warnings alone would not fail the CLI exit code. Any newly
-// introduced wall-clock read, global rand call, order-sensitive map range,
-// stray goroutine, hot-path allocation, uncovered pooled/hashed field,
-// use-after-release of pooled state or reasonless/stale directive in a sim
-// package fails this test.
+// unsuppressed findings over the whole module, warnings included. Any newly
+// introduced wall-clock read, order-sensitive map range or float fold,
+// stray goroutine or sync.Map, select, or reasonless, stale or unknown
+// directive fails this test.
 func TestTreeIsClean(t *testing.T) {
 	var buf bytes.Buffer
 	code, err := run([]string{"../../..."}, &buf, "", false)
@@ -63,12 +61,12 @@ func TestJSONAndGithubOutput(t *testing.T) {
 // %-encoding of newlines the Actions toolkit requires.
 func TestGithubAnnotation(t *testing.T) {
 	f := simlint.Finding{
-		Analyzer: "hotalloc",
+		Analyzer: "walltime",
 		Pos:      token.Position{Filename: "/mod/internal/x/y.go", Line: 7, Column: 3},
 		Message:  "bad\nthing with 100%",
 	}
 	got := githubAnnotation("/mod", f)
-	want := "::error file=internal/x/y.go,line=7,col=3,title=simlint/hotalloc::bad%0Athing with 100%25"
+	want := "::error file=internal/x/y.go,line=7,col=3,title=simlint/walltime::bad%0Athing with 100%25"
 	if got != want {
 		t.Errorf("githubAnnotation:\n got %q\nwant %q", got, want)
 	}

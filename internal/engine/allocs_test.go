@@ -56,8 +56,9 @@ func distinctKeysPerTask(t *testing.T, store BlockStore, name string) int64 {
 	}
 	var total int64
 	var split []byte
+	starts := splitStarts(ds)
 	for task := range ds.NumBlocks() {
-		if split, err = readSplit(ds, task, split); err != nil {
+		if split, err = readSplit(ds, starts[task], starts[task+1], split); err != nil {
 			t.Fatal(err)
 		}
 		seen := make(map[string]bool)

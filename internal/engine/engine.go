@@ -213,9 +213,10 @@ func Run(cfg Config) (Counters, error) {
 	workers := make([]worker, max(min(cfg.MapSlots, ctr.MapTasks), min(cfg.ReduceSlots, cfg.Reducers)))
 	// partitions[task][r] collects task-local output per reduce partition.
 	partitions := make([][][]kv, ctr.MapTasks)
+	starts := splitStarts(ds)
 	var mc mapCounters
 	err = runTasks(ctr.MapTasks, cfg.MapSlots, func(w, task int) (err error) {
-		partitions[task], err = runMapTask(cfg, ds, task, &workers[w], &mc)
+		partitions[task], err = runMapTask(cfg, ds, task, starts, &workers[w], &mc)
 		return err
 	})
 	if err != nil {
@@ -294,13 +295,12 @@ type mapCounters struct {
 	inputRecords, outputRecords, outputBytes, spills atomic.Int64
 }
 
-// runMapTask processes the line-aligned split of one block: like Hadoop's
-// TextInputFormat, a task owns every line that *starts* within its block,
-// reading past the block end to finish the last line. The worker's grouper
-// is empty on entry and, when the task succeeds, on return (a failed task
-// ends its worker).
-func runMapTask(cfg Config, ds Dataset, task int, wk *worker, mc *mapCounters) ([][]kv, error) {
-	split, err := readSplit(ds, task, wk.split)
+// runMapTask processes the line-aligned split of one block, the bytes from
+// starts[task] to starts[task+1] (see splitStarts). The worker's grouper is
+// empty on entry and, when the task succeeds, on return (a failed task ends
+// its worker).
+func runMapTask(cfg Config, ds Dataset, task int, starts []int64, wk *worker, mc *mapCounters) ([][]kv, error) {
+	split, err := readSplit(ds, starts[task], starts[task+1], wk.split)
 	if err != nil {
 		return nil, fmt.Errorf("engine: job %s task %d: %w", cfg.Name, task, err)
 	}
@@ -362,39 +362,42 @@ func runMapTask(cfg Config, ds Dataset, task int, wk *worker, mc *mapCounters) (
 	return out, nil
 }
 
-// readSplit returns the bytes of the task's line-aligned split, read into
-// buf's storage when it is large enough. The boundary probes read into the
-// same storage before the split does.
-func readSplit(ds Dataset, task int, buf []byte) ([]byte, error) {
+// splitStarts returns where each map task's line-aligned split starts, with
+// the dataset size appended: task t reads the bytes [starts[t], starts[t+1]).
+// Like Hadoop's TextInputFormat, a task owns every line that *starts* within
+// its block, reading past the block end to finish the last line, so a split
+// starts just past the first newline at or after its block start minus one.
+// Each boundary is found once per job. When the previous boundary already
+// lies at or past a block's start (a line longer than a block), that block
+// owns no line start and shares the boundary, so a long line is scanned once
+// rather than once for every block it spans.
+func splitStarts(ds Dataset) []int64 {
 	block := int64(ds.BlockSize())
-	size := int64(ds.Size())
-	start := int64(task) * block
-	end := start + block
-	if end > size {
-		end = size
+	n := ds.NumBlocks()
+	starts := make([]int64, n+1)
+	probe := make([]byte, min(lineProbe, block))
+	for t := 1; t < n; t++ {
+		if off := int64(t) * block; starts[t-1] >= off {
+			starts[t] = starts[t-1]
+		} else {
+			starts[t] = nextLineStart(ds, off-1, probe)
+		}
 	}
-	probe := slices.Grow(buf[:0], lineProbe)[:lineProbe]
-	// Skip the partial first line (owned by the previous task), except in
-	// the first block.
-	if task > 0 {
-		start = nextLineStart(ds, start-1, probe)
-	}
-	// Extend past the block boundary to the end of the last line.
-	if end < size {
-		end = nextLineStart(ds, end-1, probe)
-	}
-	buf = probe[:0]
-	if start >= end {
-		return buf, nil
-	}
-	buf = slices.Grow(buf, int(end-start))[:end-start]
+	starts[n] = int64(ds.Size())
+	return starts
+}
+
+// readSplit returns the bytes [start, end) of the dataset, read into buf's
+// storage when it is large enough.
+func readSplit(ds Dataset, start, end int64, buf []byte) ([]byte, error) {
+	buf = slices.Grow(buf[:0], int(end-start))[:end-start]
 	if _, err := readFull(ds, buf, start); err != nil {
 		return nil, err
 	}
 	return buf, nil
 }
 
-// lineProbe is the read size nextLineStart scans for a newline with.
+// lineProbe is the largest read nextLineStart scans for a newline with.
 const lineProbe = 4096
 
 // nextLineStart returns the offset just past the first newline at or after

@@ -213,6 +213,57 @@ func TestSplitAlignmentProperty(t *testing.T) {
 	}
 }
 
+// countingStore opens datasets that add the bytes every read returns to
+// *read.
+type countingStore struct {
+	BlockStore
+	read *int64
+}
+
+func (s countingStore) Open(name string) (Dataset, error) {
+	ds, err := s.BlockStore.Open(name)
+	return countingDataset{ds, s.read}, err
+}
+
+type countingDataset struct {
+	Dataset
+	read *int64
+}
+
+func (d countingDataset) ReadAt(p []byte, off int64) (int, error) {
+	n, err := d.Dataset.ReadAt(p, off)
+	*d.read += int64(n)
+	return n, err
+}
+
+// A line far longer than a block spans many map tasks that own no line
+// start. The job finds each split boundary once, so it reads O(input)
+// bytes: one 64 KB line over 64-byte blocks (1,024 map tasks) reads about
+// twice the input, where probing from every block start to the line's end
+// read about size²/(2·block) — 32 MB.
+func TestLongLineReadsLinearBytes(t *testing.T) {
+	const size = 64 << 10
+	text := append(bytes.Repeat([]byte("ab "), size/3), '\n')
+	ofs, err := NewMemOFS(4, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ofs.Create("in", text); err != nil {
+		t.Fatal(err)
+	}
+	var read int64
+	ctr, err := Run(NewWordcount(countingStore{ofs, &read}, "in", "out", 2, 3, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ctr.MapTasks != 1024 || ctr.InputRecords != 1 {
+		t.Fatalf("%d map tasks, %d input records; want 1024 and 1", ctr.MapTasks, ctr.InputRecords)
+	}
+	if read > 3*int64(len(text)) {
+		t.Errorf("read %d bytes of a %d-byte input; want at most 3× the input", read, len(text))
+	}
+}
+
 type countLinesMapper struct{}
 
 func (countLinesMapper) MapLine(line []byte, emit func(k, v []byte)) error {

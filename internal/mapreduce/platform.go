@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"hybridmr/internal/apps"
 	"hybridmr/internal/cluster"
 	"hybridmr/internal/storage"
 	"hybridmr/internal/storage/hdfs"
@@ -133,19 +132,6 @@ func (p *Platform) RunIsolated(job Job) Result {
 		Spilled:         pl.spilled,
 		ShuffleDegraded: pl.degraded,
 	}
-}
-
-// Sweep runs the application isolated at each input size, as the paper's
-// measurement study does (§III), and returns one result per size in order.
-// Sizes the platform rejects yield results with Err set (e.g. up-HDFS
-// beyond its disk capacity), so the caller can plot partial series.
-func (p *Platform) Sweep(prof apps.Profile, sizes []units.Bytes) []Result {
-	out := make([]Result, 0, len(sizes))
-	for i, size := range sizes {
-		job := Job{ID: fmt.Sprintf("sweep-%d", i), App: prof, Input: size}
-		out = append(out, p.RunIsolated(job))
-	}
-	return out
 }
 
 // Arch identifies one of the measurement study's four architectures

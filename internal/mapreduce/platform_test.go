@@ -224,22 +224,3 @@ func TestPageCacheBudget(t *testing.T) {
 		t.Errorf("scale-out page cache budget = %v, want 0", b)
 	}
 }
-
-// Sweep returns one result per size, with rejected sizes carrying errors.
-func TestSweep(t *testing.T) {
-	p := MustArch(UpHDFS, DefaultCalibration())
-	sizes := []units.Bytes{units.GB, 8 * units.GB, 200 * units.GB}
-	res := p.Sweep(apps.Grep(), sizes)
-	if len(res) != 3 {
-		t.Fatalf("%d results", len(res))
-	}
-	if res[0].Err != nil || res[1].Err != nil {
-		t.Errorf("small sizes failed: %v %v", res[0].Err, res[1].Err)
-	}
-	if res[2].Err == nil {
-		t.Error("200GB on up-HDFS should be rejected")
-	}
-	if res[1].Exec <= res[0].Exec {
-		t.Errorf("sweep not growing: %v then %v", res[0].Exec, res[1].Exec)
-	}
-}

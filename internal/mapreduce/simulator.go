@@ -198,8 +198,6 @@ func (s *Simulator) InjectFailures(rate float64, seed int64) error {
 }
 
 // attemptFails draws one failure decision.
-//
-//simlint:hotpath
 func (s *Simulator) attemptFails() bool {
 	return s.failureRate > 0 && s.failRNG.Float64() < s.failureRate
 }
@@ -224,8 +222,6 @@ func (s *Simulator) InjectStragglers(frac float64, speculate bool, seed int64) e
 }
 
 // jitterDuration applies the straggler model to one attempt's duration.
-//
-//simlint:hotpath
 func (s *Simulator) jitterDuration(d time.Duration) time.Duration {
 	if s.jitterFrac <= 0 {
 		return d
@@ -248,8 +244,6 @@ func (s *Simulator) Policy() Policy { return s.policy }
 
 // Submit schedules a job at its Submit time, which must not precede the
 // engine's clock.
-//
-//simlint:hotpath
 func (s *Simulator) Submit(job Job) {
 	s.running++
 	if s.inv.checker != nil {
@@ -270,14 +264,12 @@ func (s *Simulator) Submit(job Job) {
 	}
 	// Out-of-order submission (tests and ad-hoc drivers only; trace replays
 	// arrive sorted and take the shared-event path above).
-	s.eng.At(job.Submit, func(now time.Duration) { s.startJob(job, now) }) //simlint:allow hotalloc out-of-order submissions are off the replay path; sorted traces use the closure-free arrival queue
+	s.eng.At(job.Submit, func(now time.Duration) { s.startJob(job, now) })
 }
 
 // nextArrival is the shared arrival event: it pops the next queued job and
 // starts it. The vacated slot is cleared so the job's strings are released,
 // and the queue rewinds to reuse its capacity once drained.
-//
-//simlint:hotpath
 func (s *Simulator) nextArrival(now time.Duration) {
 	job := s.arrivals[s.arriveNext]
 	s.arrivals[s.arriveNext] = Job{}
@@ -370,8 +362,6 @@ type jobRun struct {
 }
 
 // pendingLen returns the job's pending-task count of one kind.
-//
-//simlint:hotpath
 func (r *jobRun) pendingLen(kind int) int {
 	if kind == kMap {
 		return r.initMaps + int(r.req[kMap].n)
@@ -382,8 +372,6 @@ func (r *jobRun) pendingLen(kind int) int {
 // popTask issues the next pending task ID of one kind: re-queued IDs first
 // (LIFO), then the initial range counting down — byte-identical to popping
 // the former pending-ID slice from the end.
-//
-//simlint:hotpath
 func (r *jobRun) popTask(kind int) int {
 	if r.req[kind].n > 0 {
 		return r.sim.stackPop(&r.req[kind])
@@ -397,8 +385,6 @@ func (r *jobRun) popTask(kind int) int {
 }
 
 // pushTask re-queues a task ID (failure retry, crash kill, lost map output).
-//
-//simlint:hotpath
 func (r *jobRun) pushTask(kind, id int) {
 	r.sim.stackPush(&r.req[kind], id)
 }
@@ -414,8 +400,6 @@ type taskStack struct{ top, n int32 }
 type taskEntry struct{ id, prev int32 }
 
 // stackPush pushes a task ID, reusing a freed slab slot when there is one.
-//
-//simlint:hotpath
 func (s *Simulator) stackPush(st *taskStack, id int) {
 	i := s.slabFree
 	if i != 0 {
@@ -430,8 +414,6 @@ func (s *Simulator) stackPush(st *taskStack, id int) {
 }
 
 // stackPop pops a non-empty stack's newest task ID and frees its slot.
-//
-//simlint:hotpath
 func (s *Simulator) stackPop(st *taskStack) int {
 	i := st.top
 	e := s.taskSlab[i-1]
@@ -443,8 +425,6 @@ func (s *Simulator) stackPop(st *taskStack) int {
 }
 
 // stackDrop empties a stack, freeing its slots.
-//
-//simlint:hotpath
 func (s *Simulator) stackDrop(st *taskStack) {
 	for st.n > 0 {
 		s.stackPop(st)
@@ -454,8 +434,6 @@ func (s *Simulator) stackDrop(st *taskStack) {
 // newJobRun acquires a run record for a starting job, reusing a recycled one
 // when the freelist has it. The bound setup/shuffle events are created once
 // per object; everything else is (re)initialized here.
-//
-//simlint:hotpath
 func (s *Simulator) newJobRun(job Job, pl plan) *jobRun {
 	var run *jobRun
 	if n := len(s.jobFree); n > 0 {
@@ -463,7 +441,7 @@ func (s *Simulator) newJobRun(job Job, pl plan) *jobRun {
 		s.jobFree[n-1] = nil
 		s.jobFree = s.jobFree[:n-1]
 	} else {
-		run = &jobRun{activeIdx: -1} //simlint:allow hotalloc freelist miss: allocates only until the job pool reaches the workload's high-water mark
+		run = &jobRun{activeIdx: -1}
 		run.setupFn = run.setupDone
 		run.shuffleFn = run.shuffleFire
 	}
@@ -476,8 +454,6 @@ func (s *Simulator) newJobRun(job Job, pl plan) *jobRun {
 // retireFailed may call it: at those points no attempt, ready set, active
 // slot or pending engine event references the run (killed and superseded
 // attempts draining stale timers keep the pointer but never dereference it).
-//
-//simlint:hotpath
 func (s *Simulator) recycleJob(run *jobRun) {
 	// The re-queue stacks are empty here unless recycle() is reclaiming an
 	// abandoned replay's run; the ledger still holds the job's map outputs.
@@ -492,8 +468,6 @@ func (s *Simulator) recycleJob(run *jobRun) {
 // has drained. runningMaps+runningReds counts exactly the attempts (clones
 // included) still referencing the run, so zero means no live reference
 // remains; failJob emptied the pending sets and removed the active slot.
-//
-//simlint:hotpath
 func (s *Simulator) retireFailed(run *jobRun) {
 	if run.failed && run.runningMaps == 0 && run.runningReds == 0 {
 		s.recycleJob(run)
@@ -501,8 +475,6 @@ func (s *Simulator) retireFailed(run *jobRun) {
 }
 
 // runningOf returns the job's running-task count of one kind (Fair's key).
-//
-//simlint:hotpath
 func (r *jobRun) runningOf(kind int) int {
 	if kind == kMap {
 		return r.runningMaps
@@ -559,15 +531,11 @@ const fairArity = 4
 
 // key returns the job's Fair key: fewest running tasks first (max-min
 // fairness), oldest submission on ties.
-//
-//simlint:hotpath
 func (rs *readySet) key(r *jobRun) uint64 {
 	return uint64(r.runningOf(rs.kind))<<fairRunShift | uint64(r.seq)
 }
 
 // pick returns the job the next free slot goes to, or nil.
-//
-//simlint:hotpath
 func (rs *readySet) pick() *jobRun {
 	if rs.policy == Fair {
 		if len(rs.heap) == 0 {
@@ -583,8 +551,6 @@ func (rs *readySet) pick() *jobRun {
 
 // set reconciles the job's membership: insert when it became ready, remove
 // when it no longer is, re-key (Fair) when its key may have changed.
-//
-//simlint:hotpath
 func (rs *readySet) set(r *jobRun, ready bool) {
 	if rs.policy == Fair {
 		i := r.heapPos[rs.kind] - 1
@@ -607,7 +573,6 @@ func (rs *readySet) set(r *jobRun, ready bool) {
 	}
 }
 
-//simlint:hotpath
 func (rs *readySet) listInsert(r *jobRun) {
 	k := rs.kind
 	r.inList[k] = true
@@ -637,7 +602,6 @@ func (rs *readySet) listInsert(r *jobRun) {
 	n.prev[k] = r
 }
 
-//simlint:hotpath
 func (rs *readySet) listRemove(r *jobRun) {
 	k := rs.kind
 	if r.prev[k] != nil {
@@ -654,7 +618,6 @@ func (rs *readySet) listRemove(r *jobRun) {
 	r.inList[k] = false
 }
 
-//simlint:hotpath
 func (rs *readySet) heapPush(r *jobRun) {
 	rs.heap = append(rs.heap, fairEntry{})
 	rs.heapUp(len(rs.heap)-1, fairEntry{rs.key(r), r})
@@ -662,8 +625,6 @@ func (rs *readySet) heapPush(r *jobRun) {
 
 // heapRekey re-positions heap job r (at index i) after its key may have
 // changed. A decrease is deferred by holding r; an increase sifts down.
-//
-//simlint:hotpath
 func (rs *readySet) heapRekey(r *jobRun, i int) {
 	key, stored := rs.key(r), rs.heap[i].key
 	if key < stored {
@@ -682,8 +643,6 @@ func (rs *readySet) heapRekey(r *jobRun, i int) {
 }
 
 // heapFlush sifts the held job up to its true key and clears the hold.
-//
-//simlint:hotpath
 func (rs *readySet) heapFlush() {
 	r := rs.held
 	rs.held = nil
@@ -691,8 +650,6 @@ func (rs *readySet) heapFlush() {
 }
 
 // heapUp places e at or above hole i, moving larger parents down into it.
-//
-//simlint:hotpath
 func (rs *readySet) heapUp(i int, e fairEntry) {
 	h, k := rs.heap, rs.kind
 	for i > 0 {
@@ -709,8 +666,6 @@ func (rs *readySet) heapUp(i int, e fairEntry) {
 }
 
 // heapDown places e at or below hole i, moving smaller children up into it.
-//
-//simlint:hotpath
 func (rs *readySet) heapDown(i int, e fairEntry) {
 	h, k := rs.heap, rs.kind
 	n := len(h)
@@ -739,8 +694,6 @@ func (rs *readySet) heapDown(i int, e fairEntry) {
 
 // heapRemove drops heap job r (at index i): the last slot refills the hole
 // and sifts whichever way its stored key needs.
-//
-//simlint:hotpath
 func (rs *readySet) heapRemove(r *jobRun, i int) {
 	if rs.held == r {
 		rs.held = nil
@@ -763,15 +716,11 @@ func (rs *readySet) heapRemove(r *jobRun, i int) {
 // touch reconciles the job's ready-set state after any change to its
 // pending or running task counts of one kind. Every mutation site calls it;
 // keeping the rule that blunt keeps the index impossible to desynchronize.
-//
-//simlint:hotpath
 func (s *Simulator) touch(kind int, run *jobRun) {
 	s.ready[kind].set(run, !run.failed && run.pendingLen(kind) > 0)
 }
 
 // removeActive drops a finished or failed job from the active list in O(1).
-//
-//simlint:hotpath
 func (s *Simulator) removeActive(run *jobRun) {
 	i := run.activeIdx
 	last := len(s.active) - 1
@@ -782,7 +731,6 @@ func (s *Simulator) removeActive(run *jobRun) {
 	run.activeIdx = -1
 }
 
-//simlint:hotpath
 func (s *Simulator) startJob(job Job, now time.Duration) {
 	// Plan against the platform as degraded right now: a job arriving with
 	// machines or storage down gets slower tasks, narrower waves and the
@@ -806,8 +754,6 @@ func (s *Simulator) startJob(job Job, now time.Duration) {
 
 // setupDone ends the job's setup phase: its map tasks become pending and the
 // job joins the active set. Bound once per jobRun as setupFn.
-//
-//simlint:hotpath
 func (r *jobRun) setupDone(now time.Duration) {
 	s := r.sim
 	s.setupMaps -= r.pl.mapTasks
@@ -825,8 +771,6 @@ func (r *jobRun) setupDone(now time.Duration) {
 // once per jobRun as shuffleFn; it fires exactly once per job lifecycle —
 // mapsDone cannot regress during the shuffle window (loseCompletedMaps skips
 // jobs already past their map phase), so the event is never double-armed.
-//
-//simlint:hotpath
 func (r *jobRun) shuffleFire(now time.Duration) {
 	s := r.sim
 	r.shuffling = false
@@ -839,8 +783,6 @@ func (r *jobRun) shuffleFire(now time.Duration) {
 }
 
 // dispatch hands out free slots until none remain or nothing is runnable.
-//
-//simlint:hotpath
 func (s *Simulator) dispatch(now time.Duration) {
 	s.noteSlots() // queue depth peaks before slots are granted
 	for s.freeMap > 0 {
@@ -863,7 +805,6 @@ func (s *Simulator) dispatch(now time.Duration) {
 	}
 }
 
-//simlint:hotpath
 func (s *Simulator) startMapTask(run *jobRun, now time.Duration) {
 	s.freeMap--
 	taskID := run.popTask(kMap)
@@ -882,8 +823,6 @@ func (s *Simulator) startMapTask(run *jobRun, now time.Duration) {
 // mapTaskDone is a map attempt's completion: the slot frees, and the task
 // either re-queues (injected failure under the attempt budget), fails the
 // job, or counts toward the map phase, whose end schedules the shuffle.
-//
-//simlint:hotpath
 func (s *Simulator) mapTaskDone(run *jobRun, taskID int, now time.Duration) {
 	s.freeMap++
 	run.runningMaps--
@@ -922,7 +861,6 @@ func (s *Simulator) mapTaskDone(run *jobRun, taskID int, now time.Duration) {
 	s.dispatch(now)
 }
 
-//simlint:hotpath
 func (s *Simulator) startReduceTask(run *jobRun, now time.Duration) {
 	s.freeRed--
 	taskID := run.popTask(kRed)
@@ -935,8 +873,6 @@ func (s *Simulator) startReduceTask(run *jobRun, now time.Duration) {
 
 // redTaskDone is a reduce attempt's completion, mirroring mapTaskDone; the
 // last reduce completes the job.
-//
-//simlint:hotpath
 func (s *Simulator) redTaskDone(run *jobRun, taskID int, now time.Duration) {
 	s.freeRed++
 	run.runningReds--
@@ -1014,7 +950,6 @@ func (s *Simulator) failJob(run *jobRun, now time.Duration, phase string) {
 	s.retireFailed(run)
 }
 
-//simlint:hotpath
 func (s *Simulator) completeJob(run *jobRun, end time.Duration) {
 	if s.inv.checker != nil {
 		s.invComplete(run, end)
@@ -1043,7 +978,6 @@ func (s *Simulator) completeJob(run *jobRun, end time.Duration) {
 	s.recycleJob(run)
 }
 
-//simlint:hotpath
 func (s *Simulator) finish(r Result, now time.Duration) {
 	s.running--
 	if s.inv.checker != nil {

@@ -146,8 +146,6 @@ func (b *BudgetError) Error() string {
 func (e *Engine) SetWatchdog(w *Watchdog) { e.watch = w }
 
 // guard enforces the watchdog before the next event (at instant at) runs.
-//
-//simlint:hotpath
 func (e *Engine) guard(at time.Duration) {
 	w := e.watch
 	if w.MaxEvents > 0 && e.ran >= w.MaxEvents {
@@ -205,8 +203,6 @@ func (e *Engine) Pending() int {
 
 // At schedules fn to run at absolute simulated time at. Scheduling in the
 // past (before Now) panics: the model would be causally inconsistent.
-//
-//simlint:hotpath
 func (e *Engine) At(at time.Duration, fn Event) {
 	if fn == nil {
 		panic("simclock: nil event")
@@ -247,8 +243,6 @@ func (e *Engine) At(at time.Duration, fn Event) {
 
 // After schedules fn to run d after the current simulated time. Negative
 // delays are clamped to zero.
-//
-//simlint:hotpath
 func (e *Engine) After(d time.Duration, fn Event) {
 	if d < 0 {
 		d = 0
@@ -257,8 +251,6 @@ func (e *Engine) After(d time.Duration, fn Event) {
 }
 
 // siftUp restores the heap property after appending at index i.
-//
-//simlint:hotpath
 func (e *Engine) siftUp(i int) {
 	p := e.pending
 	it := p[i]
@@ -279,8 +271,6 @@ func (e *Engine) siftUp(i int) {
 // only the out-of-order timers and fits in L1 — which makes the compare
 // chain, not memory, the cost; the loop keeps the current minimum child's
 // key in locals so each candidate costs one load and (usually) one compare.
-//
-//simlint:hotpath
 func (e *Engine) siftDown(it item) {
 	p := e.pending
 	n := len(p)
@@ -313,8 +303,6 @@ func (e *Engine) siftDown(it item) {
 
 // Step runs the earliest pending event, advancing the clock to its
 // timestamp. It reports whether an event was run.
-//
-//simlint:hotpath
 func (e *Engine) Step() bool {
 	// The global minimum is the least of the run heads and the heap root —
 	// each is its structure's minimum, so one linear scan finds it.

@@ -5,11 +5,9 @@ package simlint
 func All() []*Analyzer {
 	return []*Analyzer{
 		Walltime,
-		Seededrand,
 		Maporder,
 		Floatfold,
 		Locksafe,
 		Selectorder,
-		Hotalloc,
 	}
 }

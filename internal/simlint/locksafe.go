@@ -5,77 +5,39 @@ import (
 	"go/types"
 )
 
-// lockTypes are the sync types that must never be copied after first use.
-// sync.Map is additionally gated in sim packages (see below) because its
-// Range order is nondeterministic.
-var lockTypes = map[string]bool{
-	"Mutex": true, "RWMutex": true, "WaitGroup": true,
-	"Once": true, "Cond": true, "Map": true, "Pool": true,
-}
-
-// Locksafe enforces the concurrency half of the determinism contract:
+// Locksafe enforces the concurrency half of the determinism contract in sim
+// packages:
 //
-//   - lock values (sync.Mutex, WaitGroup, Once, ...) copied by value —
-//     through parameters, receivers, results, assignments or range values —
-//     are reported in every package (a copied lock guards nothing);
-//   - goroutine launches in sim packages are reported unless the package is
-//     the sanctioned sweep worker pool: the simulated cluster is a
-//     sequential model, and stray concurrency reorders its events;
-//   - sync.Map declarations in sim packages are reported outside sweep
-//     (sweep.Cache is the sanctioned use; its content-keyed entries make
-//     the lock-free map invisible to replay order).
+//   - goroutine launches are reported unless the package is the sanctioned
+//     sweep worker pool: the simulated cluster is a sequential model, and
+//     stray concurrency reorders its events;
+//   - sync.Map declarations are reported outside sweep (sweep.Cache is the
+//     sanctioned use; its content-keyed entries make the lock-free map
+//     invisible to replay order).
+//
+// A lock copied by value is go vet's copylocks finding, which `make lint`
+// reports in every package (DESIGN.md §12).
 var Locksafe = &Analyzer{
 	Name: "locksafe",
-	Doc: "flag locks copied by value everywhere; flag goroutine launches " +
-		"and sync.Map outside the sanctioned sweep pool in sim packages",
+	Doc: "flag goroutine launches and sync.Map outside the sanctioned " +
+		"sweep pool in sim packages",
 	Run: runLocksafe,
 }
 
 func runLocksafe(p *Pass) error {
-	sanctioned := sanctionedConcurrency(p.Pkg.Path())
+	if !p.Sim || sanctionedConcurrency(p.Pkg.Path()) {
+		return nil
+	}
 	for _, f := range p.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
-			case *ast.FuncDecl:
-				p.checkFuncType(n.Type)
-				if n.Recv != nil {
-					for _, field := range n.Recv.List {
-						p.checkLockField(field, "receiver")
-					}
-				}
-			case *ast.FuncLit:
-				p.checkFuncType(n.Type)
-			case *ast.AssignStmt:
-				for i, rhs := range n.Rhs {
-					if i < len(n.Lhs) && p.copiesLock(rhs) {
-						p.Reportf(n.Pos(), "assignment copies a %s by value; share it by pointer", p.lockName(rhs))
-					}
-				}
-			case *ast.RangeStmt:
-				if v, ok := n.Value.(*ast.Ident); ok && v.Name != "_" {
-					if t := p.typeOf(v); t != nil && containsLock(t) {
-						p.Reportf(v.Pos(), "range value copies a lock-containing element; iterate by index or pointer")
-					}
-				}
-			case *ast.ReturnStmt:
-				for _, res := range n.Results {
-					if p.copiesLock(res) {
-						p.Reportf(res.Pos(), "return copies a %s by value; return a pointer", p.lockName(res))
-					}
-				}
 			case *ast.GoStmt:
-				if p.Sim && !sanctioned {
-					p.Reportf(n.Pos(),
-						"goroutine launch in a sim package; fan out through the sweep worker pool (input-ordered, replay-invisible)")
-				}
+				p.Reportf(n.Pos(),
+					"goroutine launch in a sim package; fan out through the sweep worker pool (input-ordered, replay-invisible)")
 			case *ast.Field:
-				if p.Sim && !sanctioned && n.Type != nil && p.isSyncMapType(n.Type) {
-					p.Reportf(n.Pos(), "sync.Map iterates in nondeterministic order; use an ordered structure (sweep.Cache is the sanctioned use)")
-				}
+				p.reportSyncMap(n.Type)
 			case *ast.ValueSpec:
-				if p.Sim && !sanctioned && n.Type != nil && p.isSyncMapType(n.Type) {
-					p.Reportf(n.Pos(), "sync.Map iterates in nondeterministic order; use an ordered structure (sweep.Cache is the sanctioned use)")
-				}
+				p.reportSyncMap(n.Type)
 			}
 			return true
 		})
@@ -83,86 +45,36 @@ func runLocksafe(p *Pass) error {
 	return nil
 }
 
-// checkFuncType reports lock-containing non-pointer parameters and results.
-func (p *Pass) checkFuncType(ft *ast.FuncType) {
-	if ft.Params != nil {
-		for _, field := range ft.Params.List {
-			p.checkLockField(field, "parameter")
-		}
-	}
-	if ft.Results != nil {
-		for _, field := range ft.Results.List {
-			p.checkLockField(field, "result")
-		}
+// reportSyncMap reports a declared type that is sync.Map or contains one.
+func (p *Pass) reportSyncMap(te ast.Expr) {
+	if te != nil && containsSyncMap(p.typeOf(te), make(map[types.Type]bool)) {
+		p.Reportf(te.Pos(), "sync.Map iterates in nondeterministic order; use an ordered structure (sweep.Cache is the sanctioned use)")
 	}
 }
 
-func (p *Pass) checkLockField(field *ast.Field, kind string) {
-	t := p.typeOf(field.Type)
-	if t == nil || !containsLock(t) {
-		return
-	}
-	p.Reportf(field.Type.Pos(), "%s passes a lock by value (%s); use a pointer", kind, t)
-}
-
-// copiesLock reports whether evaluating e yields a by-value copy of an
-// existing lock-containing value. Fresh values (composite literals) and
-// pointers are fine.
-func (p *Pass) copiesLock(e ast.Expr) bool {
-	switch ast.Unparen(e).(type) {
-	case *ast.Ident, *ast.SelectorExpr, *ast.IndexExpr, *ast.StarExpr:
-	default:
-		return false
-	}
-	t := p.typeOf(e)
-	return t != nil && containsLock(t)
-}
-
-func (p *Pass) lockName(e ast.Expr) string {
-	if t := p.typeOf(e); t != nil {
-		return t.String()
-	}
-	return "lock"
-}
-
-// isSyncMapType reports whether the type expression denotes sync.Map or a
-// struct embedding one.
-func (p *Pass) isSyncMapType(te ast.Expr) bool {
-	t := p.typeOf(te)
-	return t != nil && containsSyncMap(t)
-}
-
-// containsLock reports whether t is, or transitively contains (through
-// struct fields and array elements), one of the sync lock types.
-func containsLock(t types.Type) bool {
-	return containsSyncType(t, lockTypes, make(map[types.Type]bool))
-}
-
-func containsSyncMap(t types.Type) bool {
-	return containsSyncType(t, map[string]bool{"Map": true}, make(map[types.Type]bool))
-}
-
-func containsSyncType(t types.Type, names map[string]bool, seen map[types.Type]bool) bool {
+// containsSyncMap reports whether t is, or transitively contains (through
+// struct fields and array elements), a sync.Map.
+func containsSyncMap(t types.Type, seen map[types.Type]bool) bool {
 	if t == nil || seen[t] {
 		return false
 	}
 	seen[t] = true
 	if named, ok := t.(*types.Named); ok {
 		obj := named.Obj()
-		if obj.Pkg() != nil && obj.Pkg().Path() == "sync" && names[obj.Name()] {
+		if obj.Pkg() != nil && obj.Pkg().Path() == "sync" && obj.Name() == "Map" {
 			return true
 		}
-		return containsSyncType(named.Underlying(), names, seen)
+		return containsSyncMap(named.Underlying(), seen)
 	}
 	switch t := t.(type) {
 	case *types.Struct:
 		for i := 0; i < t.NumFields(); i++ {
-			if containsSyncType(t.Field(i).Type(), names, seen) {
+			if containsSyncMap(t.Field(i).Type(), seen) {
 				return true
 			}
 		}
 	case *types.Array:
-		return containsSyncType(t.Elem(), names, seen)
+		return containsSyncMap(t.Elem(), seen)
 	}
 	return false
 }

@@ -4,10 +4,12 @@
 // violation after it ships. Every result this reproduction reports — the
 // cross points, Algorithm 1's routing, the FB-2009 trace comparison — rests
 // on the invariant that a replay is a pure function of (jobs, calibration,
-// fault schedule, seeds); the analyzers reject the classic ways Go code
-// silently breaks that: wall-clock reads, globally-seeded randomness,
+// fault schedule, seeds); the analyzers reject the ways Go code breaks that
+// which no runtime gate reliably catches: wall-clock reads,
 // map-iteration-order dependence, order-sensitive float folds, stray
-// goroutines and copied locks.
+// goroutines and sync.Map, and select. What a runtime gate already catches
+// (global math/rand draws, copied locks, hot-path allocations) is left to
+// that gate; DESIGN.md §12 records the mutation study behind the split.
 //
 // The framework mirrors the golang.org/x/tools/go/analysis API shape
 // (Analyzer, Pass, Diagnostic) but is built on the standard library only:
@@ -61,11 +63,10 @@ type Pass struct {
 	diags *[]Diagnostic
 }
 
-// Severity classifies a diagnostic. Errors are contract violations and fail
-// the build; warnings flag heuristic findings (e.g. a self-append whose
-// backing slice may still grow) that deserve a look but where the runtime
-// AllocsPerRun budgets stay authoritative. cmd/simlint exits non-zero only
-// on errors; the in-repo TestTreeIsClean gate requires zero of either.
+// Severity classifies a finding in cmd/simlint's text, -json and -github
+// output. Every analyzer reports errors, which fail the run; the warning
+// level is kept so that output format stays stable, but no analyzer emits
+// it. The in-repo TestTreeIsClean gate requires zero findings of either.
 type Severity int
 
 const (
@@ -91,19 +92,10 @@ type Diagnostic struct {
 
 // Reportf records an error-severity diagnostic at pos.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	p.report(pos, SevError, format, args...)
-}
-
-// Warnf records a warning-severity diagnostic at pos.
-func (p *Pass) Warnf(pos token.Pos, format string, args ...any) {
-	p.report(pos, SevWarning, format, args...)
-}
-
-func (p *Pass) report(pos token.Pos, sev Severity, format string, args ...any) {
 	*p.diags = append(*p.diags, Diagnostic{
 		Analyzer: p.Analyzer.Name,
 		Pos:      pos,
-		Severity: sev,
+		Severity: SevError,
 		Message:  fmt.Sprintf(format, args...),
 	})
 }

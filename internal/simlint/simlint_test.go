@@ -16,10 +16,6 @@ func TestWalltime(t *testing.T) {
 	simlinttest.Run(t, fixture("walltime"), simlint.Walltime)
 }
 
-func TestSeededrand(t *testing.T) {
-	simlinttest.Run(t, fixture("seededrand"), simlint.Seededrand)
-}
-
 func TestMaporder(t *testing.T) {
 	simlinttest.Run(t, fixture("maporder"), simlint.Maporder)
 }
@@ -49,14 +45,6 @@ func TestObsExport(t *testing.T) {
 // are diagnostics; sim-time horizons and the sorted-keys pick pass.
 func TestGrayfail(t *testing.T) {
 	simlinttest.Run(t, fixture("grayfail"), simlint.Walltime, simlint.Maporder)
-}
-
-// TestHotalloc pins the zero-allocation contract on marked functions:
-// every allocating construct is a diagnostic, the sanctioned idioms
-// (field self-append, capture-free literals, panic cold paths) pass, and
-// a marker attached to nothing is itself diagnosed.
-func TestHotalloc(t *testing.T) {
-	simlinttest.Run(t, fixture("hotalloc"), simlint.Hotalloc)
 }
 
 // TestSuppression pins the directive contract: a reasoned //simlint:allow

@@ -1,6 +1,6 @@
-// Fixture for the locksafe analyzer: locks copied by value, goroutine
-// launches and sync.Map declarations in sim packages are diagnostics;
-// pointer sharing is not.
+// Fixture for the locksafe analyzer: goroutine launches and sync.Map
+// declarations in sim packages are diagnostics; locks shared by pointer
+// are not.
 package locksafe
 
 import "sync"
@@ -8,33 +8,6 @@ import "sync"
 type guarded struct {
 	mu sync.Mutex
 	n  int
-}
-
-func byValueParam(g guarded) int { // want "parameter passes a lock by value"
-	return g.n
-}
-
-func (g guarded) byValueRecv() int { // want "receiver passes a lock by value"
-	return g.n
-}
-
-var shared guarded
-
-func byValueResult() guarded { // want "result passes a lock by value"
-	return shared // want "return copies a"
-}
-
-func snapshot(g *guarded) int {
-	copied := *g // want "assignment copies a"
-	return copied.n
-}
-
-func rangeCopy(gs []guarded) int {
-	total := 0
-	for _, g := range gs { // want "range value copies a lock-containing element"
-		total += g.n
-	}
-	return total
 }
 
 func launch(ch chan int) int {
@@ -48,18 +21,14 @@ type registry struct {
 
 var table sync.Map // want "sync.Map iterates in nondeterministic order"
 
-// pointer sharing and index iteration: no diagnostics.
+type nested struct {
+	byName [2]registry // want "sync.Map iterates in nondeterministic order"
+}
+
+// A lock shared by pointer: no diagnostic.
 func locked(g *guarded) int {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	g.n++
 	return g.n
-}
-
-func byIndex(gs []guarded) int {
-	total := 0
-	for i := range gs {
-		total += gs[i].n
-	}
-	return total
 }

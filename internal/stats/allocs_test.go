@@ -2,9 +2,8 @@ package stats
 
 import "testing"
 
-// TestSamplerSteadyStateAllocs pins the per-probe sampling hot paths —
-// RNG.Float64 and LogUniformVar.Sample, both //simlint:hotpath — at zero
-// allocations. Every injected straggler draws from these, so a regression
+// TestSamplerSteadyStateAllocs pins the per-probe sampling hot paths,
+// RNG.Float64 and LogUniformVar.Sample, at zero allocations. Every injected straggler draws from these, so a regression
 // here multiplies across the whole jitter sweep.
 func TestSamplerSteadyStateAllocs(t *testing.T) {
 	g := NewRNG(1)

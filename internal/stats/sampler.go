@@ -19,8 +19,6 @@ func NewRNG(seed int64) *RNG {
 }
 
 // Float64 returns a uniform sample in [0, 1).
-//
-//simlint:hotpath
 func (g *RNG) Float64() float64 { return g.r.Float64() }
 
 // Intn returns a uniform int in [0, n). It panics if n ≤ 0.
@@ -79,8 +77,6 @@ func NewLogUniformVar(lo, hi float64) LogUniformVar {
 }
 
 // Sample draws one log-uniform sample from the variate's bounds.
-//
-//simlint:hotpath
 func (v LogUniformVar) Sample(g *RNG) float64 {
 	if v.lo == v.hi {
 		return v.lo

@@ -51,8 +51,6 @@ var keySeed = maphash.MakeSeed()
 
 // KeyFor builds the content key of running job isolated on p under the
 // fault scenario with Fingerprint faultsFP; 0 is the clean key.
-//
-//simlint:hotpath
 func KeyFor(p *mapreduce.Platform, job mapreduce.Job, faultsFP uint64) Key {
 	return Key{
 		maphash.Comparable(keySeed, platformID{p.Name, p.Spec, p.FS.Name(), p.Cal}),

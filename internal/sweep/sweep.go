@@ -1,30 +1,29 @@
-// Package sweep runs independent deterministic simulations in parallel.
+// Package sweep runs independent deterministic simulations and memoizes
+// isolated ones.
 //
-// Every paper artifact — the Figs. 5–9 measurement sweeps, the cross-point
-// bisections of §IV, the Fig. 10 trace replay and the ablation benches —
-// evaluates hundreds of isolated (platform, application, size, calibration)
-// points that share no mutable state: each point builds its own simclock
-// engine or evaluates the closed-form cost model. The Runner fans those
-// points out across a bounded worker pool while returning results in input
-// order, so parallel output is byte-identical to serial output; the Cache
-// memoizes isolated runs on a content key, so a size probed by Fig. 5, the
-// normalization baseline and a cross-point sweep simulates exactly once per
-// process.
+// Every paper artifact evaluates isolated (platform, application, size,
+// calibration) points that share no mutable state: the Figs. 5–9
+// measurement sweeps and the cross-point bisections of §IV evaluate the
+// closed-form cost model, and the Fig. 10 trace comparison, the resilience
+// report, chaos rounds and the cross-point bands replay whole traces. Map
+// fans the replays out across a bounded worker pool while returning results
+// in input order, so parallel output is byte-identical to serial output.
+// A closed-form point costs microseconds, less than handing it to a worker,
+// so Runner.RunPoints evaluates points inline. The Cache memoizes isolated
+// runs on a content key, so a size probed by Fig. 5, the normalization
+// baseline and a cross-point sweep simulates exactly once per process.
 //
-// The contract submitted work must honor: thunks share no mutable state
-// with each other or the caller (reading shared immutable inputs is fine).
-// The race test layer (`go test -race ./...`) enforces it.
+// The contract work submitted to Map must honor: thunks share no mutable
+// state with each other or the caller (reading shared immutable inputs is
+// fine). The race test layer (`go test -race ./...`) enforces it.
 package sweep
 
 import (
-	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
 
-	"hybridmr/internal/apps"
 	"hybridmr/internal/mapreduce"
-	"hybridmr/internal/units"
 )
 
 // Map evaluates fn(i) for every i in [0, n) on up to workers goroutines and
@@ -90,9 +89,9 @@ type Point struct {
 	Job      mapreduce.Job
 }
 
-// Runner executes batches of independent simulation points on a worker pool
-// with a memoizing result cache. The zero value is not usable; construct
-// with New.
+// Runner evaluates batches of independent simulation points through a
+// memoizing result cache and holds the worker count that replay fan-outs
+// pass to Map. The zero value is not usable; construct with New.
 type Runner struct {
 	workers int
 	cache   *Cache
@@ -104,7 +103,7 @@ func New(workers int) *Runner {
 	return &Runner{workers: normWorkers(workers), cache: NewCache()}
 }
 
-// Workers returns the pool size.
+// Workers returns the worker count for Map fan-outs.
 func (r *Runner) Workers() int { return r.workers }
 
 // Cache returns the runner's memoization cache.
@@ -118,22 +117,17 @@ func (r *Runner) RunIsolated(p *mapreduce.Platform, job mapreduce.Job) mapreduce
 	return r.cache.RunIsolated(p, job, 0)
 }
 
-// RunPoints evaluates every point on the worker pool and returns one result
-// per point, in input order, memoizing each isolated run.
+// RunPoints evaluates every point in order on the calling goroutine and
+// returns one result per point, memoizing each isolated run. A point is a
+// closed-form cost-model evaluation of a few microseconds: on 2 vCPUs a
+// pooled Fig. 5 batch ran at ×0.74–0.89 of this loop, so only replays,
+// which take milliseconds, fan out through Map.
 func (r *Runner) RunPoints(pts []Point) []mapreduce.Result {
-	return Map(r.workers, len(pts), func(i int) mapreduce.Result {
-		return r.cache.RunIsolated(pts[i].Platform, pts[i].Job, 0)
-	})
-}
-
-// Sweep runs the application isolated at each input size — the parallel,
-// memoized equivalent of Platform.Sweep — returning one result per size in
-// order. Sizes the platform rejects yield results with Err set.
-func (r *Runner) Sweep(p *mapreduce.Platform, prof apps.Profile, sizes []units.Bytes) []mapreduce.Result {
-	return Map(r.workers, len(sizes), func(i int) mapreduce.Result {
-		job := mapreduce.Job{ID: fmt.Sprintf("sweep-%d", i), App: prof, Input: sizes[i]}
-		return r.cache.RunIsolated(p, job, 0)
-	})
+	out := make([]mapreduce.Result, len(pts))
+	for i, pt := range pts {
+		out[i] = r.cache.RunIsolated(pt.Platform, pt.Job, 0)
+	}
+	return out
 }
 
 // def is the process-wide runner the figure builders and CLIs share; its
