@@ -48,15 +48,17 @@ func newResultSink() *resultSink {
 	return s
 }
 
-// replay builds a simulator for p on rst that delivers to the sink,
-// configures it with setup, submits the jobs, drains the engine and returns
-// the results in mapreduce.ByArrival order. It fails the benchmark unless
-// every job reported. The slice is valid until the sink's next replay.
-func (s *resultSink) replay(b *testing.B, rst *mapreduce.ReplayState, p *mapreduce.Platform, jobs []workload.Job, setup func(*mapreduce.Simulator)) []mapreduce.Result {
+// replay builds a simulator for p with cfg on rst that delivers to the
+// sink, submits the jobs, drains the engine and returns the results in
+// mapreduce.ByArrival order. It fails the benchmark unless every job
+// reported. The slice is valid until the sink's next replay.
+func (s *resultSink) replay(b *testing.B, rst *mapreduce.ReplayState, p *mapreduce.Platform, jobs []workload.Job, cfg mapreduce.Config) []mapreduce.Result {
 	b.Helper()
 	s.res = s.res[:0]
-	sim := rst.Simulator(p, s.put)
-	setup(sim)
+	sim, err := rst.Simulator(p, cfg, s.put)
+	if err != nil {
+		b.Fatal(err)
+	}
 	for _, j := range jobs {
 		sim.Submit(j.MapReduceJob())
 	}
@@ -68,8 +70,8 @@ func (s *resultSink) replay(b *testing.B, rst *mapreduce.ReplayState, p *mapredu
 	return s.res
 }
 
-// fairPolicy is the replay setup of the Fair-scheduled benchmarks.
-func fairPolicy(sim *mapreduce.Simulator) { sim.SetPolicy(mapreduce.Fair) }
+// fairPolicy configures the Fair-scheduled benchmarks' replays.
+var fairPolicy = mapreduce.Config{Policy: mapreduce.Fair}
 
 func traceConfig(jobs int) workload.Config {
 	cfg := workload.DefaultConfig()
@@ -280,7 +282,7 @@ func deepQueueTrace(b *testing.B, n int) []workload.Job {
 func replayJobs(b *testing.B, sink *resultSink, p *mapreduce.Platform, jobs []workload.Job, policy mapreduce.Policy) uint64 {
 	b.Helper()
 	rst := mapreduce.NewReplayState()
-	sink.replay(b, rst, p, jobs, func(sim *mapreduce.Simulator) { sim.SetPolicy(policy) })
+	sink.replay(b, rst, p, jobs, mapreduce.Config{Policy: policy})
 	return rst.Engine().Events()
 }
 
@@ -334,8 +336,8 @@ func BenchmarkTraceReplay(b *testing.B) {
 // observability layer attached — live span tracer and metrics registry —
 // so BENCH_*.json records what observation costs next to the bare replay
 // (the contract is ≤ a few percent; the nil-observer case must cost
-// nothing, which TestReplayAllocsUnchangedByNilObserver in
-// internal/mapreduce pins exactly).
+// nothing, which TestPooledReplaySteadyStateAllocs in internal/mapreduce
+// pins exactly).
 func BenchmarkTraceReplayObserved(b *testing.B) {
 	cfg := traceConfig(6000)
 	jobs, err := workload.Generate(cfg)
@@ -344,15 +346,12 @@ func BenchmarkTraceReplayObserved(b *testing.B) {
 	}
 	p := mapreduce.MustArch(mapreduce.OutOFS, cal())
 	sink := newResultSink()
-	observed := func(sim *mapreduce.Simulator) {
-		sim.SetPolicy(mapreduce.Fair)
-		sim.SetObserver(obs.NewTracer(), obs.NewRegistry())
-	}
 	var events uint64
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		rst := mapreduce.NewReplayState()
+		observed := mapreduce.Config{Policy: mapreduce.Fair, Trace: obs.NewTracer(), Metrics: obs.NewRegistry()}
 		sink.replay(b, rst, p, jobs, observed)
 		events += rst.Engine().Events()
 	}
@@ -757,11 +756,9 @@ func BenchmarkAblationSpeculation(b *testing.B) {
 	jobs := []workload.Job{{ID: "abl", App: apps.Grep(), Input: 32 * units.GB}}
 	sink := newResultSink()
 	run := func(speculate bool) float64 {
-		r := sink.replay(b, mapreduce.NewReplayState(), p, jobs, func(sim *mapreduce.Simulator) {
-			if err := sim.InjectStragglers(1.0, speculate, 17); err != nil {
-				b.Fatal(err)
-			}
-		})[0]
+		// Stragglers draw from Seed+1 = 17.
+		cfg := mapreduce.Config{Inject: mapreduce.Inject{StragglerFrac: 1.0, Speculate: speculate, Seed: 16}}
+		r := sink.replay(b, mapreduce.NewReplayState(), p, jobs, cfg)[0]
 		if r.Err != nil {
 			b.Fatal(r.Err)
 		}

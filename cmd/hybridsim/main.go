@@ -332,41 +332,48 @@ func runTrace(path string, jobs int, seed int64, balance, hist bool, sinks obsSi
 		}
 		hybrid.Balance = bal
 	}
-	upJobs, outJobs := hybrid.Sched.Classify(trace)
-	fmt.Print(workload.Summarize(trace))
-	fmt.Printf("routing: %d scale-up, %d scale-out\n\n", len(upJobs), len(outJobs))
-
-	isUp := make(map[string]bool, len(upJobs))
-	for _, j := range upJobs {
-		isUp[j.ID] = true
+	// up[i] is Algorithm 1's class for trace[i].
+	up := make([]bool, len(trace))
+	nUp := 0
+	for i, j := range trace {
+		if hybrid.Sched.Decide(j) == core.ScaleUp {
+			up[i] = true
+			nUp++
+		}
 	}
+	fmt.Print(workload.Summarize(trace))
+	fmt.Printf("routing: %d scale-up, %d scale-out\n\n", nUp, len(trace)-nUp)
 
+	// Each replay's execution seconds go into a column aligned with trace:
+	// both loaders return the trace in arrival order, which is the order
+	// replay results come back in. Summaries then add samples in trace
+	// order, so the printed means do not depend on map iteration.
+	put := func(col []float64, name string, i int, r mapreduce.Result) {
+		if r.Err != nil {
+			fatal(fmt.Errorf("%s job %s: %w", name, r.Job.ID, r.Err))
+		}
+		col[i] = r.Exec.Seconds()
+	}
 	// The clean replay with the requested sinks attached; an empty Set
 	// observes nothing.
 	o := sinks.set()
-	collectHy := func() map[string]float64 {
+	collectHy := func() []float64 {
 		results, err := hybrid.RunFaulted(trace, core.FaultRun{Obs: o})
 		if err != nil {
 			fatal(err)
 		}
-		m := make(map[string]float64, len(trace))
-		for _, r := range results {
-			if r.Err != nil {
-				fatal(fmt.Errorf("hybrid job %s: %w", r.Job.ID, r.Err))
-			}
-			m[r.Job.ID] = r.Exec.Seconds()
+		col := make([]float64, len(trace))
+		for i, r := range results {
+			put(col, "hybrid", i, r.Result)
 		}
-		return m
+		return col
 	}
-	collect := func(p *mapreduce.Platform) map[string]float64 {
-		m := make(map[string]float64, len(trace))
-		for _, r := range core.RunBaseline(p, trace, mapreduce.Fair) {
-			if r.Err != nil {
-				fatal(fmt.Errorf("%s job %s: %w", p.Name, r.Job.ID, r.Err))
-			}
-			m[r.Job.ID] = r.Exec.Seconds()
+	collect := func(p *mapreduce.Platform) []float64 {
+		col := make([]float64, len(trace))
+		for i, r := range core.RunBaseline(p, trace, mapreduce.Fair) {
+			put(col, p.Name, i, r)
 		}
-		return m
+		return col
 	}
 	th, err := mapreduce.NewTHadoop(cal)
 	if err != nil {
@@ -378,7 +385,7 @@ func runTrace(path string, jobs int, seed int64, balance, hist bool, sinks obsSi
 	}
 	results := []struct {
 		name string
-		exec map[string]float64
+		exec []float64
 	}{
 		{"Hybrid", collectHy()},
 		{"THadoop", collect(th)},
@@ -391,8 +398,8 @@ func runTrace(path string, jobs int, seed int64, balance, hist bool, sinks obsSi
 		fmt.Printf("== %s\n", class.name)
 		for _, r := range results {
 			c := stats.NewCDF(nil)
-			for id, e := range r.exec {
-				if isUp[id] == class.up {
+			for i, e := range r.exec {
+				if up[i] == class.up {
 					c.Add(e)
 				}
 			}

@@ -15,8 +15,10 @@
 // on pull requests.
 //
 // The analyzers check the packages listed in simlint.SimPackages, which are
-// under the determinism contract; in every package, a suppression directive
-// must still name an analyzer, give a reason and suppress something.
+// under the determinism contract; only those are type-checked. Every other
+// package is parsed for its suppression directives, which must still name
+// an analyzer, give a reason and suppress something — outside the contract
+// nothing can be suppressed, so each one there is a finding.
 // Suppressions use
 //
 //	//simlint:allow <analyzer> <reason>
@@ -102,11 +104,18 @@ func run(patterns []string, out io.Writer, jsonPath string, github bool) (int, e
 		if err != nil {
 			return 0, err
 		}
-		pkg, err := loader.Load(dir, path)
+		// Only packages under the determinism contract are type-checked;
+		// elsewhere no analyzer runs and a parse finds every directive.
+		sim := simlint.IsSimPackage(path)
+		load := loader.Parse
+		if sim {
+			load = loader.Load
+		}
+		pkg, err := load(dir, path)
 		if err != nil {
 			return 0, err
 		}
-		findings, err := simlint.Run(pkg, simlint.All(), simlint.IsSimPackage(path))
+		findings, err := simlint.Run(pkg, simlint.All(), sim)
 		if err != nil {
 			return 0, err
 		}

@@ -12,9 +12,9 @@ import (
 
 // TestTreeIsClean is the acceptance gate: the linter must exit 0 with zero
 // unsuppressed findings over the whole module, warnings included. Any newly
-// introduced wall-clock read, order-sensitive map range or float fold,
-// stray goroutine or sync.Map, select, or reasonless, stale or unknown
-// directive fails this test.
+// introduced wall-clock read, order-sensitive map range, float fold across
+// goroutines, stray goroutine or sync.Map, select, or reasonless, stale or
+// unknown directive fails this test.
 func TestTreeIsClean(t *testing.T) {
 	var buf bytes.Buffer
 	code, err := run([]string{"../../..."}, &buf, "", false)
@@ -26,6 +26,32 @@ func TestTreeIsClean(t *testing.T) {
 	}
 	if out := buf.String(); strings.Contains(out, "warning:") {
 		t.Fatalf("simlint warnings must be fixed or suppressed before commit:\n%s", out)
+	}
+}
+
+// TestDirectivesOutsideSimPackages pins the parse-only path: a package
+// outside simlint.SimPackages is not type-checked (the fixture does not
+// compile), yet each of its directives is reported, because nothing outside
+// the contract can be suppressed.
+func TestDirectivesOutsideSimPackages(t *testing.T) {
+	var buf bytes.Buffer
+	code, err := run([]string{"testdata/nonsim"}, &buf, "", false)
+	if err != nil {
+		t.Fatalf("simlint: %v", err)
+	}
+	if code != 1 {
+		t.Errorf("exit code %d, want 1", code)
+	}
+	out := buf.String()
+	for _, want := range []string{
+		"nonsim.go:10:20: [directive] simlint:allow walltime suppresses nothing",
+		"nonsim.go:14:23: [directive] simlint:allow nosuch names no analyzer",
+		"nonsim.go:17:1: [directive] simlint:allow walltime has no reason",
+		"simlint: 3 error(s), 0 warning(s)",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("output lacks %q:\n%s", want, out)
+		}
 	}
 }
 

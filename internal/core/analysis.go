@@ -82,7 +82,12 @@ func ThresholdSensitivity(cal mapreduce.Calibration, jobs []workload.Job, scales
 			return nil, err
 		}
 		hybrid.Sched = sched
-		upJobs, _ := sched.Classify(jobs)
+		nUp := 0
+		for _, j := range jobs {
+			if sched.Decide(j) == ScaleUp {
+				nUp++
+			}
+		}
 
 		var sum float64
 		var n int
@@ -96,7 +101,7 @@ func ThresholdSensitivity(cal mapreduce.Calibration, jobs []workload.Job, scales
 		out = append(out, SensitivityPoint{
 			Scale:      scale,
 			MeanExec:   sum / float64(n),
-			UpFraction: float64(len(upJobs)) / float64(len(jobs)),
+			UpFraction: float64(nUp) / float64(len(jobs)),
 		})
 	}
 	return out, nil

@@ -38,9 +38,16 @@ func TestDumpTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	upJobs, outJobs := hybrid.Sched.Classify(jobs)
+	isUp := make(map[string]bool, len(jobs))
+	nOut := 0
+	for _, j := range jobs {
+		isUp[j.ID] = hybrid.Sched.Decide(j) == ScaleUp
+		if !isUp[j.ID] {
+			nOut++
+		}
+	}
 	fmt.Printf("jobs: %d scale-up, %d scale-out (%.1f%% scale-out)\n",
-		len(upJobs), len(outJobs), 100*float64(len(outJobs))/float64(len(jobs)))
+		len(jobs)-nOut, nOut, 100*float64(nOut)/float64(len(jobs)))
 
 	hy := hybrid.Run(jobs)
 	th, _ := mapreduce.NewTHadoop(cal)
@@ -48,10 +55,6 @@ func TestDumpTrace(t *testing.T) {
 	thRes := RunBaseline(th, jobs, mapreduce.Fair)
 	rhRes := RunBaseline(rh, jobs, mapreduce.Fair)
 
-	isUp := make(map[string]bool, len(upJobs))
-	for _, j := range upJobs {
-		isUp[j.ID] = true
-	}
 	report := func(name string, exec map[string]float64) {
 		up, out := stats.NewCDF(nil), stats.NewCDF(nil)
 		for id, e := range exec {

@@ -13,35 +13,9 @@ import (
 )
 
 // Inject bundles the simulator's task-level chaos knobs (failure and
-// straggler injection) so the CLI and the resilience experiments configure
-// both halves of the hybrid — and the baselines — identically.
-type Inject struct {
-	// FailureRate is the per-task-attempt failure probability; 0 disables.
-	FailureRate float64
-	// StragglerFrac is the duration-jitter fraction; 0 disables.
-	StragglerFrac float64
-	// Speculate enables speculative execution for stragglers.
-	Speculate bool
-	// Seed seeds the injection RNGs (stragglers use Seed+1, so the two
-	// streams stay independent).
-	Seed int64
-}
-
-// Apply configures a simulator with the injection knobs, surfacing the
-// simulator's own validation errors verbatim.
-func (in Inject) Apply(sim *mapreduce.Simulator) error {
-	if in.FailureRate != 0 {
-		if err := sim.InjectFailures(in.FailureRate, in.Seed); err != nil {
-			return err
-		}
-	}
-	if in.StragglerFrac != 0 {
-		if err := sim.InjectStragglers(in.StragglerFrac, in.Speculate, in.Seed+1); err != nil {
-			return err
-		}
-	}
-	return nil
-}
+// straggler injection); it is mapreduce.Inject, named here so FaultRun and
+// RunBaselineChecked callers need not import mapreduce for it.
+type Inject = mapreduce.Inject
 
 // ReplayStats receives kernel statistics from one replay. The counters are
 // deterministic (they count simulation events, not wall time), so callers may
@@ -301,40 +275,30 @@ func (h *Hybrid) RunFaulted(jobs []workload.Job, opt FaultRun) ([]JobResult, err
 			}, r.Job.ID)
 		}
 
-		upSim := rst.Simulator(h.Up, record)
-		outSim := rst.Simulator(h.Out, record)
-		halves[ScaleUp].sim, halves[ScaleOut].sim = upSim, outSim
-		upSim.SetPolicy(h.Policy)
-		outSim.SetPolicy(h.Policy)
-		upSim.SetObserver(opt.Obs.Trace, opt.Obs.Metrics)
-		outSim.SetObserver(opt.Obs.Trace, opt.Obs.Metrics)
-		if opt.Invariants != nil {
-			upSim.SetInvariants(opt.Invariants)
-			outSim.SetInvariants(opt.Invariants)
-		}
-		if err := opt.Inject.Apply(upSim); err != nil {
-			return err
-		}
-		if err := opt.Inject.Apply(outSim); err != nil {
-			return err
+		// One configuration for both halves; each gets its own cluster's
+		// faults, scheduled at construction, so at equal instants a
+		// capacity change precedes an arrival (the engine is FIFO per tick).
+		cfg := mapreduce.Config{
+			Policy:     h.Policy,
+			Trace:      opt.Obs.Trace,
+			Metrics:    opt.Obs.Metrics,
+			Invariants: opt.Invariants,
+			Inject:     opt.Inject,
+			Faults:     opt.Schedule.ForCluster(faults.ClusterUp),
 		}
 		if opt.CloneStragglers {
-			if err := upSim.SpeculateClones(cloneThreshold); err != nil {
-				return err
-			}
-			if err := outSim.SpeculateClones(cloneThreshold); err != nil {
-				return err
-			}
+			cfg.CloneThreshold = cloneThreshold
 		}
-		// Faults are scheduled before any submission, so at equal instants
-		// the capacity change precedes the arrival (the engine is FIFO per
-		// tick).
-		if err := upSim.ScheduleFaults(opt.Schedule.ForCluster(faults.ClusterUp)); err != nil {
+		upSim, err := rst.Simulator(h.Up, cfg, record)
+		if err != nil {
 			return err
 		}
-		if err := outSim.ScheduleFaults(opt.Schedule.ForCluster(faults.ClusterOut)); err != nil {
+		cfg.Faults = opt.Schedule.ForCluster(faults.ClusterOut)
+		outSim, err := rst.Simulator(h.Out, cfg, record)
+		if err != nil {
 			return err
 		}
+		halves[ScaleUp].sim, halves[ScaleOut].sim = upSim, outSim
 
 		scheduleArrivals(eng, jobs, submit)
 		eng.Run()
@@ -445,15 +409,8 @@ func RunBaselineChecked(p *mapreduce.Platform, jobs []workload.Job, policy mapre
 		if w := budget.Watchdog(nil); w != nil {
 			eng.SetWatchdog(w)
 		}
-		sim := rst.Simulator(p, placeResult(rs))
-		sim.SetPolicy(policy)
-		if inv != nil {
-			sim.SetInvariants(inv)
-		}
-		if err := inj.Apply(sim); err != nil {
-			return err
-		}
-		if err := sim.ScheduleFaults(events); err != nil {
+		sim, err := rst.Simulator(p, mapreduce.Config{Policy: policy, Invariants: inv, Inject: inj, Faults: events}, placeResult(rs))
+		if err != nil {
 			return err
 		}
 		for i, j := range jobs {

@@ -20,7 +20,10 @@ import (
 // results the simulator's sink collected, in mapreduce.ByArrival order.
 func testSim(st *mapreduce.ReplayState, p *mapreduce.Platform) (*mapreduce.Simulator, func() []mapreduce.Result) {
 	var res []mapreduce.Result
-	sim := st.Simulator(p, func(r mapreduce.Result, _ time.Duration) { res = append(res, r) })
+	sim, err := st.Simulator(p, mapreduce.Config{}, func(r mapreduce.Result, _ time.Duration) { res = append(res, r) })
+	if err != nil {
+		panic(err) // the zero Config always builds
+	}
 	return sim, func() []mapreduce.Result {
 		st.Engine().Run()
 		slices.SortFunc(res, mapreduce.ByArrival)
@@ -294,14 +297,25 @@ func TestRunFaultedValidation(t *testing.T) {
 	}
 }
 
-// Inject.Apply surfaces the simulator's own error messages verbatim.
+// An Inject is applied by the simulator constructor, and both replay
+// families surface its error messages verbatim.
 func TestInjectApplyUsesSimulatorErrors(t *testing.T) {
 	p := mapreduce.MustArch(mapreduce.OutOFS, mapreduce.DefaultCalibration())
-	sim, _ := testSim(mapreduce.NewReplayState(), p)
-	got := Inject{FailureRate: 1.5}.Apply(sim)
-	want := sim.InjectFailures(1.5, 0)
-	if got == nil || want == nil || got.Error() != want.Error() {
-		t.Errorf("Apply error %q != simulator error %q", got, want)
+	inj := Inject{FailureRate: 1.5}
+	_, want := mapreduce.NewReplayState().Simulator(p, mapreduce.Config{Inject: inj}, func(mapreduce.Result, time.Duration) {})
+	if want == nil {
+		t.Fatal("simulator accepted failure rate 1.5")
+	}
+	h, err := NewHybrid(mapreduce.DefaultCalibration())
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs := upHeavyJobs(2)
+	if _, got := h.RunFaulted(jobs, FaultRun{Inject: inj}); got == nil || got.Error() != want.Error() {
+		t.Errorf("RunFaulted error %q != simulator error %q", got, want)
+	}
+	if _, got := RunBaselineChecked(p, jobs, mapreduce.Fair, nil, inj, nil, sweep.Budget{}, nil); got == nil || got.Error() != want.Error() {
+		t.Errorf("RunBaselineChecked error %q != simulator error %q", got, want)
 	}
 }
 

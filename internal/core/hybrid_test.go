@@ -207,8 +207,14 @@ func TestScaleOutJobFraction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, out := MustScheduler(PaperCrossPoints()).Classify(jobs)
-	frac := float64(len(out)) / float64(len(jobs))
+	s := MustScheduler(PaperCrossPoints())
+	out := 0
+	for _, j := range jobs {
+		if s.Decide(j) == ScaleOut {
+			out++
+		}
+	}
+	frac := float64(out) / float64(len(jobs))
 	if frac < 0.08 || frac > 0.22 {
 		t.Errorf("scale-out fraction = %.3f, want ≈0.15", frac)
 	}
@@ -231,10 +237,9 @@ func runTraceExperiment(t testing.TB, nJobs int) (hy []JobResult, th, rh []mapre
 	if err != nil {
 		t.Fatal(err)
 	}
-	upJobs, _ := hybrid.Sched.Classify(jobs)
-	isUp = make(map[string]bool, len(upJobs))
-	for _, j := range upJobs {
-		isUp[j.ID] = true
+	isUp = make(map[string]bool, len(jobs))
+	for _, j := range jobs {
+		isUp[j.ID] = hybrid.Sched.Decide(j) == ScaleUp
 	}
 	hy = hybrid.Run(jobs)
 	thp, err := mapreduce.NewTHadoop(cal)

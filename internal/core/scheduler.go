@@ -131,16 +131,3 @@ func (s *Scheduler) Decide(job workload.Job) Target {
 	}
 	return ScaleOut
 }
-
-// Classify splits jobs into scale-up jobs and scale-out jobs, preserving
-// order — the partition §V's Figure 10 reports separately.
-func (s *Scheduler) Classify(jobs []workload.Job) (up, out []workload.Job) {
-	for _, j := range jobs {
-		if s.Decide(j) == ScaleUp {
-			up = append(up, j)
-		} else {
-			out = append(out, j)
-		}
-	}
-	return up, out
-}

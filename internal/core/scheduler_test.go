@@ -119,30 +119,6 @@ func TestTargetString(t *testing.T) {
 	}
 }
 
-// Classify partitions: every job lands in exactly one class, order preserved.
-func TestClassify(t *testing.T) {
-	s := MustScheduler(PaperCrossPoints())
-	jobs := []workload.Job{
-		job(apps.Wordcount(), units.GB, true),
-		job(apps.Wordcount(), 64*units.GB, true),
-		job(apps.Grep(), 2*units.GB, true),
-		job(apps.DFSIOWrite(), 50*units.GB, true),
-	}
-	for i := range jobs {
-		jobs[i].ID = string(rune('a' + i))
-	}
-	up, out := s.Classify(jobs)
-	if len(up)+len(out) != len(jobs) {
-		t.Fatalf("classification lost jobs: %d + %d != %d", len(up), len(out), len(jobs))
-	}
-	if len(up) != 2 || len(out) != 2 {
-		t.Errorf("partition = %d/%d, want 2/2", len(up), len(out))
-	}
-	if up[0].ID != "a" || up[1].ID != "c" || out[0].ID != "b" || out[1].ID != "d" {
-		t.Errorf("order not preserved: up=%v out=%v", up, out)
-	}
-}
-
 // Property: the decision is total and deterministic, and monotone in size —
 // if a job goes scale-out, any bigger job with the same profile also does.
 func TestDecideMonotoneProperty(t *testing.T) {

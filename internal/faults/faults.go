@@ -311,8 +311,9 @@ func sortEvents(evs []Event) {
 // is equally rejected.
 //
 // Whether the losses fit a concrete cluster (a crash may never leave zero
-// machines) is checked against real capacities by the simulator's
-// ScheduleFaults, which knows the machine and server counts.
+// machines) is checked against real capacities when a simulator is built
+// with the schedule (mapreduce.ReplayState.Simulator), which knows the
+// machine and server counts.
 func (s *Schedule) Validate() error {
 	down := make(map[string]int)
 	open := make(map[string]Event) // stream+"/"+cluster -> open gray window

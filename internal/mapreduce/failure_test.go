@@ -10,14 +10,14 @@ import (
 )
 
 func TestInjectFailuresValidation(t *testing.T) {
-	sim := newTestSim(MustArch(OutOFS, DefaultCalibration()))
-	if err := sim.InjectFailures(-0.1, 1); err == nil {
+	p := MustArch(OutOFS, DefaultCalibration())
+	if err := buildErr(p, Config{Inject: Inject{FailureRate: -0.1, Seed: 1}}); err == nil {
 		t.Error("negative rate accepted")
 	}
-	if err := sim.InjectFailures(1.0, 1); err == nil {
+	if err := buildErr(p, Config{Inject: Inject{FailureRate: 1.0, Seed: 1}}); err == nil {
 		t.Error("rate 1.0 accepted")
 	}
-	if err := sim.InjectFailures(0.1, 1); err != nil {
+	if err := buildErr(p, Config{Inject: Inject{FailureRate: 0.1, Seed: 1}}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -28,14 +28,11 @@ func TestFailuresRetryAndComplete(t *testing.T) {
 	p := MustArch(OutOFS, DefaultCalibration())
 	job := Job{ID: "j", App: apps.Grep(), Input: 32 * units.GB}
 
-	clean := newTestSim(p)
+	clean := newTestSim(t, p, Config{})
 	clean.Submit(job)
 	base := clean.drain()[0]
 
-	flaky := newTestSim(p)
-	if err := flaky.InjectFailures(0.10, 42); err != nil {
-		t.Fatal(err)
-	}
+	flaky := newTestSim(t, p, Config{Inject: Inject{FailureRate: 0.10, Seed: 42}})
 	flaky.Submit(job)
 	res := flaky.drain()[0]
 	if res.Err != nil {
@@ -53,10 +50,7 @@ func TestFailuresRetryAndComplete(t *testing.T) {
 // job fails with a descriptive error — Hadoop's max-attempts semantics.
 func TestFailuresExhaustAttempts(t *testing.T) {
 	p := MustArch(OutOFS, DefaultCalibration())
-	sim := newTestSim(p)
-	if err := sim.InjectFailures(0.9, 7); err != nil {
-		t.Fatal(err)
-	}
+	sim := newTestSim(t, p, Config{Inject: Inject{FailureRate: 0.9, Seed: 7}})
 	sim.Submit(Job{ID: "doomed", App: apps.Grep(), Input: 8 * units.GB})
 	res := sim.drain()
 	if len(res) != 1 {
@@ -73,11 +67,7 @@ func TestFailuresExhaustAttempts(t *testing.T) {
 // A failed job releases its slots: jobs behind it still finish.
 func TestFailedJobReleasesSlots(t *testing.T) {
 	p := MustArch(OutOFS, DefaultCalibration())
-	sim := newTestSim(p)
-	sim.SetPolicy(Fair)
-	if err := sim.InjectFailures(0.9, 11); err != nil {
-		t.Fatal(err)
-	}
+	sim := newTestSim(t, p, Config{Policy: Fair, Inject: Inject{FailureRate: 0.9, Seed: 11}})
 	sim.Submit(Job{ID: "doomed", App: apps.Wordcount(), Input: 16 * units.GB})
 	// The follower is tiny: even at 90 % it survives with high
 	// probability... but determinism means we just check completion or
@@ -93,10 +83,7 @@ func TestFailedJobReleasesSlots(t *testing.T) {
 func TestFailuresDeterministic(t *testing.T) {
 	p := MustArch(OutOFS, DefaultCalibration())
 	run := func(seed int64) Result {
-		sim := newTestSim(p)
-		if err := sim.InjectFailures(0.2, seed); err != nil {
-			t.Fatal(err)
-		}
+		sim := newTestSim(t, p, Config{Inject: Inject{FailureRate: 0.2, Seed: seed}})
 		sim.Submit(Job{ID: "j", App: apps.Grep(), Input: 16 * units.GB})
 		return sim.drain()[0]
 	}

@@ -146,17 +146,19 @@ func (s *Simulator) recycleAttempt(att *attempt) {
 	s.attemptFree = append(s.attemptFree, att)
 }
 
-// ScheduleFaults validates a fault timeline against this platform and
-// schedules its events on the engine. Storage events that do not match the
-// platform's file system (OFS events on an HDFS platform and vice versa) are
-// skipped — the hybrid's halves share one schedule but mount different file
-// systems. The events must be time-ordered (faults.Schedule guarantees it);
-// a timeline that would ever leave the cluster with no machine, exceed what
-// the file system can survive, or recover capacity that never failed is
-// rejected up front. Call before Submit, so fault events at an instant
-// precede job arrivals at the same instant. A schedule with a machine crash
-// makes the simulator keep the map-output ledger the crash re-queues from.
-func (s *Simulator) ScheduleFaults(events []faults.Event) error {
+// scheduleFaults validates a fault timeline (Config.Faults) against this
+// platform and schedules its events on the engine. Storage events that do
+// not match the platform's file system (OFS events on an HDFS platform and
+// vice versa) are skipped — the hybrid's halves share one schedule but mount
+// different file systems. The events must be time-ordered (faults.Schedule
+// guarantees it); a timeline that would ever leave the cluster with no
+// machine, exceed what the file system can survive, or recover capacity that
+// never failed is rejected up front, before any event is scheduled. It runs
+// at construction, before any job can be submitted, so fault events at an
+// instant precede job arrivals at the same instant. A schedule with a
+// machine crash makes the simulator keep the map-output ledger the crash
+// re-queues from.
+func (s *Simulator) scheduleFaults(events []faults.Event) error {
 	fsName := s.platform.FS.Name()
 	relevant := make([]faults.Event, 0, len(events))
 	for _, ev := range events {

@@ -9,26 +9,20 @@ import (
 	"hybridmr/internal/units"
 )
 
-func mustFaults(t *testing.T, sim *testSim, events []faults.Event) {
-	t.Helper()
-	if err := sim.ScheduleFaults(events); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // A mid-job crash kills in-flight tasks and re-executes completed maps, so
 // the job takes longer than on a healthy cluster and records task retries.
 func TestCrashSlowsJob(t *testing.T) {
 	p := MustArch(OutOFS, DefaultCalibration())
 	job := Job{ID: "j", App: apps.Grep(), Input: 64 * units.GB}
 
-	clean := newTestSim(p)
+	clean := newTestSim(t, p, Config{})
 	clean.Submit(job)
 	base := clean.drain()[0]
 
-	crashed := newTestSim(p)
-	mustFaults(t, crashed, []faults.Event{
-		{At: base.Exec / 2, Kind: faults.MachineCrash, Cluster: faults.ClusterOut, Count: 6},
+	crashed := newTestSim(t, p, Config{
+		Faults: []faults.Event{
+			{At: base.Exec / 2, Kind: faults.MachineCrash, Cluster: faults.ClusterOut, Count: 6},
+		},
 	})
 	crashed.Submit(job)
 	res := crashed.drain()[0]
@@ -52,13 +46,12 @@ func TestRecoveryRestoresCapacity(t *testing.T) {
 	p := MustArch(OutOFS, DefaultCalibration())
 	job := Job{ID: "j", App: apps.Sort(), Input: 64 * units.GB}
 
-	clean := newTestSim(p)
+	clean := newTestSim(t, p, Config{})
 	clean.Submit(job)
 	base := clean.drain()[0]
 
 	run := func(events []faults.Event) Result {
-		sim := newTestSim(p)
-		mustFaults(t, sim, events)
+		sim := newTestSim(t, p, Config{Faults: events})
 		sim.Submit(job)
 		return sim.drain()[0]
 	}
@@ -84,14 +77,15 @@ func TestStorageDegradationAffectsPlanning(t *testing.T) {
 	p := MustArch(OutOFS, DefaultCalibration())
 	job := Job{ID: "j", App: apps.Grep(), Input: 32 * units.GB}
 
-	clean := newTestSim(p)
+	clean := newTestSim(t, p, Config{})
 	clean.Submit(job)
 	base := clean.drain()[0]
 
-	sim := newTestSim(p)
-	mustFaults(t, sim, []faults.Event{
-		{At: 0, Kind: faults.OFSServerDown, Cluster: faults.ClusterAll, Count: 24},
-		{At: 6 * time.Hour, Kind: faults.OFSServerUp, Cluster: faults.ClusterAll, Count: 24},
+	sim := newTestSim(t, p, Config{
+		Faults: []faults.Event{
+			{At: 0, Kind: faults.OFSServerDown, Cluster: faults.ClusterAll, Count: 24},
+			{At: 6 * time.Hour, Kind: faults.OFSServerUp, Cluster: faults.ClusterAll, Count: 24},
+		},
 	})
 	during := job
 	during.Submit = time.Minute
@@ -118,13 +112,14 @@ func TestStorageEventsFilteredByFS(t *testing.T) {
 	p := MustArch(OutHDFS, DefaultCalibration())
 	job := Job{ID: "j", App: apps.Grep(), Input: 32 * units.GB}
 
-	clean := newTestSim(p)
+	clean := newTestSim(t, p, Config{})
 	clean.Submit(job)
 	base := clean.drain()[0]
 
-	sim := newTestSim(p)
-	mustFaults(t, sim, []faults.Event{
-		{At: 0, Kind: faults.OFSServerDown, Cluster: faults.ClusterAll, Count: 31},
+	sim := newTestSim(t, p, Config{
+		Faults: []faults.Event{
+			{At: 0, Kind: faults.OFSServerDown, Cluster: faults.ClusterAll, Count: 31},
+		},
 	})
 	sim.Submit(job)
 	res := sim.drain()[0]
@@ -136,7 +131,7 @@ func TestStorageEventsFilteredByFS(t *testing.T) {
 	}
 }
 
-// ScheduleFaults rejects timelines that are not survivable or not coherent —
+// The constructor rejects fault timelines that are not survivable or not coherent —
 // errors, never panics.
 func TestScheduleFaultsValidation(t *testing.T) {
 	p := MustArch(UpOFS, DefaultCalibration()) // 2 machines, 32 OFS servers
@@ -169,8 +164,7 @@ func TestScheduleFaultsValidation(t *testing.T) {
 		}},
 	}
 	for _, tt := range cases {
-		sim := newTestSim(p)
-		if err := sim.ScheduleFaults(tt.events); err == nil {
+		if err := buildErr(p, Config{Faults: tt.events}); err == nil {
 			t.Errorf("%s: accepted", tt.name)
 		}
 	}
@@ -180,9 +174,7 @@ func TestScheduleFaultsValidation(t *testing.T) {
 func TestFaultsDeterministic(t *testing.T) {
 	p := MustArch(OutOFS, DefaultCalibration())
 	run := func() []Result {
-		sim := newTestSim(p)
-		sim.SetPolicy(Fair)
-		mustFaults(t, sim, faults.Demo().ForCluster(faults.ClusterOut))
+		sim := newTestSim(t, p, Config{Policy: Fair, Faults: faults.Demo().ForCluster(faults.ClusterOut)})
 		sim.Submit(Job{ID: "a", App: apps.Sort(), Input: 64 * units.GB})
 		sim.Submit(Job{ID: "b", App: apps.Grep(), Input: 32 * units.GB, Submit: time.Hour})
 		return sim.drain()
@@ -203,10 +195,11 @@ func TestFaultsDeterministic(t *testing.T) {
 // pools equal the (restored) capacities.
 func TestSlotInvariantAfterFaults(t *testing.T) {
 	p := MustArch(OutOFS, DefaultCalibration())
-	sim := newTestSim(p)
-	mustFaults(t, sim, []faults.Event{
-		{At: 10 * time.Minute, Kind: faults.MachineCrash, Cluster: faults.ClusterOut, Count: 6},
-		{At: 2 * time.Hour, Kind: faults.MachineRecover, Cluster: faults.ClusterOut, Count: 6},
+	sim := newTestSim(t, p, Config{
+		Faults: []faults.Event{
+			{At: 10 * time.Minute, Kind: faults.MachineCrash, Cluster: faults.ClusterOut, Count: 6},
+			{At: 2 * time.Hour, Kind: faults.MachineRecover, Cluster: faults.ClusterOut, Count: 6},
+		},
 	})
 	sim.Submit(Job{ID: "a", App: apps.Sort(), Input: 64 * units.GB})
 	sim.Submit(Job{ID: "b", App: apps.Wordcount(), Input: 32 * units.GB, Submit: 30 * time.Minute})
@@ -231,7 +224,7 @@ func TestSlotInvariantAfterFaults(t *testing.T) {
 // PlatformNow tracks the degradation level and memoizes views.
 func TestPlatformNow(t *testing.T) {
 	p := MustArch(OutOFS, DefaultCalibration())
-	sim := newTestSim(p)
+	sim := newTestSim(t, p, Config{})
 	if got, _ := sim.PlatformNow(); got != p {
 		t.Error("healthy PlatformNow is not the base platform")
 	}
@@ -257,12 +250,15 @@ func TestResultHook(t *testing.T) {
 	p := MustArch(OutOFS, DefaultCalibration())
 	st := NewReplayState()
 	var got []Result
-	sim := st.Simulator(p, func(r Result, now time.Duration) {
+	sim, err := st.Simulator(p, Config{}, func(r Result, now time.Duration) {
 		if now != r.End {
 			t.Errorf("sink now %v != result end %v", now, r.End)
 		}
 		got = append(got, r)
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	sim.Submit(Job{ID: "j", App: apps.Grep(), Input: 8 * units.GB})
 	st.Engine().Run()
 	if len(got) != 1 {
@@ -274,5 +270,5 @@ func TestResultHook(t *testing.T) {
 			t.Error("Simulator accepted a nil result sink")
 		}
 	}()
-	st.Simulator(p, nil)
+	st.Simulator(p, Config{}, nil)
 }

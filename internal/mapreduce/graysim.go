@@ -53,19 +53,6 @@ func (s *Simulator) GrayActive() bool {
 	return s.graySlow() != 1 || s.nicSlow != 1 || s.rackSlow != 1
 }
 
-// SpeculateClones enables speculative clone attempts: whenever a gray window
-// opens and the cluster's attempt slowdown reaches threshold, in-flight
-// attempts are cloned onto free slots at healthy speed, first finisher wins.
-// A threshold of 0 disables cloning; otherwise it must exceed 1 (a clone
-// against an unslowed original can never win). Call before the engine runs.
-func (s *Simulator) SpeculateClones(threshold float64) error {
-	if threshold != 0 && threshold <= 1 {
-		return fmt.Errorf("mapreduce: clone threshold %v must be 0 (off) or > 1", threshold)
-	}
-	s.cloneThreshold = threshold
-	return nil
-}
-
 // SpeculationStats reports how many clone attempts were started and how many
 // finished before their original.
 func (s *Simulator) SpeculationStats() (started, won int) {

@@ -27,13 +27,14 @@ func TestGraySlowdownStretchesTasks(t *testing.T) {
 	p := MustArch(OutOFS, DefaultCalibration())
 	job := Job{ID: "j", App: apps.Grep(), Input: 64 * units.GB}
 
-	clean := newTestSim(p)
+	clean := newTestSim(t, p, Config{})
 	clean.Submit(job)
 	base := clean.drain()[0]
 
-	sim := newTestSim(p)
-	mustFaults(t, sim, []faults.Event{
-		{At: 0, Kind: faults.CPUSlow, Cluster: faults.ClusterOut, Count: 0, Factor: 2},
+	sim := newTestSim(t, p, Config{
+		Faults: []faults.Event{
+			{At: 0, Kind: faults.CPUSlow, Cluster: faults.ClusterOut, Count: 0, Factor: 2},
+		},
 	})
 	sim.Submit(job)
 	res := sim.drain()[0]
@@ -60,13 +61,14 @@ func TestGrayWeightedSlowdown(t *testing.T) {
 	p := MustArch(OutOFS, DefaultCalibration()) // 12 machines
 	job := Job{ID: "j", App: apps.Grep(), Input: 64 * units.GB}
 
-	clean := newTestSim(p)
+	clean := newTestSim(t, p, Config{})
 	clean.Submit(job)
 	base := clean.drain()[0]
 
-	sim := newTestSim(p)
-	mustFaults(t, sim, []faults.Event{
-		{At: 0, Kind: faults.DiskSlow, Cluster: faults.ClusterOut, Count: 6, Factor: 3},
+	sim := newTestSim(t, p, Config{
+		Faults: []faults.Event{
+			{At: 0, Kind: faults.DiskSlow, Cluster: faults.ClusterOut, Count: 6, Factor: 3},
+		},
 	})
 	sim.Submit(job)
 	res := sim.drain()[0]
@@ -85,7 +87,7 @@ func TestGrayRescaleClosedForm(t *testing.T) {
 	p := MustArch(OutOFS, DefaultCalibration())
 	job := Job{ID: "j", App: apps.Grep(), Input: 4 * units.GB} // one map wave
 
-	clean := newTestSim(p)
+	clean := newTestSim(t, p, Config{})
 	clean.Submit(job)
 	base := clean.drain()[0]
 	if base.MapWaves != 1 {
@@ -96,10 +98,11 @@ func TestGrayRescaleClosedForm(t *testing.T) {
 
 	// Open ×3 at t0+m/2: remaining m/2 stretches to 3m/2 (fire at t0+2m).
 	// Close at t0+m: remaining m shrinks to m/3 (fire at t0+4m/3).
-	sim := newTestSim(p)
-	mustFaults(t, sim, []faults.Event{
-		{At: t0 + m/2, Kind: faults.CPUSlow, Cluster: faults.ClusterOut, Count: 0, Factor: 3},
-		{At: t0 + m, Kind: faults.CPUOk, Cluster: faults.ClusterOut},
+	sim := newTestSim(t, p, Config{
+		Faults: []faults.Event{
+			{At: t0 + m/2, Kind: faults.CPUSlow, Cluster: faults.ClusterOut, Count: 0, Factor: 3},
+			{At: t0 + m, Kind: faults.CPUOk, Cluster: faults.ClusterOut},
+		},
 	})
 	sim.Submit(job)
 	res := sim.drain()[0]
@@ -128,14 +131,7 @@ func TestGrayFactorOneIsIdentity(t *testing.T) {
 		{ID: "b", App: apps.Grep(), Input: 32 * units.GB, Submit: 30 * time.Minute},
 	}
 	run := func(events []faults.Event) []Result {
-		sim := newTestSim(p)
-		sim.SetPolicy(Fair)
-		if err := sim.SpeculateClones(1.5); err != nil {
-			t.Fatal(err)
-		}
-		if events != nil {
-			mustFaults(t, sim, events)
-		}
+		sim := newTestSim(t, p, Config{Policy: Fair, CloneThreshold: 1.5, Faults: events})
 		for _, j := range jobs {
 			sim.Submit(j)
 		}
@@ -175,7 +171,7 @@ func TestSpeculativeCloneWins(t *testing.T) {
 	p := MustArch(OutOFS, DefaultCalibration())
 	job := Job{ID: "j", App: apps.Grep(), Input: 4 * units.GB} // one wave: slots stay free for clones
 
-	clean := newTestSim(p)
+	clean := newTestSim(t, p, Config{})
 	clean.Submit(job)
 	base := clean.drain()[0]
 	events := []faults.Event{
@@ -183,11 +179,7 @@ func TestSpeculativeCloneWins(t *testing.T) {
 	}
 
 	run := func(threshold float64) (Result, *testSim) {
-		sim := newTestSim(p)
-		if err := sim.SpeculateClones(threshold); err != nil {
-			t.Fatal(err)
-		}
-		mustFaults(t, sim, events)
+		sim := newTestSim(t, p, Config{CloneThreshold: threshold, Faults: events})
 		sim.Submit(job)
 		return sim.drain()[0], sim
 	}
@@ -221,19 +213,15 @@ func TestCrashOnSpeculationPairs(t *testing.T) {
 	p := MustArch(OutOFS, DefaultCalibration())
 	job := Job{ID: "j", App: apps.Grep(), Input: 4 * units.GB}
 
-	clean := newTestSim(p)
+	clean := newTestSim(t, p, Config{})
 	clean.Submit(job)
 	base := clean.drain()[0]
 
-	sim := newTestSim(p)
-	if err := sim.SpeculateClones(2); err != nil {
-		t.Fatal(err)
-	}
 	mid := base.Start + base.MapPhase/4
-	mustFaults(t, sim, []faults.Event{
+	sim := newTestSim(t, p, Config{CloneThreshold: 2, Faults: []faults.Event{
 		{At: mid, Kind: faults.CPUSlow, Cluster: faults.ClusterOut, Count: 0, Factor: 4},
 		{At: mid + base.MapPhase/8, Kind: faults.MachineCrash, Cluster: faults.ClusterOut, Count: 9},
-	})
+	}})
 	sim.Submit(job)
 	res := sim.drain()[0]
 	if res.Err != nil {
@@ -254,14 +242,15 @@ func TestGrayPlanningView(t *testing.T) {
 	p := MustArch(OutOFS, DefaultCalibration())
 	job := Job{ID: "j", App: apps.Sort(), Input: 64 * units.GB} // shuffle-heavy: network-bound
 
-	clean := newTestSim(p)
+	clean := newTestSim(t, p, Config{})
 	clean.Submit(job)
 	base := clean.drain()[0]
 
-	sim := newTestSim(p)
-	mustFaults(t, sim, []faults.Event{
-		{At: 0, Kind: faults.NICThrottle, Cluster: faults.ClusterOut, Count: 1, Factor: 4},
-		{At: 12 * time.Hour, Kind: faults.NICOk, Cluster: faults.ClusterOut, Count: 1},
+	sim := newTestSim(t, p, Config{
+		Faults: []faults.Event{
+			{At: 0, Kind: faults.NICThrottle, Cluster: faults.ClusterOut, Count: 1, Factor: 4},
+			{At: 12 * time.Hour, Kind: faults.NICOk, Cluster: faults.ClusterOut, Count: 1},
+		},
 	})
 	during := job
 	during.Submit = time.Minute
@@ -281,7 +270,7 @@ func TestGrayPlanningView(t *testing.T) {
 		t.Errorf("exec after heal %v != healthy %v", res[1].Exec, base.Exec)
 	}
 
-	probe := newTestSim(p)
+	probe := newTestSim(t, p, Config{})
 	probe.nicSlow, probe.rackSlow = 2, 4
 	view, err := probe.PlatformNow()
 	if err != nil {
@@ -305,12 +294,11 @@ func TestGrayPlanningView(t *testing.T) {
 func TestGrayDeterministic(t *testing.T) {
 	p := MustArch(OutOFS, DefaultCalibration())
 	run := func() []Result {
-		sim := newTestSim(p)
-		sim.SetPolicy(Fair)
-		if err := sim.SpeculateClones(1.5); err != nil {
-			t.Fatal(err)
-		}
-		mustFaults(t, sim, faults.GrayDemo().ForCluster(faults.ClusterOut))
+		sim := newTestSim(t, p, Config{
+			Policy:         Fair,
+			CloneThreshold: 1.5,
+			Faults:         faults.GrayDemo().ForCluster(faults.ClusterOut),
+		})
 		sim.Submit(Job{ID: "a", App: apps.Sort(), Input: 64 * units.GB})
 		sim.Submit(Job{ID: "b", App: apps.Grep(), Input: 32 * units.GB, Submit: time.Hour})
 		sim.Submit(Job{ID: "c", App: apps.Wordcount(), Input: 16 * units.GB, Submit: 2 * time.Hour})
@@ -322,18 +310,18 @@ func TestGrayDeterministic(t *testing.T) {
 	}
 }
 
-// The threshold setter rejects thresholds a clone can never meet.
+// The constructor rejects clone thresholds a clone can never meet.
 func TestSpeculateClonesValidation(t *testing.T) {
-	sim := newTestSim(MustArch(OutOFS, DefaultCalibration()))
+	p := MustArch(OutOFS, DefaultCalibration())
 	for _, bad := range []float64{1, 0.5, -2} {
-		if err := sim.SpeculateClones(bad); err == nil {
+		if err := buildErr(p, Config{CloneThreshold: bad}); err == nil {
 			t.Errorf("threshold %v accepted", bad)
 		}
 	}
-	if err := sim.SpeculateClones(0); err != nil {
+	if err := buildErr(p, Config{CloneThreshold: 0}); err != nil {
 		t.Errorf("disabling rejected: %v", err)
 	}
-	if err := sim.SpeculateClones(1.2); err != nil {
+	if err := buildErr(p, Config{CloneThreshold: 1.2}); err != nil {
 		t.Errorf("valid threshold rejected: %v", err)
 	}
 }

@@ -18,12 +18,12 @@ import (
 // is why the clean, faulted and gray replays each have one; bench-check
 // then gates the replay benchmarks' allocs/op at zero tolerance.
 
-// warmReplayAllocs runs the scenario twice on a pooled state to reach the
+// warmReplayAllocs replays jobs twice on a pooled state to reach the
 // freelists' high-water marks, then measures a steady-state replay: the
-// simulator is built with one counting sink made outside the measurement,
-// run submits the jobs, and the engine drains. It fails unless every one of
-// the want jobs reported in every replay.
-func warmReplayAllocs(t *testing.T, want int, run func(*Simulator)) float64 {
+// simulator is built with cfg and one counting sink made outside the
+// measurement, the jobs are submitted, and the engine drains. It fails
+// unless every job reported in every replay.
+func warmReplayAllocs(t *testing.T, cfg Config, jobs []Job) float64 {
 	t.Helper()
 	p := MustArch(OutOFS, DefaultCalibration())
 	st := NewReplayState()
@@ -32,10 +32,16 @@ func warmReplayAllocs(t *testing.T, want int, run func(*Simulator)) float64 {
 	replay := func() {
 		st.Reset()
 		n = 0
-		run(st.Simulator(p, sink))
+		sim, err := st.Simulator(p, cfg, sink)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, j := range jobs {
+			sim.Submit(j)
+		}
 		st.Engine().Run()
-		if n != want {
-			t.Fatalf("replayed %d of %d jobs", n, want)
+		if n != len(jobs) {
+			t.Fatalf("replayed %d of %d jobs", n, len(jobs))
 		}
 	}
 	replay()
@@ -56,12 +62,7 @@ func TestPooledReplaySteadyStateAllocs(t *testing.T) {
 			Submit: time.Duration(i) * 15 * time.Second,
 		}
 	}
-	avg := warmReplayAllocs(t, len(jobs), func(sim *Simulator) {
-		sim.SetPolicy(Fair)
-		for _, j := range jobs {
-			sim.Submit(j)
-		}
-	})
+	avg := warmReplayAllocs(t, Config{Policy: Fair}, jobs)
 	if avg != 0 {
 		t.Errorf("warm pooled replay: %v allocs/op, want 0", avg)
 	}
@@ -70,7 +71,7 @@ func TestPooledReplaySteadyStateAllocs(t *testing.T) {
 // TestFaultedReplaySteadyStateAllocs pins the failure/straggler machinery —
 // attempt lifecycle, retry accounting, jitter draws, speculative restarts —
 // at zero allocations on a warm state beyond the documented setup cost: the
-// Inject* calls build fresh RNGs per replay (recycle drops them so seeds
+// injection build step makes fresh RNGs per replay (recycle drops them so seeds
 // cannot leak across replays), so the contract is measured as replay allocs
 // == injection-setup allocs.
 func TestFaultedReplaySteadyStateAllocs(t *testing.T) {
@@ -87,20 +88,19 @@ func TestFaultedReplaySteadyStateAllocs(t *testing.T) {
 	st := NewReplayState()
 	var n int
 	sink := func(Result, time.Duration) { n++ }
-	inject := func(sim *Simulator) {
-		sim.SetPolicy(Fair)
-		if err := sim.InjectFailures(0.05, 42); err != nil {
+	// Failures draw from seed 42, stragglers from 43.
+	cfg := Config{Policy: Fair, Inject: Inject{FailureRate: 0.05, StragglerFrac: 0.2, Speculate: true, Seed: 42}}
+	build := func() *Simulator {
+		st.Reset()
+		sim, err := st.Simulator(p, cfg, sink)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if err := sim.InjectStragglers(0.2, true, 7); err != nil {
-			t.Fatal(err)
-		}
+		return sim
 	}
 	replay := func() {
-		st.Reset()
 		n = 0
-		sim := st.Simulator(p, sink)
-		inject(sim)
+		sim := build()
 		for _, j := range jobs {
 			sim.Submit(j)
 		}
@@ -112,10 +112,7 @@ func TestFaultedReplaySteadyStateAllocs(t *testing.T) {
 	replay()
 	replay()
 	full := testing.AllocsPerRun(20, replay)
-	setup := testing.AllocsPerRun(20, func() {
-		st.Reset()
-		inject(st.Simulator(p, sink))
-	})
+	setup := testing.AllocsPerRun(20, func() { build() })
 	if full != setup {
 		t.Errorf("warm faulted replay: %v allocs/op vs %v for injection setup alone; the replay machinery must add zero", full, setup)
 	}
@@ -149,12 +146,8 @@ func TestGrayReplaySteadyStateAllocs(t *testing.T) {
 	sink := func(Result, time.Duration) { n++ }
 	setup := func() *Simulator {
 		st.Reset()
-		sim := st.Simulator(p, sink)
-		sim.SetPolicy(Fair)
-		if err := sim.SpeculateClones(1.5); err != nil {
-			t.Fatal(err)
-		}
-		if err := sim.ScheduleFaults(window); err != nil {
+		sim, err := st.Simulator(p, Config{Policy: Fair, CloneThreshold: 1.5, Faults: window}, sink)
+		if err != nil {
 			t.Fatal(err)
 		}
 		return sim

@@ -10,41 +10,6 @@ import (
 	"hybridmr/internal/units"
 )
 
-// invariantAllocs measures the allocations of one small replay, optionally
-// calling SetInvariants(nil) first. The invariant layer's hook sites are one
-// nil compare each when detached, so the two configurations must allocate
-// identically — the same guard TestReplayAllocsUnchangedByNilObserver holds
-// for the observability plumbing.
-func invariantAllocs(t *testing.T, nilChecker bool) float64 {
-	t.Helper()
-	p := MustArch(OutOFS, DefaultCalibration())
-	jobs := checkerJobs(40, 20*time.Second)
-	return testing.AllocsPerRun(10, func() {
-		sim := newTestSim(p)
-		sim.SetPolicy(Fair)
-		if nilChecker {
-			sim.SetInvariants(nil)
-		}
-		for _, j := range jobs {
-			sim.Submit(j)
-		}
-		if res := sim.drain(); len(res) != len(jobs) {
-			t.Fatalf("replayed %d of %d jobs", len(res), len(jobs))
-		}
-	})
-}
-
-// TestInvariantAllocsUnchangedWhenDisabled pins the disabled fast path: a
-// simulator with SetInvariants(nil) must allocate exactly as much as one that
-// never heard of the invariant layer.
-func TestInvariantAllocsUnchangedWhenDisabled(t *testing.T) {
-	bare := invariantAllocs(t, false)
-	detached := invariantAllocs(t, true)
-	if bare != detached {
-		t.Errorf("replay allocates %.1f allocs bare but %.1f with invariants detached", bare, detached)
-	}
-}
-
 // checkerJobs builds a small sorted workload.
 func checkerJobs(n int, gap time.Duration) []Job {
 	return checkerJobsSized(n, gap, 2*units.GB)
@@ -69,18 +34,15 @@ func checkerJobsSized(n int, gap time.Duration, input units.Bytes) []Job {
 func TestInvariantsCleanReplay(t *testing.T) {
 	for _, spec := range []string{"", "out:crash@4mx3;out:recover@30m"} {
 		inv := NewInvariantChecker()
-		sim := newTestSim(MustArch(OutOFS, DefaultCalibration()))
-		sim.SetPolicy(Fair)
-		sim.SetInvariants(inv)
+		cfg := Config{Policy: Fair, Invariants: inv}
 		if spec != "" {
 			sched, err := faults.ParseSchedule(spec)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := sim.ScheduleFaults(sched.ForCluster(faults.ClusterOut)); err != nil {
-				t.Fatal(err)
-			}
+			cfg.Faults = sched.ForCluster(faults.ClusterOut)
 		}
+		sim := newTestSim(t, MustArch(OutOFS, DefaultCalibration()), cfg)
 		for _, j := range checkerJobs(30, 20*time.Second) {
 			sim.Submit(j)
 		}
@@ -97,16 +59,15 @@ func TestInvariantsCleanReplay(t *testing.T) {
 func TestInvariantsCatchSilentMapLoss(t *testing.T) {
 	defer EnableSilentMapLossBug()()
 	inv := NewInvariantChecker()
-	sim := newTestSim(MustArch(OutOFS, DefaultCalibration()))
-	sim.SetPolicy(Fair)
-	sim.SetInvariants(inv)
 	sched, err := faults.ParseSchedule("out:crash@4mx3;out:recover@30m")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sim.ScheduleFaults(sched.ForCluster(faults.ClusterOut)); err != nil {
-		t.Fatal(err)
-	}
+	sim := newTestSim(t, MustArch(OutOFS, DefaultCalibration()), Config{
+		Policy:     Fair,
+		Invariants: inv,
+		Faults:     sched.ForCluster(faults.ClusterOut),
+	})
 	// Big jobs keep the map phase running across the crash instant, so the
 	// crash hits jobs with completed-but-unfetched map outputs.
 	for _, j := range checkerJobsSized(8, 30*time.Second, 64*units.GB) {

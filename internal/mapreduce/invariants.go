@@ -12,7 +12,7 @@ import (
 // job conservation, map-output re-execution, sim-time monotonicity, slot-pool
 // balance, and engine quiescence at drain. The hooks follow the simObs
 // pattern (observe.go): a nil checker costs one pointer compare per hook
-// site and zero allocations, pinned by TestInvariantAllocsUnchangedWhenDisabled,
+// site and zero allocations, pinned by TestPooledReplaySteadyStateAllocs,
 // so the layer can stay compiled into the kernel's hot paths permanently.
 //
 // Violations are collected, not panicked: the chaos engine treats them as
@@ -39,7 +39,7 @@ func (v Violation) String() string { return v.Invariant + ": " + v.Detail }
 const maxViolations = 64
 
 // InvariantChecker collects invariant violations from one replay. Attach it
-// to each simulator with SetInvariants before submitting jobs; it is not
+// to each simulator through Config.Invariants; it is not
 // safe for concurrent use — concurrent replays each build their own.
 type InvariantChecker struct {
 	list    []Violation
@@ -94,14 +94,6 @@ type invState struct {
 	checker             *InvariantChecker
 	lastNow             time.Duration
 	submitted, finished int
-}
-
-// SetInvariants attaches an invariant checker to the simulator (nil
-// detaches). Call before submitting jobs, so the conservation counters see
-// every submission; like observers, the attachment does not survive
-// ReplayState recycling.
-func (s *Simulator) SetInvariants(c *InvariantChecker) {
-	s.inv = invState{checker: c}
 }
 
 // invFinish checks one finished result: conservation counting, the sim-time

@@ -20,10 +20,11 @@ func TestSimulatorConservationProperty(t *testing.T) {
 		if len(seeds) == 0 || len(seeds) > 40 {
 			return true
 		}
-		sim := newTestSim(p)
+		cfg := Config{}
 		if fair {
-			sim.SetPolicy(Fair)
+			cfg.Policy = Fair
 		}
+		sim := newTestSim(t, p, cfg)
 		ids := make(map[string]bool, len(seeds))
 		for i, s := range seeds {
 			id := string(rune('a'+i%26)) + string(rune('0'+i/26))
@@ -81,10 +82,11 @@ func TestSimulatorContentionProperty(t *testing.T) {
 		if len(sizesRaw) == 0 || len(sizesRaw) > 20 {
 			return true
 		}
-		sim := newTestSim(p)
+		cfg := Config{}
 		if fair {
-			sim.SetPolicy(Fair)
+			cfg.Policy = Fair
 		}
+		sim := newTestSim(t, p, cfg)
 		sizes := make(map[string]units.Bytes, len(sizesRaw))
 		for i, s := range sizesRaw {
 			id := string(rune('a'+i%26)) + string(rune('0'+i/26))
@@ -115,8 +117,7 @@ func TestSimulatorContentionProperty(t *testing.T) {
 func TestFairKeepsSmallJobsResponsive(t *testing.T) {
 	p := MustArch(OutOFS, DefaultCalibration())
 	run := func(policy Policy) time.Duration {
-		sim := newTestSim(p)
-		sim.SetPolicy(policy)
+		sim := newTestSim(t, p, Config{Policy: policy})
 		sim.Submit(Job{ID: "huge", App: apps.Wordcount(), Input: 200 * units.GB})
 		sim.Submit(Job{ID: "tiny", App: apps.Grep(), Input: units.MB, Submit: 30 * time.Second})
 		for _, r := range sim.drain() {
@@ -159,8 +160,7 @@ func TestPolicyString(t *testing.T) {
 func TestSimulatorDeterminism(t *testing.T) {
 	p := MustArch(OutOFS, DefaultCalibration())
 	build := func() []Result {
-		sim := newTestSim(p)
-		sim.SetPolicy(Fair)
+		sim := newTestSim(t, p, Config{Policy: Fair})
 		for i := 0; i < 30; i++ {
 			sim.Submit(Job{
 				ID:     string(rune('a' + i)),

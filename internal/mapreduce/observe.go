@@ -9,7 +9,7 @@ import (
 
 // simObs bundles one simulator's observability sinks: the tracer plus the
 // metric handles registered for its platform. The zero value — and the state
-// after SetObserver(nil, nil) — is fully inert: every handle is nil and every
+// a Config with no Trace and no Metrics builds — is fully inert: every handle is nil and every
 // record call is a no-op that neither allocates nor branches beyond one nil
 // check, which is what keeps the zero-alloc kernel budget with observability
 // off.
@@ -34,13 +34,13 @@ type simObs struct {
 // interactive small jobs to day-scale stragglers.
 var execBounds = []float64{10, 30, 60, 300, 1800, 3600, 6 * 3600, 24 * 3600}
 
-// SetObserver attaches a span tracer and a metrics registry to the
-// simulator. Either (or both) may be nil; passing two nils restores the
-// inert state. Metric names are prefixed with the platform name, so the two
-// halves of a hybrid sharing one registry stay distinct; registration order
-// is the call order, which the registry's snapshot preserves. Call before
-// the engine runs.
-func (s *Simulator) SetObserver(tr *obs.Tracer, reg *obs.Registry) {
+// observe attaches a span tracer and a metrics registry (Config.Trace and
+// Config.Metrics) at construction. Either (or both) may be nil; two nils
+// leave the inert state. Metric names are prefixed with the platform name,
+// so the two halves of a hybrid sharing one registry stay distinct;
+// registration order is the construction order, which the registry's
+// snapshot preserves.
+func (s *Simulator) observe(tr *obs.Tracer, reg *obs.Registry) {
 	name := s.platform.Name
 	if reg == nil {
 		// No registry: skip the metric names entirely, so attaching

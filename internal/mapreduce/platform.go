@@ -24,12 +24,12 @@ type Platform struct {
 	Cal Calibration
 
 	// names interns the platform-prefixed metric names once at construction,
-	// so every SetObserver attach reuses them instead of re-concatenating
+	// so every observed simulator reuses them instead of re-concatenating
 	// (the simulators of a pooled ReplayState re-attach per replay).
 	names *obsNames
 }
 
-// obsNames holds one platform's interned metric names (see SetObserver).
+// obsNames holds one platform's interned metric names (see observe).
 type obsNames struct {
 	mapsStarted, redsStarted, taskRetries   string
 	jobsDone, jobsFailed                    string

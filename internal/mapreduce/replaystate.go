@@ -42,29 +42,40 @@ func NewReplayState() *ReplayState {
 // Engine returns the state's shared simulated clock.
 func (st *ReplayState) Engine() *simclock.Engine { return st.eng }
 
-// Simulator hands out a simulator for the platform, bound to the state's
-// engine and delivering every finished job's result, with its completion
-// instant, to onResult — the only way results leave a simulator. It is the
-// only constructor, and it panics on a nil sink, so a simulator whose
-// results go nowhere cannot exist. The simulator is a recycled shell when
-// Reset has returned one (its buffers, job and attempt freelists stay
-// warm), a fresh one otherwise. Both go through one initializer, so a
-// recycled simulator equals a fresh one in every field but kept storage
+// Simulator hands out a simulator for the platform, configured by cfg,
+// bound to the state's engine and delivering every finished job's result,
+// with its completion instant, to onResult — the only way results leave a
+// simulator. It is the only constructor, and it panics on a nil sink, so a
+// simulator whose results go nowhere cannot exist; nothing configures a
+// simulator after it is built. The simulator is a recycled shell when Reset
+// has returned one (its buffers, job and attempt freelists stay warm), a
+// fresh one otherwise. Both go through one initializer, so a recycled
+// simulator equals a fresh one in every field but kept storage
 // (TestRecycledSimulatorMatchesFresh).
-func (st *ReplayState) Simulator(p *Platform, onResult func(Result, time.Duration)) *Simulator {
+//
+// An invalid cfg (injection bounds, clone threshold, a fault timeline the
+// platform cannot survive) returns the first error in that order. The
+// failed build has scheduled nothing, and its shell goes back to the free
+// list, so the state replays as if the call had not been made.
+func (st *ReplayState) Simulator(p *Platform, cfg Config, onResult func(Result, time.Duration)) (*Simulator, error) {
 	if onResult == nil {
 		panic("mapreduce: ReplayState.Simulator needs a result sink")
 	}
+	var s *Simulator
 	if n := len(st.free); n > 0 {
-		s := st.free[n-1]
+		s = st.free[n-1]
 		st.free[n-1] = nil
 		st.free = st.free[:n-1]
-		s.init(st.eng, p, onResult)
-		return s
+	} else {
+		s = newSimulator()
+		st.sims = append(st.sims, s)
 	}
-	s := newSimulator(st.eng, p, onResult)
-	st.sims = append(st.sims, s)
-	return s
+	if err := s.init(st.eng, p, cfg, onResult); err != nil {
+		s.recycle()
+		st.free = append(st.free, s)
+		return nil, err
+	}
+	return s, nil
 }
 
 // Reset restores the state to pristine: the engine's clock, sequence counter
@@ -84,7 +95,8 @@ func (st *ReplayState) Reset() {
 
 // recycle returns the simulator to a blank shell for init, keeping every
 // buffer's capacity and the pooled runs' and attempts' bound event methods.
-// Call only with the engine already reset: leftover runs and attempts are
+// Call only with the engine already reset, or on a simulator whose build
+// failed (it has scheduled nothing): leftover runs and attempts are
 // reclaimed unconditionally because no scheduled event can reference them
 // anymore. The shell is then one Simulator value naming only the kept
 // storage, so policy, injection, the result sink, observers, counters and

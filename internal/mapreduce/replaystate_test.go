@@ -28,38 +28,38 @@ type replayScenario struct {
 	Speculate bool
 }
 
-// run replays the scenario on the given simulator and returns its results
-// in ByArrival order.
-func (sc replayScenario) run(t testing.TB, sim *testSim) []Result {
+// config is the scenario's simulator configuration. Failures draw from
+// seed 42, stragglers from 43.
+func (sc replayScenario) config() Config {
+	cfg := Config{Inject: Inject{
+		FailureRate:   float64(sc.Failure%3) * 0.01,
+		StragglerFrac: float64(sc.Jitter%3) * 0.1,
+		Speculate:     sc.Speculate,
+		Seed:          42,
+	}}
+	if sc.Fair {
+		cfg.Policy = Fair
+	}
+	if n := int(sc.Crash % 4); n > 0 {
+		cfg.Faults = []faults.Event{
+			{At: 20 * time.Minute, Kind: faults.MachineCrash, Cluster: faults.ClusterOut, Count: n},
+			{At: 3 * time.Hour, Kind: faults.MachineRecover, Cluster: faults.ClusterOut, Count: n},
+		}
+	}
+	return cfg
+}
+
+// run builds a simulator for p on st with the scenario's configuration,
+// replays the scenario's jobs and returns the results in ByArrival order.
+func (sc replayScenario) run(t testing.TB, st *ReplayState, p *Platform) []Result {
 	t.Helper()
-	sc.submit(t, sim.Simulator)
+	sim := testSimOn(t, st, p, sc.config())
+	sc.submit(sim.Simulator)
 	return sim.drain()
 }
 
-// submit configures the simulator for the scenario and submits its jobs.
-func (sc replayScenario) submit(t testing.TB, sim *Simulator) {
-	t.Helper()
-	if sc.Fair {
-		sim.SetPolicy(Fair)
-	}
-	if n := int(sc.Crash % 4); n > 0 {
-		if err := sim.ScheduleFaults([]faults.Event{
-			{At: 20 * time.Minute, Kind: faults.MachineCrash, Cluster: faults.ClusterOut, Count: n},
-			{At: 3 * time.Hour, Kind: faults.MachineRecover, Cluster: faults.ClusterOut, Count: n},
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if rate := float64(sc.Failure%3) * 0.01; rate > 0 {
-		if err := sim.InjectFailures(rate, 42); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if frac := float64(sc.Jitter%3) * 0.1; frac > 0 {
-		if err := sim.InjectStragglers(frac, sc.Speculate, 43); err != nil {
-			t.Fatal(err)
-		}
-	}
+// submit submits the scenario's jobs.
+func (sc replayScenario) submit(sim *Simulator) {
 	profiles := []apps.Profile{apps.Wordcount(), apps.Grep(), apps.Sort(), apps.DFSIOWrite()}
 	for i, s := range sc.Seeds {
 		sim.Submit(Job{
@@ -83,16 +83,61 @@ func TestReplayStateEquivalenceProperty(t *testing.T) {
 			return true
 		}
 		// Dirty the pooled state with an unrelated replay, then reset it.
-		dirty.run(t, testSimOn(st, p))
+		dirty.run(t, st, p)
 		st.Reset()
 
-		want := sc.run(t, newTestSim(p))
-		got := sc.run(t, testSimOn(st, p))
+		want := sc.run(t, NewReplayState(), p)
+		got := sc.run(t, st, p)
 		st.Reset()
 		return reflect.DeepEqual(got, want)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestSimulatorConfigErrors pins the constructor's validation: each invalid
+// Config is rejected with the error text its build step has always
+// reported, and a failed build leaves the state as it found it, so a replay
+// on the same ReplayState still equals one on a fresh state.
+func TestSimulatorConfigErrors(t *testing.T) {
+	p := MustArch(OutOFS, DefaultCalibration()) // 12 machines
+	cases := []struct {
+		name string
+		cfg  Config
+		want string
+	}{
+		{"failure rate 1.0", Config{Inject: Inject{FailureRate: 1.0}},
+			"mapreduce: failure rate 1 outside [0,1)"},
+		{"straggler fraction 11", Config{Inject: Inject{StragglerFrac: 11}},
+			"mapreduce: straggler fraction 11 outside [0,10]"},
+		{"clone threshold 1", Config{CloneThreshold: 1},
+			"mapreduce: clone threshold 1 must be 0 (off) or > 1"},
+		{"no machine left", Config{Faults: []faults.Event{
+			{At: time.Hour, Kind: faults.MachineCrash, Cluster: faults.ClusterOut, Count: 12},
+		}}, "mapreduce: out-OFS: fault schedule leaves no machines at 1h0m0s (12 of 12 down)"},
+		{"recovery with no crash", Config{Faults: []faults.Event{
+			{At: time.Hour, Kind: faults.MachineRecover, Cluster: faults.ClusterOut, Count: 1},
+		}}, "mapreduce: out-OFS: machine recovery at 1h0m0s without a matching crash"},
+	}
+	sc := replayScenario{Seeds: []uint32{7, 19, 3, 250, 77, 41, 960, 12}, Fair: true, Crash: 2, Failure: 1, Jitter: 1, Speculate: true}
+	want := sc.run(t, NewReplayState(), p)
+	st := NewReplayState()
+	for _, tt := range cases {
+		sim, err := st.Simulator(p, tt.cfg, func(Result, time.Duration) {})
+		if err == nil || err.Error() != tt.want {
+			t.Errorf("%s: error %v, want %q", tt.name, err, tt.want)
+		}
+		if sim != nil {
+			t.Errorf("%s: failed build returned a simulator", tt.name)
+		}
+		if n := st.Engine().Pending(); n != 0 {
+			t.Errorf("%s: failed build left %d pending events", tt.name, n)
+		}
+		if got := sc.run(t, st, p); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: replay after the failed build differs from a fresh replay", tt.name)
+		}
+		st.Reset()
 	}
 }
 
@@ -103,7 +148,7 @@ func TestReplayStateEquivalenceProperty(t *testing.T) {
 func TestReplayStateResetAfterAbandonedRun(t *testing.T) {
 	p := MustArch(OutOFS, DefaultCalibration())
 	sc := replayScenario{Seeds: []uint32{7, 19, 3, 250, 77, 41, 960, 12}, Fair: true, Jitter: 1, Speculate: true}
-	want := sc.run(t, newTestSim(p))
+	want := sc.run(t, NewReplayState(), p)
 
 	st := NewReplayState()
 	st.Engine().SetWatchdog(&simclock.Watchdog{MaxEvents: 40})
@@ -113,11 +158,11 @@ func TestReplayStateResetAfterAbandonedRun(t *testing.T) {
 				t.Fatal("watchdog did not fire mid-replay")
 			}
 		}()
-		sc.run(t, testSimOn(st, p))
+		sc.run(t, st, p)
 	}()
 	st.Reset()
 
-	if got := sc.run(t, testSimOn(st, p)); !reflect.DeepEqual(got, want) {
+	if got := sc.run(t, st, p); !reflect.DeepEqual(got, want) {
 		t.Error("replay after abandoned run differs from fresh replay")
 	}
 }
@@ -133,7 +178,7 @@ func TestStatePoolRecycles(t *testing.T) {
 	var firstSim *testSim
 	if err := WithState(func(st *ReplayState) error {
 		first = st
-		firstSim = testSimOn(st, p)
+		firstSim = testSimOn(t, st, p, Config{})
 		firstSim.Submit(job)
 		firstSim.drain()
 		return nil
@@ -154,7 +199,7 @@ func TestStatePoolRecycles(t *testing.T) {
 		if now := again.Engine().Now(); now != 0 {
 			t.Errorf("recycled state's clock at %v, want 0", now)
 		}
-		sim2 := testSimOn(again, p)
+		sim2 := testSimOn(t, again, p, Config{})
 		if sim2.Simulator != firstSim.Simulator {
 			t.Error("reset state did not recycle its simulator shell")
 		}
@@ -176,7 +221,7 @@ func TestStatePoolRecycles(t *testing.T) {
 func TestWithStateRecyclesAfterWatchdogPanic(t *testing.T) {
 	p := MustArch(OutOFS, DefaultCalibration())
 	sc := replayScenario{Seeds: []uint32{7, 19, 3, 250, 77, 41, 960, 12}, Fair: true, Jitter: 1, Speculate: true}
-	want := sc.run(t, newTestSim(p))
+	want := sc.run(t, NewReplayState(), p)
 
 	var abandoned *ReplayState
 	func() {
@@ -188,7 +233,7 @@ func TestWithStateRecyclesAfterWatchdogPanic(t *testing.T) {
 		_ = WithState(func(st *ReplayState) error {
 			abandoned = st
 			st.Engine().SetWatchdog(&simclock.Watchdog{MaxEvents: 40})
-			sc.run(t, testSimOn(st, p))
+			sc.run(t, st, p)
 			return nil
 		})
 		t.Fatal("WithState returned from a panicking replay")
@@ -202,7 +247,7 @@ func TestWithStateRecyclesAfterWatchdogPanic(t *testing.T) {
 		if n := st.Engine().Pending(); n != 0 {
 			t.Errorf("abandoned state kept %d pending events", n)
 		}
-		got = sc.run(t, testSimOn(st, p))
+		got = sc.run(t, st, p)
 		return nil
 	}); err != nil {
 		t.Fatal(err)
@@ -221,7 +266,7 @@ func TestReplayStateSharedEngine(t *testing.T) {
 	jobB := Job{ID: "b", App: apps.Sort(), Input: 32 * units.GB, Submit: time.Minute}
 
 	replay := func(st *ReplayState) (Result, Result) {
-		upSim, outSim := testSimOn(st, up), testSimOn(st, out)
+		upSim, outSim := testSimOn(t, st, up, Config{}), testSimOn(t, st, out, Config{})
 		upSim.Submit(jobA)
 		outSim.Submit(jobB)
 		st.Engine().Run()
@@ -250,16 +295,13 @@ func TestPooledRunsRetainNoJobStorage(t *testing.T) {
 	big := Job{ID: "big", App: apps.Grep(), Input: 64 * units.GB, MapTasks: 20000}
 
 	st := NewReplayState()
-	sim := testSimOn(st, p)
-	if err := sim.ScheduleFaults([]faults.Event{
-		{At: 2 * time.Minute, Kind: faults.MachineCrash, Cluster: faults.ClusterOut, Count: 3},
-		{At: 30 * time.Minute, Kind: faults.MachineRecover, Cluster: faults.ClusterOut, Count: 3},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := sim.InjectFailures(0.02, 42); err != nil {
-		t.Fatal(err)
-	}
+	sim := testSimOn(t, st, p, Config{
+		Inject: Inject{FailureRate: 0.02, Seed: 42},
+		Faults: []faults.Event{
+			{At: 2 * time.Minute, Kind: faults.MachineCrash, Cluster: faults.ClusterOut, Count: 3},
+			{At: 30 * time.Minute, Kind: faults.MachineRecover, Cluster: faults.ClusterOut, Count: 3},
+		},
+	})
 	sim.Submit(big)
 	res := sim.drain()
 	if len(res) != 1 || res[0].Err != nil || res[0].TaskRetries == 0 {
@@ -289,7 +331,7 @@ func TestPooledRunsRetainNoJobStorage(t *testing.T) {
 		}
 	}
 
-	sim = testSimOn(st, p)
+	sim = testSimOn(t, st, p, Config{})
 	sim.Submit(big)
 	if res := sim.drain(); len(res) != 1 || res[0].Err != nil {
 		t.Fatalf("clean replay: %+v", res)
@@ -308,31 +350,38 @@ func TestPooledRunsRetainNoJobStorage(t *testing.T) {
 func TestRecycledSimulatorMatchesFresh(t *testing.T) {
 	p := MustArch(OutOFS, DefaultCalibration())
 	st := NewReplayState()
-	sim := testSimOn(st, p)
-	sim.SetObserver(obs.NewTracer(), obs.NewRegistry())
-	sim.SetInvariants(NewInvariantChecker())
-	if err := sim.SpeculateClones(1.5); err != nil {
-		t.Fatal(err)
-	}
-	// The crash and the CPU window stay open at the end of the replay, so
-	// the capacity and slowdown state is still dirty when Reset runs.
-	mustFaults(t, sim, []faults.Event{
-		{At: 5 * time.Minute, Kind: faults.CPUSlow, Cluster: faults.ClusterOut, Count: 0, Factor: 3},
-		{At: 20 * time.Minute, Kind: faults.MachineCrash, Cluster: faults.ClusterOut, Count: 2},
-	})
 	sc := replayScenario{Fair: true, Failure: 2, Jitter: 1, Speculate: true}
 	for i := range 40 {
 		sc.Seeds = append(sc.Seeds, uint32(i*7919+13))
 	}
-	sc.run(t, sim)
+	// Every Config field is set. The crash and the CPU window stay open at
+	// the end of the replay, so the capacity and slowdown state is still
+	// dirty when Reset runs.
+	cfg := sc.config()
+	cfg.Trace, cfg.Metrics = obs.NewTracer(), obs.NewRegistry()
+	cfg.Invariants = NewInvariantChecker()
+	cfg.CloneThreshold = 1.5
+	cfg.Faults = []faults.Event{
+		{At: 5 * time.Minute, Kind: faults.CPUSlow, Cluster: faults.ClusterOut, Count: 0, Factor: 3},
+		{At: 20 * time.Minute, Kind: faults.MachineCrash, Cluster: faults.ClusterOut, Count: 2},
+	}
+	sim := testSimOn(t, st, p, cfg)
+	sc.submit(sim.Simulator)
+	sim.drain()
 	if started, _ := sim.SpeculationStats(); started == 0 {
 		t.Fatal("dirtying replay started no speculative clones")
 	}
 
 	st.Reset()
 	sink := func(Result, time.Duration) {}
-	rec := st.Simulator(p, sink)
-	fresh := newSimulator(st.Engine(), p, sink)
+	rec, err := st.Simulator(p, Config{}, sink)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh := newSimulator()
+	if err := fresh.init(st.Engine(), p, Config{}, sink); err != nil {
+		t.Fatal(err)
+	}
 	if rec == fresh || len(rec.attemptFree) == 0 || len(rec.jobFree) == 0 {
 		t.Fatal("Reset returned no recycled simulator with pooled records")
 	}

@@ -6,6 +6,8 @@ import (
 	"strings"
 	"time"
 
+	"hybridmr/internal/faults"
+	"hybridmr/internal/obs"
 	"hybridmr/internal/simclock"
 	"hybridmr/internal/stats"
 )
@@ -59,7 +61,6 @@ const (
 type Simulator struct {
 	platform *Platform
 	eng      *simclock.Engine
-	policy   Policy
 
 	freeMap, freeRed int
 	capMap, capRed   int
@@ -105,7 +106,7 @@ type Simulator struct {
 	// job's task-ID stacks (jobRun.req and jobRun.ledger, see taskStack);
 	// popped slots chain into the slabFree list and are reused. The
 	// map-output ledger is kept only when the fault schedule can crash a
-	// machine (keepLedger, set by ScheduleFaults): nothing else reads it.
+	// machine (keepLedger, set by scheduleFaults): nothing else reads it.
 	// taskFailures counts failed attempts per (run, task) against
 	// Cal.MaxTaskAttempts.
 	taskSlab     []taskEntry
@@ -155,70 +156,116 @@ type Simulator struct {
 	inv invState
 }
 
-// newSimulator creates an empty FIFO simulator bound to an engine, so that
-// several clusters (e.g. the hybrid's scale-up and scale-out halves) share
-// one simulated clock while keeping separate slot pools. Outside tests,
-// ReplayState.Simulator is its only caller.
-func newSimulator(eng *simclock.Engine, p *Platform, onResult func(Result, time.Duration)) *Simulator {
+// Config is everything a simulator is built with: the paper's clusters are
+// configured once, at start-up, and then only receive jobs. The zero value
+// is a clean FIFO simulator with observation, invariant checking, injection,
+// clones and faults all off.
+type Config struct {
+	// Policy selects the slot-sharing policy.
+	Policy Policy
+	// Trace and Metrics attach a span tracer and a metrics registry; either
+	// may be nil (observe.go).
+	Trace   *obs.Tracer
+	Metrics *obs.Registry
+	// Invariants attaches an invariant checker (invariants.go); nil
+	// detaches.
+	Invariants *InvariantChecker
+	// Inject adds task-level failures and stragglers.
+	Inject Inject
+	// CloneThreshold enables speculative clone attempts (graysim.go):
+	// whenever a gray window opens and the cluster's attempt slowdown
+	// reaches the threshold, in-flight attempts are cloned onto free slots
+	// at healthy speed, and the first finisher wins. 0 disables cloning;
+	// otherwise it must exceed 1.
+	CloneThreshold float64
+	// Faults is the fault timeline, validated against the platform and
+	// scheduled before any job can arrive (faultsim.go).
+	Faults []faults.Event
+}
+
+// Inject bundles the task-level chaos knobs, so the CLI and the resilience
+// experiments configure both halves of the hybrid and the baselines
+// identically.
+type Inject struct {
+	// FailureRate makes each task attempt fail with this probability; a
+	// failed attempt occupies its slot for the full task duration and is
+	// then re-executed, up to the calibration's MaxTaskAttempts (Hadoop 1.x
+	// defaults to four), after which the whole job fails. 0 disables.
+	FailureRate float64
+	// StragglerFrac gives every task attempt a log-uniform duration jitter
+	// in [1/(1+frac), 1+frac] (mean-preserving in log space). 0 disables.
+	StragglerFrac float64
+	// Speculate runs attempts jittered beyond the speculation threshold at
+	// the backup's typical speed instead, modelling Hadoop's speculative
+	// execution (a backup attempt starts once the original looks slow, and
+	// the faster of the two wins).
+	Speculate bool
+	// Seed seeds the failure draws; stragglers draw from Seed+1, so the two
+	// streams stay independent.
+	Seed int64
+}
+
+// newSimulator allocates an unbound simulator shell; init binds it. Outside
+// tests, ReplayState.Simulator is its only caller.
+func newSimulator() *Simulator {
 	s := &Simulator{ready: [nKinds]readySet{{kind: kMap}, {kind: kRed}}}
 	s.arriveFn = s.nextArrival
-	s.init(eng, p, onResult)
 	return s
 }
 
 // init binds a new or recycled simulator to an engine, platform and result
-// sink and sets the non-zero defaults: full slot pools and clean (1×)
-// slowdown weights. Every other field starts from zero.
-func (s *Simulator) init(eng *simclock.Engine, p *Platform, onResult func(Result, time.Duration)) {
+// sink, sets the non-zero defaults (full slot pools, clean 1× slowdown
+// weights) and applies cfg: policy, observers and invariant checker, then
+// injection, clones and faults, each validated in that order. Every other
+// field starts from zero. Several simulators may share one engine (the
+// hybrid's scale-up and scale-out halves share one simulated clock while
+// keeping separate slot pools). A failed step has scheduled nothing on the
+// engine.
+func (s *Simulator) init(eng *simclock.Engine, p *Platform, cfg Config, onResult func(Result, time.Duration)) error {
 	s.platform, s.eng, s.onResult = p, eng, onResult
 	s.freeMap, s.capMap = p.Spec.MapSlots(), p.Spec.MapSlots()
 	s.freeRed, s.capRed = p.Spec.ReduceSlots(), p.Spec.ReduceSlots()
 	s.cpuSlow, s.diskSlow, s.nicSlow, s.rackSlow = 1, 1, 1, 1
-}
-
-// SetPolicy selects the slot-sharing policy; call before the engine runs.
-func (s *Simulator) SetPolicy(p Policy) {
-	s.policy = p
-	s.ready[kMap].policy = p
-	s.ready[kRed].policy = p
-}
-
-// InjectFailures makes each task attempt fail with probability rate; a
-// failed attempt occupies its slot for the full task duration and is then
-// re-executed, up to the calibration's MaxTaskAttempts (Hadoop 1.x defaults
-// to four) — after which the whole job fails. Deterministic per seed. Call
-// before the engine runs.
-func (s *Simulator) InjectFailures(rate float64, seed int64) error {
-	if rate < 0 || rate >= 1 {
-		return fmt.Errorf("mapreduce: failure rate %v outside [0,1)", rate)
+	s.ready[kMap].policy, s.ready[kRed].policy = cfg.Policy, cfg.Policy
+	s.observe(cfg.Trace, cfg.Metrics)
+	s.inv = invState{checker: cfg.Invariants}
+	if err := s.inject(cfg.Inject); err != nil {
+		return err
 	}
-	s.failureRate = rate
-	s.failRNG = stats.NewRNG(seed)
+	// A clone against an unslowed original can never win, so a threshold
+	// must exceed 1.
+	if t := cfg.CloneThreshold; t != 0 && t <= 1 {
+		return fmt.Errorf("mapreduce: clone threshold %v must be 0 (off) or > 1", t)
+	}
+	s.cloneThreshold = cfg.CloneThreshold
+	return s.scheduleFaults(cfg.Faults)
+}
+
+// inject validates and applies the failure and straggler knobs. A zero
+// knob is skipped, so a clean simulator builds no RNG.
+func (s *Simulator) inject(in Inject) error {
+	if rate := in.FailureRate; rate != 0 {
+		if rate < 0 || rate >= 1 {
+			return fmt.Errorf("mapreduce: failure rate %v outside [0,1)", rate)
+		}
+		s.failureRate = rate
+		s.failRNG = stats.NewRNG(in.Seed)
+	}
+	if frac := in.StragglerFrac; frac != 0 {
+		if frac < 0 || frac > 10 {
+			return fmt.Errorf("mapreduce: straggler fraction %v outside [0,10]", frac)
+		}
+		s.jitterFrac = frac
+		s.speculative = in.Speculate
+		s.jitterRNG = stats.NewRNG(in.Seed + 1)
+		s.jitterVar = stats.NewLogUniformVar(1/(1+frac), 1+frac)
+	}
 	return nil
 }
 
 // attemptFails draws one failure decision.
 func (s *Simulator) attemptFails() bool {
 	return s.failureRate > 0 && s.failRNG.Float64() < s.failureRate
-}
-
-// InjectStragglers gives every task attempt a log-uniform duration jitter
-// in [1/(1+frac), 1+frac] (mean-preserving in log space); with speculate
-// set, attempts jittered beyond the speculation threshold run at the
-// backup's typical speed instead, modelling Hadoop's speculative execution
-// (a backup attempt starts once the original looks slow, and the faster of
-// the two wins). Deterministic per seed. Call before the engine runs.
-func (s *Simulator) InjectStragglers(frac float64, speculate bool, seed int64) error {
-	if frac < 0 || frac > 10 {
-		return fmt.Errorf("mapreduce: straggler fraction %v outside [0,10]", frac)
-	}
-	s.jitterFrac = frac
-	s.speculative = speculate
-	s.jitterRNG = stats.NewRNG(seed)
-	if frac > 0 {
-		s.jitterVar = stats.NewLogUniformVar(1/(1+frac), 1+frac)
-	}
-	return nil
 }
 
 // jitterDuration applies the straggler model to one attempt's duration.
@@ -238,9 +285,6 @@ func (s *Simulator) jitterDuration(d time.Duration) time.Duration {
 	}
 	return time.Duration(float64(d) * f)
 }
-
-// Policy returns the slot-sharing policy.
-func (s *Simulator) Policy() Policy { return s.policy }
 
 // Submit schedules a job at its Submit time, which must not precede the
 // engine's clock.

@@ -19,14 +19,30 @@ type testSim struct {
 	results []Result
 }
 
-// newTestSim returns a collecting simulator for p on a fresh ReplayState.
-func newTestSim(p *Platform) *testSim { return testSimOn(NewReplayState(), p) }
+// newTestSim returns a collecting simulator for p, built with cfg on a
+// fresh ReplayState.
+func newTestSim(t testing.TB, p *Platform, cfg Config) *testSim {
+	t.Helper()
+	return testSimOn(t, NewReplayState(), p, cfg)
+}
 
-// testSimOn returns a collecting simulator for p built on st.
-func testSimOn(st *ReplayState, p *Platform) *testSim {
+// testSimOn returns a collecting simulator for p, built with cfg on st. A
+// build error fails the test.
+func testSimOn(t testing.TB, st *ReplayState, p *Platform, cfg Config) *testSim {
+	t.Helper()
 	ts := &testSim{}
-	ts.Simulator = st.Simulator(p, func(r Result, _ time.Duration) { ts.results = append(ts.results, r) })
+	sim, err := st.Simulator(p, cfg, func(r Result, _ time.Duration) { ts.results = append(ts.results, r) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts.Simulator = sim
 	return ts
+}
+
+// buildErr returns the error building a simulator for p with cfg reports.
+func buildErr(p *Platform, cfg Config) error {
+	_, err := NewReplayState().Simulator(p, cfg, func(Result, time.Duration) {})
+	return err
 }
 
 // drain runs the engine until no event is pending and returns the collected
@@ -49,8 +65,7 @@ func (ts *testSim) drain() []Result {
 func soloMatchesClosedForm(t *testing.T, p, view *Platform, events []faults.Event, job Job) bool {
 	t.Helper()
 	want := view.RunIsolated(job)
-	sim := newTestSim(p)
-	mustFaults(t, sim, events)
+	sim := newTestSim(t, p, Config{Faults: events})
 	sim.Submit(job)
 	res := sim.drain()
 	if len(res) != 1 {
@@ -155,11 +170,11 @@ func TestSimulatorQueueing(t *testing.T) {
 	small := Job{ID: "small", App: apps.Grep(), Input: units.GB}
 	big := Job{ID: "big", App: apps.Wordcount(), Input: 64 * units.GB}
 
-	alone := newTestSim(outOFS)
+	alone := newTestSim(t, outOFS, Config{})
 	alone.Submit(small)
 	soloExec := alone.drain()[0].Exec
 
-	sim := newTestSim(outOFS)
+	sim := newTestSim(t, outOFS, Config{})
 	bigFirst := big
 	bigFirst.Submit = 0
 	late := small
@@ -182,7 +197,7 @@ func TestSimulatorQueueing(t *testing.T) {
 // Results come back sorted by submission time.
 func TestSimulatorResultOrder(t *testing.T) {
 	_, _, outOFS, _ := fourArches(t)
-	sim := newTestSim(outOFS)
+	sim := newTestSim(t, outOFS, Config{})
 	for i, d := range []time.Duration{30 * time.Second, 0, 10 * time.Second} {
 		sim.Submit(Job{ID: string(rune('a' + i)), App: apps.Grep(), Input: units.GB, Submit: d})
 	}
@@ -204,7 +219,7 @@ func TestSimulatorResultOrder(t *testing.T) {
 // the simulator drains.
 func TestSimulatorRejectedJob(t *testing.T) {
 	_, upHDFS, _, _ := fourArches(t)
-	sim := newTestSim(upHDFS)
+	sim := newTestSim(t, upHDFS, Config{})
 	sim.Submit(Job{ID: "huge", App: apps.Grep(), Input: 200 * units.GB})
 	sim.Submit(Job{ID: "ok", App: apps.Grep(), Input: units.GB})
 	res := sim.drain()
@@ -230,7 +245,7 @@ func TestSimulatorRejectedJob(t *testing.T) {
 func TestSimulatorSaturation(t *testing.T) {
 	_, _, outOFS, _ := fourArches(t)
 	makespan := func(n int) time.Duration {
-		sim := newTestSim(outOFS)
+		sim := newTestSim(t, outOFS, Config{})
 		for i := 0; i < n; i++ {
 			sim.Submit(Job{ID: string(rune('a' + i)), App: apps.Grep(), Input: 8 * units.GB})
 		}

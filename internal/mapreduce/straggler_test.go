@@ -9,14 +9,14 @@ import (
 )
 
 func TestInjectStragglersValidation(t *testing.T) {
-	sim := newTestSim(MustArch(OutOFS, DefaultCalibration()))
-	if err := sim.InjectStragglers(-0.1, false, 1); err == nil {
+	p := MustArch(OutOFS, DefaultCalibration())
+	if err := buildErr(p, Config{Inject: Inject{StragglerFrac: -0.1}}); err == nil {
 		t.Error("negative fraction accepted")
 	}
-	if err := sim.InjectStragglers(11, false, 1); err == nil {
+	if err := buildErr(p, Config{Inject: Inject{StragglerFrac: 11}}); err == nil {
 		t.Error("fraction 11 accepted")
 	}
-	if err := sim.InjectStragglers(0.5, true, 1); err != nil {
+	if err := buildErr(p, Config{Inject: Inject{StragglerFrac: 0.5, Speculate: true}}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -24,12 +24,8 @@ func TestInjectStragglersValidation(t *testing.T) {
 func stragglerExec(t *testing.T, frac float64, speculate bool, seed int64) time.Duration {
 	t.Helper()
 	p := MustArch(OutOFS, DefaultCalibration())
-	sim := newTestSim(p)
-	if frac > 0 {
-		if err := sim.InjectStragglers(frac, speculate, seed); err != nil {
-			t.Fatal(err)
-		}
-	}
+	// Stragglers draw from Seed+1.
+	sim := newTestSim(t, p, Config{Inject: Inject{StragglerFrac: frac, Speculate: speculate, Seed: seed - 1}})
 	sim.Submit(Job{ID: "j", App: apps.Grep(), Input: 32 * units.GB})
 	r := sim.drain()[0]
 	if r.Err != nil {
@@ -69,13 +65,7 @@ func TestStragglersDeterministic(t *testing.T) {
 // Jitter composes with failure injection.
 func TestStragglersWithFailures(t *testing.T) {
 	p := MustArch(OutOFS, DefaultCalibration())
-	sim := newTestSim(p)
-	if err := sim.InjectStragglers(0.5, true, 2); err != nil {
-		t.Fatal(err)
-	}
-	if err := sim.InjectFailures(0.05, 2); err != nil {
-		t.Fatal(err)
-	}
+	sim := newTestSim(t, p, Config{Inject: Inject{FailureRate: 0.05, StragglerFrac: 0.5, Speculate: true, Seed: 2}})
 	sim.Submit(Job{ID: "j", App: apps.Wordcount(), Input: 16 * units.GB})
 	r := sim.drain()[0]
 	if r.Err != nil {

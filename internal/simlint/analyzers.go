@@ -6,7 +6,6 @@ func All() []*Analyzer {
 	return []*Analyzer{
 		Walltime,
 		Maporder,
-		Floatfold,
 		Locksafe,
 		Selectorder,
 	}

@@ -13,7 +13,8 @@ import (
 	"strings"
 )
 
-// Package is one loaded, type-checked package ready for analysis. Only
+// Package is one loaded package ready for analysis: type-checked by Load,
+// parsed only by Parse (Types and Info nil). Only
 // non-test files are loaded: the determinism contract governs shipped
 // simulator code, and tests legitimately use wall clocks, goroutines and
 // ad-hoc randomness for harness plumbing.
@@ -46,9 +47,10 @@ func NewLoader() *Loader {
 // Fset returns the loader's shared file set.
 func (l *Loader) Fset() *token.FileSet { return l.fset }
 
-// Load parses the non-test .go files of dir and type-checks them as the
-// package with the given import path.
-func (l *Loader) Load(dir, path string) (*Package, error) {
+// Parse parses the non-test .go files of dir, comments included, as the
+// package with the given import path, without type-checking them: all Run
+// reads of a package outside the determinism contract is its directives.
+func (l *Loader) Parse(dir, path string) (*Package, error) {
 	names, err := GoFiles(dir)
 	if err != nil {
 		return nil, err
@@ -64,17 +66,28 @@ func (l *Loader) Load(dir, path string) (*Package, error) {
 		}
 		files = append(files, f)
 	}
+	return &Package{Dir: dir, Path: path, Fset: l.fset, Files: files}, nil
+}
+
+// Load parses the non-test .go files of dir and type-checks them as the
+// package with the given import path.
+func (l *Loader) Load(dir, path string) (*Package, error) {
+	pkg, err := l.Parse(dir, path)
+	if err != nil {
+		return nil, err
+	}
 	info := &types.Info{
 		Types: make(map[ast.Expr]types.TypeAndValue),
 		Uses:  make(map[*ast.Ident]types.Object),
 		Defs:  make(map[*ast.Ident]types.Object),
 	}
 	conf := types.Config{Importer: l.imp}
-	pkg, err := conf.Check(path, l.fset, files, info)
+	pkg.Types, err = conf.Check(path, l.fset, pkg.Files, info)
 	if err != nil {
 		return nil, fmt.Errorf("simlint: type-checking %s: %w", path, err)
 	}
-	return &Package{Dir: dir, Path: path, Fset: l.fset, Files: files, Types: pkg, Info: info}, nil
+	pkg.Info = info
+	return pkg, nil
 }
 
 // GoFiles returns the sorted non-test .go files of dir.

@@ -30,9 +30,6 @@ var Maporder = &Analyzer{
 }
 
 func runMaporder(p *Pass) error {
-	if !p.Sim {
-		return nil
-	}
 	for _, f := range p.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			rs, ok := n.(*ast.RangeStmt)
@@ -66,8 +63,8 @@ func (p *Pass) isMapRange(rs *ast.RangeStmt) bool {
 // commutativeBody reports whether every statement's effect is independent of
 // execution order: keyed map writes, integer counter updates, delete,
 // continue, and ifs composed of the same. Floating-point accumulation is
-// deliberately NOT commutative here — addition does not associate — and is
-// reported separately by floatfold.
+// deliberately NOT commutative here — addition does not associate — so a
+// float fold over a map range is reported as an order-sensitive range.
 func (p *Pass) commutativeBody(stmts []ast.Stmt) bool {
 	for _, s := range stmts {
 		if !p.commutativeStmt(s) {
@@ -142,16 +139,6 @@ func (p *Pass) isInteger(e ast.Expr) bool {
 	}
 	b, ok := t.Underlying().(*types.Basic)
 	return ok && b.Info()&types.IsInteger != 0
-}
-
-// isFloat reports whether the expression has a floating-point type.
-func (p *Pass) isFloat(e ast.Expr) bool {
-	t := p.typeOf(e)
-	if t == nil {
-		return false
-	}
-	b, ok := t.Underlying().(*types.Basic)
-	return ok && b.Info()&types.IsFloat != 0
 }
 
 // keyCollector matches the first half of the sorted-keys idiom: a body that

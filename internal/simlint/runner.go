@@ -31,19 +31,24 @@ const DirectiveAnalyzer = "directive"
 // Run executes the analyzers over one package and returns the surviving
 // findings: raw diagnostics minus valid suppressions, plus directive-hygiene
 // diagnostics. sim marks the package as under the determinism contract
-// (drivers pass IsSimPackage(pkg.Path); fixture tests force it).
+// (drivers pass IsSimPackage(pkg.Path); fixture tests force it). Outside it
+// no analyzer runs, so the package needs no type information (Loader.Parse),
+// and every directive it carries is reported: it names no analyzer, gives no
+// reason, or suppresses nothing.
 func Run(pkg *Package, analyzers []*Analyzer, sim bool) ([]Finding, error) {
 	var diags []Diagnostic
 	known := make(map[string]bool, len(analyzers))
 	for _, a := range analyzers {
 		known[a.Name] = true
+		if !sim {
+			continue
+		}
 		pass := &Pass{
 			Analyzer:  a,
 			Fset:      pkg.Fset,
 			Files:     pkg.Files,
 			Pkg:       pkg.Types,
 			TypesInfo: pkg.Info,
-			Sim:       sim,
 			diags:     &diags,
 		}
 		if err := a.Run(pass); err != nil {

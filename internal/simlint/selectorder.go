@@ -13,9 +13,6 @@ var Selectorder = &Analyzer{
 	Doc: "flag select statements in sim packages; case choice among ready " +
 		"channels is pseudo-random by spec",
 	Run: func(p *Pass) error {
-		if !p.Sim {
-			return nil
-		}
 		for _, f := range p.Files {
 			ast.Inspect(f, func(n ast.Node) bool {
 				if sel, ok := n.(*ast.SelectStmt); ok {

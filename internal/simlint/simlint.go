@@ -56,9 +56,6 @@ type Pass struct {
 	Files     []*ast.File
 	Pkg       *types.Package
 	TypesInfo *types.Info
-	// Sim reports whether the package is under the determinism contract
-	// (see SimPackages). Most analyzers are no-ops outside it.
-	Sim bool
 
 	diags *[]Diagnostic
 }

@@ -20,10 +20,6 @@ func TestMaporder(t *testing.T) {
 	simlinttest.Run(t, fixture("maporder"), simlint.Maporder)
 }
 
-func TestFloatfold(t *testing.T) {
-	simlinttest.Run(t, fixture("floatfold"), simlint.Floatfold)
-}
-
 func TestLocksafe(t *testing.T) {
 	simlinttest.Run(t, fixture("locksafe"), simlint.Locksafe)
 }

@@ -20,6 +20,15 @@ func foldHash(m map[string]int) int {
 	return h
 }
 
+// A float fold over a map is order-sensitive: addition does not associate.
+func sumMap(m map[string]float64) float64 {
+	var sum float64
+	for _, v := range m { // want "map iteration order is randomized"
+		sum += v
+	}
+	return sum
+}
+
 func firstMatch(m map[string]bool) string {
 	for k, ok := range m { // want "map iteration order is randomized"
 		if ok {

@@ -25,9 +25,6 @@ var Walltime = &Analyzer{
 	Doc: "flag time.Now/Since/Sleep and friends in sim packages; " +
 		"sim time comes only from the simclock engine",
 	Run: func(p *Pass) error {
-		if !p.Sim {
-			return nil
-		}
 		for _, f := range p.Files {
 			ast.Inspect(f, func(n ast.Node) bool {
 				call, ok := n.(*ast.CallExpr)
