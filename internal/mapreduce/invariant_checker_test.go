@@ -28,6 +28,21 @@ func checkerJobsSized(n int, gap time.Duration, input units.Bytes) []Job {
 	return jobs
 }
 
+// TestInvariantAllocsUnchangedWhenDisabled pins the disabled fast path: the
+// invariant layer's hook sites are one nil compare each when detached, so a
+// simulator given a nil checker, as core passes one when checking is off,
+// must allocate exactly as much as one whose Config never mentions
+// invariants — the same guard TestReplayAllocsUnchangedByNilObserver holds
+// for the observability plumbing.
+func TestInvariantAllocsUnchangedWhenDisabled(t *testing.T) {
+	var detached *InvariantChecker
+	bare := replayAllocs(t, Config{Policy: Fair})
+	off := replayAllocs(t, Config{Policy: Fair, Invariants: detached})
+	if bare != off {
+		t.Errorf("replay allocates %.1f allocs bare but %.1f with invariants detached", bare, off)
+	}
+}
+
 // TestInvariantsCleanReplay runs a clean and a crash-faulted replay with the
 // checker attached and expects no violations: the shipped scheduler holds
 // the contract.

@@ -5,15 +5,16 @@ import (
 	"time"
 
 	"hybridmr/internal/apps"
+	"hybridmr/internal/obs"
 	"hybridmr/internal/units"
 )
 
-// replayAllocs measures the allocations of one small replay, optionally
-// calling SetObserver with nil sinks first. The observability plumbing is
-// nil-receiver no-ops plus Enabled() gates, so the two configurations must
-// allocate identically — this is the guard that keeps the PR 3 zero-alloc
+// replayAllocs measures the allocations of one small replay on a fresh
+// simulator built with cfg. The observability plumbing is nil-receiver
+// no-ops plus Enabled() gates, so a Config carrying nil sinks must allocate
+// exactly as one that names none — the guard that keeps the zero-alloc
 // kernel budget intact when observability is compiled in but off.
-func replayAllocs(t *testing.T, nilObserver bool) float64 {
+func replayAllocs(t *testing.T, cfg Config) float64 {
 	t.Helper()
 	p := MustArch(OutOFS, DefaultCalibration())
 	jobs := make([]Job, 40)
@@ -26,11 +27,7 @@ func replayAllocs(t *testing.T, nilObserver bool) float64 {
 		}
 	}
 	return testing.AllocsPerRun(10, func() {
-		sim := newTestSim(p)
-		sim.SetPolicy(Fair)
-		if nilObserver {
-			sim.SetObserver(nil, nil)
-		}
+		sim := newTestSim(t, p, cfg)
 		for _, j := range jobs {
 			sim.Submit(j)
 		}
@@ -40,12 +37,14 @@ func replayAllocs(t *testing.T, nilObserver bool) float64 {
 	})
 }
 
-// TestReplayAllocsUnchangedByNilObserver pins the nil-observer fast path: a
-// simulator with SetObserver(nil, nil) must allocate exactly as much as one
-// that never heard of observability.
+// TestReplayAllocsUnchangedByNilObserver pins the nil-observer fast path:
+// a simulator given a disabled obs.Set's sinks, as core passes them when
+// observability is off, must allocate exactly as much as one whose Config
+// never mentions observability.
 func TestReplayAllocsUnchangedByNilObserver(t *testing.T) {
-	bare := replayAllocs(t, false)
-	nilObs := replayAllocs(t, true)
+	var off obs.Set
+	bare := replayAllocs(t, Config{Policy: Fair})
+	nilObs := replayAllocs(t, Config{Policy: Fair, Trace: off.Trace, Metrics: off.Metrics})
 	if bare != nilObs {
 		t.Errorf("replay allocates %.1f allocs bare but %.1f with a nil observer attached", bare, nilObs)
 	}
