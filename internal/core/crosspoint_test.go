@@ -112,3 +112,42 @@ func TestMeasureCrossPoints(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// grayPair returns up-OFS and out-OFS both seen through a nic/rack gray
+// throttle, as `crosspoint -degrade` measures them.
+func grayPair(t *testing.T, nic, rack float64) (up, out *mapreduce.Platform) {
+	t.Helper()
+	up, out = upOutPlatforms(t)
+	up, err := up.Throttled(nic, rack)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out, err = out.Throttled(nic, rack); err != nil {
+		t.Fatal(err)
+	}
+	return up, out
+}
+
+// Algorithm 1's thresholds measured on gray-throttled platforms, byte for
+// byte: at nic÷2 and bisection÷4 the 39 GB high-ratio crossover collapses to
+// 4.4 GB, and each axis alone shifts the table its own way.
+func TestMeasureCrossPointsGray(t *testing.T) {
+	for _, tc := range []struct {
+		nic, rack      float64
+		high, mid, low units.Bytes
+	}{
+		{2, 4, 4698299604, 4698299604, 4648264618},
+		{2, 1, 32443291250, 14214164458, 4648264618},
+		{1, 4, 32443291250, 14254197270, 14254197270},
+	} {
+		up, out := grayPair(t, tc.nic, tc.rack)
+		cp, err := MeasureCrossPoints(up, out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cp.HighRatio != tc.high || cp.MidRatio != tc.mid || cp.LowRatio != tc.low {
+			t.Errorf("nic÷%g rack÷%g: cross points %d/%d/%d, want %d/%d/%d", tc.nic, tc.rack,
+				int64(cp.HighRatio), int64(cp.MidRatio), int64(cp.LowRatio), int64(tc.high), int64(tc.mid), int64(tc.low))
+		}
+	}
+}
