@@ -57,10 +57,12 @@ lint:
 
 # The resilience layer under the race detector: the gray-failure and
 # crash-replay goldens (byte-identical serial vs parallel), the watchdog
-# partial-results contract, and the gray/blacklist/speculation suites in
-# core and mapreduce.
+# partial-results contract, the gray/blacklist/speculation suites in core
+# and mapreduce, and the degraded-platform view layer (the pinned view
+# table, view-of-view composition, the simulator-vs-closed-form oracle on
+# views, and the cross points measured on gray views).
 resilience:
-	$(GO) test -race -count=1 -run 'TestGolden|TestResilience|TestRunResilience|TestGray|TestBlacklist|TestWatchdog|TestClone|TestSpecul' ./internal/figures/ ./internal/core/ ./internal/mapreduce/
+	$(GO) test -race -count=1 -run 'TestGolden|TestResilience|TestRunResilience|TestGray|TestBlacklist|TestWatchdog|TestClone|TestSpecul|TestView|TestSimulatorMatchesClosedForm|TestMeasureCrossPointsGray' ./internal/figures/ ./internal/core/ ./internal/mapreduce/
 
 # One iteration of every benchmark, including the sweep serial/parallel/
 # memoized comparison and the ablation benches (their embedded assertions

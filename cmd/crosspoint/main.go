@@ -67,10 +67,10 @@ func main() {
 		fatal(err)
 	}
 	if nicSlow != 1 || rackSlow != 1 {
-		if up, err = up.Throttled(nicSlow, rackSlow); err != nil {
+		if up, err = up.View(0, 0, nicSlow, rackSlow); err != nil {
 			fatal(err)
 		}
-		if out, err = out.Throttled(nicSlow, rackSlow); err != nil {
+		if out, err = out.View(0, 0, nicSlow, rackSlow); err != nil {
 			fatal(err)
 		}
 		fmt.Printf("gray throttle: nic ÷%g, bisection ÷%g on both clusters\n\n", nicSlow, rackSlow)

@@ -8,7 +8,6 @@ package cluster
 
 import (
 	"fmt"
-	"math"
 
 	"hybridmr/internal/netmodel"
 	"hybridmr/internal/units"
@@ -144,39 +143,18 @@ func (s Spec) Validate() error {
 	return nil
 }
 
-// Throttle returns the spec seen through a gray network failure: every
-// machine's NIC bandwidth divided by nicFactor and the cluster's bisection
-// bandwidth divided by rackFactor (both finite and ≥ 1; 1 is the
-// identity). The transforms route through netmodel.Fabric so the network
-// semantics live in one place.
-func (s Spec) Throttle(nicFactor, rackFactor float64) (Spec, error) {
-	if nicFactor == 1 && rackFactor == 1 {
-		return s, nil
+// View returns the spec with machinesDown machines crashed and seen
+// through a gray network failure: every machine's NIC bandwidth divided by
+// nic and the cluster's bisection bandwidth divided by rack (1 is the
+// identity on either axis). The caller (mapreduce.Platform.View) validates
+// the levels: machinesDown ≥ 0 and both factors finite and ≥ 1. A view
+// with every machine down is an error, not a cluster.
+func (s Spec) View(machinesDown int, nic, rack float64) (Spec, error) {
+	s.Machines -= machinesDown
+	if nic != 1 || rack != 1 {
+		s.Machine.NICBW = units.BytesPerSec(float64(s.Machine.NICBW) / nic)
+		s.Bisection = s.bisection() / rack
 	}
-	for _, f := range []float64{nicFactor, rackFactor} {
-		if !(f >= 1) || math.IsInf(f, 1) {
-			return Spec{}, fmt.Errorf("cluster: %s: throttle factor %v: want a finite factor ≥ 1", s.Name, f)
-		}
-	}
-	fab := netmodel.Fabric{
-		Name:            s.Name,
-		PerNodeBW:       s.Machine.NICBW,
-		BisectionFactor: s.bisection(),
-	}
-	fab = fab.Throttled(nicFactor).Partitioned(rackFactor)
-	s.Machine.NICBW = fab.PerNodeBW
-	s.Bisection = fab.BisectionFactor
-	if err := s.Validate(); err != nil {
-		return Spec{}, err
-	}
-	return s, nil
-}
-
-// WithMachines returns a copy of the spec resized to n machines, validating
-// the result. It is how the fault layer derives a degraded cluster: a spec
-// with every machine down (n = 0) is an error, not a cluster.
-func (s Spec) WithMachines(n int) (Spec, error) {
-	s.Machines = n
 	if err := s.Validate(); err != nil {
 		return Spec{}, err
 	}

@@ -151,12 +151,12 @@ func TestValidationErrors(t *testing.T) {
 	}
 }
 
-// WithMachines derives degraded specs for the fault layer: shrinking to any
-// positive count works, shrinking to zero machines (a fully crashed cluster)
-// must error — never panic — and the original spec is left untouched.
+// A view with machines down shrinks the slot pools; losing every machine
+// (a fully crashed cluster) must error — never panic — and the original
+// spec is left untouched.
 func TestWithMachines(t *testing.T) {
 	up := ScaleUp2()
-	d, err := up.WithMachines(1)
+	d, err := up.View(1, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,11 +164,14 @@ func TestWithMachines(t *testing.T) {
 		t.Errorf("degraded spec = %d machines / %d map slots", d.Machines, d.MapSlots())
 	}
 	if up.Machines != 2 {
-		t.Error("WithMachines mutated the receiver")
+		t.Error("View mutated the receiver")
 	}
-	for _, n := range []int{0, -1} {
-		if _, err := up.WithMachines(n); err == nil {
-			t.Errorf("WithMachines(%d) accepted", n)
+	if d.Machine != up.Machine || d.Bisection != up.Bisection {
+		t.Error("a machine loss changed the network")
+	}
+	for _, k := range []int{2, 3} {
+		if _, err := up.View(k, 1, 1); err == nil {
+			t.Errorf("View with %d of 2 machines down accepted", k)
 		}
 	}
 }
@@ -188,7 +191,7 @@ func TestSlotSplitBounds(t *testing.T) {
 
 func TestThrottle(t *testing.T) {
 	s := ScaleOut12()
-	th, err := s.Throttle(2, 4)
+	th, err := s.View(0, 2, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,19 +210,17 @@ func TestThrottle(t *testing.T) {
 		t.Error("network throttle changed compute accounting")
 	}
 	// The identity returns the spec unchanged, zero-value Bisection intact.
-	id, err := s.Throttle(1, 1)
+	id, err := s.View(0, 1, 1)
 	if err != nil || id != s {
-		t.Errorf("unit throttle changed the spec: %v", err)
+		t.Errorf("unit view changed the spec: %v", err)
 	}
-	// Sub-1 and non-finite factors are errors on either axis. +Inf would
-	// otherwise zero the bisection, which reads as "unset, full".
-	for _, f := range []float64{0.5, math.NaN(), math.Inf(1), math.Inf(-1)} {
-		if _, err := s.Throttle(f, 1); err == nil {
-			t.Errorf("NIC throttle factor %v accepted", f)
-		}
-		if _, err := s.Throttle(1, f); err == nil {
-			t.Errorf("rack throttle factor %v accepted", f)
-		}
+	// Losses and throttles land together in one view.
+	both, err := s.View(3, 2, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if both.Machines != 9 || both.Machine.NICBW != th.Machine.NICBW || both.Bisection != th.Bisection {
+		t.Errorf("combined view = %d machines, NIC %v, bisection %v", both.Machines, both.Machine.NICBW, both.Bisection)
 	}
 }
 

@@ -118,11 +118,11 @@ func TestMeasureCrossPoints(t *testing.T) {
 func grayPair(t *testing.T, nic, rack float64) (up, out *mapreduce.Platform) {
 	t.Helper()
 	up, out = upOutPlatforms(t)
-	up, err := up.Throttled(nic, rack)
+	up, err := up.View(0, 0, nic, rack)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out, err = out.Throttled(nic, rack); err != nil {
+	if out, err = out.View(0, 0, nic, rack); err != nil {
 		t.Fatal(err)
 	}
 	return up, out

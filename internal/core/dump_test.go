@@ -38,11 +38,12 @@ func TestDumpTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	isUp := make(map[string]bool, len(jobs))
+	// up[i] is Algorithm 1's class for jobs[i].
+	up := make([]bool, len(jobs))
 	nOut := 0
-	for _, j := range jobs {
-		isUp[j.ID] = hybrid.Sched.Decide(j) == ScaleUp
-		if !isUp[j.ID] {
+	for i, j := range jobs {
+		up[i] = hybrid.Sched.Decide(j) == ScaleUp
+		if !up[i] {
 			nOut++
 		}
 	}
@@ -55,37 +56,39 @@ func TestDumpTrace(t *testing.T) {
 	thRes := RunBaseline(th, jobs, mapreduce.Fair)
 	rhRes := RunBaseline(rh, jobs, mapreduce.Fair)
 
-	report := func(name string, exec map[string]float64) {
-		up, out := stats.NewCDF(nil), stats.NewCDF(nil)
-		for id, e := range exec {
-			if isUp[id] {
-				up.Add(e)
-			} else {
-				out.Add(e)
-			}
+	// Each replay's exec seconds go into a column aligned with jobs (results
+	// come back in arrival order), so the CDFs add samples in trace order
+	// and the printed means do not depend on map iteration.
+	column := func(name string, n int, at func(i int) mapreduce.Result) []float64 {
+		if n != len(jobs) {
+			t.Fatalf("%s: %d results for %d jobs", name, n, len(jobs))
 		}
-		su, so := up.Summarize(), out.Summarize()
-		fmt.Printf("%-8s scale-up jobs: %s\n", name, su)
-		fmt.Printf("%-8s scale-out jobs: %s\n", name, so)
-	}
-	collect := func(rs []mapreduce.Result) map[string]float64 {
-		m := make(map[string]float64, len(rs))
-		for _, r := range rs {
+		col := make([]float64, n)
+		for i := range col {
+			r := at(i)
 			if r.Err != nil {
-				t.Fatalf("job %s failed: %v", r.Job.ID, r.Err)
+				t.Fatalf("%s job %s failed: %v", name, r.Job.ID, r.Err)
 			}
-			m[r.Job.ID] = r.Exec.Seconds()
+			if r.Job.ID != jobs[i].ID {
+				t.Fatalf("%s result %d is job %s, want %s", name, i, r.Job.ID, jobs[i].ID)
+			}
+			col[i] = r.Exec.Seconds()
 		}
-		return m
+		return col
 	}
-	hyExec := make(map[string]float64, len(hy))
-	for _, r := range hy {
-		if r.Err != nil {
-			t.Fatalf("hybrid job %s failed: %v", r.Job.ID, r.Err)
+	report := func(name string, exec []float64) {
+		upCDF, outCDF := stats.NewCDF(nil), stats.NewCDF(nil)
+		for i, e := range exec {
+			if up[i] {
+				upCDF.Add(e)
+			} else {
+				outCDF.Add(e)
+			}
 		}
-		hyExec[r.Job.ID] = r.Exec.Seconds()
+		fmt.Printf("%-8s scale-up jobs: %s\n", name, upCDF.Summarize())
+		fmt.Printf("%-8s scale-out jobs: %s\n", name, outCDF.Summarize())
 	}
-	report("Hybrid", hyExec)
-	report("THadoop", collect(thRes))
-	report("RHadoop", collect(rhRes))
+	report("Hybrid", column("hybrid", len(hy), func(i int) mapreduce.Result { return hy[i].Result }))
+	report("THadoop", column("THadoop", len(thRes), func(i int) mapreduce.Result { return thRes[i] }))
+	report("RHadoop", column("RHadoop", len(rhRes), func(i int) mapreduce.Result { return rhRes[i] }))
 }

@@ -8,6 +8,8 @@ import (
 
 	"hybridmr/internal/faults"
 	"hybridmr/internal/simclock"
+	"hybridmr/internal/storage/hdfs"
+	"hybridmr/internal/storage/ofs"
 )
 
 // This file threads the fault-schedule layer (internal/faults) through the
@@ -159,7 +161,8 @@ func (s *Simulator) recycleAttempt(att *attempt) {
 // machine crash makes the simulator keep the map-output ledger the crash
 // re-queues from.
 func (s *Simulator) scheduleFaults(events []faults.Event) error {
-	fsName := s.platform.FS.Name()
+	_, onOFS := s.platform.FS.(*ofs.System)
+	_, onHDFS := s.platform.FS.(*hdfs.System)
 	relevant := make([]faults.Event, 0, len(events))
 	for _, ev := range events {
 		if err := ev.Validate(); err != nil {
@@ -167,11 +170,11 @@ func (s *Simulator) scheduleFaults(events []faults.Event) error {
 		}
 		switch ev.Kind {
 		case faults.OFSServerDown, faults.OFSServerUp:
-			if fsName != "OFS" {
+			if !onOFS {
 				continue
 			}
 		case faults.DatanodeDown, faults.DatanodeUp:
-			if fsName != "HDFS" {
+			if !onHDFS {
 				continue
 			}
 		}
@@ -415,36 +418,23 @@ func (s *Simulator) recoverMachines(k int, now time.Duration) {
 	s.dispatch(now)
 }
 
-// degradeKey identifies one memoized platform view: the binary loss level
-// plus the gray planning factors active when it was built.
-type degradeKey struct {
-	machines, storage int
-	nic, rack         float64
-}
-
 // degradedPlatform returns the platform view with the given losses and gray
 // network factors applied, memoized per level — fault timelines revisit the
 // same few levels, and planning against a view must not rebuild it every job.
 func (s *Simulator) degradedPlatform(machinesDown, storageDown int, nic, rack float64) (*Platform, error) {
-	if machinesDown == 0 && storageDown == 0 && nic == 1 && rack == 1 {
+	key := viewLevel{machinesDown, storageDown, nic, rack}
+	if key == healthy {
 		return s.platform, nil
 	}
-	key := degradeKey{machinesDown, storageDown, nic, rack}
 	if p, ok := s.degraded[key]; ok {
 		return p, nil
 	}
-	p, err := s.platform.Degraded(machinesDown, storageDown)
+	p, err := s.platform.View(machinesDown, storageDown, nic, rack)
 	if err != nil {
 		return nil, err
 	}
-	if nic != 1 || rack != 1 {
-		p, err = grayView(p, nic, rack)
-		if err != nil {
-			return nil, err
-		}
-	}
 	if s.degraded == nil {
-		s.degraded = make(map[degradeKey]*Platform)
+		s.degraded = make(map[viewLevel]*Platform)
 	}
 	s.degraded[key] = p
 	return p, nil

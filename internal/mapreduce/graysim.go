@@ -1,13 +1,11 @@
 package mapreduce
 
 import (
-	"fmt"
 	"sort"
 	"strconv"
 	"time"
 
 	"hybridmr/internal/faults"
-	"hybridmr/internal/storage"
 )
 
 // This file threads the gray-failure layer (internal/faults degradation
@@ -246,47 +244,4 @@ func (s *Simulator) loseSpeculation(winner *attempt, now time.Duration) {
 		s.obsv.trace.Instant(s.obsv.track, run.job.ID, "speculation-won", now,
 			side+" won task "+strconv.Itoa(loser.taskID))
 	}
-}
-
-// Throttled returns the gray planning view of the platform: NIC and
-// bisection bandwidth divided by the given factors, as a persistent gray
-// network degradation would leave them. Factors of 1 return the platform
-// unchanged. The crosspoint CLI uses this to show how gray failures shift
-// Algorithm 1's scale-up/scale-out crossover sizes.
-func (p *Platform) Throttled(nic, rack float64) (*Platform, error) {
-	if nic == 1 && rack == 1 {
-		return p, nil
-	}
-	return grayView(p, nic, rack)
-}
-
-// grayView applies the planning-level network degradation to a platform
-// view: the cluster fabric is throttled (per-node NIC) and partitioned
-// (bisection), and a throttleable file system's server links share the NIC
-// throttle. Local disk bandwidth is untouched — disk slowdowns act at the
-// attempt level. The view carries a distinct name so cache keys never alias
-// the clean view.
-func grayView(p *Platform, nic, rack float64) (*Platform, error) {
-	spec, err := p.Spec.Throttle(nic, rack)
-	if err != nil {
-		return nil, err
-	}
-	fs := p.FS
-	if nic != 1 {
-		if t, ok := p.FS.(storage.Throttleable); ok {
-			fs, err = t.Throttle(1, nic)
-			if err != nil {
-				return nil, err
-			}
-		}
-	}
-	name := p.Name + "[gray"
-	if nic != 1 {
-		name += fmt.Sprintf(" nic÷%g", nic)
-	}
-	if rack != 1 {
-		name += fmt.Sprintf(" bis÷%g", rack)
-	}
-	name += "]"
-	return NewPlatform(name, spec, fs, p.Cal)
 }

@@ -2,6 +2,7 @@ package mapreduce
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"hybridmr/internal/cluster"
@@ -27,7 +28,24 @@ type Platform struct {
 	// so every observed simulator reuses them instead of re-concatenating
 	// (the simulators of a pooled ReplayState re-attach per replay).
 	names *obsNames
+
+	// root is the healthy platform a view was built from (nil on a healthy
+	// platform), and level the view's losses and gray factors relative to
+	// it; see View.
+	root  *Platform
+	level viewLevel
 }
+
+// viewLevel is how far a platform view is degraded from its healthy root:
+// machines and storage servers (OFS) or datanodes (HDFS) down, and the gray
+// NIC and bisection slowdown factors (1 = clean).
+type viewLevel struct {
+	machines, storage int
+	nic, rack         float64
+}
+
+// healthy is the level of an undegraded platform.
+var healthy = viewLevel{nic: 1, rack: 1}
 
 // obsNames holds one platform's interned metric names (see observe).
 type obsNames struct {
@@ -71,38 +89,64 @@ func NewPlatform(name string, spec cluster.Spec, fs storage.System, cal Calibrat
 	return &Platform{Name: name, Spec: spec, FS: fs, Cal: cal, names: newObsNames(name)}, nil
 }
 
-// Degraded returns the platform with machinesDown compute machines and
-// storageDown storage servers (OFS) or datanodes (HDFS) removed. Both counts
-// are cumulative from the receiver, which must be the healthy platform — the
-// fault layer always derives degraded views from the healthy base, never from
-// another degraded view. The degraded platform carries a distinct name, so
-// cache keys and reports embedding it never alias the healthy platform.
-// Losing every machine, or storage the file system cannot survive, is an
-// error.
-func (p *Platform) Degraded(machinesDown, storageDown int) (*Platform, error) {
-	if machinesDown == 0 && storageDown == 0 {
+// View returns the platform with machinesDown more compute machines and
+// storageDown more storage servers (OFS) or datanodes (HDFS) down, its NICs
+// slowed by a further factor nic and its bisection bandwidth by rack — the
+// planning view new jobs see under crashes, storage loss and gray network
+// windows. The levels add to the receiver's own (counts add, factors
+// multiply) and the view is always computed from the healthy platform, so
+// a view of a view equals the one view with the summed levels. A view
+// carries a distinct name, so cache keys and reports embedding it never
+// alias the healthy platform or another view. View(0, 0, 1, 1) returns the
+// receiver; negative losses, factors below 1 or infinite, losing every
+// machine, and storage loss the file system cannot survive are errors.
+func (p *Platform) View(machinesDown, storageDown int, nic, rack float64) (*Platform, error) {
+	if machinesDown == 0 && storageDown == 0 && nic == 1 && rack == 1 {
 		return p, nil
 	}
-	if machinesDown < 0 || storageDown < 0 {
-		return nil, fmt.Errorf("mapreduce: platform %s: negative degradation (%d machines, %d servers)", p.Name, machinesDown, storageDown)
+	if machinesDown < 0 || storageDown < 0 || !(nic >= 1 && rack >= 1) || math.IsInf(nic, 1) || math.IsInf(rack, 1) {
+		return nil, fmt.Errorf("mapreduce: platform %s: view with %d machines and %d servers down, nic ÷%g, bisection ÷%g: want losses ≥ 0 and finite factors ≥ 1",
+			p.Name, machinesDown, storageDown, nic, rack)
 	}
-	spec, err := p.Spec.WithMachines(p.Spec.Machines - machinesDown)
+	root, lv := p, viewLevel{machinesDown, storageDown, nic, rack}
+	if p.root != nil {
+		root = p.root
+		lv = viewLevel{p.level.machines + machinesDown, p.level.storage + storageDown, p.level.nic * nic, p.level.rack * rack}
+	}
+	spec, err := root.Spec.View(lv.machines, lv.nic, lv.rack)
 	if err != nil {
 		return nil, err
 	}
-	fs := p.FS
-	if storageDown > 0 {
-		deg, ok := p.FS.(storage.Degradable)
-		if !ok {
-			return nil, fmt.Errorf("mapreduce: platform %s: file system %s does not model server loss", p.Name, p.FS.Name())
-		}
-		fs, err = deg.Degrade(storageDown)
-		if err != nil {
-			return nil, err
-		}
+	fs, err := root.FS.View(lv.storage, lv.nic)
+	if err != nil {
+		return nil, err
 	}
-	name := fmt.Sprintf("%s[-%dm,-%ds]", p.Name, machinesDown, storageDown)
-	return NewPlatform(name, spec, fs, p.Cal)
+	v, err := NewPlatform(lv.name(root.Name), spec, fs, root.Cal)
+	if err != nil {
+		return nil, err
+	}
+	v.root, v.level = root, lv
+	return v, nil
+}
+
+// name formats a view's name from its healthy root's: the losses as
+// [-Km,-Ss], then any gray factors as [gray nic÷F bis÷G].
+func (l viewLevel) name(root string) string {
+	name := root
+	if l.machines != 0 || l.storage != 0 {
+		name += fmt.Sprintf("[-%dm,-%ds]", l.machines, l.storage)
+	}
+	if l.nic != 1 || l.rack != 1 {
+		name += "[gray"
+		if l.nic != 1 {
+			name += fmt.Sprintf(" nic÷%g", l.nic)
+		}
+		if l.rack != 1 {
+			name += fmt.Sprintf(" bis÷%g", l.rack)
+		}
+		name += "]"
+	}
+	return name
 }
 
 // RunIsolated runs one job alone on the platform, as in the paper's

@@ -96,7 +96,7 @@ type Simulator struct {
 	// recycled through attemptFree).
 	machinesDown int
 	storageDown  int
-	degraded     map[degradeKey]*Platform
+	degraded     map[viewLevel]*Platform
 	inflight     []*attempt
 	attemptSeq   uint64
 	attemptFree  []*attempt

@@ -100,8 +100,9 @@ func soloMatchesClosedForm(t *testing.T, p, view *Platform, events []faults.Even
 // four apps, input sizes from 1 KB to 512 GB (the larger ones rejected by
 // up-HDFS, in the same words both ways), every Table I architecture,
 // and three views of it — healthy, degraded by machines crashed before the
-// arrival (the job plans against cluster.Spec.WithMachines), and
-// gray-throttled by a network or bisection window open at the arrival.
+// arrival, and gray-throttled by a network or bisection window open at the
+// arrival. The oracle for a faulted arrival is RunIsolated on Platform.View
+// at the level the window leaves.
 func TestSimulatorMatchesClosedForm(t *testing.T) {
 	upOFS, upHDFS, outOFS, outHDFS := fourArches(t)
 	jobs := []Job{
@@ -136,11 +137,8 @@ func TestSimulatorMatchesClosedForm(t *testing.T) {
 		case 1: // degraded: k machines crashed before the arrival
 			k := 1 + int(down)%(p.Spec.Machines-1)
 			events = []faults.Event{{Kind: faults.MachineCrash, Cluster: cluster, Count: k}}
-			spec, err := p.Spec.WithMachines(p.Spec.Machines - k)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if oracle, err = NewPlatform(p.Name+"-degraded", spec, p.FS, p.Cal); err != nil {
+			var err error
+			if oracle, err = p.View(k, 0, 1, 1); err != nil {
 				t.Fatal(err)
 			}
 		case 2: // gray: a nic or bisection throttle open at the arrival
@@ -151,7 +149,7 @@ func TestSimulatorMatchesClosedForm(t *testing.T) {
 			}
 			events = []faults.Event{{Kind: kind, Cluster: cluster, Count: 1, Factor: f}}
 			var err error
-			if oracle, err = grayView(p, nic, rack); err != nil {
+			if oracle, err = p.View(0, 0, nic, rack); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -3,27 +3,19 @@ package mapreduce
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"hybridmr/internal/apps"
+	"hybridmr/internal/faults"
 	"hybridmr/internal/storage"
 	"hybridmr/internal/units"
 )
 
 var updateViews = flag.Bool("update", false, "rewrite testdata/views.golden")
-
-// viewOf builds the degraded/gray planning view of p with the given losses
-// and network factors.
-func viewOf(p *Platform, machinesDown, storageDown int, nic, rack float64) (*Platform, error) {
-	d, err := p.Degraded(machinesDown, storageDown)
-	if err != nil {
-		return nil, err
-	}
-	return d.Throttled(nic, rack)
-}
 
 // viewPlatforms returns the four Table I architectures and the two trace
 // baselines.
@@ -81,7 +73,7 @@ func TestViewTable(t *testing.T) {
 			for _, s := range []int{0, 1, 4} {
 				for _, g := range gray {
 					row := fmt.Sprintf("%s m=%d s=%d nic=%g rack=%g", p.Name, m, s, g.nic, g.rack)
-					v, err := viewOf(p, m, s, g.nic, g.rack)
+					v, err := p.View(m, s, g.nic, g.rack)
 					if err != nil {
 						fmt.Fprintf(&b, "%s: error: %v\n", row, err)
 						continue
@@ -120,5 +112,82 @@ func TestViewTable(t *testing.T) {
 	}
 	if len(got) != len(strings.Split(string(want), "\n")) {
 		t.Fatalf("views.golden: got %d lines, want %d", len(got), len(strings.Split(string(want), "\n")))
+	}
+}
+
+// A view of a view adds its levels to the receiver's — losses add, factors
+// multiply — and is computed from the healthy platform, so it equals the
+// one view with the summed levels in every value planning reads and in its
+// name. Storage loss on a throttled view keeps the throttle.
+func TestViewOfView(t *testing.T) {
+	for _, p := range viewPlatforms(t) {
+		first, err := p.View(1, 0, 2, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if same, err := first.View(0, 0, 1, 1); err != nil || same != first {
+			t.Errorf("%s: unit view of a view did not return the receiver: %v", p.Name, err)
+		}
+		second, err := first.View(0, 0, 1.5, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		third, err := second.View(0, 1, 1, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		once, err := p.View(1, 1, 3, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if third.Name != once.Name || third.FS.Name() != once.FS.Name() {
+			t.Errorf("%s: view of a view named %q on %q, want %q on %q",
+				p.Name, third.Name, third.FS.Name(), once.Name, once.FS.Name())
+		}
+		if got, want := describeView(third), describeView(once); got != want {
+			t.Errorf("%s: view of a view\n got %s\nwant %s", p.Name, got, want)
+		}
+	}
+}
+
+// The view's levels are validated once, at Platform.View: negative losses
+// and factors below 1, infinite or NaN are errors on every axis.
+func TestViewRejectsBadLevels(t *testing.T) {
+	p := MustArch(OutOFS, DefaultCalibration())
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, bad := range []struct {
+		m, s      int
+		nic, rack float64
+	}{
+		{-1, 0, 1, 1}, {0, -1, 1, 1},
+		{0, 0, 0.5, 1}, {0, 0, 0, 1}, {0, 0, nan, 1}, {0, 0, inf, 1}, {0, 0, -inf, 1},
+		{0, 0, 1, 0.5}, {0, 0, 1, 0}, {0, 0, 1, nan}, {0, 0, 1, inf}, {0, 0, 1, -inf},
+	} {
+		if v, err := p.View(bad.m, bad.s, bad.nic, bad.rack); err == nil {
+			t.Errorf("View(%d, %d, %v, %v) accepted as %s", bad.m, bad.s, bad.nic, bad.rack, v.Name)
+		}
+	}
+}
+
+// Storage fault events are matched to the platform by file-system type, not
+// by display name: a simulator built on a nic-throttled OFS view still loses
+// servers on an OFS event, and a throttled HDFS view still ignores it.
+func TestViewKeepsStorageFaults(t *testing.T) {
+	loss := []faults.Event{{At: 0, Kind: faults.OFSServerDown, Cluster: faults.ClusterAll, Count: 4}}
+	job := Job{ID: "j", App: apps.Grep(), Input: 8 * units.GB}
+	for _, tc := range []struct {
+		arch Arch
+		down int
+	}{{OutOFS, 4}, {OutHDFS, 0}} {
+		view, err := MustArch(tc.arch, DefaultCalibration()).View(0, 0, 2, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sim := newTestSim(t, view, Config{Faults: loss})
+		sim.Submit(job)
+		sim.drain()
+		if got := sim.StorageDown(); got != tc.down {
+			t.Errorf("%s: StorageDown = %d after an OFS server-down event, want %d", view.Name, got, tc.down)
+		}
 	}
 }

@@ -55,38 +55,3 @@ func (f Fabric) Validate() error {
 	}
 	return nil
 }
-
-// Throttled returns the fabric with every node's link bandwidth divided by
-// factor — a gray NIC failure (misnegotiated link, congested uplink). A
-// factor of 1 returns the fabric unchanged; factors below 1 are invalid and
-// surface through Validate on the returned fabric.
-func (f Fabric) Throttled(factor float64) Fabric {
-	if factor == 1 {
-		return f
-	}
-	f.Name = fmt.Sprintf("%s/nic÷%g", f.Name, factor)
-	f.PerNodeBW = units.BytesPerSec(float64(f.PerNodeBW) / factor)
-	return f
-}
-
-// Partitioned returns the fabric with its bisection bandwidth divided by
-// factor — a partial rack partition: every node stays reachable, but the
-// inter-rack links carry 1/factor of their aggregate traffic. Per-node
-// bandwidth is untouched; only Aggregate shrinks.
-func (f Fabric) Partitioned(factor float64) Fabric {
-	if factor == 1 {
-		return f
-	}
-	f.Name = fmt.Sprintf("%s/bisect÷%g", f.Name, factor)
-	f.BisectionFactor /= factor
-	return f
-}
-
-// Aggregate returns the bandwidth available when n nodes transmit
-// concurrently: n links discounted by the bisection factor.
-func (f Fabric) Aggregate(n int) units.BytesPerSec {
-	if n < 1 {
-		return 0
-	}
-	return units.BytesPerSec(float64(f.PerNodeBW) * float64(n) * f.BisectionFactor)
-}

@@ -9,7 +9,7 @@ func TestDegrade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys, err := s.Degrade(3)
+	sys, err := s.View(3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,39 +38,44 @@ func TestDegrade(t *testing.T) {
 	}
 }
 
-// Degrade is cumulative from the healthy configuration, not compounding:
-// degrading an already-degraded system re-derives from the original.
+// View levels add to the receiver's and are computed from the healthy
+// configuration: viewing a degraded system again loses more datanodes, the
+// same as one view with the summed loss, and a unit view is the identity.
 func TestDegradeCumulative(t *testing.T) {
 	s, _ := New(outConfig())
-	d3, err := s.Degrade(3)
+	d3, err := s.View(3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	again, err := d3.(*System).Degrade(3)
+	again, err := d3.View(3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := again.(*System).Config().Datanodes; got != 9 {
-		t.Errorf("re-degrading compounded: %d datanodes, want 9", got)
-	}
-	healed, err := d3.(*System).Degrade(0)
+	d6, err := s.View(6, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if healed.Name() != "HDFS" || healed.(*System).Config() != s.Config() {
-		t.Error("Degrade(0) did not restore the healthy configuration")
+	if again.Name() != "HDFS(-6dn)" || again.(*System).Config() != d6.(*System).Config() {
+		t.Errorf("re-degrading by 3 gave %q, want the 6-datanode view", again.Name())
+	}
+	if same, err := d3.View(0, 1); err != nil || same != d3 {
+		t.Errorf("View(0, 1) did not return the receiver: %v", err)
 	}
 }
 
 func TestDegradeErrors(t *testing.T) {
 	s, _ := New(upConfig()) // 2 datanodes
 	for _, lost := range []int{-1, 2, 3} {
-		if _, err := s.Degrade(lost); err == nil {
-			t.Errorf("Degrade(%d) of a 2-node cluster accepted", lost)
+		if _, err := s.View(lost, 1); err == nil {
+			t.Errorf("View(%d, 1) of a 2-node cluster accepted", lost)
 		}
 	}
-	if _, err := s.Degrade(1); err != nil {
-		t.Errorf("Degrade(1) of a 2-node cluster rejected: %v", err)
+	d1, err := s.View(1, 1)
+	if err != nil {
+		t.Fatalf("View(1, 1) of a 2-node cluster rejected: %v", err)
+	}
+	if _, err := d1.View(1, 1); err == nil {
+		t.Error("losing a second datanode through a view of a view accepted")
 	}
 }
 

@@ -80,19 +80,19 @@ func DefaultConfig(n int, diskCapacity units.Bytes, diskBW, nic units.BytesPerSe
 	}
 }
 
-// System is the HDFS model; it implements storage.System and
-// storage.Degradable.
+// System is the HDFS model; it implements storage.System.
 type System struct {
 	cfg Config
-	// healthy is the configuration before any datanode loss; Degrade always
-	// derives from it, so the lost count is cumulative, not compounding.
+	// healthy is the configuration before any datanode loss or throttle;
+	// View always derives from it, so levels add rather than compound
+	// rounding.
 	healthy Config
 	// lost is the number of datanodes currently down.
 	lost int
-	// diskF and nicF are the cumulative gray throttle factors (1 = clean);
-	// they survive in the name so throttled instances never alias healthy
-	// ones in cache keys.
-	diskF, nicF float64
+	// nicF is the cumulative network throttle factor (1 = clean); it
+	// survives in the name so throttled instances never alias healthy ones
+	// in cache keys.
+	nicF float64
 	// name is Name's result, formatted by setName.
 	name string
 }
@@ -123,7 +123,7 @@ func New(cfg Config) (*System, error) {
 	case cfg.RebuildTax < 0 || cfg.RebuildTax >= 1:
 		return nil, fmt.Errorf("hdfs: rebuild tax %v outside [0,1)", cfg.RebuildTax)
 	}
-	s := &System{cfg: cfg, healthy: cfg}
+	s := &System{cfg: cfg, healthy: cfg, nicF: 1}
 	s.setName()
 	return s, nil
 }
@@ -136,58 +136,37 @@ func (s *System) Config() Config { return s.cfg }
 // distinguishes degraded from healthy I/O.
 func (s *System) Name() string { return s.name }
 
-// setName formats the name from the degradation state. New, Degrade and
-// Throttle call it once, so Name allocates nothing: the sweep cache reads it
-// on every probe, degraded views included.
+// setName formats the name from the degradation state. New and View call
+// it once, so Name allocates nothing: the sweep cache reads it on every
+// probe, degraded views included.
 func (s *System) setName() {
 	s.name = "HDFS"
 	if s.lost > 0 {
 		s.name = fmt.Sprintf("HDFS(-%ddn)", s.lost)
 	}
-	if s.diskF > 1 || s.nicF > 1 {
-		s.name = fmt.Sprintf("%s÷(d%g,n%g)", s.name, s.diskF, s.nicF)
+	if s.nicF != 1 {
+		s.name = fmt.Sprintf("%s÷n%g", s.name, s.nicF)
 	}
 }
 
-// Throttle implements storage.Throttleable: the datanodes' disks run at
-// 1/disk of their bandwidth and their NICs at 1/nic. The page cache is RAM
-// and stays at full speed — a gray disk slows only the medium underneath it.
-// Factors compound when a throttled system is throttled again; apply after
-// Degrade (which rebuilds from the healthy configuration).
-func (s *System) Throttle(disk, nic float64) (storage.System, error) {
-	if err := storage.CheckThrottle(disk, nic); err != nil {
-		return nil, fmt.Errorf("hdfs: %w", err)
-	}
-	if disk == 1 && nic == 1 {
+// View implements storage.System. Capacity shrinks with the surviving
+// datanodes; the lost fraction of blocks loses its local replica, so that
+// share of reads goes remote; and re-replication traffic taxes the
+// surviving disks by RebuildTax scaled by the lost fraction. A NIC throttle
+// divides the datanodes' link bandwidth (replica pipeline and non-local
+// reads); disks and the page cache keep their speed. Losing every datanode
+// is an error — there is no cluster left to degrade.
+func (s *System) View(lost int, nic float64) (storage.System, error) {
+	if lost == 0 && nic == 1 {
 		return s, nil
 	}
-	cfg := s.cfg
-	cfg.DiskBW = units.BytesPerSec(float64(cfg.DiskBW) / disk)
-	cfg.NodeNIC = units.BytesPerSec(float64(cfg.NodeNIC) / nic)
-	d, err := New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	d.healthy = s.healthy
-	d.lost = s.lost
-	d.diskF = max(s.diskF, 1) * disk
-	d.nicF = max(s.nicF, 1) * nic
-	d.setName()
-	return d, nil
-}
-
-// Degrade implements storage.Degradable: it returns the model with `lost`
-// datanodes down (cumulative from the healthy configuration). Capacity
-// shrinks with the survivors; the lost fraction of blocks loses its local
-// replica, so that share of reads goes remote; and re-replication traffic
-// taxes the surviving disks by RebuildTax scaled by the lost fraction.
-// Losing every datanode is an error — there is no cluster left to degrade.
-func (s *System) Degrade(lost int) (storage.System, error) {
 	base := s.healthy
-	switch {
-	case lost < 0:
+	if lost < 0 {
 		return nil, fmt.Errorf("hdfs: negative datanode loss %d", lost)
-	case lost >= base.Datanodes:
+	}
+	lost += s.lost
+	nic *= s.nicF
+	if lost >= base.Datanodes {
 		return nil, fmt.Errorf("hdfs: losing %d of %d datanodes leaves no survivors", lost, base.Datanodes)
 	}
 	frac := float64(lost) / float64(base.Datanodes)
@@ -198,12 +177,14 @@ func (s *System) Degrade(lost int) (storage.System, error) {
 		cfg.NonLocalFraction = 1
 	}
 	cfg.DiskBW = units.BytesPerSec(float64(cfg.DiskBW) * (1 - cfg.RebuildTax*frac))
+	cfg.NodeNIC = units.BytesPerSec(float64(cfg.NodeNIC) / nic)
 	d, err := New(cfg)
 	if err != nil {
 		return nil, err
 	}
 	d.healthy = base
 	d.lost = lost
+	d.nicF = nic
 	d.setName()
 	return d, nil
 }
@@ -281,7 +262,4 @@ func (s *System) TaskWriteLatency() time.Duration { return s.cfg.WriteLatencyPer
 // JobOverhead implements storage.System.
 func (s *System) JobOverhead() time.Duration { return s.cfg.JobOverheadTime }
 
-var (
-	_ storage.Degradable   = (*System)(nil)
-	_ storage.Throttleable = (*System)(nil)
-)
+var _ storage.System = (*System)(nil)

@@ -1,7 +1,6 @@
 package hdfs
 
 import (
-	"strings"
 	"testing"
 
 	"hybridmr/internal/units"
@@ -12,16 +11,16 @@ func TestThrottle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	th, err := s.Throttle(2, 1.5)
+	th, err := s.View(0, 1.5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ts := th.(*System)
-	if got, want := ts.Config().DiskBW, units.BytesPerSec(float64(outConfig().DiskBW)/2); got != want {
-		t.Errorf("throttled disk = %v, want %v", got, want)
-	}
 	if got, want := ts.Config().NodeNIC, units.BytesPerSec(float64(outConfig().NodeNIC)/1.5); got != want {
 		t.Errorf("throttled NIC = %v, want %v", got, want)
+	}
+	if ts.Config().DiskBW != s.Config().DiskBW {
+		t.Error("NIC throttle changed the disks")
 	}
 	if th.Name() == s.Name() {
 		t.Error("throttled system keeps the clean name (would alias cache keys)")
@@ -30,47 +29,39 @@ func TestThrottle(t *testing.T) {
 	if ts.UsableCapacity() != s.UsableCapacity() {
 		t.Error("throttle changed capacity")
 	}
-	// Reads through the slow disk are slower.
-	c := ctx(24, 2, 12)
-	if th.PerTaskReadBW(c) >= s.PerTaskReadBW(c) {
-		t.Error("disk throttle did not slow reads")
-	}
-	// Unit factors are the identity.
-	if same, err := s.Throttle(1, 1); err != nil || same != s {
-		t.Errorf("unit throttle did not return the receiver: %v", err)
-	}
-	// Factors below one are invalid.
-	if _, err := s.Throttle(0.5, 1); err == nil {
-		t.Error("sub-1 disk factor accepted")
-	}
-	if _, err := s.Throttle(1, 0); err == nil {
-		t.Error("zero nic factor accepted")
-	}
 }
 
+// A throttle and a loss compose in either order: the view keeps both, and a
+// further throttle multiplies the factor.
 func TestThrottleComposesWithDegrade(t *testing.T) {
 	s, err := New(outConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	deg, err := s.Degrade(2)
+	th, err := s.View(2, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	th, err := deg.(*System).Throttle(2, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	name := th.Name()
-	if !strings.Contains(name, "-2dn") || !strings.Contains(name, "d2") {
+	if name := th.Name(); name != "HDFS(-2dn)÷n2" {
 		t.Errorf("name %q drops the loss or the throttle", name)
 	}
-	// Throttling twice compounds the factors.
-	th2, err := th.(*System).Throttle(2, 1)
+	th2, err := th.View(0, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(th2.Name(), "d4") {
-		t.Errorf("name %q does not compound the disk factor", th2.Name())
+	if name := th2.Name(); name != "HDFS(-2dn)÷n4" {
+		t.Errorf("name %q does not multiply the nic factor", name)
+	}
+	// A loss on top of a throttled view keeps the throttle.
+	deg, err := th.View(1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := s.View(3, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if deg.Name() != want.Name() || deg.(*System).Config() != want.(*System).Config() {
+		t.Errorf("loss on a throttled view = %q, want %q", deg.Name(), want.Name())
 	}
 }

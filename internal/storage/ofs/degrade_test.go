@@ -9,7 +9,7 @@ func TestDegrade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys, err := s.Degrade(4)
+	sys, err := s.View(4, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +38,7 @@ func TestDegradeStripeWidth(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Servers = 10
 	s, _ := New(cfg)
-	sys, err := s.Degrade(5) // 5 survivors < stripe width 8
+	sys, err := s.View(5, 1) // 5 survivors < stripe width 8
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,37 +47,44 @@ func TestDegradeStripeWidth(t *testing.T) {
 	}
 }
 
+// View levels add to the receiver's and are computed from the healthy
+// configuration: viewing a degraded system again loses more servers, the
+// same as one view with the summed loss, and a unit view is the identity.
 func TestDegradeCumulative(t *testing.T) {
 	s, _ := New(DefaultConfig())
-	d4, err := s.Degrade(4)
+	d4, err := s.View(4, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	again, err := d4.(*System).Degrade(4)
+	again, err := d4.View(4, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := again.(*System).Config().Servers; got != 28 {
-		t.Errorf("re-degrading compounded: %d servers, want 28", got)
-	}
-	healed, err := d4.(*System).Degrade(0)
+	d8, err := s.View(8, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if healed.Name() != "OFS" || healed.(*System).Config() != s.Config() {
-		t.Error("Degrade(0) did not restore the healthy configuration")
+	if again.Name() != "OFS(-8srv)" || again.(*System).Config() != d8.(*System).Config() {
+		t.Errorf("re-degrading by 4 gave %q, want the 8-server view", again.Name())
+	}
+	if same, err := d4.View(0, 1); err != nil || same != d4 {
+		t.Errorf("View(0, 1) did not return the receiver: %v", err)
 	}
 }
 
 func TestDegradeErrors(t *testing.T) {
 	s, _ := New(DefaultConfig()) // 32 servers
 	for _, lost := range []int{-1, 32, 40} {
-		if _, err := s.Degrade(lost); err == nil {
-			t.Errorf("Degrade(%d) of 32 servers accepted", lost)
+		if _, err := s.View(lost, 1); err == nil {
+			t.Errorf("View(%d, 1) of 32 servers accepted", lost)
 		}
 	}
-	if _, err := s.Degrade(31); err != nil {
-		t.Errorf("Degrade(31) rejected: %v", err)
+	d31, err := s.View(31, 1)
+	if err != nil {
+		t.Fatalf("View(31, 1) rejected: %v", err)
+	}
+	if _, err := d31.View(1, 1); err == nil {
+		t.Error("losing the last server through a view of a view accepted")
 	}
 	cfg := DefaultConfig()
 	cfg.RebuildTax = 1.2

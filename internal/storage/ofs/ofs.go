@@ -63,19 +63,19 @@ func DefaultConfig() Config {
 	}
 }
 
-// System is the OFS model; it implements storage.System and
-// storage.Degradable.
+// System is the OFS model; it implements storage.System.
 type System struct {
 	cfg Config
-	// healthy is the configuration before any server loss; Degrade always
-	// derives from it, so the lost count is cumulative, not compounding.
+	// healthy is the configuration before any server loss or throttle;
+	// View always derives from it, so levels add rather than compound
+	// rounding.
 	healthy Config
 	// lost is the number of storage servers currently down.
 	lost int
-	// diskF and nicF are the cumulative gray throttle factors (1 = clean);
-	// they survive in the name so throttled instances never alias healthy
-	// ones in cache keys.
-	diskF, nicF float64
+	// nicF is the cumulative network throttle factor (1 = clean); it
+	// survives in the name so throttled instances never alias healthy ones
+	// in cache keys.
+	nicF float64
 	// name is Name's result, formatted by setName.
 	name string
 }
@@ -98,7 +98,7 @@ func New(cfg Config) (*System, error) {
 	case cfg.RebuildTax < 0 || cfg.RebuildTax >= 1:
 		return nil, fmt.Errorf("ofs: rebuild tax %v outside [0,1)", cfg.RebuildTax)
 	}
-	s := &System{cfg: cfg, healthy: cfg}
+	s := &System{cfg: cfg, healthy: cfg, nicF: 1}
 	s.setName()
 	return s, nil
 }
@@ -111,58 +111,37 @@ func (s *System) Config() Config { return s.cfg }
 // distinguishes degraded from healthy I/O.
 func (s *System) Name() string { return s.name }
 
-// setName formats the name from the degradation state. New, Degrade and
-// Throttle call it once, so Name allocates nothing: the sweep cache reads it
-// on every probe, degraded views included.
+// setName formats the name from the degradation state. New and View call
+// it once, so Name allocates nothing: the sweep cache reads it on every
+// probe, degraded views included.
 func (s *System) setName() {
 	s.name = "OFS"
 	if s.lost > 0 {
 		s.name = fmt.Sprintf("OFS(-%dsrv)", s.lost)
 	}
-	if s.diskF > 1 || s.nicF > 1 {
-		s.name = fmt.Sprintf("%s÷(d%g,n%g)", s.name, s.diskF, s.nicF)
+	if s.nicF != 1 {
+		s.name = fmt.Sprintf("%s÷n%g", s.name, s.nicF)
 	}
 }
 
-// Throttle implements storage.Throttleable. The storage servers sit behind
-// their own fabric links, so both a disk slowdown (failing RAID members,
-// scrub traffic) and a NIC throttle (the servers share the throttled fabric)
-// shrink the bandwidth each server can deliver; the factors compose
-// multiplicatively. Capacity and striping are untouched. Apply after Degrade
-// (which rebuilds from the healthy configuration).
-func (s *System) Throttle(disk, nic float64) (storage.System, error) {
-	if err := storage.CheckThrottle(disk, nic); err != nil {
-		return nil, fmt.Errorf("ofs: %w", err)
-	}
-	if disk == 1 && nic == 1 {
+// View implements storage.System. Lost servers shrink the aggregate
+// bandwidth and capacity with the survivors, files stripe only over the
+// servers that remain, and restriping traffic taxes the survivors'
+// bandwidth by RebuildTax scaled by the lost fraction. The servers sit
+// behind their own fabric links, so a NIC throttle then divides what each
+// surviving server can deliver. Capacity and striping ignore the throttle.
+// Losing every server is an error — the file system is gone, not degraded.
+func (s *System) View(lost int, nic float64) (storage.System, error) {
+	if lost == 0 && nic == 1 {
 		return s, nil
 	}
-	cfg := s.cfg
-	cfg.ServerBW = units.BytesPerSec(float64(cfg.ServerBW) / (disk * nic))
-	d, err := New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	d.healthy = s.healthy
-	d.lost = s.lost
-	d.diskF = max(s.diskF, 1) * disk
-	d.nicF = max(s.nicF, 1) * nic
-	d.setName()
-	return d, nil
-}
-
-// Degrade implements storage.Degradable: it returns the model with `lost`
-// storage servers down (cumulative from the healthy configuration). Aggregate
-// bandwidth and capacity shrink with the survivors, files can stripe only
-// over the servers that remain, and restriping traffic taxes the survivors'
-// bandwidth by RebuildTax scaled by the lost fraction. Losing every server is
-// an error — the file system is gone, not degraded.
-func (s *System) Degrade(lost int) (storage.System, error) {
 	base := s.healthy
-	switch {
-	case lost < 0:
+	if lost < 0 {
 		return nil, fmt.Errorf("ofs: negative server loss %d", lost)
-	case lost >= base.Servers:
+	}
+	lost += s.lost
+	nic *= s.nicF
+	if lost >= base.Servers {
 		return nil, fmt.Errorf("ofs: losing %d of %d servers leaves no survivors", lost, base.Servers)
 	}
 	frac := float64(lost) / float64(base.Servers)
@@ -172,12 +151,14 @@ func (s *System) Degrade(lost int) (storage.System, error) {
 		cfg.StripeWidth = cfg.Servers
 	}
 	cfg.ServerBW = units.BytesPerSec(float64(cfg.ServerBW) * (1 - cfg.RebuildTax*frac))
+	cfg.ServerBW = units.BytesPerSec(float64(cfg.ServerBW) / nic)
 	d, err := New(cfg)
 	if err != nil {
 		return nil, err
 	}
 	d.healthy = base
 	d.lost = lost
+	d.nicF = nic
 	d.setName()
 	return d, nil
 }
@@ -247,7 +228,4 @@ func (s *System) ServersForFile(size units.Bytes) int {
 	return n
 }
 
-var (
-	_ storage.Degradable   = (*System)(nil)
-	_ storage.Throttleable = (*System)(nil)
-)
+var _ storage.System = (*System)(nil)

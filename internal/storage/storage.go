@@ -13,7 +13,6 @@ package storage
 import (
 	"errors"
 	"fmt"
-	"math"
 	"time"
 
 	"hybridmr/internal/units"
@@ -128,38 +127,16 @@ type System interface {
 	// CheckJobFit reports a *CapacityError, which wraps ErrCapacity, when
 	// input plus output data cannot be stored.
 	CheckJobFit(input, output units.Bytes) error
-}
-
-// Degradable is implemented by file systems that model server loss: Degrade
-// returns a new System with lost servers removed — capacity shrunk, surviving
-// bandwidth taxed by rebuild/re-replication traffic — or an error when the
-// loss is not survivable (no servers left). The lost count is cumulative from
-// the healthy configuration, so Degrade(0) restores full health.
-type Degradable interface {
-	System
-	Degrade(lost int) (System, error)
-}
-
-// Throttleable is implemented by file systems that model gray degradation:
-// Throttle returns a System whose disk-side and network-side bandwidths are
-// divided by the given factors (each ≥ 1; exactly 1 leaves that axis
-// untouched, and 1/1 returns the receiver unchanged). Unlike Degrade, no
-// capacity is lost — the hardware is merely slow. Apply Throttle after
-// Degrade: Degrade rebuilds from the healthy configuration and would discard
-// an earlier throttle.
-type Throttleable interface {
-	System
-	Throttle(disk, nic float64) (System, error)
-}
-
-// CheckThrottle validates a pair of slowdown factors for Throttle.
-func CheckThrottle(disk, nic float64) error {
-	for _, f := range []float64{disk, nic} {
-		if f < 1 || math.IsInf(f, 0) || math.IsNaN(f) {
-			return fmt.Errorf("storage: throttle factor %v below 1", f)
-		}
-	}
-	return nil
+	// View returns the file system with `lost` more storage servers (OFS)
+	// or datanodes (HDFS) down and its network links slowed by a further
+	// factor nic ≥ 1: the levels add to the receiver's own (losses add,
+	// factors multiply) and the result is computed from the healthy
+	// configuration, so a view of a view equals the one view with the summed
+	// levels. Lost servers shrink capacity and tax the survivors with
+	// rebuild traffic; a slow link only slows. View(0, 1) returns the
+	// receiver, and a loss that leaves no survivors is an error. The caller
+	// (mapreduce.Platform.View) validates nic.
+	View(lost int, nic float64) (System, error)
 }
 
 // MinBW returns the smallest positive bandwidth among its arguments;

@@ -15,11 +15,11 @@ import (
 // fast path must stay off the allocator.
 func TestKeyForSteadyStateAllocs(t *testing.T) {
 	p := mapreduce.MustArch(mapreduce.OutOFS, mapreduce.DefaultCalibration())
-	degraded, err := p.Degraded(2, 3)
+	degraded, err := p.View(2, 3, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gray, err := degraded.Throttled(1.5, 2)
+	gray, err := degraded.View(0, 0, 1.5, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

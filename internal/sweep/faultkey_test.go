@@ -40,7 +40,7 @@ func TestFaultKeySeparatesDegradedViews(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := p.Degraded(3, 4)
+	d, err := p.View(3, 4, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
