@@ -160,10 +160,10 @@ func (s *System) View(lost int, nic float64) (storage.System, error) {
 	if lost == 0 && nic == 1 {
 		return s, nil
 	}
-	base := s.healthy
 	if lost < 0 {
 		return nil, fmt.Errorf("hdfs: negative datanode loss %d", lost)
 	}
+	base := s.healthy
 	lost += s.lost
 	nic *= s.nicF
 	if lost >= base.Datanodes {
