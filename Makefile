@@ -60,9 +60,10 @@ lint:
 # partial-results contract, the gray/blacklist/speculation suites in core
 # and mapreduce, and the degraded-platform view layer (the pinned view
 # table, view-of-view composition, the simulator-vs-closed-form oracle on
-# views, and the cross points measured on gray views).
+# views, the cross points measured on gray views, and both file systems'
+# loss and throttle views).
 resilience:
-	$(GO) test -race -count=1 -run 'TestGolden|TestResilience|TestRunResilience|TestGray|TestBlacklist|TestWatchdog|TestClone|TestSpecul|TestView|TestSimulatorMatchesClosedForm|TestMeasureCrossPointsGray' ./internal/figures/ ./internal/core/ ./internal/mapreduce/
+	$(GO) test -race -count=1 -run 'TestGolden|TestResilience|TestRunResilience|TestGray|TestBlacklist|TestWatchdog|TestClone|TestSpecul|TestView|TestSimulatorMatchesClosedForm|TestMeasureCrossPointsGray|TestDegrade|TestThrottle' ./internal/figures/ ./internal/core/ ./internal/mapreduce/ ./internal/storage/...
 
 # One iteration of every benchmark, including the sweep serial/parallel/
 # memoized comparison and the ablation benches (their embedded assertions

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -133,6 +134,25 @@ func TestRunBaseline(t *testing.T) {
 		if r.Platform != "THadoop" {
 			t.Errorf("platform = %s", r.Platform)
 		}
+	}
+}
+
+// A trace's map_tasks is bounded only below; a count above the simulator's
+// int32 task IDs comes back as a rejected result naming the job instead of
+// being queued.
+func TestRunBaselineRejectsInt32MapTasks(t *testing.T) {
+	jobs, err := workload.ReadJSON(strings.NewReader(
+		`[{"id": "many-files", "app": "grep", "input_bytes": 1073741824, "map_tasks": 2147483648}]`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	th, err := mapreduce.NewTHadoop(mapreduce.DefaultCalibration())
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := RunBaseline(th, jobs, mapreduce.Fair)
+	if len(res) != 1 || res[0].Err == nil || !strings.Contains(res[0].Err.Error(), "many-files") {
+		t.Fatalf("results = %+v, want one rejected result naming the job", res)
 	}
 }
 

@@ -2,6 +2,7 @@ package mapreduce
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"hybridmr/internal/apps"
@@ -140,7 +141,7 @@ func (p *Platform) planJob(job Job) (plan, error) {
 	if !prof.MapReadsInput {
 		storedIn = 0
 	}
-	storedOut := outputBytes + prof.MapFSWriteRatio.Apply(input)
+	storedOut := outputBytes.SatAdd(prof.MapFSWriteRatio.Apply(input))
 	if err := p.FS.CheckJobFit(storedIn, storedOut); err != nil {
 		return plan{}, err
 	}
@@ -152,6 +153,10 @@ func (p *Platform) planJob(job Job) (plan, error) {
 	if job.MapTasks > blocks {
 		// Many-small-files inputs: one map task per file.
 		blocks = job.MapTasks
+	}
+	if blocks > math.MaxInt32 {
+		// The simulator keeps task IDs in int32 (taskEntry).
+		return plan{}, fmt.Errorf("mapreduce: job %s: %d map tasks exceed the simulator's %d", job.ID, blocks, math.MaxInt32)
 	}
 	mapSlots := spec.MapSlots()
 	waves := (blocks + mapSlots - 1) / mapSlots

@@ -6,6 +6,7 @@ import (
 
 	"hybridmr/internal/apps"
 	"hybridmr/internal/faults"
+	"hybridmr/internal/storage/ofs"
 	"hybridmr/internal/units"
 )
 
@@ -236,8 +237,8 @@ func TestPlatformNow(t *testing.T) {
 	if d1.Spec.Machines != 9 {
 		t.Errorf("degraded machines = %d, want 9", d1.Spec.Machines)
 	}
-	if d1.FS.Name() != "OFS(-4srv)" {
-		t.Errorf("degraded FS = %q", d1.FS.Name())
+	if got := d1.FS.(*ofs.System).Config().Servers; got != 28 {
+		t.Errorf("degraded OFS servers = %d, want 28", got)
 	}
 	if d2, _ := sim.PlatformNow(); d2 != d1 {
 		t.Error("degraded view not memoized")

@@ -95,9 +95,12 @@ func NewPlatform(name string, spec cluster.Spec, fs storage.System, cal Calibrat
 // planning view new jobs see under crashes, storage loss and gray network
 // windows. The levels add to the receiver's own (counts add, factors
 // multiply) and the view is always computed from the healthy platform, so
-// a view of a view equals the one view with the summed levels. A view
-// carries a distinct name, so cache keys and reports embedding it never
-// alias the healthy platform or another view. View(0, 0, 1, 1) returns the
+// a view of a view equals the one view with the summed levels. This is the
+// only code that combines levels: the cluster's and the file system's View
+// see the summed levels on the healthy spec and file system. Only the
+// view's name carries its levels (the file system keeps its plain name),
+// so cache keys and reports embedding it never alias the healthy platform
+// or another view. View(0, 0, 1, 1) returns the
 // receiver; negative losses, factors below 1 or infinite, losing every
 // machine, and storage loss the file system cannot survive are errors.
 func (p *Platform) View(machinesDown, storageDown int, nic, rack float64) (*Platform, error) {
@@ -257,7 +260,7 @@ func newHDFSPlatform(name string, spec cluster.Spec, cal Calibration) (*Platform
 // replication factor).
 func NewHDFSPlatform(name string, spec cluster.Spec, cal Calibration, mutate func(*hdfs.Config)) (*Platform, error) {
 	m := spec.Machine
-	cfg := hdfs.DefaultConfig(spec.Machines, m.DiskCapacity, m.DiskBW, m.NICBW)
+	cfg := hdfs.DefaultConfig(spec.Machines, m.DiskCapacity, m.DiskBW)
 	cfg.PageCachePerNode = pageCacheBudget(m, spec)
 	if mutate != nil {
 		mutate(&cfg)

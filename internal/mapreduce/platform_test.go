@@ -1,12 +1,15 @@
 package mapreduce
 
 import (
+	"errors"
+	"math"
 	"strings"
 	"testing"
 	"time"
 
 	"hybridmr/internal/apps"
 	"hybridmr/internal/cluster"
+	"hybridmr/internal/storage"
 	"hybridmr/internal/units"
 )
 
@@ -117,6 +120,41 @@ func TestJobValidation(t *testing.T) {
 	}
 	if r := MustArch(OutOFS, DefaultCalibration()).RunIsolated(cases[0]); r.Err == nil {
 		t.Error("RunIsolated accepted invalid job")
+	}
+}
+
+// An input at the top of the int64 range (8 EiB) does not fit the 256 TB
+// of any architecture: block counts, scaled sizes and the capacity check
+// must not wrap around into a one-task plan.
+func TestHugeInputRejected(t *testing.T) {
+	cal := DefaultCalibration()
+	for _, a := range Arches() {
+		p := MustArch(a, cal)
+		for _, app := range []apps.Profile{apps.Grep(), apps.DFSIOWrite()} {
+			job := Job{ID: "huge", App: app, Input: math.MaxInt64}
+			_, err := p.planJob(job)
+			var ce *storage.CapacityError
+			if !errors.As(err, &ce) {
+				t.Errorf("%s %s at %v: err = %v, want a *storage.CapacityError", a, app.Name, job.Input, err)
+			}
+		}
+	}
+}
+
+// The simulator stores task IDs as int32, so a plan with more map tasks
+// than that is rejected by name instead of queueing truncated IDs.
+func TestMapTasksAboveInt32Rejected(t *testing.T) {
+	p := MustArch(OutOFS, DefaultCalibration())
+	job := Job{ID: "many-files", App: apps.Grep(), Input: units.GB, MapTasks: math.MaxInt32 + 1}
+	if _, err := p.planJob(job); err == nil || !strings.Contains(err.Error(), "many-files") {
+		t.Errorf("planJob with %d map tasks: err = %v, want an error naming the job", job.MapTasks, err)
+	}
+	if r := p.RunIsolated(job); r.Err == nil {
+		t.Errorf("RunIsolated accepted %d map tasks", job.MapTasks)
+	}
+	job.MapTasks = math.MaxInt32
+	if _, err := p.planJob(job); err != nil {
+		t.Errorf("planJob with %d map tasks rejected: %v", job.MapTasks, err)
 	}
 }
 

@@ -60,7 +60,7 @@ func (tp tuneParams) platforms(t testing.TB) (upOFS, upHDFS, outOFS, outHDFS *Pl
 			return p
 		}
 		m := spec.Machine
-		cfg := hdfs.DefaultConfig(spec.Machines, m.DiskCapacity, m.DiskBW, m.NICBW)
+		cfg := hdfs.DefaultConfig(spec.Machines, m.DiskCapacity, m.DiskBW)
 		cfg.PageCachePerNode = pageCacheBudget(m, spec)
 		fs, err := hdfs.New(cfg)
 		if err != nil {

@@ -8,10 +8,13 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"testing/quick"
 
 	"hybridmr/internal/apps"
 	"hybridmr/internal/faults"
 	"hybridmr/internal/storage"
+	"hybridmr/internal/storage/hdfs"
+	"hybridmr/internal/storage/ofs"
 	"hybridmr/internal/units"
 )
 
@@ -116,38 +119,63 @@ func TestViewTable(t *testing.T) {
 }
 
 // A view of a view adds its levels to the receiver's — losses add, factors
-// multiply — and is computed from the healthy platform, so it equals the
-// one view with the summed levels in every value planning reads and in its
-// name. Storage loss on a throttled view keeps the throttle.
+// multiply — and is computed from the healthy platform, so on every platform
+// View(a).View(b) equals View(a+b) in its name, spec, file-system
+// configuration and every value planning reads, and where one side is
+// rejected both are. Platform.View is the only code that combines levels;
+// each file system's View sees the summed levels on the healthy system.
 func TestViewOfView(t *testing.T) {
+	factors := []float64{1, 1.25, 1.5, 2, 3, 4}
 	for _, p := range viewPlatforms(t) {
-		first, err := p.View(1, 0, 2, 1)
-		if err != nil {
-			t.Fatal(err)
+		level := func(m, s, nic, rack uint8) viewLevel {
+			return viewLevel{
+				machines: int(m) % (p.Spec.Machines + 1),
+				storage:  int(s) % 34, // past OFS's 32 servers and every datanode count
+				nic:      factors[int(nic)%len(factors)],
+				rack:     factors[int(rack)%len(factors)],
+			}
 		}
-		if same, err := first.View(0, 0, 1, 1); err != nil || same != first {
-			t.Errorf("%s: unit view of a view did not return the receiver: %v", p.Name, err)
+		prop := func(m1, s1, n1, r1, m2, s2, n2, r2 uint8) bool {
+			a, b := level(m1, s1, n1, r1), level(m2, s2, n2, r2)
+			twice, err := p.View(a.machines, a.storage, a.nic, a.rack)
+			if err == nil {
+				if same, err := twice.View(0, 0, 1, 1); err != nil || same != twice {
+					t.Errorf("%s: unit view of %s did not return the receiver: %v", p.Name, twice.Name, err)
+					return false
+				}
+				twice, err = twice.View(b.machines, b.storage, b.nic, b.rack)
+			}
+			once, onceErr := p.View(a.machines+b.machines, a.storage+b.storage, a.nic*b.nic, a.rack*b.rack)
+			if (err == nil) != (onceErr == nil) {
+				t.Errorf("%s: %+v then %+v: view of a view err %v, one view err %v", p.Name, a, b, err, onceErr)
+				return false
+			}
+			if err != nil {
+				return true
+			}
+			got := fmt.Sprintf("%s fs=%s %s", twice.Name, fsConfig(twice.FS), describeView(twice))
+			want := fmt.Sprintf("%s fs=%s %s", once.Name, fsConfig(once.FS), describeView(once))
+			if got != want {
+				t.Errorf("%s: %+v then %+v:\n got %s\nwant %s", p.Name, a, b, got, want)
+				return false
+			}
+			return true
 		}
-		second, err := first.View(0, 0, 1.5, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		third, err := second.View(0, 1, 1, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		once, err := p.View(1, 1, 3, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if third.Name != once.Name || third.FS.Name() != once.FS.Name() {
-			t.Errorf("%s: view of a view named %q on %q, want %q on %q",
-				p.Name, third.Name, third.FS.Name(), once.Name, once.FS.Name())
-		}
-		if got, want := describeView(third), describeView(once); got != want {
-			t.Errorf("%s: view of a view\n got %s\nwant %s", p.Name, got, want)
+		if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
+			t.Error(err)
 		}
 	}
+}
+
+// fsConfig prints a file system's whole configuration.
+func fsConfig(fs storage.System) string {
+	switch fs := fs.(type) {
+	case *hdfs.System:
+		return fmt.Sprintf("%+v", fs.Config())
+	case *ofs.System:
+		return fmt.Sprintf("%+v", fs.Config())
+	}
+	return fmt.Sprintf("unknown %T", fs)
 }
 
 // The view's levels are validated once, at Platform.View: negative losses

@@ -21,9 +21,6 @@ type Config struct {
 	// DiskCapacity and DiskBW describe each datanode's local disk.
 	DiskCapacity units.Bytes
 	DiskBW       units.BytesPerSec
-	// NodeNIC is each datanode's network bandwidth (replica pipeline and
-	// non-local reads).
-	NodeNIC units.BytesPerSec
 	// BlockSize is the HDFS block size; the paper sets 128 MB (§II-D).
 	BlockSize units.Bytes
 	// Replication is the block replication factor; the paper sets 2 for
@@ -59,13 +56,13 @@ type Config struct {
 }
 
 // DefaultConfig returns the HDFS model configured as in the paper for a
-// cluster of n datanodes with the given per-node disk.
-func DefaultConfig(n int, diskCapacity units.Bytes, diskBW, nic units.BytesPerSec) Config {
+// cluster of n datanodes with the given per-node disk. The datanodes'
+// network is the compute nodes' own (AccessContext.NodeNIC).
+func DefaultConfig(n int, diskCapacity units.Bytes, diskBW units.BytesPerSec) Config {
 	return Config{
 		Datanodes:           n,
 		DiskCapacity:        diskCapacity,
 		DiskBW:              diskBW,
-		NodeNIC:             nic,
 		BlockSize:           128 * units.MB,
 		Replication:         2,
 		Reserve:             0.1,
@@ -83,18 +80,6 @@ func DefaultConfig(n int, diskCapacity units.Bytes, diskBW, nic units.BytesPerSe
 // System is the HDFS model; it implements storage.System.
 type System struct {
 	cfg Config
-	// healthy is the configuration before any datanode loss or throttle;
-	// View always derives from it, so levels add rather than compound
-	// rounding.
-	healthy Config
-	// lost is the number of datanodes currently down.
-	lost int
-	// nicF is the cumulative network throttle factor (1 = clean); it
-	// survives in the name so throttled instances never alias healthy ones
-	// in cache keys.
-	nicF float64
-	// name is Name's result, formatted by setName.
-	name string
 }
 
 // New validates the configuration and builds the model.
@@ -104,8 +89,6 @@ func New(cfg Config) (*System, error) {
 		return nil, fmt.Errorf("hdfs: %d datanodes", cfg.Datanodes)
 	case cfg.DiskCapacity <= 0 || cfg.DiskBW <= 0:
 		return nil, fmt.Errorf("hdfs: non-positive disk capacity or bandwidth")
-	case cfg.NodeNIC <= 0:
-		return nil, fmt.Errorf("hdfs: non-positive NIC bandwidth")
 	case cfg.BlockSize <= 0:
 		return nil, fmt.Errorf("hdfs: non-positive block size")
 	case cfg.Replication < 1:
@@ -123,70 +106,39 @@ func New(cfg Config) (*System, error) {
 	case cfg.RebuildTax < 0 || cfg.RebuildTax >= 1:
 		return nil, fmt.Errorf("hdfs: rebuild tax %v outside [0,1)", cfg.RebuildTax)
 	}
-	s := &System{cfg: cfg, healthy: cfg, nicF: 1}
-	s.setName()
-	return s, nil
+	return &System{cfg: cfg}, nil
 }
 
 // Config returns the model's configuration.
 func (s *System) Config() Config { return s.cfg }
 
-// Name implements storage.System. Degraded instances carry the loss in the
-// name, so every cache key and report that embeds the file-system name
-// distinguishes degraded from healthy I/O.
-func (s *System) Name() string { return s.name }
-
-// setName formats the name from the degradation state. New and View call
-// it once, so Name allocates nothing: the sweep cache reads it on every
-// probe, degraded views included.
-func (s *System) setName() {
-	s.name = "HDFS"
-	if s.lost > 0 {
-		s.name = fmt.Sprintf("HDFS(-%ddn)", s.lost)
-	}
-	if s.nicF != 1 {
-		s.name = fmt.Sprintf("%s÷n%g", s.name, s.nicF)
-	}
-}
+// Name implements storage.System.
+func (s *System) Name() string { return "HDFS" }
 
 // View implements storage.System. Capacity shrinks with the surviving
 // datanodes; the lost fraction of blocks loses its local replica, so that
 // share of reads goes remote; and re-replication traffic taxes the
-// surviving disks by RebuildTax scaled by the lost fraction. A NIC throttle
-// divides the datanodes' link bandwidth (replica pipeline and non-local
-// reads); disks and the page cache keep their speed. Losing every datanode
-// is an error — there is no cluster left to degrade.
+// surviving disks by RebuildTax scaled by the lost fraction. HDFS has no
+// links of its own: its replica pipeline and non-local reads cross the
+// compute nodes' NICs, which the platform's cluster view throttles, so nic
+// leaves the file system unchanged. Losing every datanode is an error —
+// there is no cluster left to degrade.
 func (s *System) View(lost int, nic float64) (storage.System, error) {
-	if lost == 0 && nic == 1 {
+	if lost == 0 {
 		return s, nil
 	}
 	if lost < 0 {
 		return nil, fmt.Errorf("hdfs: negative datanode loss %d", lost)
 	}
-	base := s.healthy
-	lost += s.lost
-	nic *= s.nicF
-	if lost >= base.Datanodes {
-		return nil, fmt.Errorf("hdfs: losing %d of %d datanodes leaves no survivors", lost, base.Datanodes)
+	cfg := s.cfg
+	if lost >= cfg.Datanodes {
+		return nil, fmt.Errorf("hdfs: losing %d of %d datanodes leaves no survivors", lost, cfg.Datanodes)
 	}
-	frac := float64(lost) / float64(base.Datanodes)
-	cfg := base
+	frac := float64(lost) / float64(cfg.Datanodes)
 	cfg.Datanodes -= lost
-	cfg.NonLocalFraction += frac
-	if cfg.NonLocalFraction > 1 {
-		cfg.NonLocalFraction = 1
-	}
+	cfg.NonLocalFraction = min(cfg.NonLocalFraction+frac, 1)
 	cfg.DiskBW = units.BytesPerSec(float64(cfg.DiskBW) * (1 - cfg.RebuildTax*frac))
-	cfg.NodeNIC = units.BytesPerSec(float64(cfg.NodeNIC) / nic)
-	d, err := New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	d.healthy = base
-	d.lost = lost
-	d.nicF = nic
-	d.setName()
-	return d, nil
+	return New(cfg)
 }
 
 // UsableCapacity returns the input+output data volume the cluster can hold:
@@ -198,11 +150,7 @@ func (s *System) UsableCapacity() units.Bytes {
 
 // CheckJobFit implements storage.System.
 func (s *System) CheckJobFit(input, output units.Bytes) error {
-	need := input + output
-	if cap := s.UsableCapacity(); need > cap {
-		return &storage.CapacityError{FS: "hdfs", Need: need, Usable: cap}
-	}
-	return nil
+	return storage.CheckFit("hdfs", input, output, s.UsableCapacity())
 }
 
 // PerTaskReadBW implements storage.System. Local reads share the node's

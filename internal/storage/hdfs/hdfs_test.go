@@ -11,12 +11,12 @@ import (
 
 func upConfig() Config {
 	// The paper's scale-up cluster: 2 machines, 91 GB disk each.
-	return DefaultConfig(2, 91*units.GB, units.MBps(100), units.GBps(1.25))
+	return DefaultConfig(2, 91*units.GB, units.MBps(100))
 }
 
 func outConfig() Config {
 	// The paper's scale-out cluster: 12 machines, 193 GB disk each.
-	return DefaultConfig(12, 193*units.GB, units.MBps(100), units.GBps(1.25))
+	return DefaultConfig(12, 193*units.GB, units.MBps(100))
 }
 
 func ctx(active, perNode, nodes int) storage.AccessContext {
@@ -47,7 +47,6 @@ func TestNewValidation(t *testing.T) {
 		{"no datanodes", mut(func(c *Config) { c.Datanodes = 0 })},
 		{"no capacity", mut(func(c *Config) { c.DiskCapacity = 0 })},
 		{"no disk bw", mut(func(c *Config) { c.DiskBW = 0 })},
-		{"no nic", mut(func(c *Config) { c.NodeNIC = 0 })},
 		{"no block size", mut(func(c *Config) { c.BlockSize = 0 })},
 		{"zero replication", mut(func(c *Config) { c.Replication = 0 })},
 		{"reserve 1", mut(func(c *Config) { c.Reserve = 1 })},

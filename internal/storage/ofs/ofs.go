@@ -66,18 +66,6 @@ func DefaultConfig() Config {
 // System is the OFS model; it implements storage.System.
 type System struct {
 	cfg Config
-	// healthy is the configuration before any server loss or throttle;
-	// View always derives from it, so levels add rather than compound
-	// rounding.
-	healthy Config
-	// lost is the number of storage servers currently down.
-	lost int
-	// nicF is the cumulative network throttle factor (1 = clean); it
-	// survives in the name so throttled instances never alias healthy ones
-	// in cache keys.
-	nicF float64
-	// name is Name's result, formatted by setName.
-	name string
 }
 
 // New validates the configuration and builds the model.
@@ -98,31 +86,14 @@ func New(cfg Config) (*System, error) {
 	case cfg.RebuildTax < 0 || cfg.RebuildTax >= 1:
 		return nil, fmt.Errorf("ofs: rebuild tax %v outside [0,1)", cfg.RebuildTax)
 	}
-	s := &System{cfg: cfg, healthy: cfg, nicF: 1}
-	s.setName()
-	return s, nil
+	return &System{cfg: cfg}, nil
 }
 
 // Config returns the model's configuration.
 func (s *System) Config() Config { return s.cfg }
 
-// Name implements storage.System. Degraded instances carry the loss in the
-// name, so every cache key and report that embeds the file-system name
-// distinguishes degraded from healthy I/O.
-func (s *System) Name() string { return s.name }
-
-// setName formats the name from the degradation state. New and View call
-// it once, so Name allocates nothing: the sweep cache reads it on every
-// probe, degraded views included.
-func (s *System) setName() {
-	s.name = "OFS"
-	if s.lost > 0 {
-		s.name = fmt.Sprintf("OFS(-%dsrv)", s.lost)
-	}
-	if s.nicF != 1 {
-		s.name = fmt.Sprintf("%s÷n%g", s.name, s.nicF)
-	}
-}
+// Name implements storage.System.
+func (s *System) Name() string { return "OFS" }
 
 // View implements storage.System. Lost servers shrink the aggregate
 // bandwidth and capacity with the survivors, files stripe only over the
@@ -138,29 +109,16 @@ func (s *System) View(lost int, nic float64) (storage.System, error) {
 	if lost < 0 {
 		return nil, fmt.Errorf("ofs: negative server loss %d", lost)
 	}
-	base := s.healthy
-	lost += s.lost
-	nic *= s.nicF
-	if lost >= base.Servers {
-		return nil, fmt.Errorf("ofs: losing %d of %d servers leaves no survivors", lost, base.Servers)
+	cfg := s.cfg
+	if lost >= cfg.Servers {
+		return nil, fmt.Errorf("ofs: losing %d of %d servers leaves no survivors", lost, cfg.Servers)
 	}
-	frac := float64(lost) / float64(base.Servers)
-	cfg := base
+	frac := float64(lost) / float64(cfg.Servers)
 	cfg.Servers -= lost
-	if cfg.StripeWidth > cfg.Servers {
-		cfg.StripeWidth = cfg.Servers
-	}
+	cfg.StripeWidth = min(cfg.StripeWidth, cfg.Servers)
 	cfg.ServerBW = units.BytesPerSec(float64(cfg.ServerBW) * (1 - cfg.RebuildTax*frac))
 	cfg.ServerBW = units.BytesPerSec(float64(cfg.ServerBW) / nic)
-	d, err := New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	d.healthy = base
-	d.lost = lost
-	d.nicF = nic
-	d.setName()
-	return d, nil
+	return New(cfg)
 }
 
 // AggregateBW returns the file system's total server bandwidth.
@@ -176,11 +134,7 @@ func (s *System) UsableCapacity() units.Bytes {
 
 // CheckJobFit implements storage.System.
 func (s *System) CheckJobFit(input, output units.Bytes) error {
-	need := input + output
-	if cap := s.UsableCapacity(); need > cap {
-		return &storage.CapacityError{FS: "ofs", Need: need, Usable: cap}
-	}
-	return nil
+	return storage.CheckFit("ofs", input, output, s.UsableCapacity())
 }
 
 // perTaskBW bounds one task's bandwidth by the single-stream cap, the

@@ -40,6 +40,17 @@ func (e *CapacityError) Error() string {
 // Unwrap returns ErrCapacity.
 func (e *CapacityError) Unwrap() error { return ErrCapacity }
 
+// CheckFit is both file systems' CheckJobFit: a *CapacityError naming fs
+// when input plus output exceeds usable. The sizes are non-negative; they
+// are compared without summing, so a size near math.MaxInt64 cannot wrap
+// past the check, and the reported need saturates (units.Bytes.SatAdd).
+func CheckFit(fs string, input, output, usable units.Bytes) error {
+	if input <= usable && output <= usable-input {
+		return nil
+	}
+	return &CapacityError{FS: fs, Need: input.SatAdd(output), Usable: usable}
+}
+
 // AccessContext describes the concurrency under which tasks of one job
 // access the file system. The duty cycles discount concurrent streams by the
 // fraction of task lifetime actually spent on I/O; tasks overlapping compute
@@ -127,15 +138,15 @@ type System interface {
 	// CheckJobFit reports a *CapacityError, which wraps ErrCapacity, when
 	// input plus output data cannot be stored.
 	CheckJobFit(input, output units.Bytes) error
-	// View returns the file system with `lost` more storage servers (OFS)
-	// or datanodes (HDFS) down and its network links slowed by a further
-	// factor nic ≥ 1: the levels add to the receiver's own (losses add,
-	// factors multiply) and the result is computed from the healthy
-	// configuration, so a view of a view equals the one view with the summed
-	// levels. Lost servers shrink capacity and tax the survivors with
-	// rebuild traffic; a slow link only slows. View(0, 1) returns the
-	// receiver, and a loss that leaves no survivors is an error. The caller
-	// (mapreduce.Platform.View) validates nic.
+	// View returns the file system with `lost` storage servers (OFS) or
+	// datanodes (HDFS) down and its network links slowed by the factor
+	// nic ≥ 1, computed from the receiver's configuration alone.
+	// mapreduce.Platform.View, the one place that combines levels, calls it
+	// on the healthy system with the view's total levels, and only the
+	// platform's name carries them. Lost servers shrink
+	// capacity and tax the survivors with rebuild traffic; a slow link only
+	// slows. View(0, 1) returns the receiver, and a loss that leaves no
+	// survivors is an error. The caller validates nic.
 	View(lost int, nic float64) (System, error)
 }
 

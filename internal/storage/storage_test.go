@@ -1,6 +1,8 @@
 package storage
 
 import (
+	"errors"
+	"math"
 	"testing"
 
 	"hybridmr/internal/units"
@@ -84,5 +86,32 @@ func TestDutyFloors(t *testing.T) {
 	}
 	if got := c.WritersGlobal(); got != 20 {
 		t.Errorf("WritersGlobal = %v, want 20", got)
+	}
+}
+
+func TestCheckFit(t *testing.T) {
+	const usable = 10 * units.GB
+	for _, tc := range []struct {
+		in, out units.Bytes
+		fits    bool
+	}{
+		{4 * units.GB, 6 * units.GB, true},
+		{0, usable, true},
+		{4 * units.GB, 6*units.GB + 1, false},
+		{usable + 1, 0, false},
+		// Sums past math.MaxInt64 must not wrap into a fit.
+		{math.MaxInt64, units.GB, false},
+		{units.GB, math.MaxInt64, false},
+		{math.MaxInt64, math.MaxInt64, false},
+	} {
+		err := CheckFit("fs", tc.in, tc.out, usable)
+		if fits := err == nil; fits != tc.fits {
+			t.Errorf("CheckFit(%d, %d) = %v, want fits=%v", tc.in, tc.out, err, tc.fits)
+			continue
+		}
+		var ce *CapacityError
+		if err != nil && (!errors.As(err, &ce) || !errors.Is(err, ErrCapacity) || ce.Need < ce.Usable) {
+			t.Errorf("CheckFit(%d, %d) = %#v, want a *CapacityError with Need above Usable", tc.in, tc.out, err)
+		}
 	}
 }

@@ -44,10 +44,23 @@ func GiB(n float64) Bytes { return Bytes(math.Round(n * float64(GB))) }
 // GiBf returns the size expressed in (possibly fractional) binary gigabytes.
 func (b Bytes) GiBf() float64 { return float64(b) / float64(GB) }
 
-// Scale returns the size multiplied by f, rounded to whole bytes.
-// Scaling a non-negative size by a non-negative factor never goes negative.
+// Scale returns the size multiplied by f, rounded to whole bytes and
+// saturated at math.MaxInt64. Scaling a non-negative size by a non-negative
+// factor never goes negative.
 func (b Bytes) Scale(f float64) Bytes {
-	return Bytes(math.Round(float64(b) * f))
+	v := math.Round(float64(b) * f)
+	if v >= math.MaxInt64 {
+		return math.MaxInt64
+	}
+	return Bytes(v)
+}
+
+// SatAdd returns b+c for non-negative sizes, saturated at math.MaxInt64.
+func (b Bytes) SatAdd(c Bytes) Bytes {
+	if c > math.MaxInt64-b {
+		return math.MaxInt64
+	}
+	return b + c
 }
 
 // Blocks returns the number of blocks of the given size needed to hold b,
@@ -60,7 +73,10 @@ func (b Bytes) Blocks(block Bytes) int {
 	if b <= 0 {
 		return 0
 	}
-	n := (int64(b) + int64(block) - 1) / int64(block)
+	n := b / block
+	if b%block != 0 {
+		n++
+	}
 	return int(n)
 }
 

@@ -36,6 +36,10 @@ func TestBlocks(t *testing.T) {
 		{32 * GB, 128 * MB, 256},
 		{448 * GB, 128 * MB, 3584},
 		{512 * MB, 128 * MB, 4},
+		// Rounding up must not overflow near the top of the range.
+		{math.MaxInt64, 128 * MB, 1 << 36},
+		{math.MaxInt64, math.MaxInt64, 1},
+		{math.MaxInt64 - 1, math.MaxInt64, 1},
 	}
 	for _, tt := range tests {
 		if got := tt.size.Blocks(tt.block); got != tt.want {
@@ -212,6 +216,29 @@ func TestScale(t *testing.T) {
 	}
 	if got := Bytes(0).Scale(5); got != 0 {
 		t.Errorf("Scale of zero = %v, want 0", got)
+	}
+	// A product past the int64 range saturates instead of wrapping negative.
+	for _, tc := range []struct {
+		b Bytes
+		f float64
+	}{{math.MaxInt64, 1}, {math.MaxInt64, 2}, {TB, 1e10}} {
+		if got := tc.b.Scale(tc.f); got != math.MaxInt64 {
+			t.Errorf("(%d).Scale(%g) = %d, want MaxInt64", tc.b, tc.f, got)
+		}
+	}
+}
+
+func TestSatAdd(t *testing.T) {
+	for _, tc := range []struct{ b, c, want Bytes }{
+		{GB, 2 * GB, 3 * GB},
+		{0, 0, 0},
+		{math.MaxInt64 - 1, 1, math.MaxInt64},
+		{math.MaxInt64, 1, math.MaxInt64},
+		{math.MaxInt64, math.MaxInt64, math.MaxInt64},
+	} {
+		if got := tc.b.SatAdd(tc.c); got != tc.want {
+			t.Errorf("(%d).SatAdd(%d) = %d, want %d", tc.b, tc.c, got, tc.want)
+		}
 	}
 }
 
