@@ -9,7 +9,8 @@ import (
 
 // runDiff implements the -diff mode: it loads the old and new reports with
 // load, compares the gated benchmarks, and returns a human-readable delta
-// table plus whether any benchmark regressed beyond tolerance. names selects
+// table (ns/op and allocs/op, which gate, and B/op, which is only reported)
+// plus whether any benchmark regressed beyond tolerance. names selects
 // the gate set; empty gates every benchmark present in both reports. A name
 // explicitly listed but absent from either report is an error — a gate that
 // silently stops measuring is indistinguishable from one that passes.
@@ -66,6 +67,11 @@ func runDiff(args []string, nsTol, allocTol float64, load func(string) (Report, 
 				failed = true
 			}
 			fmt.Fprintf(&sb, "%-44s %14.0f %14.0f %+7.1f%%%s\n", name+" [allocs]", *ob.AllocsPerOp, *nb.AllocsPerOp, aDelta, mark)
+		}
+		// Bytes are reported, never gated: a fall shows what an allocation
+		// change bought, and a rise is visible without failing the gate.
+		if ob.BytesPerOp != nil && nb.BytesPerOp != nil {
+			fmt.Fprintf(&sb, "%-44s %14.0f %14.0f %+7.1f%%\n", name+" [B/op]", *ob.BytesPerOp, *nb.BytesPerOp, pctDelta(*ob.BytesPerOp, *nb.BytesPerOp))
 		}
 	}
 	if failed {

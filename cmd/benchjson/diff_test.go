@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -63,6 +64,43 @@ func TestDiffFailsOnAnyAllocGrowth(t *testing.T) {
 	}
 	if !failed {
 		t.Fatal("single-alloc growth passed a zero alloc tolerance")
+	}
+}
+
+// B/op is reported old → new beside allocs/op but gates nothing: a 50%
+// byte growth with flat allocs still passes.
+func TestDiffReportsBytesWithoutGating(t *testing.T) {
+	withBytes := func(ns, allocs, bytes float64) Benchmark {
+		b := bench("BenchmarkFig10", ns, allocs)
+		b.BytesPerOp = ptr(bytes)
+		return b
+	}
+	load := fakeLoader(map[string]Report{
+		"old.json": {Benchmarks: []Benchmark{withBytes(100e6, 146, 6429152)}},
+		"new.json": {Benchmarks: []Benchmark{withBytes(100e6, 146, 9643728)}},
+	})
+	out, failed, err := runDiff([]string{"old.json", "new.json"}, 15, 0, load)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if failed {
+		t.Fatalf("byte growth gated:\n%s", out)
+	}
+	want := fmt.Sprintf("%-44s %14d %14d %+7.1f%%\n", "BenchmarkFig10 [B/op]", 6429152, 9643728, 50.0)
+	if !strings.Contains(out, want) {
+		t.Fatalf("missing B/op line %q in:\n%s", want, out)
+	}
+	if strings.Index(out, "[allocs]") > strings.Index(out, "[B/op]") {
+		t.Fatalf("B/op line should follow the allocs line:\n%s", out)
+	}
+
+	// Without -benchmem fields in either report there is no B/op line.
+	load = fakeLoader(map[string]Report{
+		"old.json": {Benchmarks: []Benchmark{bench("BenchmarkFig10", 100e6, 146)}},
+		"new.json": {Benchmarks: []Benchmark{bench("BenchmarkFig10", 100e6, 146)}},
+	})
+	if out, _, _ = runDiff([]string{"old.json", "new.json"}, 15, 0, load); strings.Contains(out, "[B/op]") {
+		t.Fatalf("B/op line printed without bytes:\n%s", out)
 	}
 }
 

@@ -18,7 +18,8 @@
 // benchmarks common to both files if no names are given) regressed: ns/op
 // worse by more than -ns-tol percent, or allocs/op worse by more than
 // -alloc-tol percent (default 0 — any alloc growth fails, since the pooled
-// replay path is supposed to be allocation-flat). A name listed on the
+// replay path is supposed to be allocation-flat). B/op is printed beside
+// allocs/op for each benchmark but gates nothing. A name listed on the
 // command line but missing from either file is an error, so CI cannot pass
 // by silently dropping a gated benchmark.
 package main

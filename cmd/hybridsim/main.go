@@ -344,11 +344,11 @@ func runTrace(path string, jobs int, seed int64, balance, hist bool, sinks obsSi
 	fmt.Print(workload.Summarize(trace))
 	fmt.Printf("routing: %d scale-up, %d scale-out\n\n", nUp, len(trace)-nUp)
 
-	// Each replay's execution seconds go into a column aligned with trace:
-	// both loaders return the trace in arrival order, which is the order
-	// replay results come back in. Summaries then add samples in trace
-	// order, so the printed means do not depend on map iteration.
-	put := func(col []float64, name string, i int, r mapreduce.Result) {
+	// Each replay's sink writes execution seconds into a column aligned
+	// with trace, at the index of the job the result belongs to. Summaries
+	// then add samples in trace order, so the printed means do not depend
+	// on completion or map order.
+	put := func(col []float64, name string, i int, r *mapreduce.Result) {
 		if r.Err != nil {
 			fatal(fmt.Errorf("%s job %s: %w", name, r.Job.ID, r.Err))
 		}
@@ -358,20 +358,18 @@ func runTrace(path string, jobs int, seed int64, balance, hist bool, sinks obsSi
 	// observes nothing.
 	o := sinks.set()
 	collectHy := func() []float64 {
-		results, err := hybrid.RunFaulted(trace, core.FaultRun{Obs: o})
+		col := make([]float64, len(trace))
+		err := hybrid.Replay(trace, core.FaultRun{Obs: o}, func(i int, r *core.JobResult) { put(col, "hybrid", i, &r.Result) })
 		if err != nil {
 			fatal(err)
-		}
-		col := make([]float64, len(trace))
-		for i, r := range results {
-			put(col, "hybrid", i, r.Result)
 		}
 		return col
 	}
 	collect := func(p *mapreduce.Platform) []float64 {
 		col := make([]float64, len(trace))
-		for i, r := range core.RunBaseline(p, trace, mapreduce.Fair) {
-			put(col, p.Name, i, r)
+		err := core.ReplayBaseline(p, trace, core.BaselineRun{Policy: mapreduce.Fair}, func(i int, r *mapreduce.Result) { put(col, p.Name, i, r) })
+		if err != nil {
+			fatal(err)
 		}
 		return col
 	}

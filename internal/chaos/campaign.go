@@ -286,8 +286,9 @@ func (camp *campaign) replay(path string, sched *faults.Schedule) replayOutcome 
 		inv := mapreduce.NewInvariantChecker()
 		var cfgErr error
 		err := sweep.Protect(func() {
-			_, cfgErr = core.RunBaselineChecked(camp.thadoop, camp.jobs, mapreduce.FIFO,
-				sched.ForBaseline(), core.Inject{}, nil, camp.cfg.Budget, inv)
+			cfgErr = core.ReplayBaseline(camp.thadoop, camp.jobs, core.BaselineRun{
+				Policy: mapreduce.FIFO, Faults: sched.ForBaseline(), Watchdog: camp.cfg.Budget, Invariants: inv,
+			}, func(int, *mapreduce.Result) {})
 		})
 		if cfgErr != nil {
 			return replayOutcome{rejected: true}

@@ -65,6 +65,9 @@ func ThresholdSensitivity(cal mapreduce.Calibration, jobs []workload.Job, scales
 	}
 	base := PaperCrossPoints()
 	out := make([]SensitivityPoint, 0, len(scales))
+	// exec[i] is jobs[i]'s execution seconds under the current scale; the
+	// mean folds it in workload order.
+	exec := make([]float64, len(jobs))
 	for _, scale := range scales {
 		if scale <= 0 {
 			return nil, fmt.Errorf("core: non-positive scale %v", scale)
@@ -89,18 +92,26 @@ func ThresholdSensitivity(cal mapreduce.Calibration, jobs []workload.Job, scales
 			}
 		}
 
-		var sum float64
-		var n int
-		for _, r := range hybrid.Run(jobs) {
-			if r.Err != nil {
-				return nil, fmt.Errorf("core: sensitivity scale %v: job %s: %w", scale, r.Job.ID, r.Err)
+		var failed error
+		err = hybrid.Replay(jobs, FaultRun{}, func(i int, r *JobResult) {
+			if r.Err != nil && failed == nil {
+				failed = fmt.Errorf("core: sensitivity scale %v: job %s: %w", scale, r.Job.ID, r.Err)
 			}
-			sum += r.Exec.Seconds()
-			n++
+			exec[i] = r.Exec.Seconds()
+		})
+		if err == nil {
+			err = failed
+		}
+		if err != nil {
+			return nil, err
+		}
+		var sum float64
+		for _, e := range exec {
+			sum += e
 		}
 		out = append(out, SensitivityPoint{
 			Scale:      scale,
-			MeanExec:   sum / float64(n),
+			MeanExec:   sum / float64(len(jobs)),
 			UpFraction: float64(nUp) / float64(len(jobs)),
 		})
 	}

@@ -14,7 +14,7 @@ import (
 
 // Inject bundles the simulator's task-level chaos knobs (failure and
 // straggler injection); it is mapreduce.Inject, named here so FaultRun and
-// RunBaselineChecked callers need not import mapreduce for it.
+// BaselineRun callers need not import mapreduce for it.
 type Inject = mapreduce.Inject
 
 // ReplayStats receives kernel statistics from one replay. The counters are
@@ -72,7 +72,7 @@ type FaultRun struct {
 	Invariants *mapreduce.InvariantChecker
 }
 
-// The failure-aware and resilience policies of RunFaulted.
+// The failure-aware and resilience policies of Replay.
 const (
 	// maxJobAttempts bounds submissions per job under FailureAware,
 	// including the first.
@@ -97,7 +97,7 @@ type benchState struct {
 	until   time.Duration
 }
 
-// half is one cluster of the hybrid during a RunFaulted replay: its
+// half is one cluster of the hybrid during a Replay: its
 // simulator and its blacklist account.
 type half struct {
 	sim   *mapreduce.Simulator
@@ -124,25 +124,34 @@ func other(t Target) Target {
 	return ScaleUp
 }
 
-// RunFaulted executes the workload on the hybrid under a fault schedule.
-// The zero FaultRun is the paper's clean replay (Run). The returned error
-// reports an unsurvivable or incoherent schedule (or bad injection bounds),
-// before any simulation runs.
-func (h *Hybrid) RunFaulted(jobs []workload.Job, opt FaultRun) ([]JobResult, error) {
+// Replay executes the workload on the hybrid under a fault schedule and
+// hands each job's outcome to sink as the job finishes for good: i is the
+// job's index in jobs, and r is valid only during the call (the replay
+// reuses it), so a sink copies what it keeps. Results arrive in completion
+// order, once per job. The zero FaultRun is the paper's clean replay. The
+// returned error reports a hybrid without a scheduler or an unsurvivable or
+// incoherent schedule (or bad injection bounds), before any simulation runs.
+// RunFaulted and Run are the slice-returning forms.
+func (h *Hybrid) Replay(jobs []workload.Job, opt FaultRun, sink func(i int, r *JobResult)) error {
 	if h.Sched == nil {
-		return nil, fmt.Errorf("core: hybrid has no scheduler")
+		return fmt.Errorf("core: hybrid has no scheduler")
 	}
 	runner := opt.Runner
 	if runner == nil {
 		runner = sweep.Default()
 	}
 	fp := opt.Schedule.Fingerprint()
-	results := newResultSlots[JobResult](len(jobs), opt.Invariants, "hybrid")
+	// out is the record the sink sees and the replay's conservation
+	// account: one heap cell per replay, reused for every result.
+	out := struct {
+		rec   JobResult
+		tally tally
+	}{tally: newTally(len(jobs), opt.Invariants, "hybrid")}
 
 	// The replay runs on pooled state: engine heap, simulators, job and
 	// attempt records all come back warm from earlier replays. WithState
 	// also recycles the state when a watchdog panic unwinds the replay.
-	err := mapreduce.WithState(func(rst *mapreduce.ReplayState) error {
+	return mapreduce.WithState(func(rst *mapreduce.ReplayState) error {
 		eng := rst.Engine()
 		if w := opt.Watchdog.Watchdog(nil); w != nil {
 			eng.SetWatchdog(w)
@@ -261,18 +270,24 @@ func (h *Hybrid) RunFaulted(jobs []workload.Job, opt FaultRun) ([]JobResult, err
 				return
 			}
 			// Time the job from its original arrival: queueing plus every
-			// retry round trip counts against it. The slot index rode in
+			// retry round trip counts against it. The job index rode in
 			// Tag; the result leaves without it.
 			r.Submit = jobs[idx].Submit
 			r.Exec = r.End - r.Submit
 			r.Job.Tag = 0
-			results.put(idx, JobResult{
+			out.tally.add(idx, r.Job.ID)
+			if opt.Invariants != nil && (st.attempts < 1 || st.attempts > maxJobAttempts) {
+				opt.Invariants.Violate("task-attempts", "hybrid: job %s finished with %d attempts, budget [1,%d]",
+					r.Job.ID, st.attempts, maxJobAttempts)
+			}
+			out.rec = JobResult{
 				Result:   r,
 				Target:   st.target,
 				Diverted: st.dest != st.target,
 				Rerouted: st.rerouted,
 				Attempts: st.attempts,
-			}, r.Job.ID)
+			}
+			sink(idx, &out.rec)
 		}
 
 		// One configuration for both halves; each gets its own cluster's
@@ -305,29 +320,28 @@ func (h *Hybrid) RunFaulted(jobs []workload.Job, opt FaultRun) ([]JobResult, err
 		if opt.Stats != nil {
 			opt.Stats.Events = eng.Events()
 		}
-		if inv := opt.Invariants; inv != nil {
+		if opt.Invariants != nil {
 			upSim.CheckDrainedInvariants()
 			outSim.CheckDrainedInvariants()
-			results.checkCount()
-			for i := range results.vals {
-				if !results.filled[i] {
-					continue // a missing result; checkCount flagged it
-				}
-				if a := results.vals[i].Attempts; a < 1 || a > maxJobAttempts {
-					inv.Violate("task-attempts", "hybrid: job %s finished with %d attempts, budget [1,%d]",
-						results.vals[i].Job.ID, a, maxJobAttempts)
-				}
-			}
+			out.tally.check()
 		}
 		return nil
 	})
-	if err != nil {
+}
+
+// RunFaulted is Replay collecting every result into a slice in
+// mapreduce.ByArrival order: each result is written into its job's slot as
+// it finishes, and the slots are sorted only when jobs is not already in
+// arrival order.
+func (h *Hybrid) RunFaulted(jobs []workload.Job, opt FaultRun) ([]JobResult, error) {
+	vals := make([]JobResult, len(jobs))
+	if err := h.Replay(jobs, opt, func(i int, r *JobResult) { vals[i] = *r }); err != nil {
 		return nil, err
 	}
 	if !arrivalOrdered(jobs) {
-		slices.SortFunc(results.vals, func(a, b JobResult) int { return mapreduce.ByArrival(a.Result, b.Result) })
+		slices.SortFunc(vals, func(a, b JobResult) int { return mapreduce.ByArrival(a.Result, b.Result) })
 	}
-	return results.vals, nil
+	return vals, nil
 }
 
 // healthProbe reports what the failure-aware reroute looked at, for the
@@ -391,25 +405,65 @@ func etaOn(sim *mapreduce.Simulator, job workload.Job, runner *sweep.Runner, fau
 	return time.Duration(float64(r.Exec) * load * sim.GraySlowdown()), true
 }
 
-// RunBaselineChecked replays the workload on one undivided baseline
-// platform under a fault timeline (callers pass Schedule.ForBaseline()),
-// task-level injection, a watchdog budget and an optional invariant checker.
-// Failed jobs stay failed — the traditional architectures have no second
-// half to retry on. A non-nil stats receives the replay's executed-event
-// count; an over-budget replay stops by panicking with a
-// *simclock.BudgetError, which callers convert into a typed per-point error
-// via sweep.Protect (the zero budget runs unguarded); a non-nil checker
-// observes the whole replay and the drain. RunBaseline is the clean case.
-// Results come back in mapreduce.ByArrival order, each written into its
-// job's slot as it finishes.
-func RunBaselineChecked(p *mapreduce.Platform, jobs []workload.Job, policy mapreduce.Policy, events []faults.Event, inj Inject, stats *ReplayStats, budget sweep.Budget, inv *mapreduce.InvariantChecker) ([]mapreduce.Result, error) {
-	rs := newResultSlots[mapreduce.Result](len(jobs), inv, p.Name)
-	err := mapreduce.WithState(func(rst *mapreduce.ReplayState) error {
+// BaselineRun configures a replay on one undivided baseline platform
+// (THadoop or RHadoop in §V). The zero value is a clean FIFO replay.
+type BaselineRun struct {
+	// Policy is the slot-sharing policy.
+	Policy mapreduce.Policy
+	// Faults is the platform's fault timeline; callers pass
+	// Schedule.ForBaseline(). Nil replays a clean run. Failed jobs stay
+	// failed: the traditional architectures have no second half to retry
+	// on.
+	Faults []faults.Event
+	// Inject adds task-level chaos.
+	Inject Inject
+	// Stats, when non-nil, receives the replay's executed-event count.
+	Stats *ReplayStats
+	// Watchdog bounds the replay's kernel: an over-budget replay stops by
+	// panicking with a *simclock.BudgetError, which callers convert into a
+	// typed per-point error via sweep.Protect. The zero budget is
+	// unlimited.
+	Watchdog sweep.Budget
+	// Invariants, when non-nil, observes the whole replay and the drain,
+	// and checks workload conservation (one result per job).
+	Invariants *mapreduce.InvariantChecker
+}
+
+// baselineReplay is one ReplayBaseline's result path: it hands each
+// simulator result to the sink under its job index and keeps the
+// conservation tally. rec is the one record every result is copied into,
+// so delivering a result allocates nothing.
+type baselineReplay struct {
+	sink  func(int, *mapreduce.Result)
+	tally tally
+	rec   mapreduce.Result
+}
+
+// record is the simulator's result sink: the job index rides in Tag, and
+// the result leaves without it.
+func (b *baselineReplay) record(r mapreduce.Result, _ time.Duration) {
+	i := r.Job.Tag
+	r.Job.Tag = 0
+	b.tally.add(i, r.Job.ID)
+	b.rec = r
+	b.sink(i, &b.rec)
+}
+
+// ReplayBaseline replays the workload on one undivided baseline platform
+// and hands each job's result to sink as the job finishes: i is the job's
+// index in jobs, and r is valid only during the call (the replay reuses
+// it), so a sink copies what it keeps. Results arrive in completion order,
+// once per job. The returned error reports a configuration the simulator
+// refuses (an incoherent timeline, bad injection bounds) before any job
+// runs. RunBaselineChecked and RunBaseline are the slice-returning forms.
+func ReplayBaseline(p *mapreduce.Platform, jobs []workload.Job, run BaselineRun, sink func(i int, r *mapreduce.Result)) error {
+	b := &baselineReplay{sink: sink, tally: newTally(len(jobs), run.Invariants, p.Name)}
+	return mapreduce.WithState(func(rst *mapreduce.ReplayState) error {
 		eng := rst.Engine()
-		if w := budget.Watchdog(nil); w != nil {
+		if w := run.Watchdog.Watchdog(nil); w != nil {
 			eng.SetWatchdog(w)
 		}
-		sim, err := rst.Simulator(p, mapreduce.Config{Policy: policy, Invariants: inv, Inject: inj, Faults: events}, placeResult(rs))
+		sim, err := rst.Simulator(p, mapreduce.Config{Policy: run.Policy, Invariants: run.Invariants, Inject: run.Inject, Faults: run.Faults}, b.record)
 		if err != nil {
 			return err
 		}
@@ -419,20 +473,30 @@ func RunBaselineChecked(p *mapreduce.Platform, jobs []workload.Job, policy mapre
 			sim.Submit(mj)
 		}
 		eng.Run()
-		if inv != nil {
+		if run.Invariants != nil {
 			sim.CheckDrainedInvariants()
-			rs.checkCount()
+			b.tally.check()
 		}
-		if stats != nil {
-			stats.Events = eng.Events()
+		if run.Stats != nil {
+			run.Stats.Events = eng.Events()
 		}
 		return nil
 	})
-	if err != nil {
+}
+
+// RunBaselineChecked is ReplayBaseline with its options as positional
+// arguments, collecting every result into a slice in mapreduce.ByArrival
+// order: each result is written into its job's slot as it finishes, and the
+// slots are sorted only when jobs is not already in arrival order.
+// RunBaseline is the clean case.
+func RunBaselineChecked(p *mapreduce.Platform, jobs []workload.Job, policy mapreduce.Policy, events []faults.Event, inj Inject, stats *ReplayStats, budget sweep.Budget, inv *mapreduce.InvariantChecker) ([]mapreduce.Result, error) {
+	vals := make([]mapreduce.Result, len(jobs))
+	run := BaselineRun{Policy: policy, Faults: events, Inject: inj, Stats: stats, Watchdog: budget, Invariants: inv}
+	if err := ReplayBaseline(p, jobs, run, func(i int, r *mapreduce.Result) { vals[i] = *r }); err != nil {
 		return nil, err
 	}
 	if !arrivalOrdered(jobs) {
-		slices.SortFunc(rs.vals, mapreduce.ByArrival)
+		slices.SortFunc(vals, mapreduce.ByArrival)
 	}
-	return rs.vals, nil
+	return vals, nil
 }

@@ -105,7 +105,7 @@ func TestRunFaultedFailureAwareHealthyMatchesStatic(t *testing.T) {
 		g, w := got[i], want[i]
 		if g.Job.ID != w.Job.ID || g.Exec != w.Exec || g.End != w.End ||
 			g.Submit != w.Submit || g.Platform != w.Platform ||
-			g.Target != w.Target || g.Ran() != w.Ran() ||
+			g.Target != w.Target || g.Diverted != w.Diverted ||
 			(g.Err == nil) != (w.Err == nil) {
 			t.Fatalf("job %s diverged: got %+v want %+v", w.Job.ID, g, w)
 		}
@@ -183,8 +183,8 @@ func TestFailureAwareBeatsStatic(t *testing.T) {
 		}
 		if r.Rerouted {
 			rerouted++
-			if r.Ran() == r.Target {
-				t.Errorf("job %s marked rerouted but ran on its target", r.Job.ID)
+			if !r.Diverted {
+				t.Errorf("job %s marked rerouted but not diverted from its target", r.Job.ID)
 			}
 		}
 	}

@@ -67,21 +67,11 @@ type JobResult struct {
 	Attempts int
 }
 
-// Ran returns where the job actually executed.
-func (r JobResult) Ran() Target {
-	if !r.Diverted {
-		return r.Target
-	}
-	if r.Target == ScaleUp {
-		return ScaleOut
-	}
-	return ScaleUp
-}
-
 // Run executes the workload on the hybrid: both halves share one simulated
 // clock, each with its own slot pools, and every job is routed at its
 // arrival instant — so the load balancer (if any) sees live queue depths.
-// It is RunFaulted with no faults, injection or failure awareness.
+// It is RunFaulted with no faults, injection or failure awareness, and
+// returns the results in mapreduce.ByArrival order.
 func (h *Hybrid) Run(jobs []workload.Job) []JobResult {
 	rs, err := h.RunFaulted(jobs, FaultRun{})
 	if err != nil {
@@ -125,8 +115,9 @@ func scheduleArrivals(eng *simclock.Engine, jobs []workload.Job, fn func(int)) {
 
 // RunBaseline executes the same workload on a single traditional platform
 // (THadoop or RHadoop in §V) under the given slot-sharing policy and
-// returns per-job results. It is RunBaselineChecked with no faults,
-// injection, watchdog or invariant checker.
+// returns per-job results in mapreduce.ByArrival order. It is
+// RunBaselineChecked with no faults, injection, watchdog or invariant
+// checker.
 func RunBaseline(p *mapreduce.Platform, jobs []workload.Job, policy mapreduce.Policy) []mapreduce.Result {
 	rs, err := RunBaselineChecked(p, jobs, policy, nil, Inject{}, nil, sweep.Budget{}, nil)
 	if err != nil {

@@ -54,15 +54,15 @@ func TestHybridRouting(t *testing.T) {
 		}
 		switch r.Job.ID {
 		case "small":
-			if r.Target != ScaleUp || r.Ran() != ScaleUp {
-				t.Errorf("small job ran on %v", r.Ran())
+			if r.Target != ScaleUp || r.Diverted {
+				t.Errorf("small job: target %v, diverted %v", r.Target, r.Diverted)
 			}
 			if r.Platform != "up-OFS" {
 				t.Errorf("small job platform = %s", r.Platform)
 			}
 		case "large":
-			if r.Target != ScaleOut || r.Ran() != ScaleOut {
-				t.Errorf("large job ran on %v", r.Ran())
+			if r.Target != ScaleOut || r.Diverted {
+				t.Errorf("large job: target %v, diverted %v", r.Target, r.Diverted)
 			}
 			if r.Platform != "out-OFS" {
 				t.Errorf("large job platform = %s", r.Platform)

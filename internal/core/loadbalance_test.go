@@ -60,8 +60,8 @@ func TestBalancerDivertsUnderBurst(t *testing.T) {
 		}
 		if r.Diverted {
 			diverted++
-			if r.Target != ScaleUp || r.Ran() != ScaleOut {
-				t.Errorf("diverted job %s: target %v ran %v", r.Job.ID, r.Target, r.Ran())
+			if r.Target != ScaleUp || r.Platform != balanced.Out.Name {
+				t.Errorf("diverted job %s: target %v, ran on %s", r.Job.ID, r.Target, r.Platform)
 			}
 		}
 	}

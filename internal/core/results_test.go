@@ -95,12 +95,11 @@ func (sc orderScenario) tiesReversed() []workload.Job {
 	return out
 }
 
-// run replays jobs through both entry points.
-func (sc orderScenario) run(t *testing.T, h *Hybrid, base *mapreduce.Platform, jobs []workload.Job) ([]JobResult, []mapreduce.Result) {
+// options returns the scenario's hybrid and baseline replay options.
+func (sc orderScenario) options(t *testing.T) (FaultRun, BaselineRun) {
 	t.Helper()
 	opt := FaultRun{}
-	var events []faults.Event
-	var inj Inject
+	run := BaselineRun{Policy: mapreduce.Fair}
 	if sc.Faulted {
 		s, err := faults.NewSchedule([]faults.Event{
 			{At: 3 * time.Minute, Kind: faults.MachineCrash, Cluster: faults.ClusterUp, Count: 1},
@@ -111,19 +110,69 @@ func (sc orderScenario) run(t *testing.T, h *Hybrid, base *mapreduce.Platform, j
 		if err != nil {
 			t.Fatal(err)
 		}
-		inj = Inject{FailureRate: 0.05, Seed: 3}
+		inj := Inject{FailureRate: 0.05, Seed: 3}
 		opt = FaultRun{Schedule: s, FailureAware: true, Inject: inj}
-		events = s.ForBaseline()
+		run.Faults, run.Inject = s.ForBaseline(), inj
 	}
+	return opt, run
+}
+
+// run replays jobs through both slice-returning entry points.
+func (sc orderScenario) run(t *testing.T, h *Hybrid, base *mapreduce.Platform, jobs []workload.Job) ([]JobResult, []mapreduce.Result) {
+	t.Helper()
+	opt, run := sc.options(t)
 	hy, err := h.RunFaulted(jobs, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bs, err := RunBaselineChecked(base, jobs, mapreduce.Fair, events, inj, nil, sweep.Budget{}, nil)
+	bs, err := RunBaselineChecked(base, jobs, run.Policy, run.Faults, run.Inject, nil, sweep.Budget{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return hy, bs
+}
+
+// sinkReplay replays jobs through both sink entry points and returns each
+// job's delivered record at its index, with how often each index arrived.
+func (sc orderScenario) sinkReplay(t *testing.T, h *Hybrid, base *mapreduce.Platform, jobs []workload.Job) (hy []JobResult, bs []mapreduce.Result, hyN, bsN []int) {
+	t.Helper()
+	opt, run := sc.options(t)
+	hy, hyN = make([]JobResult, len(jobs)), make([]int, len(jobs))
+	if err := h.Replay(jobs, opt, func(i int, r *JobResult) { hy[i] = *r; hyN[i]++ }); err != nil {
+		t.Fatal(err)
+	}
+	bs, bsN = make([]mapreduce.Result, len(jobs)), make([]int, len(jobs))
+	if err := ReplayBaseline(base, jobs, run, func(i int, r *mapreduce.Result) { bs[i] = *r; bsN[i]++ }); err != nil {
+		t.Fatal(err)
+	}
+	return hy, bs, hyN, bsN
+}
+
+// checkSinks reports whether each sink delivered every index exactly once,
+// the record at index i belongs to jobs[i], and the records sorted by
+// mapreduce.ByArrival equal the slice form's results.
+func checkSinks(t *testing.T, name string, jobs []workload.Job, hy []JobResult, bs []mapreduce.Result, hyN, bsN []int, hyWant []JobResult, bsWant []mapreduce.Result) bool {
+	t.Helper()
+	ok := true
+	for i, j := range jobs {
+		if hyN[i] != 1 || bsN[i] != 1 {
+			t.Errorf("%s input: job %s delivered %d times to the hybrid sink, %d to the baseline sink", name, j.ID, hyN[i], bsN[i])
+			ok = false
+		}
+		if hy[i].Job.ID != j.ID || bs[i].Job.ID != j.ID {
+			t.Errorf("%s input: index %d holds %s (hybrid) and %s (baseline), want %s", name, i, hy[i].Job.ID, bs[i].Job.ID, j.ID)
+			ok = false
+		}
+	}
+	hySorted := slices.Clone(hy)
+	slices.SortFunc(hySorted, func(a, b JobResult) int { return mapreduce.ByArrival(a.Result, b.Result) })
+	bsSorted := slices.Clone(bs)
+	slices.SortFunc(bsSorted, mapreduce.ByArrival)
+	if !reflect.DeepEqual(hySorted, hyWant) || !reflect.DeepEqual(bsSorted, bsWant) {
+		t.Errorf("%s input: sink records in ByArrival order differ from the slice forms' results", name)
+		ok = false
+	}
+	return ok
 }
 
 // isArrivalSort reports whether rs equals sorting the same results with
@@ -147,10 +196,12 @@ func isArrivalSort(rs []mapreduce.Result, jobs []workload.Job) bool {
 }
 
 // TestReplayResultOrderProperty pins index-placed results: for sorted,
-// shuffled and tie-heavy inputs (including ties out of ID order), RunFaulted and RunBaselineChecked return
-// exactly the ByArrival sort of their results, and an unsorted input that
-// replays the same schedule gives per-job results identical to the sorted
-// input's.
+// shuffled and tie-heavy inputs (including ties out of ID order), RunFaulted
+// and RunBaselineChecked return exactly the ByArrival sort of their results,
+// an unsorted input that replays the same schedule gives per-job results
+// identical to the sorted input's, and the sink forms (Replay,
+// ReplayBaseline) deliver each job once at its own index with the record the
+// slice form holds for it.
 func TestReplayResultOrderProperty(t *testing.T) {
 	h := newHybridT(t)
 	th, err := mapreduce.NewTHadoop(mapreduce.DefaultCalibration())
@@ -188,6 +239,10 @@ func TestReplayResultOrderProperty(t *testing.T) {
 				t.Errorf("unsorted input replaying the sorted schedule changed per-job results")
 				ok = false
 			}
+			hyRec, bsRec, hyN, bsN := sc.sinkReplay(t, h, th, jobs)
+			if !checkSinks(t, name, jobs, hyRec, bsRec, hyN, bsN, hy, bs) {
+				ok = false
+			}
 		}
 		return ok
 	}
@@ -220,34 +275,53 @@ func TestGeneratedWorkloadIsArrivalOrdered(t *testing.T) {
 	}
 }
 
-// TestPlaceResultFlagsDoubleReport drives the baseline result hook twice
-// with the same job. The result count still matches the job count (one job
-// reported twice, one never), so only the filled-slot check catches it.
-func TestPlaceResultFlagsDoubleReport(t *testing.T) {
+// TestReplayFlagsDoubleReport drives the baseline replay's own result path
+// (the simulator sink ReplayBaseline builds) with one job reported twice.
+// The result count still matches the job count (one job reported twice, one
+// never), so only the delivered-index check catches it; a missing result is
+// caught by the count at drain. The sink sees every delivery, Tag cleared.
+func TestReplayFlagsDoubleReport(t *testing.T) {
+	var got []int
+	sink := func(i int, r *mapreduce.Result) {
+		if r.Job.Tag != 0 {
+			t.Errorf("sink got Tag %d, want it cleared", r.Job.Tag)
+		}
+		got = append(got, i)
+	}
 	inv := mapreduce.NewInvariantChecker()
-	rs := newResultSlots[mapreduce.Result](2, inv, "THadoop")
-	hook := placeResult(rs)
+	b := &baselineReplay{sink: sink, tally: newTally(2, inv, "THadoop")}
 	r := mapreduce.Result{Job: mapreduce.Job{ID: "j1", Tag: 1}, Platform: "THadoop"}
-	hook(r, 0)
+	b.record(r, 0)
 	if !inv.Ok() {
 		t.Fatalf("first report flagged: %v", inv.Violations())
 	}
-	hook(r, time.Second)
-	rs.checkCount()
+	b.record(r, time.Second)
+	b.tally.check()
 	v := inv.Violations()
 	if len(v) != 1 || v[0].Invariant != "job-conservation" || !strings.Contains(v[0].Detail, "j1 reported twice") {
 		t.Errorf("violations = %v, want one job-conservation for j1 reported twice", v)
 	}
-	if rs.vals[1].Job.ID != "j1" || rs.vals[1].Job.Tag != 0 || rs.vals[0].Job.ID != "" {
-		t.Errorf("slots = %+v, want j1 (Tag cleared) in slot 1 only", rs.vals)
+	if !slices.Equal(got, []int{1, 1}) {
+		t.Errorf("sink indices = %v, want [1 1]", got)
 	}
 
-	// Without a checker the hook only places results.
-	quiet := newResultSlots[mapreduce.Result](2, nil, "THadoop")
-	placeResult(quiet)(r, 0)
-	placeResult(quiet)(r, 0)
-	quiet.checkCount()
-	if quiet.filled != nil || quiet.vals[1].Job.ID != "j1" {
-		t.Errorf("unchecked slots = %+v (filled %v)", quiet.vals, quiet.filled)
+	// One result of two: the count at drain flags it.
+	short := mapreduce.NewInvariantChecker()
+	b = &baselineReplay{sink: sink, tally: newTally(2, short, "THadoop")}
+	b.record(r, 0)
+	b.tally.check()
+	v = short.Violations()
+	if len(v) != 1 || v[0].Invariant != "job-conservation" || !strings.Contains(v[0].Detail, "2 jobs submitted, 1 results") {
+		t.Errorf("violations = %v, want one job-conservation count mismatch", v)
+	}
+
+	// Without a checker the replay only delivers.
+	got = nil
+	quiet := &baselineReplay{sink: sink, tally: newTally(2, nil, "THadoop")}
+	quiet.record(r, 0)
+	quiet.record(r, 0)
+	quiet.tally.check()
+	if quiet.tally.filled != nil || !slices.Equal(got, []int{1, 1}) {
+		t.Errorf("unchecked replay: filled %v, sink indices %v", quiet.tally.filled, got)
 	}
 }

@@ -3,6 +3,7 @@ package figures
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"hybridmr/internal/core"
 	"hybridmr/internal/mapreduce"
@@ -45,10 +46,10 @@ func RunTrace(cal mapreduce.Calibration, cfg workload.Config) (*TraceResult, err
 		THadoop: make(map[string]float64, n),
 		RHadoop: make(map[string]float64, n),
 	}
+	for _, i := range run.order[:run.nUp] {
+		tr.UpClass[run.jobs[i].ID] = true
+	}
 	for i, j := range run.jobs {
-		if run.up[i] {
-			tr.UpClass[j.ID] = true
-		}
 		tr.Hybrid[j.ID] = run.hybrid[i]
 		tr.THadoop[j.ID] = run.thadoop[i]
 		tr.RHadoop[j.ID] = run.rhadoop[i]
@@ -57,29 +58,57 @@ func RunTrace(cal mapreduce.Calibration, cfg workload.Config) (*TraceResult, err
 }
 
 // traceRun is the trace experiment's outcome as columns aligned with jobs:
-// entry i of every slice belongs to jobs[i].
+// entry i of every exec column belongs to jobs[i].
 type traceRun struct {
 	jobs []workload.Job
-	// up[i] reports that Algorithm 1 routes jobs[i] to the scale-up
-	// cluster; nUp counts those jobs.
-	up  []bool
-	nUp int
+	// order lists the trace indices of the jobs Algorithm 1 routes to the
+	// scale-up cluster, then of the rest, each group in trace order; nUp
+	// counts the scale-up jobs.
+	order []int
+	nUp   int
 	// hybrid, thadoop and rhadoop hold execution seconds.
 	hybrid, thadoop, rhadoop []float64
+	// cols are the four replays' sinks, in runTrace's replay order.
+	cols [4]column
+}
+
+// column is one replay's sink into an exec column: a result for the job at
+// index k of the replay's workload lands at trace index at[k] (at nil: at
+// k). err keeps the first failed job the replay delivered.
+type column struct {
+	exec   []float64
+	at     []int
+	replay string
+	err    error
+}
+
+// put is the replay's result sink.
+func (c *column) put(k int, r *mapreduce.Result) {
+	if r.Err != nil {
+		if c.err == nil {
+			c.err = fmt.Errorf("figures: %s job %s: %w", c.replay, r.Job.ID, r.Err)
+		}
+		return
+	}
+	if c.at != nil {
+		k = c.at[k]
+	}
+	c.exec[k] = r.Exec.Seconds()
 }
 
 // runTrace replays the setup's trace on the hybrid, THadoop and RHadoop as
 // four independent replays fanned out on the process-wide sweep runner's
 // worker pool, each on its own pooled replay state over read-only inputs.
+// Each replay's sink writes exec seconds straight into its column as jobs
+// finish; no replay builds a result slice.
 //
 // The hybrid replays as two halves. Algorithm 1 routes every job statically
 // and, with no load balancer, neither half ever reads the other's state, so
-// each half runs alone as hybrid.Run over only its own jobs: every job in it
-// routes back to the same half, and its events keep their shared-clock order.
-// A hybrid with a balancer would couple the halves and is refused.
-//
-// The setup's trace must be in arrival order, as generated traces are:
-// RunBaseline returns results in arrival order, so result i is then job i.
+// each half runs alone as hybrid.Replay over only its own jobs: every job in
+// it routes back to the same half, and its events keep their shared-clock
+// order. Each half's sink maps its local job index back to the trace index
+// through order. A hybrid with a balancer would couple the halves and is
+// refused.
 func runTrace(setup *ReplaySetup) (*traceRun, error) {
 	h, jobs := setup.Hybrid, setup.Jobs
 	if h.Balance != nil {
@@ -88,31 +117,49 @@ func runTrace(setup *ReplaySetup) (*traceRun, error) {
 	n := len(jobs)
 	run := &traceRun{
 		jobs:    jobs,
-		up:      make([]bool, n),
+		order:   make([]int, n),
 		hybrid:  make([]float64, n),
 		thadoop: make([]float64, n),
 		rhadoop: make([]float64, n),
 	}
+	// Scale-up indices fill order from the front; scale-out ones from the
+	// back, so reversing the tail restores their trace order.
+	u, o := 0, n
 	for i := range jobs {
 		if h.Sched.Decide(jobs[i]) == core.ScaleUp {
-			run.up[i] = true
-			run.nUp++
+			run.order[u], u = i, u+1
+		} else {
+			o--
+			run.order[o] = i
 		}
 	}
+	slices.Reverse(run.order[u:])
+	run.nUp = u
 	split := make([]workload.Job, n)
-	partition(split, jobs, run.up, run.nUp)
+	for k, i := range run.order {
+		split[k] = jobs[i]
+	}
+	run.cols = [4]column{
+		{exec: run.rhadoop, replay: "RHadoop"},
+		{exec: run.thadoop, replay: "THadoop"},
+		{exec: run.hybrid, at: run.order[run.nUp:], replay: "hybrid"},
+		{exec: run.hybrid, at: run.order[:run.nUp], replay: "hybrid"},
+	}
 
 	// Longest first: on the 6000-job day the baselines take ~30 and ~28 ms
 	// and the halves ~20 and ~9 ms, so two workers start both baselines and
-	// the halves fill in behind them. Each replay copies its exec seconds out
-	// as it ends, so its results are garbage while the others still run.
+	// the halves fill in behind them.
+	fair := core.BaselineRun{Policy: mapreduce.Fair}
 	replays := [...]func() error{
-		func() error { return run.baseline(run.rhadoop, "RHadoop", setup.RHadoop) },
-		func() error { return run.baseline(run.thadoop, "THadoop", setup.THadoop) },
-		func() error { return run.half(false, h.Run(split[run.nUp:])) },
-		func() error { return run.half(true, h.Run(split[:run.nUp])) },
+		func() error { return core.ReplayBaseline(setup.RHadoop, jobs, fair, run.cols[0].put) },
+		func() error { return core.ReplayBaseline(setup.THadoop, jobs, fair, run.cols[1].put) },
+		func() error { return replayHalf(h, split[run.nUp:], &run.cols[2]) },
+		func() error { return replayHalf(h, split[:run.nUp], &run.cols[3]) },
 	}
-	for _, err := range sweep.Map(sweep.Default().Workers(), len(replays), func(i int) error { return replays[i]() }) {
+	for i, err := range sweep.Map(sweep.Default().Workers(), len(replays), func(i int) error { return replays[i]() }) {
+		if err == nil {
+			err = run.cols[i].err
+		}
 		if err != nil {
 			return nil, err
 		}
@@ -120,55 +167,9 @@ func runTrace(setup *ReplaySetup) (*traceRun, error) {
 	return run, nil
 }
 
-// baseline replays the trace on p under Fair into col.
-func (run *traceRun) baseline(col []float64, name string, p *mapreduce.Platform) error {
-	rs := core.RunBaseline(p, run.jobs, mapreduce.Fair)
-	for i := range rs {
-		if err := putExec(col, i, name, &rs[i]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// half merges one hybrid half's results, in the order of its jobs, back
-// into trace order: the k-th scale-up (or scale-out) job of the trace is
-// that half's k-th result. The two halves fill disjoint entries.
-func (run *traceRun) half(up bool, rs []core.JobResult) error {
-	k := 0
-	for i, isUp := range run.up {
-		if isUp != up {
-			continue
-		}
-		if err := putExec(run.hybrid, i, "hybrid", &rs[k].Result); err != nil {
-			return err
-		}
-		k++
-	}
-	return nil
-}
-
-// putExec stores r's execution seconds in col[i], or reports the replay's
-// failed job.
-func putExec(col []float64, i int, replay string, r *mapreduce.Result) error {
-	if r.Err != nil {
-		return fmt.Errorf("figures: %s job %s: %w", replay, r.Job.ID, r.Err)
-	}
-	col[i] = r.Exec.Seconds()
-	return nil
-}
-
-// partition copies src into dst, which has the same length: the nUp entries
-// up marks first, then the rest from dst[nUp:], each group in src order.
-func partition[T any](dst, src []T, up []bool, nUp int) {
-	u, o := 0, nUp
-	for i := range src {
-		if up[i] {
-			dst[u], u = src[i], u+1
-		} else {
-			dst[o], o = src[i], o+1
-		}
-	}
+// replayHalf replays one hybrid half's jobs into c.
+func replayHalf(h *core.Hybrid, jobs []workload.Job, c *column) error {
+	return h.Replay(jobs, core.FaultRun{}, func(k int, r *core.JobResult) { c.put(k, &r.Result) })
 }
 
 // ClassCDF builds the execution-time CDF of one architecture's results for
@@ -208,11 +209,14 @@ func Fig10(cal mapreduce.Calibration, cfg workload.Config) (textplot.Figure, err
 		{"RHadoop", run.rhadoop},
 	}
 	// cdfs[a] holds architecture a's scale-up and scale-out CDFs. Samples go
-	// in trace order, so CDF.Mean folds them in the order ClassCDF does.
+	// in trace order within each class, so CDF.Mean folds them in the order
+	// ClassCDF does.
 	var cdfs [len(archs)][2]*stats.CDF
 	samples := make([]float64, len(run.jobs))
 	for a, arch := range archs {
-		partition(samples, arch.exec, run.up, run.nUp)
+		for k, i := range run.order {
+			samples[k] = arch.exec[i]
+		}
 		cdfs[a] = [2]*stats.CDF{stats.NewCDF(samples[:run.nUp]), stats.NewCDF(samples[run.nUp:])}
 	}
 	panel := func(name string, class int) (textplot.Panel, []string) {

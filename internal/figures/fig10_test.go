@@ -27,17 +27,13 @@ func checkSplit(a *ArchSet, jobs []workload.Job) error {
 		return err
 	}
 	split := make([]workload.Job, len(jobs))
-	partition(split, jobs, run.up, run.nUp)
-	halves := append(h.Run(split[:run.nUp]), h.Run(split[run.nUp:])...)
-	index := make([]int, len(jobs))
-	for i := range index {
-		index[i] = i
+	for k, i := range run.order { // run.order[k] is split[k]'s trace index
+		split[k] = jobs[i]
 	}
-	trace := make([]int, len(jobs)) // trace[k] is split[k]'s trace index
-	partition(trace, index, run.up, run.nUp)
-	for k, i := range trace {
-		if run.up[i] != (full[i].Target == core.ScaleUp) {
-			return fmt.Errorf("job %s: up = %v, shared clock routed it %v", jobs[i].ID, run.up[i], full[i].Target)
+	halves := append(h.Run(split[:run.nUp]), h.Run(split[run.nUp:])...)
+	for k, i := range run.order {
+		if up := k < run.nUp; up != (full[i].Target == core.ScaleUp) {
+			return fmt.Errorf("job %s: up = %v, shared clock routed it %v", jobs[i].ID, up, full[i].Target)
 		}
 		if !reflect.DeepEqual(halves[k], full[i]) {
 			return fmt.Errorf("job %s: split replay\n%+v\nshared clock\n%+v", jobs[i].ID, halves[k], full[i])

@@ -49,7 +49,7 @@ func goldenArtifacts(cal mapreduce.Calibration) []struct {
 		}},
 		// The paper's headline experiment: a 600-job trace replayed on the
 		// hybrid and both baselines under Fair, pinning the hybrid replay
-		// (Hybrid.Run) and the baseline replay (RunBaseline) byte for byte.
+		// (Hybrid.Replay) and the baseline replay (ReplayBaseline) byte for byte.
 		{"fig10", func() (string, error) {
 			f, err := Fig10(cal, smallTraceConfig(600))
 			return f.Render(), err

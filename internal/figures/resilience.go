@@ -128,61 +128,55 @@ func RunResilienceOpts(cal mapreduce.Calibration, jobs []workload.Job, sched *fa
 		defer runner.Cache().Observe(nil, nil)
 	}
 
-	fromHybrid := func(rs []core.JobResult) []jobOutcome {
-		out := make([]jobOutcome, len(rs))
-		for i, r := range rs {
-			out[i] = jobOutcome{
-				exec: r.Exec, end: r.End, failed: r.Err != nil,
-				taskRetries: r.TaskRetries, attempts: r.Attempts, rerouted: r.Rerouted,
-			}
-		}
-		return out
-	}
-	fromBaseline := func(rs []mapreduce.Result) []jobOutcome {
-		out := make([]jobOutcome, len(rs))
-		for i, r := range rs {
-			out[i] = jobOutcome{
-				exec: r.Exec, end: r.End, failed: r.Err != nil,
-				taskRetries: r.TaskRetries,
-			}
-		}
-		return out
-	}
 	checker := func() *mapreduce.InvariantChecker {
 		if !opts.Invariants {
 			return nil
 		}
 		return mapreduce.NewInvariantChecker()
 	}
+	// Each replay's sink writes one jobOutcome per job at the job's index,
+	// so summarize folds them in workload order.
 	baseline := func(p *mapreduce.Platform) func() ([]jobOutcome, uint64, error) {
 		return func() ([]jobOutcome, uint64, error) {
 			var st core.ReplayStats
 			inv := checker()
-			rs, err := core.RunBaselineChecked(p, jobs, mapreduce.Fair, sched.ForBaseline(), inj, &st, opts.Watchdog, inv)
+			out := make([]jobOutcome, len(jobs))
+			run := core.BaselineRun{Policy: mapreduce.Fair, Faults: sched.ForBaseline(), Inject: inj, Stats: &st, Watchdog: opts.Watchdog, Invariants: inv}
+			err := core.ReplayBaseline(p, jobs, run, func(i int, r *mapreduce.Result) {
+				out[i] = jobOutcome{exec: r.Exec, end: r.End, failed: r.Err != nil, taskRetries: r.TaskRetries}
+			})
 			if err != nil {
 				return nil, 0, err
 			}
 			if verr := inv.Err(); verr != nil {
 				return nil, 0, verr
 			}
-			return fromBaseline(rs), st.Events, nil
+			return out, st.Events, nil
 		}
 	}
 	hybridRun := func(opt core.FaultRun) func() ([]jobOutcome, uint64, error) {
 		return func() ([]jobOutcome, uint64, error) {
 			var st core.ReplayStats
-			opt.Stats = &st
-			opt.Watchdog = opts.Watchdog
 			inv := checker()
-			opt.Invariants = inv
-			rs, err := hybrid.RunFaulted(jobs, opt)
+			// Set the per-run fields on a copy: opt stays unmodified, so
+			// the closure captures it by value instead of moving it to the
+			// heap.
+			run := opt
+			run.Stats, run.Watchdog, run.Invariants = &st, opts.Watchdog, inv
+			out := make([]jobOutcome, len(jobs))
+			err := hybrid.Replay(jobs, run, func(i int, r *core.JobResult) {
+				out[i] = jobOutcome{
+					exec: r.Exec, end: r.End, failed: r.Err != nil,
+					taskRetries: r.TaskRetries, attempts: r.Attempts, rerouted: r.Rerouted,
+				}
+			})
 			if err != nil {
 				return nil, 0, err
 			}
 			if verr := inv.Err(); verr != nil {
 				return nil, 0, verr
 			}
-			return fromHybrid(rs), st.Events, nil
+			return out, st.Events, nil
 		}
 	}
 
