@@ -43,9 +43,6 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// Word returns the rank-th vocabulary word (rank ≥ 1), e.g. "w000017".
-func Word(rank int) string { return string(appendWord(make([]byte, 0, 8), rank)) }
-
 // appendWord appends the rank-th vocabulary word to dst: "w" and the rank
 // zero-padded to six digits, as fmt's "w%06d" formats it for rank ≥ 1.
 func appendWord(dst []byte, rank int) []byte {

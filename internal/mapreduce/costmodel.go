@@ -112,10 +112,9 @@ type plan struct {
 	mapTasks int
 	mapWaves int
 	reducers int
-	overhead time.Duration // job setup + FS job overhead
-	mapTask  time.Duration // duration of one map task
-	shuffle  time.Duration // shuffle tail after last map
-	redTask  time.Duration // duration of one reduce task
+	overhead time.Duration         // job setup + FS job overhead
+	task     [nKinds]time.Duration // duration of one map / reduce task
+	shuffle  time.Duration         // shuffle tail after last map
 	spilled  bool
 	degraded bool
 }
@@ -155,7 +154,8 @@ func (p *Platform) planJob(job Job) (plan, error) {
 		blocks = job.MapTasks
 	}
 	if blocks > math.MaxInt32 {
-		// The simulator keeps task IDs in int32 (taskEntry).
+		// The simulator keeps task IDs in int32 (taskEntry); the reduce IDs
+		// are checked once the reducer count is known.
 		return plan{}, fmt.Errorf("mapreduce: job %s: %d map tasks exceed the simulator's %d", job.ID, blocks, math.MaxInt32)
 	}
 	mapSlots := spec.MapSlots()
@@ -232,6 +232,12 @@ func (p *Platform) planJob(job Job) (plan, error) {
 			reducers = reduceSlots
 		}
 	}
+	if reducers-1 > math.MaxInt32-blocks {
+		// Reduce IDs follow the map IDs, so the last one, blocks+reducers-1,
+		// must fit int32 too.
+		return plan{}, fmt.Errorf("mapreduce: job %s: %d map + %d reduce tasks need task IDs beyond the simulator's %d",
+			job.ID, blocks, reducers, math.MaxInt32)
+	}
 	heap := m.HeapShuffle
 	if prof.Class == apps.MapIntensive {
 		heap = m.HeapMap
@@ -275,9 +281,8 @@ func (p *Platform) planJob(job Job) (plan, error) {
 		mapWaves: waves,
 		reducers: reducers,
 		overhead: overhead,
-		mapTask:  mapTask,
+		task:     [nKinds]time.Duration{kMap: mapTask, kRed: redTask},
 		shuffle:  shuffleDur,
-		redTask:  redTask,
 		spilled:  spilled,
 		degraded: degraded,
 	}, nil

@@ -45,7 +45,7 @@ type attempt struct {
 	sim    *Simulator
 	run    *jobRun
 	taskID int
-	isMap  bool
+	kind   int
 	killed bool
 	seq    uint64
 	idx    int
@@ -93,24 +93,20 @@ func (att *attempt) fire(now time.Duration) {
 	}
 	att.done = true
 	s.removeAttempt(att)
-	run, taskID, isMap := att.run, att.taskID, att.isMap
+	run, taskID, kind := att.run, att.taskID, att.kind
 	if att.partner != nil {
 		s.loseSpeculation(att, now)
 	}
 	if att.timers == 0 {
 		s.recycleAttempt(att)
 	}
-	if isMap {
-		s.mapTaskDone(run, taskID, now)
-	} else {
-		s.redTaskDone(run, taskID, now)
-	}
+	s.taskDone(kind, run, taskID, now)
 }
 
 // addAttempt registers a starting task attempt in the in-flight index,
 // reusing a recycled attempt when one is free so steady-state task traffic
 // does not allocate per attempt.
-func (s *Simulator) addAttempt(run *jobRun, taskID int, isMap bool) *attempt {
+func (s *Simulator) addAttempt(run *jobRun, taskID, kind int) *attempt {
 	var att *attempt
 	if n := len(s.attemptFree); n > 0 {
 		att = s.attemptFree[n-1]
@@ -121,7 +117,7 @@ func (s *Simulator) addAttempt(run *jobRun, taskID int, isMap bool) *attempt {
 		att.fireFn = att.fire
 	}
 	s.attemptSeq++
-	att.sim, att.run, att.taskID, att.isMap, att.killed = s, run, taskID, isMap, false
+	att.sim, att.run, att.taskID, att.kind, att.killed = s, run, taskID, kind, false
 	att.fireAt, att.timers, att.done, att.slow, att.partner, att.isClone = 0, 0, false, 1, nil, false
 	att.seq, att.idx = s.attemptSeq, len(s.inflight)
 	s.inflight = append(s.inflight, att)
@@ -284,24 +280,23 @@ func ceilDiv(a, b int) int { return (a + b - 1) / b }
 // per-node; the busy share is prorated (ceiling) and the newest attempts die
 // first, which is deterministic and biases against speculative progress.
 func (s *Simulator) crashMachines(k int, now time.Duration) {
-	spec := s.platform.Spec
-	avail := spec.Machines - s.machinesDown
-	mps, rps := spec.MapSlotsPerMachine(), spec.ReduceSlotsPerMachine()
-
-	killedMaps := s.killAttempts(true, ceilDiv((s.capMap-s.freeMap)*k, avail), now)
-	killedReds := s.killAttempts(false, ceilDiv((s.capRed-s.freeRed)*k, avail), now)
-	// The crashed machines' free slots vanish too. killed ≤ ceil(busy·k/avail)
-	// guarantees the remainder never exceeds the free pool.
-	s.capMap -= k * mps
-	s.capRed -= k * rps
-	s.freeMap -= k*mps - killedMaps
-	s.freeRed -= k*rps - killedReds
+	avail := s.platform.Spec.Machines - s.machinesDown
+	var killed [nKinds]int
+	for kind := range nKinds {
+		sp := &s.slots[kind]
+		killed[kind] = s.killAttempts(kind, ceilDiv((sp.cap-sp.free)*k, avail), now)
+		// The crashed machines' free slots vanish too. killed ≤
+		// ceil(busy·k/avail) guarantees the remainder never exceeds the
+		// free pool.
+		sp.cap -= k * sp.perMachine
+		sp.free -= k*sp.perMachine - killed[kind]
+	}
 	lostMaps := s.loseCompletedMaps(k, avail)
 	s.machinesDown += k
 	if s.obsv.trace.Enabled() {
 		s.traceFault("machines-crash", now,
 			strconv.Itoa(k)+" crashed ("+strconv.Itoa(s.machinesDown)+" down), killed "+
-				strconv.Itoa(killedMaps)+" maps + "+strconv.Itoa(killedReds)+" reduces, lost "+
+				strconv.Itoa(killed[kMap])+" maps + "+strconv.Itoa(killed[kRed])+" reduces, lost "+
 				strconv.Itoa(lostMaps)+" map outputs")
 	}
 	if s.inv.checker != nil {
@@ -315,13 +310,13 @@ func (s *Simulator) crashMachines(k int, now time.Duration) {
 // is by attempt start order (attempt.seq): the same selection the
 // pre-indexed implementation made by walking the chronologically ordered
 // in-flight slice from the back, so faulted replays are byte-identical.
-func (s *Simulator) killAttempts(isMap bool, n int, now time.Duration) int {
+func (s *Simulator) killAttempts(kind, n int, now time.Duration) int {
 	if n <= 0 {
 		return 0
 	}
 	victims := make([]*attempt, 0, n)
 	for _, att := range s.inflight {
-		if att.isMap == isMap {
+		if att.kind == kind {
 			victims = append(victims, att)
 		}
 	}
@@ -340,26 +335,13 @@ func (s *Simulator) killAttempts(isMap bool, n int, now time.Duration) int {
 			att.partner.partner, att.partner = nil, nil
 		}
 		run := att.run
-		if isMap {
-			run.runningMaps--
-			if !run.failed && !paired {
-				// A crash kill is Hadoop's KILLED, not FAILED: it
-				// does not count against the task's max attempts.
-				run.pushTask(kMap, att.taskID)
-				s.queuedMaps++
-				run.retries++
-				s.traceRetry(run, att.taskID, true, now, "killed")
-			}
-			s.touch(kMap, run)
-		} else {
-			run.runningReds--
-			if !run.failed && !paired {
-				run.pushTask(kRed, att.taskID)
-				run.retries++
-				s.traceRetry(run, att.taskID, false, now, "killed")
-			}
-			s.touch(kRed, run)
+		run.kinds[kind].running--
+		if !run.failed && !paired {
+			// A crash kill is Hadoop's KILLED, not FAILED: it does not
+			// count against the task's max attempts.
+			s.requeue(kind, run, att.taskID, now, "killed")
 		}
+		s.touch(kind, run)
 		// A failed job's run recycles with its last drained attempt; any
 		// co-victims of the same run in this batch still hold a running
 		// count each, so the recycle happens on the batch's last one.
@@ -374,10 +356,11 @@ func (s *Simulator) killAttempts(isMap bool, n int, now time.Duration) int {
 func (s *Simulator) loseCompletedMaps(k, avail int) int {
 	total := 0
 	for _, run := range s.active {
-		if run.failed || run.mapsDone == 0 || run.mapsDone == run.pl.mapTasks {
+		maps := &run.kinds[kMap]
+		if run.failed || maps.done == 0 || maps.done == run.pl.mapTasks {
 			continue // nothing done yet, or already past the map phase
 		}
-		lost := min(ceilDiv(run.mapsDone*k, avail), int(run.ledger.n))
+		lost := min(ceilDiv(maps.done*k, avail), int(run.ledger.n))
 		if silentMapLossBug {
 			// Deliberate defect (invariants.go): drop the outputs from the
 			// ledger but forget to re-queue them — the job's bookkeeping
@@ -389,10 +372,10 @@ func (s *Simulator) loseCompletedMaps(k, avail int) int {
 			continue
 		}
 		for range lost {
-			run.pushTask(kMap, s.stackPop(&run.ledger))
+			s.stackPush(&maps.req, s.stackPop(&run.ledger))
 		}
-		s.queuedMaps += lost
-		run.mapsDone -= lost
+		s.slots[kMap].queued += lost
+		maps.done -= lost
 		run.retries += lost
 		total += lost
 		s.obsv.taskRetries.Add(int64(lost))
@@ -403,16 +386,16 @@ func (s *Simulator) loseCompletedMaps(k, avail int) int {
 
 // recoverMachines brings k machines back; their slots rejoin the pools empty.
 func (s *Simulator) recoverMachines(k int, now time.Duration) {
-	spec := s.platform.Spec
 	s.machinesDown -= k
 	if s.obsv.trace.Enabled() {
 		s.traceFault("machines-recover", now,
 			strconv.Itoa(k)+" back, "+strconv.Itoa(s.machinesDown)+" still down")
 	}
-	s.capMap += k * spec.MapSlotsPerMachine()
-	s.capRed += k * spec.ReduceSlotsPerMachine()
-	s.freeMap += k * spec.MapSlotsPerMachine()
-	s.freeRed += k * spec.ReduceSlotsPerMachine()
+	for kind := range nKinds {
+		sp := &s.slots[kind]
+		sp.cap += k * sp.perMachine
+		sp.free += k * sp.perMachine
+	}
 	if s.inv.checker != nil {
 		s.invSlots()
 	}

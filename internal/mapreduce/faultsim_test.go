@@ -210,12 +210,10 @@ func TestSlotInvariantAfterFaults(t *testing.T) {
 			t.Fatalf("job %s: %v", r.Job.ID, r.Err)
 		}
 	}
-	if sim.freeMap != sim.capMap || sim.freeRed != sim.capRed {
-		t.Errorf("slots leaked: map %d/%d, red %d/%d", sim.freeMap, sim.capMap, sim.freeRed, sim.capRed)
-	}
-	if sim.capMap != p.Spec.MapSlots() || sim.capRed != p.Spec.ReduceSlots() {
+	checkSlotsDrained(t, sim.Simulator)
+	if m, r := sim.slots[kMap].cap, sim.slots[kRed].cap; m != p.Spec.MapSlots() || r != p.Spec.ReduceSlots() {
 		t.Errorf("capacity not restored: map %d want %d, red %d want %d",
-			sim.capMap, p.Spec.MapSlots(), sim.capRed, p.Spec.ReduceSlots())
+			m, p.Spec.MapSlots(), r, p.Spec.ReduceSlots())
 	}
 	if len(sim.inflight) != 0 {
 		t.Errorf("%d attempts still tracked after drain", len(sim.inflight))

@@ -51,12 +51,6 @@ func (s *Simulator) GrayActive() bool {
 	return s.graySlow() != 1 || s.nicSlow != 1 || s.rackSlow != 1
 }
 
-// SpeculationStats reports how many clone attempts were started and how many
-// finished before their original.
-func (s *Simulator) SpeculationStats() (started, won int) {
-	return s.clonesStarted, s.clonesWon
-}
-
 // armAttempt schedules the attempt's completion, stretching the planned
 // duration by the current gray slowdown. With no window open this is exactly
 // the former eng.After(d) arming, so clean replays are byte-identical.
@@ -168,16 +162,10 @@ func (s *Simulator) speculateClones(now time.Duration) {
 	}
 	sort.Slice(cands, func(i, j int) bool { return cands[i].seq < cands[j].seq })
 	for _, att := range cands {
-		if att.isMap && s.freeMap <= 0 {
+		if s.slots[att.kind].free <= 0 {
 			continue
 		}
-		if !att.isMap && s.freeRed <= 0 {
-			continue
-		}
-		d := att.run.pl.redTask
-		if att.isMap {
-			d = att.run.pl.mapTask
-		}
+		d := att.run.pl.task[att.kind]
 		if now+d >= att.fireAt {
 			continue // the original finishes first anyway; keep the slot
 		}
@@ -188,19 +176,12 @@ func (s *Simulator) speculateClones(now time.Duration) {
 // startClone launches the speculative backup of orig: a full attempt on a
 // free slot, jitter-free at healthy speed.
 func (s *Simulator) startClone(orig *attempt, d, now time.Duration) {
-	run := orig.run
-	if orig.isMap {
-		s.freeMap--
-		run.runningMaps++
-		s.obsv.mapsStarted.Inc()
-		s.touch(kMap, run)
-	} else {
-		s.freeRed--
-		run.runningReds++
-		s.obsv.redsStarted.Inc()
-		s.touch(kRed, run)
-	}
-	c := s.addAttempt(run, orig.taskID, orig.isMap)
+	run, kind := orig.run, orig.kind
+	s.slots[kind].free--
+	run.kinds[kind].running++
+	s.obsv.started[kind].Inc()
+	s.touch(kind, run)
+	c := s.addAttempt(run, orig.taskID, kind)
 	c.isClone = true
 	c.partner, orig.partner = orig, c
 	c.slow = 1
@@ -224,15 +205,9 @@ func (s *Simulator) loseSpeculation(winner *attempt, now time.Duration) {
 	loser.killed = true
 	s.removeAttempt(loser)
 	run := loser.run
-	if loser.isMap {
-		s.freeMap++
-		run.runningMaps--
-		s.touch(kMap, run)
-	} else {
-		s.freeRed++
-		run.runningReds--
-		s.touch(kRed, run)
-	}
+	s.slots[loser.kind].free++
+	run.kinds[loser.kind].running--
+	s.touch(loser.kind, run)
 	if winner.isClone {
 		s.clonesWon++
 	}

@@ -116,9 +116,7 @@ func TestGrayRescaleClosedForm(t *testing.T) {
 	if sim.GrayActive() {
 		t.Error("gray still active after the window closed")
 	}
-	if sim.freeMap != sim.capMap || sim.freeRed != sim.capRed {
-		t.Errorf("slots leaked: map %d/%d, red %d/%d", sim.freeMap, sim.capMap, sim.freeRed, sim.capRed)
-	}
+	checkSlotsDrained(t, sim.Simulator)
 }
 
 // All-factor-1.0 windows are the identity: the run's results are
@@ -191,16 +189,14 @@ func TestSpeculativeCloneWins(t *testing.T) {
 	if cloned.Exec >= plain.Exec {
 		t.Errorf("cloned exec %v not below unassisted %v", cloned.Exec, plain.Exec)
 	}
-	started, won := sim.SpeculationStats()
+	started, won := sim.clonesStarted, sim.clonesWon
 	if started == 0 || won == 0 {
 		t.Errorf("speculation stats started=%d won=%d, want both > 0", started, won)
 	}
 	if won > started {
 		t.Errorf("won %d > started %d", won, started)
 	}
-	if sim.freeMap != sim.capMap || sim.freeRed != sim.capRed {
-		t.Errorf("slots leaked: map %d/%d, red %d/%d", sim.freeMap, sim.capMap, sim.freeRed, sim.capRed)
-	}
+	checkSlotsDrained(t, sim.Simulator)
 	if len(sim.inflight) != 0 {
 		t.Errorf("%d attempts tracked after drain", len(sim.inflight))
 	}
@@ -227,9 +223,7 @@ func TestCrashOnSpeculationPairs(t *testing.T) {
 	if res.Err != nil {
 		t.Fatal(res.Err)
 	}
-	if sim.freeMap != sim.capMap || sim.freeRed != sim.capRed {
-		t.Errorf("slots leaked: map %d/%d, red %d/%d", sim.freeMap, sim.capMap, sim.freeRed, sim.capRed)
-	}
+	checkSlotsDrained(t, sim.Simulator)
 	if len(sim.inflight) != 0 {
 		t.Errorf("%d attempts tracked after drain", len(sim.inflight))
 	}

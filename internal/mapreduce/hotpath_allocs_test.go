@@ -50,8 +50,8 @@ func warmReplayAllocs(t *testing.T, cfg Config, jobs []Job) float64 {
 }
 
 // TestPooledReplaySteadyStateAllocs pins the clean trace-replay path — job
-// submission, arrival queue, dispatch, both task heaps, completion — at
-// zero allocations on a warm ReplayState.
+// submission, arrival queue, dispatch, both ready sets, completion — at
+// zero allocations on a warm ReplayState, under both policies.
 func TestPooledReplaySteadyStateAllocs(t *testing.T) {
 	jobs := make([]Job, 32)
 	for i := range jobs {
@@ -62,9 +62,10 @@ func TestPooledReplaySteadyStateAllocs(t *testing.T) {
 			Submit: time.Duration(i) * 15 * time.Second,
 		}
 	}
-	avg := warmReplayAllocs(t, Config{Policy: Fair}, jobs)
-	if avg != 0 {
-		t.Errorf("warm pooled replay: %v allocs/op, want 0", avg)
+	for _, p := range []Policy{FIFO, Fair} {
+		if avg := warmReplayAllocs(t, Config{Policy: p}, jobs); avg != 0 {
+			t.Errorf("%v: warm pooled replay: %v allocs/op, want 0", p, avg)
+		}
 	}
 }
 
@@ -163,7 +164,7 @@ func TestGrayReplaySteadyStateAllocs(t *testing.T) {
 		if n != len(jobs) {
 			t.Fatalf("replayed %d of %d jobs", n, len(jobs))
 		}
-		started, won = sim.SpeculationStats()
+		started, won = sim.clonesStarted, sim.clonesWon
 	}
 	replay()
 	replay()

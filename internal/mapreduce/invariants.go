@@ -132,13 +132,14 @@ func (s *Simulator) invFinish(r Result, now time.Duration) {
 // before the run recycles.
 func (s *Simulator) invComplete(run *jobRun, end time.Duration) {
 	c := s.inv.checker
-	if run.mapsDone != run.pl.mapTasks || run.redsDone != run.pl.reducers {
+	mapsDone, redsDone := run.kinds[kMap].done, run.kinds[kRed].done
+	if mapsDone != run.pl.mapTasks || redsDone != run.pl.reducers {
 		c.Violate("job-conservation", "%s: job %s completed at %v with %d/%d maps, %d/%d reduces done",
-			s.platform.Name, run.job.ID, end, run.mapsDone, run.pl.mapTasks, run.redsDone, run.pl.reducers)
+			s.platform.Name, run.job.ID, end, mapsDone, run.pl.mapTasks, redsDone, run.pl.reducers)
 	}
-	if s.keepLedger && int(run.ledger.n) != run.mapsDone {
+	if s.keepLedger && int(run.ledger.n) != mapsDone {
 		c.Violate("map-output-ledger", "%s: job %s completed with %d map outputs on record but %d maps counted done — a lost completed-map output was never re-executed",
-			s.platform.Name, run.job.ID, run.ledger.n, run.mapsDone)
+			s.platform.Name, run.job.ID, run.ledger.n, mapsDone)
 	}
 }
 
@@ -147,13 +148,14 @@ func (s *Simulator) invComplete(run *jobRun, end time.Duration) {
 // and the fault transitions, behind the nil guard.
 func (s *Simulator) invSlots() {
 	c := s.inv.checker
-	if s.freeMap < 0 || s.freeMap > s.capMap || s.freeRed < 0 || s.freeRed > s.capRed {
-		c.Violate("slot-balance", "%s: free/cap map %d/%d, reduce %d/%d out of range",
-			s.platform.Name, s.freeMap, s.capMap, s.freeRed, s.capRed)
+	for k := range nKinds {
+		if sp := &s.slots[k]; sp.free < 0 || sp.free > sp.cap || sp.queued < 0 {
+			c.Violate("slot-balance", "%s: %s slots free/cap %d/%d, queued %d out of range",
+				s.platform.Name, kindName[k], sp.free, sp.cap, sp.queued)
+		}
 	}
-	if s.queuedMaps < 0 || s.setupMaps < 0 {
-		c.Violate("slot-balance", "%s: queuedMaps %d, setupMaps %d negative",
-			s.platform.Name, s.queuedMaps, s.setupMaps)
+	if s.setupMaps < 0 {
+		c.Violate("slot-balance", "%s: setupMaps %d negative", s.platform.Name, s.setupMaps)
 	}
 }
 
@@ -181,12 +183,14 @@ func (s *Simulator) CheckDrainedInvariants() {
 	if n := len(s.active); n != 0 {
 		c.Violate("quiescence", "%s: drained with %d jobs still active", s.platform.Name, n)
 	}
-	if s.freeMap != s.capMap || s.freeRed != s.capRed {
-		c.Violate("slot-balance", "%s: drained with slots leaked: free/cap map %d/%d, reduce %d/%d",
-			s.platform.Name, s.freeMap, s.capMap, s.freeRed, s.capRed)
+	for k := range nKinds {
+		if sp := &s.slots[k]; sp.free != sp.cap || sp.queued != 0 {
+			c.Violate("slot-balance", "%s: drained with %s slots leaked or tasks queued: free/cap %d/%d, queued %d",
+				s.platform.Name, kindName[k], sp.free, sp.cap, sp.queued)
+		}
 	}
-	if s.queuedMaps != 0 || s.setupMaps != 0 {
-		c.Violate("slot-balance", "%s: drained with queuedMaps %d, setupMaps %d", s.platform.Name, s.queuedMaps, s.setupMaps)
+	if s.setupMaps != 0 {
+		c.Violate("slot-balance", "%s: drained with setupMaps %d", s.platform.Name, s.setupMaps)
 	}
 	s.invSlots()
 }

@@ -17,15 +17,13 @@ type simObs struct {
 	trace *obs.Tracer
 	track string
 
-	mapsStarted  *obs.Counter
-	redsStarted  *obs.Counter
+	started      [nKinds]*obs.Counter // map / reduce attempts started
 	taskRetries  *obs.Counter
 	jobsDone     *obs.Counter
 	jobsFailed   *obs.Counter
 	bytesInput   *obs.Counter
 	bytesShuffle *obs.Counter
-	mapBusy      *obs.Gauge
-	redBusy      *obs.Gauge
+	busy         [nKinds]*obs.Gauge // busy map / reduce slots
 	mapQueue     *obs.Gauge
 	execSeconds  *obs.Histogram
 }
@@ -57,15 +55,13 @@ func (s *Simulator) observe(tr *obs.Tracer, reg *obs.Registry) {
 	s.obsv = simObs{
 		trace:        tr,
 		track:        name,
-		mapsStarted:  reg.Counter(n.mapsStarted),
-		redsStarted:  reg.Counter(n.redsStarted),
+		started:      [nKinds]*obs.Counter{reg.Counter(n.mapsStarted), reg.Counter(n.redsStarted)},
 		taskRetries:  reg.Counter(n.taskRetries),
 		jobsDone:     reg.Counter(n.jobsDone),
 		jobsFailed:   reg.Counter(n.jobsFailed),
 		bytesInput:   reg.Counter(n.bytesInput),
 		bytesShuffle: reg.Counter(n.bytesShuffle),
-		mapBusy:      reg.Gauge(n.mapBusy),
-		redBusy:      reg.Gauge(n.redBusy),
+		busy:         [nKinds]*obs.Gauge{reg.Gauge(n.mapBusy), reg.Gauge(n.redBusy)},
 		mapQueue:     reg.Gauge(n.mapQueue),
 		execSeconds:  reg.Histogram(n.execSeconds, execBounds...),
 	}
@@ -76,23 +72,23 @@ func (s *Simulator) observe(tr *obs.Tracer, reg *obs.Registry) {
 // (busy slots peak after), so the gauges' high-water marks bracket every
 // transition.
 func (s *Simulator) noteSlots() {
-	s.obsv.mapBusy.Set(int64(s.capMap - s.freeMap))
-	s.obsv.redBusy.Set(int64(s.capRed - s.freeRed))
-	s.obsv.mapQueue.Set(int64(s.setupMaps + s.queuedMaps))
+	if s.obsv.mapQueue == nil {
+		return // no registry: every gauge is nil
+	}
+	for k := range nKinds {
+		s.obsv.busy[k].Set(int64(s.slots[k].cap - s.slots[k].free))
+	}
+	s.obsv.mapQueue.Set(int64(s.MapQueueDepth()))
 }
 
 // traceRetry records one task re-execution (injected failure or crash kill).
-func (s *Simulator) traceRetry(run *jobRun, taskID int, isMap bool, now time.Duration, cause string) {
+func (s *Simulator) traceRetry(run *jobRun, taskID, kind int, now time.Duration, cause string) {
 	s.obsv.taskRetries.Inc()
 	if !s.obsv.trace.Enabled() {
 		return
 	}
-	kind := "reduce"
-	if isMap {
-		kind = "map"
-	}
 	s.obsv.trace.Instant(s.obsv.track, run.job.ID, "task-retry", now,
-		cause+" "+kind+" task "+strconv.Itoa(taskID))
+		cause+" "+kindName[kind]+" task "+strconv.Itoa(taskID))
 }
 
 // traceJobDone records the job's phase spans and completion metrics. The

@@ -160,8 +160,8 @@ func (p *Platform) RunIsolated(job Job) Result {
 	if err != nil {
 		return Result{Job: job, Platform: p.Name, Err: err}
 	}
-	mapPhase := time.Duration(pl.mapWaves) * pl.mapTask
-	reducePhase := time.Duration(pl.reduceWaves(p.Spec)) * pl.redTask
+	mapPhase := time.Duration(pl.mapWaves) * pl.task[kMap]
+	reducePhase := time.Duration(pl.reduceWaves(p.Spec)) * pl.task[kRed]
 	exec := pl.overhead + mapPhase + pl.shuffle + reducePhase
 	return Result{
 		Job:             job,

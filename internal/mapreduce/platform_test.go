@@ -141,20 +141,33 @@ func TestHugeInputRejected(t *testing.T) {
 	}
 }
 
-// The simulator stores task IDs as int32, so a plan with more map tasks
-// than that is rejected by name instead of queueing truncated IDs.
+// The simulator stores task IDs as int32, and reduce IDs follow the map
+// IDs, so a plan whose last ID (mapTasks+reducers-1) does not fit is
+// rejected by name instead of queueing truncated IDs. Checked at planning
+// level only: no such replay runs.
 func TestMapTasksAboveInt32Rejected(t *testing.T) {
 	p := MustArch(OutOFS, DefaultCalibration())
-	job := Job{ID: "many-files", App: apps.Grep(), Input: units.GB, MapTasks: math.MaxInt32 + 1}
-	if _, err := p.planJob(job); err == nil || !strings.Contains(err.Error(), "many-files") {
-		t.Errorf("planJob with %d map tasks: err = %v, want an error naming the job", job.MapTasks, err)
-	}
-	if r := p.RunIsolated(job); r.Err == nil {
-		t.Errorf("RunIsolated accepted %d map tasks", job.MapTasks)
-	}
-	job.MapTasks = math.MaxInt32
-	if _, err := p.planJob(job); err != nil {
-		t.Errorf("planJob with %d map tasks rejected: %v", job.MapTasks, err)
+	for _, c := range []struct {
+		maps, reducers int
+		ok             bool
+	}{
+		{math.MaxInt32 + 1, 1, false},
+		{math.MaxInt32, 1, true}, // the one reduce ID is MaxInt32
+		{math.MaxInt32, 2, false},
+		{1 << 30, 1 << 30, true},
+		{1 << 30, 1<<30 + 1, false},
+		{1, math.MaxInt64, false},
+	} {
+		job := Job{ID: "many-files", App: apps.Grep(), Input: units.GB, MapTasks: c.maps, Reducers: c.reducers}
+		_, err := p.planJob(job)
+		switch {
+		case c.ok && err != nil:
+			t.Errorf("planJob with %d maps + %d reducers rejected: %v", c.maps, c.reducers, err)
+		case !c.ok && (err == nil || !strings.Contains(err.Error(), "many-files")):
+			t.Errorf("planJob with %d maps + %d reducers: err = %v, want an error naming the job", c.maps, c.reducers, err)
+		case !c.ok && p.RunIsolated(job).Err == nil:
+			t.Errorf("RunIsolated accepted %d maps + %d reducers", c.maps, c.reducers)
+		}
 	}
 }
 

@@ -113,8 +113,9 @@ func (s *Simulator) recycle() {
 	// Reclaim still-active runs, detaching them from the ready sets first so
 	// the intrusive linkage recycleJob relies on is clean.
 	for i, run := range s.active {
-		s.ready[kMap].set(run, false)
-		s.ready[kRed].set(run, false)
+		for k := range nKinds {
+			s.slots[k].ready.set(run, false)
+		}
 		s.recycleJob(run)
 		s.active[i] = nil
 	}
@@ -127,9 +128,9 @@ func (s *Simulator) recycle() {
 	clear(s.taskFailures)
 	*s = Simulator{
 		active: s.active[:0],
-		ready: [nKinds]readySet{
-			{kind: kMap, heap: s.ready[kMap].heap[:0]},
-			{kind: kRed, heap: s.ready[kRed].heap[:0]},
+		slots: [nKinds]slotPool{
+			{ready: readySet{heap: s.slots[kMap].ready.heap[:0]}},
+			{ready: readySet{heap: s.slots[kRed].ready.heap[:0]}},
 		},
 		degraded:     s.degraded,
 		inflight:     s.inflight[:0],

@@ -368,7 +368,7 @@ func TestRecycledSimulatorMatchesFresh(t *testing.T) {
 	sim := testSimOn(t, st, p, cfg)
 	sc.submit(sim.Simulator)
 	sim.drain()
-	if started, _ := sim.SpeculationStats(); started == 0 {
+	if sim.clonesStarted == 0 {
 		t.Fatal("dirtying replay started no speculative clones")
 	}
 
@@ -397,7 +397,7 @@ func TestRecycledSimulatorMatchesFresh(t *testing.T) {
 		sameFields(t, "jobRun", reflect.ValueOf(got).Elem(), reflect.ValueOf(want).Elem(), "sim")
 	}
 	for len(rec.attemptFree) > 0 {
-		got, want := rec.addAttempt(nil, 0, true), fresh.addAttempt(nil, 0, true)
+		got, want := rec.addAttempt(nil, 0, kRed), fresh.addAttempt(nil, 0, kRed)
 		if got.sim != rec {
 			t.Fatal("recycled attempt not bound to its simulator")
 		}

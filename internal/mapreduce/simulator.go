@@ -40,13 +40,27 @@ func (p Policy) String() string {
 	}
 }
 
-// taskKind indexes the per-kind dispatch state (ready sets, intrusive
-// linkage) on Simulator and jobRun.
+// taskKind indexes the per-kind state on Simulator (slotPool), jobRun
+// (kindRun), plan.task and attempt.kind.
 const (
 	kMap = iota
 	kRed
 	nKinds
 )
+
+// kindName names a task kind in traces and failure messages.
+var kindName = [nKinds]string{kMap: "map", kRed: "reduce"}
+
+// slotPool is one task kind's share of the cluster: its free and total
+// slots, the slots each live machine contributes (a crash or recovery moves
+// that many per machine), the kind's pending tasks across active jobs, and
+// the ready set its free slots are granted from.
+type slotPool struct {
+	free, cap  int
+	perMachine int
+	queued     int
+	ready      readySet
+}
 
 // Simulator runs an arriving workload of jobs on one platform, sharing its
 // map and reduce slot pools among concurrent jobs under the configured
@@ -62,20 +76,17 @@ type Simulator struct {
 	platform *Platform
 	eng      *simclock.Engine
 
-	freeMap, freeRed int
-	capMap, capRed   int
-	setupMaps        int       // map tasks of jobs still in their setup phase
-	queuedMaps       int       // pending map tasks across active jobs (O(1) MapQueueDepth)
-	active           []*jobRun // jobs with pending or running tasks (swap-remove via activeIdx)
-	running          int
-	seq              int
-
-	// ready indexes the jobs a free slot can go to, per task kind — the
-	// former pickMap/pickReduce linear scans over every active job, made
-	// incremental: FIFO keeps an intrusive arrival-ordered list (O(1)
-	// pick), Fair a heap of stored (running tasks, arrival) keys with a
-	// deferred decrease-key, updated as tasks start and finish.
-	ready [nKinds]readySet
+	// slots holds each task kind's slot pool and ready set. The ready set
+	// indexes the jobs a free slot can go to — the former pickMap/pickReduce
+	// linear scans over every active job, made incremental: FIFO keeps an
+	// intrusive arrival-ordered list (O(1) pick), Fair a heap of stored
+	// (running tasks, arrival) keys with a deferred decrease-key, updated
+	// as tasks start and finish.
+	slots     [nKinds]slotPool
+	setupMaps int       // map tasks of jobs still in their setup phase
+	active    []*jobRun // jobs with pending or running tasks (swap-remove via activeIdx)
+	running   int
+	seq       int
 
 	// Failure injection (Hadoop re-executes failed tasks, up to
 	// Cal.MaxTaskAttempts, mirroring mapred.map.max.attempts).
@@ -134,8 +145,8 @@ type Simulator struct {
 
 	// Gray degradation (graysim.go): the per-stream attempt-level slowdown
 	// weights (1 = clean), the planning-level network factors, the
-	// speculative-clone threshold (0 = clones disabled), and the clone
-	// counters SpeculationStats reports.
+	// speculative-clone threshold (0 = clones disabled), and how many clones
+	// started and how many finished before their original.
 	cpuSlow, diskSlow float64
 	nicSlow, rackSlow float64
 	cloneThreshold    float64
@@ -208,7 +219,7 @@ type Inject struct {
 // newSimulator allocates an unbound simulator shell; init binds it. Outside
 // tests, ReplayState.Simulator is its only caller.
 func newSimulator() *Simulator {
-	s := &Simulator{ready: [nKinds]readySet{{kind: kMap}, {kind: kRed}}}
+	s := &Simulator{}
 	s.arriveFn = s.nextArrival
 	return s
 }
@@ -223,10 +234,15 @@ func newSimulator() *Simulator {
 // engine.
 func (s *Simulator) init(eng *simclock.Engine, p *Platform, cfg Config, onResult func(Result, time.Duration)) error {
 	s.platform, s.eng, s.onResult = p, eng, onResult
-	s.freeMap, s.capMap = p.Spec.MapSlots(), p.Spec.MapSlots()
-	s.freeRed, s.capRed = p.Spec.ReduceSlots(), p.Spec.ReduceSlots()
+	perMachine := [nKinds]int{kMap: p.Spec.MapSlotsPerMachine(), kRed: p.Spec.ReduceSlotsPerMachine()}
+	for k := range nKinds {
+		sp := &s.slots[k]
+		sp.perMachine = perMachine[k]
+		sp.free = p.Spec.Machines * sp.perMachine
+		sp.cap = sp.free
+		sp.ready.kind, sp.ready.policy = k, cfg.Policy
+	}
 	s.cpuSlow, s.diskSlow, s.nicSlow, s.rackSlow = 1, 1, 1, 1
-	s.ready[kMap].policy, s.ready[kRed].policy = cfg.Policy, cfg.Policy
 	s.observe(cfg.Trace, cfg.Metrics)
 	s.inv = invState{checker: cfg.Invariants}
 	if err := s.inject(cfg.Inject); err != nil {
@@ -345,10 +361,10 @@ func ByArrival(a, b Result) int {
 // MapQueueDepth reports map tasks waiting for a slot right now, including
 // tasks of jobs still in their setup phase; the load balancer extension
 // uses it. O(1): the counts are maintained incrementally.
-func (s *Simulator) MapQueueDepth() int { return s.setupMaps + s.queuedMaps }
+func (s *Simulator) MapQueueDepth() int { return s.setupMaps + s.slots[kMap].queued }
 
 // MapSlotCapacity reports the cluster's total map slots.
-func (s *Simulator) MapSlotCapacity() int { return s.capMap }
+func (s *Simulator) MapSlotCapacity() int { return s.slots[kMap].cap }
 
 // jobRun tracks one in-flight job. Runs are pooled: completeJob (and the
 // last attempt drain of a failed job) returns the record to the simulator's
@@ -357,34 +373,27 @@ func (s *Simulator) MapSlotCapacity() int { return s.capMap }
 // that keeps only the once-per-object bound events, so every other field
 // starts from zero; newJobRun then sets the job's identity.
 type jobRun struct {
-	sim    *Simulator
+	// What every slot grant and completion reads comes first, so it shares
+	// the record's first cache lines.
+	sim        *Simulator
+	seq        int // submission order, for FIFO and tie-breaks
+	failed     bool
+	startedMap bool
+	kinds      [nKinds]kindRun
+	pl         plan
+
 	job    Job
-	pl     plan
-	seq    int // submission order, for FIFO and tie-breaks
 	submit time.Duration
 	start  time.Duration
-
-	// Pending-task bookkeeping. The former pendingMapIDs/pendingRedIDs
-	// slices held [base, base+n) and popped from the end; the counter
-	// representation reproduces that order with no per-job allocation:
-	// initial IDs are issued by counting initX down (base+initX-1 first),
-	// and re-queued IDs (crash kills, injected failures, lost map outputs)
-	// pop LIFO from the req stacks first — exactly the old end-pop order.
-	initMaps, initReds int
-	req                [nKinds]taskStack
 
 	// ledger is the map-output ledger: the job's completed maps, newest on
 	// top, re-queued when a crash loses their outputs. It stays empty on a
 	// simulator that cannot crash.
-	ledger                   taskStack
-	runningMaps, runningReds int
-	mapsDone, redsDone       int
-	shuffling                bool
-	failed                   bool
-	retries                  int
+	ledger    taskStack
+	shuffling bool
+	retries   int
 
 	firstMapAt  time.Duration
-	startedMap  bool
 	lastMapDone time.Duration
 	shuffleDone time.Duration
 
@@ -395,42 +404,49 @@ type jobRun struct {
 	setupFn   simclock.Event
 	shuffleFn simclock.Event
 
-	// Dispatch-index linkage, one slot per task kind. activeIdx is the
-	// job's position in Simulator.active; next/prev/inList are the FIFO
-	// ready list's intrusive pointers; heapPos is the Fair ready heap's
-	// position+1 (0 = absent).
-	activeIdx  int
-	next, prev [nKinds]*jobRun
-	inList     [nKinds]bool
-	heapPos    [nKinds]int
+	// activeIdx is the job's position in Simulator.active.
+	activeIdx int
+}
+
+// kindRun is one job's bookkeeping for one task kind.
+//
+// Pending tasks: the former pendingMapIDs/pendingRedIDs slices held
+// [base, base+n) and popped from the end; the counter representation
+// reproduces that order with no per-job allocation. The initial IDs not yet
+// issued are [lo, hi), issued from hi down, and re-queued IDs (crash kills,
+// injected failures, lost map outputs) pop LIFO from req first — exactly
+// the old end-pop order. Map IDs are [0, mapTasks), reduce IDs follow them.
+//
+// running counts the kind's in-flight attempts (clones included) and done
+// its completed tasks. The rest links the job into the kind's ready set:
+// next/prev/inList are the FIFO list's intrusive pointers, heapPos is the
+// Fair heap's position+1 (0 = absent).
+type kindRun struct {
+	lo, hi     int
+	req        taskStack
+	running    int
+	done       int
+	next, prev *jobRun
+	inList     bool
+	heapPos    int
 }
 
 // pendingLen returns the job's pending-task count of one kind.
 func (r *jobRun) pendingLen(kind int) int {
-	if kind == kMap {
-		return r.initMaps + int(r.req[kMap].n)
-	}
-	return r.initReds + int(r.req[kRed].n)
+	k := &r.kinds[kind]
+	return k.hi - k.lo + int(k.req.n)
 }
 
 // popTask issues the next pending task ID of one kind: re-queued IDs first
 // (LIFO), then the initial range counting down — byte-identical to popping
 // the former pending-ID slice from the end.
 func (r *jobRun) popTask(kind int) int {
-	if r.req[kind].n > 0 {
-		return r.sim.stackPop(&r.req[kind])
+	k := &r.kinds[kind]
+	if k.req.n > 0 {
+		return r.sim.stackPop(&k.req)
 	}
-	if kind == kMap {
-		r.initMaps--
-		return r.initMaps
-	}
-	r.initReds--
-	return r.pl.mapTasks + r.initReds
-}
-
-// pushTask re-queues a task ID (failure retry, crash kill, lost map output).
-func (r *jobRun) pushTask(kind, id int) {
-	r.sim.stackPush(&r.req[kind], id)
+	k.hi--
+	return k.hi
 }
 
 // taskStack is a LIFO of task IDs threaded through the simulator's taskSlab:
@@ -440,7 +456,7 @@ type taskStack struct{ top, n int32 }
 
 // taskEntry is one taskSlab slot: a task ID and the next-older entry of its
 // stack (slab index+1, 0 = bottom). A free slot links the free list the same
-// way.
+// way. Task IDs fit int32 because planJob bounds mapTasks+reducers.
 type taskEntry struct{ id, prev int32 }
 
 // stackPush pushes a task ID, reusing a freed slab slot when there is one.
@@ -501,29 +517,22 @@ func (s *Simulator) newJobRun(job Job, pl plan) *jobRun {
 func (s *Simulator) recycleJob(run *jobRun) {
 	// The re-queue stacks are empty here unless recycle() is reclaiming an
 	// abandoned replay's run; the ledger still holds the job's map outputs.
-	s.stackDrop(&run.req[kMap])
-	s.stackDrop(&run.req[kRed])
+	for k := range nKinds {
+		s.stackDrop(&run.kinds[k].req)
+	}
 	s.stackDrop(&run.ledger)
 	*run = jobRun{setupFn: run.setupFn, shuffleFn: run.shuffleFn, activeIdx: -1}
 	s.jobFree = append(s.jobFree, run)
 }
 
 // retireFailed recycles a failed job's run once its last in-flight attempt
-// has drained. runningMaps+runningReds counts exactly the attempts (clones
+// has drained. The running counts are exactly the attempts (clones
 // included) still referencing the run, so zero means no live reference
 // remains; failJob emptied the pending sets and removed the active slot.
 func (s *Simulator) retireFailed(run *jobRun) {
-	if run.failed && run.runningMaps == 0 && run.runningReds == 0 {
+	if run.failed && run.kinds[kMap].running == 0 && run.kinds[kRed].running == 0 {
 		s.recycleJob(run)
 	}
-}
-
-// runningOf returns the job's running-task count of one kind (Fair's key).
-func (r *jobRun) runningOf(kind int) int {
-	if kind == kMap {
-		return r.runningMaps
-	}
-	return r.runningReds
 }
 
 // readySet indexes the active jobs holding pending tasks of one kind — the
@@ -533,11 +542,12 @@ func (r *jobRun) runningOf(kind int) int {
 // submission order: pick is the head in O(1), and insertion is O(1) in the
 // fault-free steady state (jobs become runnable in arrival order, so they
 // append at the tail); only a fault/failure re-queue of an old job walks
-// from the head.
+// from the head. A heap keyed on seq alone picks the same jobs, but its
+// root removals cost burst-queue 6% (DESIGN §7).
 //
 // Under Fair it is a 4-ary min-heap of fairEntry slots, each carrying its
 // job's key running<<fairRunShift | seq inline, so a sift compares
-// contiguous integers instead of chasing jobRun pointers; jobRun.heapPos is
+// contiguous integers instead of chasing jobRun pointers; kindRun.heapPos is
 // the back-pointer. A key that drops (a task of a heap job finished or was
 // killed) is not sifted: the job becomes the one held job, its true key in
 // heldKey and its stored key left stale-high, so the heap stays valid on
@@ -576,7 +586,7 @@ const fairArity = 4
 // key returns the job's Fair key: fewest running tasks first (max-min
 // fairness), oldest submission on ties.
 func (rs *readySet) key(r *jobRun) uint64 {
-	return uint64(r.runningOf(rs.kind))<<fairRunShift | uint64(r.seq)
+	return uint64(r.kinds[rs.kind].running)<<fairRunShift | uint64(r.seq)
 }
 
 // pick returns the job the next free slot goes to, or nil.
@@ -597,7 +607,7 @@ func (rs *readySet) pick() *jobRun {
 // when it no longer is, re-key (Fair) when its key may have changed.
 func (rs *readySet) set(r *jobRun, ready bool) {
 	if rs.policy == Fair {
-		i := r.heapPos[rs.kind] - 1
+		i := r.kinds[rs.kind].heapPos - 1
 		switch {
 		case ready && i < 0:
 			rs.heapPush(r)
@@ -608,7 +618,7 @@ func (rs *readySet) set(r *jobRun, ready bool) {
 		}
 		return
 	}
-	in := r.inList[rs.kind]
+	in := r.kinds[rs.kind].inList
 	switch {
 	case ready && !in:
 		rs.listInsert(r)
@@ -619,15 +629,16 @@ func (rs *readySet) set(r *jobRun, ready bool) {
 
 func (rs *readySet) listInsert(r *jobRun) {
 	k := rs.kind
-	r.inList[k] = true
+	rk := &r.kinds[k]
+	rk.inList = true
 	if rs.tail == nil {
-		r.prev[k], r.next[k] = nil, nil
+		rk.prev, rk.next = nil, nil
 		rs.head, rs.tail = r, r
 		return
 	}
 	if r.seq > rs.tail.seq {
-		r.prev[k], r.next[k] = rs.tail, nil
-		rs.tail.next[k] = r
+		rk.prev, rk.next = rs.tail, nil
+		rs.tail.kinds[k].next = r
 		rs.tail = r
 		return
 	}
@@ -635,31 +646,33 @@ func (rs *readySet) listInsert(r *jobRun) {
 	// the front, so walk from the head.
 	n := rs.head
 	for n.seq < r.seq {
-		n = n.next[k]
+		n = n.kinds[k].next
 	}
-	r.prev[k], r.next[k] = n.prev[k], n
-	if n.prev[k] != nil {
-		n.prev[k].next[k] = r
+	nk := &n.kinds[k]
+	rk.prev, rk.next = nk.prev, n
+	if nk.prev != nil {
+		nk.prev.kinds[k].next = r
 	} else {
 		rs.head = r
 	}
-	n.prev[k] = r
+	nk.prev = r
 }
 
 func (rs *readySet) listRemove(r *jobRun) {
 	k := rs.kind
-	if r.prev[k] != nil {
-		r.prev[k].next[k] = r.next[k]
+	rk := &r.kinds[k]
+	if rk.prev != nil {
+		rk.prev.kinds[k].next = rk.next
 	} else {
-		rs.head = r.next[k]
+		rs.head = rk.next
 	}
-	if r.next[k] != nil {
-		r.next[k].prev[k] = r.prev[k]
+	if rk.next != nil {
+		rk.next.kinds[k].prev = rk.prev
 	} else {
-		rs.tail = r.prev[k]
+		rs.tail = rk.prev
 	}
-	r.prev[k], r.next[k] = nil, nil
-	r.inList[k] = false
+	rk.prev, rk.next = nil, nil
+	rk.inList = false
 }
 
 func (rs *readySet) heapPush(r *jobRun) {
@@ -690,7 +703,7 @@ func (rs *readySet) heapRekey(r *jobRun, i int) {
 func (rs *readySet) heapFlush() {
 	r := rs.held
 	rs.held = nil
-	rs.heapUp(r.heapPos[rs.kind]-1, fairEntry{rs.heldKey, r})
+	rs.heapUp(r.kinds[rs.kind].heapPos-1, fairEntry{rs.heldKey, r})
 }
 
 // heapUp places e at or above hole i, moving larger parents down into it.
@@ -702,11 +715,11 @@ func (rs *readySet) heapUp(i int, e fairEntry) {
 			break
 		}
 		h[i] = h[p]
-		h[i].run.heapPos[k] = i + 1
+		h[i].run.kinds[k].heapPos = i + 1
 		i = p
 	}
 	h[i] = e
-	e.run.heapPos[k] = i + 1
+	e.run.kinds[k].heapPos = i + 1
 }
 
 // heapDown places e at or below hole i, moving smaller children up into it.
@@ -729,11 +742,11 @@ func (rs *readySet) heapDown(i int, e fairEntry) {
 			break
 		}
 		h[i] = h[best]
-		h[i].run.heapPos[k] = i + 1
+		h[i].run.kinds[k].heapPos = i + 1
 		i = best
 	}
 	h[i] = e
-	e.run.heapPos[k] = i + 1
+	e.run.kinds[k].heapPos = i + 1
 }
 
 // heapRemove drops heap job r (at index i): the last slot refills the hole
@@ -746,7 +759,7 @@ func (rs *readySet) heapRemove(r *jobRun, i int) {
 	e := rs.heap[last]
 	rs.heap[last] = fairEntry{}
 	rs.heap = rs.heap[:last]
-	r.heapPos[rs.kind] = 0
+	r.kinds[rs.kind].heapPos = 0
 	if i == last {
 		return
 	}
@@ -761,7 +774,7 @@ func (rs *readySet) heapRemove(r *jobRun, i int) {
 // pending or running task counts of one kind. Every mutation site calls it;
 // keeping the rule that blunt keeps the index impossible to desynchronize.
 func (s *Simulator) touch(kind int, run *jobRun) {
-	s.ready[kind].set(run, !run.failed && run.pendingLen(kind) > 0)
+	s.slots[kind].ready.set(run, !run.failed && run.pendingLen(kind) > 0)
 }
 
 // removeActive drops a finished or failed job from the active list in O(1).
@@ -803,8 +816,8 @@ func (r *jobRun) setupDone(now time.Duration) {
 	s.setupMaps -= r.pl.mapTasks
 	r.start = now
 	s.obsv.trace.Span(s.obsv.track, r.job.ID, "setup", r.submit, now)
-	r.initMaps = r.pl.mapTasks
-	s.queuedMaps += r.pl.mapTasks
+	r.kinds[kMap].hi = r.pl.mapTasks
+	s.slots[kMap].queued += r.pl.mapTasks
 	r.activeIdx = len(s.active)
 	s.active = append(s.active, r)
 	s.touch(kMap, r)
@@ -813,35 +826,35 @@ func (r *jobRun) setupDone(now time.Duration) {
 
 // shuffleFire ends the shuffle phase: the reduce tasks become pending. Bound
 // once per jobRun as shuffleFn; it fires exactly once per job lifecycle —
-// mapsDone cannot regress during the shuffle window (loseCompletedMaps skips
-// jobs already past their map phase), so the event is never double-armed.
+// the map done count cannot regress during the shuffle window
+// (loseCompletedMaps skips jobs already past their map phase), so the event
+// is never double-armed.
 func (r *jobRun) shuffleFire(now time.Duration) {
 	s := r.sim
 	r.shuffling = false
 	r.shuffleDone = now
 	s.obsv.trace.Span(s.obsv.track, r.job.ID, "shuffle", r.lastMapDone, now)
 	// Reduce task ids follow the map ids.
-	r.initReds = r.pl.reducers
+	k := &r.kinds[kRed]
+	k.lo, k.hi = r.pl.mapTasks, r.pl.mapTasks+r.pl.reducers
+	s.slots[kRed].queued += r.pl.reducers
 	s.touch(kRed, r)
 	s.dispatch(now)
 }
 
-// dispatch hands out free slots until none remain or nothing is runnable.
+// dispatch hands out free slots, maps first, until none remain or nothing
+// is runnable.
 func (s *Simulator) dispatch(now time.Duration) {
 	s.noteSlots() // queue depth peaks before slots are granted
-	for s.freeMap > 0 {
-		run := s.ready[kMap].pick()
-		if run == nil {
-			break
+	for kind := range nKinds {
+		sp := &s.slots[kind]
+		for sp.free > 0 {
+			run := sp.ready.pick()
+			if run == nil {
+				break
+			}
+			s.startTask(kind, run, now)
 		}
-		s.startMapTask(run, now)
-	}
-	for s.freeRed > 0 {
-		run := s.ready[kRed].pick()
-		if run == nil {
-			break
-		}
-		s.startReduceTask(run, now)
 	}
 	s.noteSlots() // busy slots peak after the grants
 	if s.inv.checker != nil {
@@ -849,99 +862,70 @@ func (s *Simulator) dispatch(now time.Duration) {
 	}
 }
 
-func (s *Simulator) startMapTask(run *jobRun, now time.Duration) {
-	s.freeMap--
-	taskID := run.popTask(kMap)
-	s.queuedMaps--
-	run.runningMaps++
-	s.obsv.mapsStarted.Inc()
-	s.touch(kMap, run)
-	if !run.startedMap {
+// startTask grants a free slot of one kind to the job's next pending task.
+func (s *Simulator) startTask(kind int, run *jobRun, now time.Duration) {
+	sp := &s.slots[kind]
+	sp.free--
+	sp.queued--
+	taskID := run.popTask(kind)
+	run.kinds[kind].running++
+	s.obsv.started[kind].Inc()
+	s.touch(kind, run)
+	if kind == kMap && !run.startedMap {
 		run.startedMap = true
 		run.firstMapAt = now
 	}
-	att := s.addAttempt(run, taskID, true)
-	s.armAttempt(att, s.jitterDuration(run.pl.mapTask), now)
+	att := s.addAttempt(run, taskID, kind)
+	s.armAttempt(att, s.jitterDuration(run.pl.task[kind]), now)
 }
 
-// mapTaskDone is a map attempt's completion: the slot frees, and the task
-// either re-queues (injected failure under the attempt budget), fails the
-// job, or counts toward the map phase, whose end schedules the shuffle.
-func (s *Simulator) mapTaskDone(run *jobRun, taskID int, now time.Duration) {
-	s.freeMap++
-	run.runningMaps--
+// requeue puts a task back on its job's pending set after a failed or
+// killed attempt.
+func (s *Simulator) requeue(kind int, run *jobRun, taskID int, now time.Duration, cause string) {
+	s.stackPush(&run.kinds[kind].req, taskID)
+	s.slots[kind].queued++
+	run.retries++
+	s.traceRetry(run, taskID, kind, now, cause)
+}
+
+// taskDone is an attempt's completion: the slot frees, and the task either
+// re-queues (injected failure under the attempt budget), fails the job, or
+// counts toward its phase. The map phase's end schedules the shuffle; the
+// reduce phase's end completes the job.
+func (s *Simulator) taskDone(kind int, run *jobRun, taskID int, now time.Duration) {
+	s.slots[kind].free++
+	k := &run.kinds[kind]
+	k.running--
 	if s.attemptFails() && !run.failed {
 		if s.recordFailure(run, taskID) {
 			// Re-execute: the task goes back to pending.
-			run.pushTask(kMap, taskID)
-			s.queuedMaps++
-			run.retries++
-			s.traceRetry(run, taskID, true, now, "failed")
-			s.touch(kMap, run)
+			s.requeue(kind, run, taskID, now, "failed")
+			s.touch(kind, run)
 			s.dispatch(now)
 			return
 		}
-		s.failJob(run, now, "map")
+		s.failJob(run, now, kindName[kind])
 		s.dispatch(now)
 		return
 	}
 	if run.failed {
-		s.touch(kMap, run)
+		s.touch(kind, run)
 		s.retireFailed(run)
 		s.dispatch(now)
 		return
 	}
-	run.mapsDone++
-	if s.keepLedger {
+	k.done++
+	if kind == kMap && s.keepLedger {
 		s.stackPush(&run.ledger, taskID)
 	}
-	s.touch(kMap, run)
-	if run.mapsDone == run.pl.mapTasks {
+	s.touch(kind, run)
+	switch {
+	case kind == kMap && k.done == run.pl.mapTasks:
 		run.lastMapDone = now
 		run.shuffling = true
 		s.obsv.trace.Span(s.obsv.track, run.job.ID, "map", run.firstMapAt, now)
 		s.eng.After(run.pl.shuffle, run.shuffleFn)
-	}
-	s.dispatch(now)
-}
-
-func (s *Simulator) startReduceTask(run *jobRun, now time.Duration) {
-	s.freeRed--
-	taskID := run.popTask(kRed)
-	run.runningReds++
-	s.obsv.redsStarted.Inc()
-	s.touch(kRed, run)
-	att := s.addAttempt(run, taskID, false)
-	s.armAttempt(att, s.jitterDuration(run.pl.redTask), now)
-}
-
-// redTaskDone is a reduce attempt's completion, mirroring mapTaskDone; the
-// last reduce completes the job.
-func (s *Simulator) redTaskDone(run *jobRun, taskID int, now time.Duration) {
-	s.freeRed++
-	run.runningReds--
-	if s.attemptFails() && !run.failed {
-		if s.recordFailure(run, taskID) {
-			run.pushTask(kRed, taskID)
-			run.retries++
-			s.traceRetry(run, taskID, false, now, "failed")
-			s.touch(kRed, run)
-			s.dispatch(now)
-			return
-		}
-		s.failJob(run, now, "reduce")
-		s.dispatch(now)
-		return
-	}
-	if run.failed {
-		s.touch(kRed, run)
-		s.retireFailed(run)
-		s.dispatch(now)
-		return
-	}
-	run.redsDone++
-	s.touch(kRed, run)
-	if run.redsDone == run.pl.reducers {
+	case kind == kRed && k.done == run.pl.reducers:
 		s.completeJob(run, now)
 	}
 	s.dispatch(now)
@@ -974,13 +958,14 @@ func (s *Simulator) failJob(run *jobRun, now time.Duration, phase string) {
 		return
 	}
 	run.failed = true
-	s.queuedMaps -= run.pendingLen(kMap)
-	run.initMaps, run.initReds = 0, 0
-	s.stackDrop(&run.req[kMap])
-	s.stackDrop(&run.req[kRed])
+	for kind := range nKinds {
+		k := &run.kinds[kind]
+		s.slots[kind].queued -= run.pendingLen(kind)
+		k.hi = k.lo
+		s.stackDrop(&k.req)
+		s.touch(kind, run)
+	}
 	s.traceJobFailed(run, now, phase)
-	s.touch(kMap, run)
-	s.touch(kRed, run)
 	s.removeActive(run)
 	s.finish(Result{
 		Job:      run.job,

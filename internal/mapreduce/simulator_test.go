@@ -57,6 +57,16 @@ func (ts *testSim) drain() []Result {
 	return ts.results
 }
 
+// checkSlotsDrained fails t unless every slot pool is back at capacity.
+func checkSlotsDrained(t testing.TB, s *Simulator) {
+	t.Helper()
+	for k := range nKinds {
+		if sp := s.slots[k]; sp.free != sp.cap {
+			t.Errorf("%s slots leaked: %d of %d free", kindName[k], sp.free, sp.cap)
+		}
+	}
+}
+
 // soloMatchesClosedForm replays job alone on a simulator for p, after the
 // fault events (all at time 0, so they land before the arrival), and
 // reports whether the one result equals view.RunIsolated(job) — same cost

@@ -125,16 +125,6 @@ func (h *Histogram) Count() int64 {
 	return h.n
 }
 
-// Sum returns the total of all observed values (0 for a nil histogram).
-func (h *Histogram) Sum() float64 {
-	if h == nil {
-		return 0
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.sum
-}
-
 // metricKind discriminates the registry's entries.
 type metricKind uint8
 

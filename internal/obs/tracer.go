@@ -65,15 +65,6 @@ func (t *Tracer) Instant(track, id, name string, at time.Duration, detail string
 	t.spans = append(t.spans, Span{Track: track, ID: id, Name: name, Start: at, End: at, Detail: detail, Instant: true})
 }
 
-// Spans returns the recorded spans in emission order. The slice is the
-// tracer's own backing store; callers must not mutate it.
-func (t *Tracer) Spans() []Span {
-	if t == nil {
-		return nil
-	}
-	return t.spans
-}
-
 // Len returns the number of recorded spans.
 func (t *Tracer) Len() int {
 	if t == nil {
