@@ -816,13 +816,7 @@ func BenchmarkAblationLoadBalancer(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if withBalancer {
-			bal, err := core.NewLoadBalancer(1.0)
-			if err != nil {
-				b.Fatal(err)
-			}
-			h.Balance = bal
-		}
+		h.Balance = withBalancer
 		var max time.Duration
 		for _, r := range h.Run(burst) {
 			if r.Err != nil {

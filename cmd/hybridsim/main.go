@@ -325,13 +325,7 @@ func runTrace(path string, jobs int, seed int64, balance, hist bool, sinks obsSi
 	if err != nil {
 		fatal(err)
 	}
-	if balance {
-		bal, err := core.NewLoadBalancer(1.0)
-		if err != nil {
-			fatal(err)
-		}
-		hybrid.Balance = bal
-	}
+	hybrid.Balance = balance
 	// up[i] is Algorithm 1's class for trace[i].
 	up := make([]bool, len(trace))
 	nUp := 0
@@ -359,7 +353,7 @@ func runTrace(path string, jobs int, seed int64, balance, hist bool, sinks obsSi
 	o := sinks.set()
 	collectHy := func() []float64 {
 		col := make([]float64, len(trace))
-		err := hybrid.Replay(trace, core.FaultRun{Obs: o}, func(i int, r *core.JobResult) { put(col, "hybrid", i, &r.Result) })
+		_, err := hybrid.Replay(trace, core.FaultRun{Obs: o}, func(i int, r *core.JobResult) { put(col, "hybrid", i, &r.Result) })
 		if err != nil {
 			fatal(err)
 		}
@@ -367,7 +361,7 @@ func runTrace(path string, jobs int, seed int64, balance, hist bool, sinks obsSi
 	}
 	collect := func(p *mapreduce.Platform) []float64 {
 		col := make([]float64, len(trace))
-		err := core.ReplayBaseline(p, trace, core.BaselineRun{Policy: mapreduce.Fair}, func(i int, r *mapreduce.Result) { put(col, p.Name, i, r) })
+		_, err := core.ReplayBaseline(p, trace, core.BaselineRun{Policy: mapreduce.Fair}, func(i int, r *mapreduce.Result) { put(col, p.Name, i, r) })
 		if err != nil {
 			fatal(err)
 		}

@@ -66,7 +66,7 @@ func (cfg *Config) defaults() Config {
 	if c.MaxEvents <= 0 {
 		c.MaxEvents = 12
 	}
-	if !c.Budget.Enabled() {
+	if c.Budget == (sweep.Budget{}) {
 		c.Budget = sweep.Budget{MaxEvents: 50_000_000, MaxSimTime: 720 * time.Hour}
 	}
 	if c.MinimizeBudget <= 0 {
@@ -286,7 +286,7 @@ func (camp *campaign) replay(path string, sched *faults.Schedule) replayOutcome 
 		inv := mapreduce.NewInvariantChecker()
 		var cfgErr error
 		err := sweep.Protect(func() {
-			cfgErr = core.ReplayBaseline(camp.thadoop, camp.jobs, core.BaselineRun{
+			_, cfgErr = core.ReplayBaseline(camp.thadoop, camp.jobs, core.BaselineRun{
 				Policy: mapreduce.FIFO, Faults: sched.ForBaseline(), Watchdog: camp.cfg.Budget, Invariants: inv,
 			}, func(int, *mapreduce.Result) {})
 		})

@@ -93,7 +93,7 @@ func ThresholdSensitivity(cal mapreduce.Calibration, jobs []workload.Job, scales
 		}
 
 		var failed error
-		err = hybrid.Replay(jobs, FaultRun{}, func(i int, r *JobResult) {
+		_, err = hybrid.Replay(jobs, FaultRun{}, func(i int, r *JobResult) {
 			if r.Err != nil && failed == nil {
 				failed = fmt.Errorf("core: sensitivity scale %v: job %s: %w", scale, r.Job.ID, r.Err)
 			}

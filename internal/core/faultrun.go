@@ -17,7 +17,8 @@ import (
 // BaselineRun callers need not import mapreduce for it.
 type Inject = mapreduce.Inject
 
-// ReplayStats receives kernel statistics from one replay. The counters are
+// ReplayStats receives kernel statistics from one replay for the
+// slice-returning forms, RunFaulted and RunBaselineChecked. The counters are
 // deterministic (they count simulation events, not wall time), so callers may
 // compare them across runs.
 type ReplayStats struct {
@@ -44,9 +45,9 @@ type FaultRun struct {
 	// both are benched). Strikes reset when the bench is served.
 	Blacklist bool
 	// CloneStragglers enables speculative clone attempts on both halves: when
-	// a gray slowdown window pushes a cluster past cloneThreshold, its
-	// in-flight attempts get healthy-speed backups and the first finisher
-	// wins.
+	// a gray slowdown window slows a cluster enough (mapreduce.Config.Clone),
+	// its in-flight attempts get healthy-speed backups and the first
+	// finisher wins.
 	CloneStragglers bool
 	// Watchdog bounds the replay's kernel: exceeding the budget panics with
 	// a *simclock.BudgetError, which sweep.Protect converts into a typed
@@ -56,7 +57,8 @@ type FaultRun struct {
 	// uses the process-wide default.
 	Runner *sweep.Runner
 	// Stats, when non-nil, receives the replay's kernel statistics after the
-	// run completes (the resilience report's events/sec footer reads them).
+	// run completes. Only RunFaulted reads it; Replay returns the event
+	// count instead.
 	Stats *ReplayStats
 	// Obs attaches observability: the tracer and metrics registry are
 	// forwarded to both halves' simulators, and the audit log receives one
@@ -84,8 +86,6 @@ const (
 	blacklistStrikes = 3
 	// blacklistParole is the first bench duration.
 	blacklistParole = 10 * time.Minute
-	// cloneThreshold is the gray slowdown that triggers cloning.
-	cloneThreshold = 1.5
 )
 
 // benchState is one half's blacklist account: consecutive job-failure
@@ -128,13 +128,16 @@ func other(t Target) Target {
 // hands each job's outcome to sink as the job finishes for good: i is the
 // job's index in jobs, and r is valid only during the call (the replay
 // reuses it), so a sink copies what it keeps. Results arrive in completion
-// order, once per job. The zero FaultRun is the paper's clean replay. The
-// returned error reports a hybrid without a scheduler or an unsurvivable or
-// incoherent schedule (or bad injection bounds), before any simulation runs.
-// RunFaulted and Run are the slice-returning forms.
-func (h *Hybrid) Replay(jobs []workload.Job, opt FaultRun, sink func(i int, r *JobResult)) error {
+// order, once per job. Both halves share the Fair scheduler, as Facebook's
+// production clusters did (the paper cites it as [4]). The zero FaultRun is
+// the paper's clean replay. Replay returns the number of events the
+// simulation kernel executed. The error reports a hybrid without a
+// scheduler or an unsurvivable or incoherent schedule (or bad injection
+// bounds), before any simulation runs. RunFaulted and Run are the
+// slice-returning forms.
+func (h *Hybrid) Replay(jobs []workload.Job, opt FaultRun, sink func(i int, r *JobResult)) (events uint64, err error) {
 	if h.Sched == nil {
-		return fmt.Errorf("core: hybrid has no scheduler")
+		return 0, fmt.Errorf("core: hybrid has no scheduler")
 	}
 	runner := opt.Runner
 	if runner == nil {
@@ -151,10 +154,13 @@ func (h *Hybrid) Replay(jobs []workload.Job, opt FaultRun, sink func(i int, r *J
 	// The replay runs on pooled state: engine heap, simulators, job and
 	// attempt records all come back warm from earlier replays. WithState
 	// also recycles the state when a watchdog panic unwinds the replay.
-	return mapreduce.WithState(func(rst *mapreduce.ReplayState) error {
+	err = mapreduce.WithState(func(rst *mapreduce.ReplayState) error {
 		eng := rst.Engine()
-		if w := opt.Watchdog.Watchdog(nil); w != nil {
-			eng.SetWatchdog(w)
+		if opt.Watchdog != (sweep.Budget{}) {
+			// Copied only when set: the engine keeps the address, so
+			// the copy lives on the heap.
+			w := opt.Watchdog
+			eng.SetWatchdog(&w)
 		}
 		// state tracks one workload job (jobs[i]) across its (possibly
 		// retried) submissions; the latest routing decision wins.
@@ -201,8 +207,8 @@ func (h *Hybrid) Replay(jobs []workload.Job, opt FaultRun, sink func(i int, r *J
 					dest, blacklisted = other(dest), true
 				}
 			}
-			if h.Balance != nil {
-				dest = h.Balance.Divert(dest, upSim, outSim)
+			if h.Balance {
+				dest = divert(dest, upSim, outSim)
 			}
 			st.target, st.dest, st.rerouted = target, dest, rerouted
 			if opt.Obs.Audit.Enabled() {
@@ -294,15 +300,13 @@ func (h *Hybrid) Replay(jobs []workload.Job, opt FaultRun, sink func(i int, r *J
 		// faults, scheduled at construction, so at equal instants a
 		// capacity change precedes an arrival (the engine is FIFO per tick).
 		cfg := mapreduce.Config{
-			Policy:     h.Policy,
+			Policy:     mapreduce.Fair,
 			Trace:      opt.Obs.Trace,
 			Metrics:    opt.Obs.Metrics,
 			Invariants: opt.Invariants,
 			Inject:     opt.Inject,
+			Clone:      opt.CloneStragglers,
 			Faults:     opt.Schedule.ForCluster(faults.ClusterUp),
-		}
-		if opt.CloneStragglers {
-			cfg.CloneThreshold = cloneThreshold
 		}
 		upSim, err := rst.Simulator(h.Up, cfg, record)
 		if err != nil {
@@ -317,9 +321,7 @@ func (h *Hybrid) Replay(jobs []workload.Job, opt FaultRun, sink func(i int, r *J
 
 		scheduleArrivals(eng, jobs, submit)
 		eng.Run()
-		if opt.Stats != nil {
-			opt.Stats.Events = eng.Events()
-		}
+		events = eng.Events()
 		if opt.Invariants != nil {
 			upSim.CheckDrainedInvariants()
 			outSim.CheckDrainedInvariants()
@@ -327,16 +329,21 @@ func (h *Hybrid) Replay(jobs []workload.Job, opt FaultRun, sink func(i int, r *J
 		}
 		return nil
 	})
+	return events, err
 }
 
 // RunFaulted is Replay collecting every result into a slice in
 // mapreduce.ByArrival order: each result is written into its job's slot as
 // it finishes, and the slots are sorted only when jobs is not already in
-// arrival order.
+// arrival order. The event count goes to opt.Stats when it is set.
 func (h *Hybrid) RunFaulted(jobs []workload.Job, opt FaultRun) ([]JobResult, error) {
 	vals := make([]JobResult, len(jobs))
-	if err := h.Replay(jobs, opt, func(i int, r *JobResult) { vals[i] = *r }); err != nil {
+	events, err := h.Replay(jobs, opt, func(i int, r *JobResult) { vals[i] = *r })
+	if err != nil {
 		return nil, err
+	}
+	if opt.Stats != nil {
+		opt.Stats.Events = events
 	}
 	if !arrivalOrdered(jobs) {
 		slices.SortFunc(vals, func(a, b JobResult) int { return mapreduce.ByArrival(a.Result, b.Result) })
@@ -417,8 +424,6 @@ type BaselineRun struct {
 	Faults []faults.Event
 	// Inject adds task-level chaos.
 	Inject Inject
-	// Stats, when non-nil, receives the replay's executed-event count.
-	Stats *ReplayStats
 	// Watchdog bounds the replay's kernel: an over-budget replay stops by
 	// panicking with a *simclock.BudgetError, which callers convert into a
 	// typed per-point error via sweep.Protect. The zero budget is
@@ -453,15 +458,18 @@ func (b *baselineReplay) record(r mapreduce.Result, _ time.Duration) {
 // and hands each job's result to sink as the job finishes: i is the job's
 // index in jobs, and r is valid only during the call (the replay reuses
 // it), so a sink copies what it keeps. Results arrive in completion order,
-// once per job. The returned error reports a configuration the simulator
-// refuses (an incoherent timeline, bad injection bounds) before any job
-// runs. RunBaselineChecked and RunBaseline are the slice-returning forms.
-func ReplayBaseline(p *mapreduce.Platform, jobs []workload.Job, run BaselineRun, sink func(i int, r *mapreduce.Result)) error {
+// once per job. ReplayBaseline returns the number of events the simulation
+// kernel executed. The error reports a configuration the simulator refuses
+// (an incoherent timeline, bad injection bounds) before any job runs.
+// RunBaselineChecked and RunBaseline are the slice-returning forms.
+func ReplayBaseline(p *mapreduce.Platform, jobs []workload.Job, run BaselineRun, sink func(i int, r *mapreduce.Result)) (events uint64, err error) {
 	b := &baselineReplay{sink: sink, tally: newTally(len(jobs), run.Invariants, p.Name)}
-	return mapreduce.WithState(func(rst *mapreduce.ReplayState) error {
+	err = mapreduce.WithState(func(rst *mapreduce.ReplayState) error {
 		eng := rst.Engine()
-		if w := run.Watchdog.Watchdog(nil); w != nil {
-			eng.SetWatchdog(w)
+		if run.Watchdog != (sweep.Budget{}) {
+			// Copied only when set, as in Replay.
+			w := run.Watchdog
+			eng.SetWatchdog(&w)
 		}
 		sim, err := rst.Simulator(p, mapreduce.Config{Policy: run.Policy, Invariants: run.Invariants, Inject: run.Inject, Faults: run.Faults}, b.record)
 		if err != nil {
@@ -473,27 +481,31 @@ func ReplayBaseline(p *mapreduce.Platform, jobs []workload.Job, run BaselineRun,
 			sim.Submit(mj)
 		}
 		eng.Run()
+		events = eng.Events()
 		if run.Invariants != nil {
 			sim.CheckDrainedInvariants()
 			b.tally.check()
 		}
-		if run.Stats != nil {
-			run.Stats.Events = eng.Events()
-		}
 		return nil
 	})
+	return events, err
 }
 
 // RunBaselineChecked is ReplayBaseline with its options as positional
 // arguments, collecting every result into a slice in mapreduce.ByArrival
 // order: each result is written into its job's slot as it finishes, and the
-// slots are sorted only when jobs is not already in arrival order.
-// RunBaseline is the clean case.
+// slots are sorted only when jobs is not already in arrival order. The
+// event count goes to stats when it is non-nil. RunBaseline is the clean
+// case.
 func RunBaselineChecked(p *mapreduce.Platform, jobs []workload.Job, policy mapreduce.Policy, events []faults.Event, inj Inject, stats *ReplayStats, budget sweep.Budget, inv *mapreduce.InvariantChecker) ([]mapreduce.Result, error) {
 	vals := make([]mapreduce.Result, len(jobs))
-	run := BaselineRun{Policy: policy, Faults: events, Inject: inj, Stats: stats, Watchdog: budget, Invariants: inv}
-	if err := ReplayBaseline(p, jobs, run, func(i int, r *mapreduce.Result) { vals[i] = *r }); err != nil {
+	run := BaselineRun{Policy: policy, Faults: events, Inject: inj, Watchdog: budget, Invariants: inv}
+	ran, err := ReplayBaseline(p, jobs, run, func(i int, r *mapreduce.Result) { vals[i] = *r })
+	if err != nil {
 		return nil, err
+	}
+	if stats != nil {
+		stats.Events = ran
 	}
 	if !arrivalOrdered(jobs) {
 		slices.SortFunc(vals, mapreduce.ByArrival)

@@ -14,20 +14,16 @@ import (
 // system (OFS), so any job can read its data from either side without
 // transferring it, plus the Algorithm 1 scheduler deciding where each job
 // runs. An optional load balancer implements the future-work extension of
-// §VII.
+// §VII. Both halves share the Fair scheduler (see Replay).
 type Hybrid struct {
 	// Up and Out are the two halves; the paper uses 2 scale-up and 12
 	// scale-out machines, both on OFS.
 	Up, Out *mapreduce.Platform
 	// Sched routes jobs (Algorithm 1).
 	Sched *Scheduler
-	// Balance, when non-nil, diverts jobs away from an overloaded queue
-	// (§VII future work). Nil reproduces the paper's architecture.
-	Balance *LoadBalancer
-	// Policy is the intra-cluster slot-sharing policy. The trace
-	// experiment uses the Fair Scheduler, as Facebook's production
-	// clusters did (the paper cites it as [4]).
-	Policy mapreduce.Policy
+	// Balance diverts jobs away from an overloaded queue (§VII future
+	// work; see divert). False reproduces the paper's architecture.
+	Balance bool
 }
 
 // NewHybrid assembles the paper's hybrid: up-OFS and out-OFS platforms with
@@ -45,7 +41,7 @@ func NewHybrid(cal mapreduce.Calibration) (*Hybrid, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Hybrid{Up: up, Out: out, Sched: sched, Policy: mapreduce.Fair}, nil
+	return &Hybrid{Up: up, Out: out, Sched: sched}, nil
 }
 
 // JobResult is a simulated job's outcome plus the routing decision.

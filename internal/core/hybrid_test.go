@@ -29,9 +29,6 @@ func TestNewHybridShape(t *testing.T) {
 	if h.Up.FS.Name() != "OFS" || h.Out.FS.Name() != "OFS" {
 		t.Error("both hybrid halves must mount the remote OFS (§IV)")
 	}
-	if h.Policy != mapreduce.Fair {
-		t.Error("trace runs use the Fair scheduler")
-	}
 	if h.Sched.CrossPoints() != PaperCrossPoints() {
 		t.Error("hybrid should default to the paper's cross points")
 	}

@@ -1,61 +1,38 @@
 package core
 
-import (
-	"fmt"
+import "hybridmr/internal/mapreduce"
 
-	"hybridmr/internal/mapreduce"
-)
+// divertQueueFactor is the load balancer's queue-pressure threshold: a
+// cluster counts as overloaded when its queued map tasks exceed this factor
+// times its map-slot count, that is, once more than a full extra wave is
+// already waiting.
+const divertQueueFactor = 1.0
 
-// LoadBalancer implements the extension the paper leaves as future work
-// (§VII): "if many small jobs arrive at the same time without any large
+// divert is the load balancer, the extension the paper leaves as future
+// work (§VII): "if many small jobs arrive at the same time without any large
 // jobs, all the jobs will be scheduled to the scale-up machines, resulting
-// in imbalance allocation of resources". The balancer watches both halves'
-// map-slot queues at each job's arrival and diverts the job to the other
-// cluster when its preferred queue is saturated while the other is not.
-type LoadBalancer struct {
-	// DivertQueueFactor is the queue-pressure threshold: a cluster counts
-	// as overloaded when its queued map tasks exceed this factor times
-	// its map-slot count. The default 1.0 diverts once more than a full
-	// extra wave is already waiting.
-	DivertQueueFactor float64
-	// DivertBothWays also lets scale-out jobs run on an idle scale-up
-	// cluster. Off by default: a large job on the small scale-up cluster
-	// can block every subsequent small job, which is exactly what the
-	// hybrid exists to avoid.
-	DivertBothWays bool
-}
-
-// NewLoadBalancer returns a balancer with the given queue factor.
-func NewLoadBalancer(factor float64) (*LoadBalancer, error) {
-	if factor <= 0 {
-		return nil, fmt.Errorf("core: divert queue factor %v", factor)
+// in imbalance allocation of resources". At each job's arrival it reads both
+// halves' map-slot queues and returns the cluster the job should actually
+// run on. It only moves a scale-up job, and only when the scale-up queue is
+// past the threshold and the scale-out one is strictly less loaded. A
+// scale-out job never moves: a large job on the small scale-up cluster can
+// block every later small job, which is what the hybrid exists to avoid.
+func divert(preferred Target, upSim, outSim *mapreduce.Simulator) Target {
+	if preferred != ScaleUp {
+		return preferred
 	}
-	return &LoadBalancer{DivertQueueFactor: factor}, nil
+	upP, outP := pressure(upSim), pressure(outSim)
+	if upP > divertQueueFactor && outP < upP {
+		return ScaleOut
+	}
+	return preferred
 }
 
-// pressure is the queue depth normalized by the slot count.
-func pressure(sim *mapreduce.Simulator, slots int) float64 {
+// pressure is the map queue depth normalized by the map-slot count.
+func pressure(sim *mapreduce.Simulator) float64 {
+	slots := sim.MapSlotCapacity()
 	if slots <= 0 {
 		return 0
 	}
 	return float64(sim.MapQueueDepth()) / float64(slots)
-}
-
-// Divert returns the cluster the job should actually run on given the live
-// queue state. It only overrides the scheduler's choice when the preferred
-// queue is past the threshold and the alternative is strictly less loaded.
-func (b *LoadBalancer) Divert(preferred Target, upSim, outSim *mapreduce.Simulator) Target {
-	upP := pressure(upSim, upSim.MapSlotCapacity())
-	outP := pressure(outSim, outSim.MapSlotCapacity())
-	switch preferred {
-	case ScaleUp:
-		if upP > b.DivertQueueFactor && outP < upP {
-			return ScaleOut
-		}
-	case ScaleOut:
-		if b.DivertBothWays && outP > b.DivertQueueFactor && upP < outP {
-			return ScaleUp
-		}
-	}
-	return preferred
 }

@@ -10,22 +10,6 @@ import (
 	"hybridmr/internal/workload"
 )
 
-func TestNewLoadBalancerValidation(t *testing.T) {
-	if _, err := NewLoadBalancer(0); err == nil {
-		t.Error("factor 0 accepted")
-	}
-	if _, err := NewLoadBalancer(-1); err == nil {
-		t.Error("negative factor accepted")
-	}
-	b, err := NewLoadBalancer(1.0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.DivertQueueFactor != 1.0 || b.DivertBothWays {
-		t.Errorf("balancer defaults: %+v", b)
-	}
-}
-
 // The paper's §VII scenario: "if many small jobs arrive at the same time
 // without any large jobs, all the jobs will be scheduled to the scale-up
 // machines, resulting in imbalance". With the balancer, some of that burst
@@ -46,11 +30,7 @@ func TestBalancerDivertsUnderBurst(t *testing.T) {
 	plainRes := plain.Run(burst)
 
 	balanced := newHybridT(t)
-	bal, err := NewLoadBalancer(1.0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	balanced.Balance = bal
+	balanced.Balance = true
 	balRes := balanced.Run(burst)
 
 	var diverted int
@@ -88,8 +68,7 @@ func TestBalancerDivertsUnderBurst(t *testing.T) {
 // Without pressure, the balancer never interferes.
 func TestBalancerIdleNoDiversion(t *testing.T) {
 	h := newHybridT(t)
-	bal, _ := NewLoadBalancer(1.0)
-	h.Balance = bal
+	h.Balance = true
 	jobs := []workload.Job{
 		{ID: "a", App: apps.Grep(), Input: units.GB, RatioKnown: true},
 		{ID: "b", App: apps.Wordcount(), Input: 64 * units.GB, Submit: time.Minute, RatioKnown: true},
@@ -101,11 +80,10 @@ func TestBalancerIdleNoDiversion(t *testing.T) {
 	}
 }
 
-// DivertBothWays moves scale-out jobs onto an idle scale-up cluster only
-// when enabled.
+// The balancer diverts one way only: a scale-out job stays on a saturated
+// scale-out cluster even when the scale-up cluster is idle.
 func TestBalancerBothWays(t *testing.T) {
 	up, out := upOutPlatforms(t)
-	b := &LoadBalancer{DivertQueueFactor: 0.0001}
 	st := mapreduce.NewReplayState()
 	upSim, _ := testSim(st, up)
 	outSim, drain := testSim(st, out)
@@ -118,12 +96,11 @@ func TestBalancerBothWays(t *testing.T) {
 	checked := false
 	st.Engine().At(30*time.Second, func(time.Duration) {
 		checked = true
-		if got := b.Divert(ScaleOut, upSim, outSim); got != ScaleOut {
-			t.Errorf("one-way balancer diverted scale-out job to %v", got)
+		if p := pressure(outSim); p <= divertQueueFactor || pressure(upSim) >= p {
+			t.Fatalf("out pressure %v, up pressure %v: want out saturated and up less loaded", p, pressure(upSim))
 		}
-		b.DivertBothWays = true
-		if got := b.Divert(ScaleOut, upSim, outSim); got != ScaleUp {
-			t.Errorf("both-ways balancer kept the job on %v", got)
+		if got := divert(ScaleOut, upSim, outSim); got != ScaleOut {
+			t.Errorf("balancer diverted a scale-out job to %v", got)
 		}
 	})
 	if res := drain(); !checked || len(res) != n {

@@ -138,11 +138,11 @@ func (sc orderScenario) sinkReplay(t *testing.T, h *Hybrid, base *mapreduce.Plat
 	t.Helper()
 	opt, run := sc.options(t)
 	hy, hyN = make([]JobResult, len(jobs)), make([]int, len(jobs))
-	if err := h.Replay(jobs, opt, func(i int, r *JobResult) { hy[i] = *r; hyN[i]++ }); err != nil {
+	if _, err := h.Replay(jobs, opt, func(i int, r *JobResult) { hy[i] = *r; hyN[i]++ }); err != nil {
 		t.Fatal(err)
 	}
 	bs, bsN = make([]mapreduce.Result, len(jobs)), make([]int, len(jobs))
-	if err := ReplayBaseline(base, jobs, run, func(i int, r *mapreduce.Result) { bs[i] = *r; bsN[i]++ }); err != nil {
+	if _, err := ReplayBaseline(base, jobs, run, func(i int, r *mapreduce.Result) { bs[i] = *r; bsN[i]++ }); err != nil {
 		t.Fatal(err)
 	}
 	return hy, bs, hyN, bsN

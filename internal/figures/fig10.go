@@ -111,7 +111,7 @@ func (c *column) put(k int, r *mapreduce.Result) {
 // refused.
 func runTrace(setup *ReplaySetup) (*traceRun, error) {
 	h, jobs := setup.Hybrid, setup.Jobs
-	if h.Balance != nil {
+	if h.Balance {
 		return nil, errors.New("figures: the trace replay routes statically; the hybrid has a load balancer")
 	}
 	n := len(jobs)
@@ -150,13 +150,13 @@ func runTrace(setup *ReplaySetup) (*traceRun, error) {
 	// and the halves ~20 and ~9 ms, so two workers start both baselines and
 	// the halves fill in behind them.
 	fair := core.BaselineRun{Policy: mapreduce.Fair}
-	replays := [...]func() error{
-		func() error { return core.ReplayBaseline(setup.RHadoop, jobs, fair, run.cols[0].put) },
-		func() error { return core.ReplayBaseline(setup.THadoop, jobs, fair, run.cols[1].put) },
-		func() error { return replayHalf(h, split[run.nUp:], &run.cols[2]) },
-		func() error { return replayHalf(h, split[:run.nUp], &run.cols[3]) },
+	replays := [...]func() (uint64, error){
+		func() (uint64, error) { return core.ReplayBaseline(setup.RHadoop, jobs, fair, run.cols[0].put) },
+		func() (uint64, error) { return core.ReplayBaseline(setup.THadoop, jobs, fair, run.cols[1].put) },
+		func() (uint64, error) { return replayHalf(h, split[run.nUp:], &run.cols[2]) },
+		func() (uint64, error) { return replayHalf(h, split[:run.nUp], &run.cols[3]) },
 	}
-	for i, err := range sweep.Map(sweep.Default().Workers(), len(replays), func(i int) error { return replays[i]() }) {
+	for i, err := range sweep.Map(sweep.Default().Workers(), len(replays), func(i int) error { _, err := replays[i](); return err }) {
 		if err == nil {
 			err = run.cols[i].err
 		}
@@ -168,7 +168,7 @@ func runTrace(setup *ReplaySetup) (*traceRun, error) {
 }
 
 // replayHalf replays one hybrid half's jobs into c.
-func replayHalf(h *core.Hybrid, jobs []workload.Job, c *column) error {
+func replayHalf(h *core.Hybrid, jobs []workload.Job, c *column) (uint64, error) {
 	return h.Replay(jobs, core.FaultRun{}, func(k int, r *core.JobResult) { c.put(k, &r.Result) })
 }
 

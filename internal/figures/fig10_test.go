@@ -122,7 +122,7 @@ func TestTraceSplitMatchesHybridRun(t *testing.T) {
 
 	t.Run("balancer-refused", func(t *testing.T) {
 		balanced := *a.Hybrid
-		balanced.Balance = &core.LoadBalancer{DivertQueueFactor: 2}
+		balanced.Balance = true
 		setup := &ReplaySetup{
 			Jobs:    generate(t, smallTraceConfig(50)),
 			ArchSet: &ArchSet{Hybrid: &balanced, THadoop: a.THadoop, RHadoop: a.RHadoop},

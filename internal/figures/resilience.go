@@ -138,11 +138,10 @@ func RunResilienceOpts(cal mapreduce.Calibration, jobs []workload.Job, sched *fa
 	// so summarize folds them in workload order.
 	baseline := func(p *mapreduce.Platform) func() ([]jobOutcome, uint64, error) {
 		return func() ([]jobOutcome, uint64, error) {
-			var st core.ReplayStats
 			inv := checker()
 			out := make([]jobOutcome, len(jobs))
-			run := core.BaselineRun{Policy: mapreduce.Fair, Faults: sched.ForBaseline(), Inject: inj, Stats: &st, Watchdog: opts.Watchdog, Invariants: inv}
-			err := core.ReplayBaseline(p, jobs, run, func(i int, r *mapreduce.Result) {
+			run := core.BaselineRun{Policy: mapreduce.Fair, Faults: sched.ForBaseline(), Inject: inj, Watchdog: opts.Watchdog, Invariants: inv}
+			events, err := core.ReplayBaseline(p, jobs, run, func(i int, r *mapreduce.Result) {
 				out[i] = jobOutcome{exec: r.Exec, end: r.End, failed: r.Err != nil, taskRetries: r.TaskRetries}
 			})
 			if err != nil {
@@ -151,20 +150,19 @@ func RunResilienceOpts(cal mapreduce.Calibration, jobs []workload.Job, sched *fa
 			if verr := inv.Err(); verr != nil {
 				return nil, 0, verr
 			}
-			return out, st.Events, nil
+			return out, events, nil
 		}
 	}
 	hybridRun := func(opt core.FaultRun) func() ([]jobOutcome, uint64, error) {
 		return func() ([]jobOutcome, uint64, error) {
-			var st core.ReplayStats
 			inv := checker()
 			// Set the per-run fields on a copy: opt stays unmodified, so
 			// the closure captures it by value instead of moving it to the
 			// heap.
 			run := opt
-			run.Stats, run.Watchdog, run.Invariants = &st, opts.Watchdog, inv
+			run.Watchdog, run.Invariants = opts.Watchdog, inv
 			out := make([]jobOutcome, len(jobs))
-			err := hybrid.Replay(jobs, run, func(i int, r *core.JobResult) {
+			events, err := hybrid.Replay(jobs, run, func(i int, r *core.JobResult) {
 				out[i] = jobOutcome{
 					exec: r.Exec, end: r.End, failed: r.Err != nil,
 					taskRetries: r.TaskRetries, attempts: r.Attempts, rerouted: r.Rerouted,
@@ -176,7 +174,7 @@ func RunResilienceOpts(cal mapreduce.Calibration, jobs []workload.Job, sched *fa
 			if verr := inv.Err(); verr != nil {
 				return nil, 0, verr
 			}
-			return out, st.Events, nil
+			return out, events, nil
 		}
 	}
 

@@ -8,6 +8,7 @@ import (
 
 	"hybridmr/internal/core"
 	"hybridmr/internal/faults"
+	"hybridmr/internal/mapreduce"
 	"hybridmr/internal/obs"
 	"hybridmr/internal/sweep"
 	"hybridmr/internal/workload"
@@ -110,5 +111,53 @@ func TestResilienceAmpleBudgetMatchesUnguarded(t *testing.T) {
 	}
 	if !strings.Contains(withBL.Render(), "Hybrid-FA-BL") {
 		t.Error("blacklist row missing from the rendered table")
+	}
+}
+
+// The report's kernel footer counts every replay's events: TotalEvents
+// equals the sum of the five replays run one at a time through the
+// slice-returning forms, each reporting its own count.
+func TestResilienceTotalEventsSumsReplays(t *testing.T) {
+	jobs, err := workload.Generate(smallTraceConfig(120))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sched, inj := faults.Demo(), core.Inject{FailureRate: 0.02, Seed: 3}
+	r, err := RunResilienceOpts(cal(), jobs, sched, inj, obs.Set{}, nil, ResilienceOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	arch, err := SharedArches(cal())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sum uint64
+	for _, opt := range []core.FaultRun{
+		{Schedule: sched, Inject: inj, FailureAware: true},
+		{Schedule: sched, Inject: inj},
+		{},
+	} {
+		var st core.ReplayStats
+		opt.Stats = &st
+		if _, err := arch.Hybrid.RunFaulted(jobs, opt); err != nil {
+			t.Fatal(err)
+		}
+		if st.Events == 0 {
+			t.Errorf("hybrid replay %+v reported no events", opt)
+		}
+		sum += st.Events
+	}
+	for _, p := range []*mapreduce.Platform{arch.THadoop, arch.RHadoop} {
+		var st core.ReplayStats
+		if _, err := core.RunBaselineChecked(p, jobs, mapreduce.Fair, sched.ForBaseline(), inj, &st, sweep.Budget{}, nil); err != nil {
+			t.Fatal(err)
+		}
+		if st.Events == 0 {
+			t.Errorf("%s replay reported no events", p.Name)
+		}
+		sum += st.Events
+	}
+	if r.TotalEvents != sum {
+		t.Errorf("TotalEvents = %d, want the five replays' sum %d", r.TotalEvents, sum)
 	}
 }

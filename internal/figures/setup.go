@@ -119,10 +119,10 @@ func SharedSetup(cal mapreduce.Calibration, cfg workload.Config) (*ReplaySetup, 
 // one by one. configFP fills it positionally, so a field added here without
 // a value there does not compile.
 type configScalars struct {
-	jobs, bands, appMix                                           int
-	seed                                                          int64
-	duration, burstGap                                            time.Duration
-	shrink, unknownRatioFraction, burstFraction, diurnalAmplitude float64
+	jobs, bands, appMix                         int
+	seed                                        int64
+	duration, burstGap                          time.Duration
+	shrink, unknownRatioFraction, burstFraction float64
 }
 
 // configSeed seeds configFP; the trace memo lives only in this process.
@@ -137,7 +137,7 @@ func configFP(cfg workload.Config) uint64 {
 	h.SetSeed(configSeed)
 	maphash.WriteComparable(&h, configScalars{
 		cfg.Jobs, len(cfg.Bands), len(cfg.AppMix), cfg.Seed, cfg.Duration, cfg.BurstGap,
-		cfg.Shrink, cfg.UnknownRatioFraction, cfg.BurstFraction, cfg.DiurnalAmplitude,
+		cfg.Shrink, cfg.UnknownRatioFraction, cfg.BurstFraction,
 	})
 	for _, b := range cfg.Bands {
 		maphash.WriteComparable(&h, b)

@@ -27,7 +27,7 @@ import (
 //     storage-loss simplification documented in faultsim.go.
 //
 // Speculative cloning is the scheduler's response: when a slowdown window
-// opens and pushes the cluster past the configured threshold, in-flight
+// opens and pushes the cluster past cloneThreshold, in-flight
 // attempts get a backup clone on a free slot at the healthy (jitter-free)
 // planned speed — modelling placement away from the gray machines. The first
 // finisher wins and the loser is killed, Hadoop-speculation style.
@@ -36,6 +36,11 @@ import (
 // (a crash changing the live-machine count mid-window does not re-weight
 // it), and shuffle/setup spans are not stretched — cpu/disk windows act on
 // task attempts only.
+
+// cloneThreshold is the attempt slowdown at which a simulator built with
+// Config.Clone clones in-flight attempts. A clone against an unslowed
+// original can never win, so it must exceed 1.
+const cloneThreshold = 1.5
 
 // graySlow is the current attempt-level stretch factor (1 = clean).
 func (s *Simulator) graySlow() float64 { return s.cpuSlow * s.diskSlow }
@@ -151,7 +156,7 @@ func (s *Simulator) rescaleAttempts(oldSlow, newSlow float64, now time.Duration)
 // healthy-speed backup on a free slot, but only where that backup would
 // actually beat the stretched original.
 func (s *Simulator) speculateClones(now time.Duration) {
-	if s.cloneThreshold <= 0 || s.graySlow() < s.cloneThreshold {
+	if !s.clone || s.graySlow() < cloneThreshold {
 		return
 	}
 	cands := make([]*attempt, 0, len(s.inflight))

@@ -129,7 +129,7 @@ func TestGrayFactorOneIsIdentity(t *testing.T) {
 		{ID: "b", App: apps.Grep(), Input: 32 * units.GB, Submit: 30 * time.Minute},
 	}
 	run := func(events []faults.Event) []Result {
-		sim := newTestSim(t, p, Config{Policy: Fair, CloneThreshold: 1.5, Faults: events})
+		sim := newTestSim(t, p, Config{Policy: Fair, Clone: true, Faults: events})
 		for _, j := range jobs {
 			sim.Submit(j)
 		}
@@ -176,13 +176,13 @@ func TestSpeculativeCloneWins(t *testing.T) {
 		{At: base.Start + base.MapPhase/4, Kind: faults.CPUSlow, Cluster: faults.ClusterOut, Count: 0, Factor: 4},
 	}
 
-	run := func(threshold float64) (Result, *testSim) {
-		sim := newTestSim(t, p, Config{CloneThreshold: threshold, Faults: events})
+	run := func(clone bool) (Result, *testSim) {
+		sim := newTestSim(t, p, Config{Clone: clone, Faults: events})
 		sim.Submit(job)
 		return sim.drain()[0], sim
 	}
-	plain, _ := run(0)
-	cloned, sim := run(2)
+	plain, _ := run(false)
+	cloned, sim := run(true)
 	if plain.Err != nil || cloned.Err != nil {
 		t.Fatalf("errs: %v / %v", plain.Err, cloned.Err)
 	}
@@ -214,7 +214,7 @@ func TestCrashOnSpeculationPairs(t *testing.T) {
 	base := clean.drain()[0]
 
 	mid := base.Start + base.MapPhase/4
-	sim := newTestSim(t, p, Config{CloneThreshold: 2, Faults: []faults.Event{
+	sim := newTestSim(t, p, Config{Clone: true, Faults: []faults.Event{
 		{At: mid, Kind: faults.CPUSlow, Cluster: faults.ClusterOut, Count: 0, Factor: 4},
 		{At: mid + base.MapPhase/8, Kind: faults.MachineCrash, Cluster: faults.ClusterOut, Count: 9},
 	}})
@@ -289,9 +289,9 @@ func TestGrayDeterministic(t *testing.T) {
 	p := MustArch(OutOFS, DefaultCalibration())
 	run := func() []Result {
 		sim := newTestSim(t, p, Config{
-			Policy:         Fair,
-			CloneThreshold: 1.5,
-			Faults:         faults.GrayDemo().ForCluster(faults.ClusterOut),
+			Policy: Fair,
+			Clone:  true,
+			Faults: faults.GrayDemo().ForCluster(faults.ClusterOut),
 		})
 		sim.Submit(Job{ID: "a", App: apps.Sort(), Input: 64 * units.GB})
 		sim.Submit(Job{ID: "b", App: apps.Grep(), Input: 32 * units.GB, Submit: time.Hour})
@@ -301,21 +301,5 @@ func TestGrayDeterministic(t *testing.T) {
 	a, b := run(), run()
 	if !reflect.DeepEqual(a, b) {
 		t.Error("gray replays diverged")
-	}
-}
-
-// The constructor rejects clone thresholds a clone can never meet.
-func TestSpeculateClonesValidation(t *testing.T) {
-	p := MustArch(OutOFS, DefaultCalibration())
-	for _, bad := range []float64{1, 0.5, -2} {
-		if err := buildErr(p, Config{CloneThreshold: bad}); err == nil {
-			t.Errorf("threshold %v accepted", bad)
-		}
-	}
-	if err := buildErr(p, Config{CloneThreshold: 0}); err != nil {
-		t.Errorf("disabling rejected: %v", err)
-	}
-	if err := buildErr(p, Config{CloneThreshold: 1.2}); err != nil {
-		t.Errorf("valid threshold rejected: %v", err)
 	}
 }

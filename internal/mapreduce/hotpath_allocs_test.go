@@ -147,7 +147,7 @@ func TestGrayReplaySteadyStateAllocs(t *testing.T) {
 	sink := func(Result, time.Duration) { n++ }
 	setup := func() *Simulator {
 		st.Reset()
-		sim, err := st.Simulator(p, Config{Policy: Fair, CloneThreshold: 1.5, Faults: window}, sink)
+		sim, err := st.Simulator(p, Config{Policy: Fair, Clone: true, Faults: window}, sink)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -41,29 +41,23 @@ var execBounds = []float64{10, 30, 60, 300, 1800, 3600, 6 * 3600, 24 * 3600}
 func (s *Simulator) observe(tr *obs.Tracer, reg *obs.Registry) {
 	name := s.platform.Name
 	if reg == nil {
-		// No registry: skip the metric names entirely, so attaching
-		// (or detaching) a nil observer allocates nothing.
+		// No registry: build no metric names, so attaching (or
+		// detaching) a nil observer allocates nothing.
 		s.obsv = simObs{trace: tr, track: name}
 		return
-	}
-	// The names were interned at platform construction; a hand-assembled
-	// Platform literal (tests) falls back to building them here.
-	n := s.platform.names
-	if n == nil {
-		n = newObsNames(name)
 	}
 	s.obsv = simObs{
 		trace:        tr,
 		track:        name,
-		started:      [nKinds]*obs.Counter{reg.Counter(n.mapsStarted), reg.Counter(n.redsStarted)},
-		taskRetries:  reg.Counter(n.taskRetries),
-		jobsDone:     reg.Counter(n.jobsDone),
-		jobsFailed:   reg.Counter(n.jobsFailed),
-		bytesInput:   reg.Counter(n.bytesInput),
-		bytesShuffle: reg.Counter(n.bytesShuffle),
-		busy:         [nKinds]*obs.Gauge{reg.Gauge(n.mapBusy), reg.Gauge(n.redBusy)},
-		mapQueue:     reg.Gauge(n.mapQueue),
-		execSeconds:  reg.Histogram(n.execSeconds, execBounds...),
+		started:      [nKinds]*obs.Counter{reg.Counter(name + ".tasks.map.started"), reg.Counter(name + ".tasks.reduce.started")},
+		taskRetries:  reg.Counter(name + ".tasks.retries"),
+		jobsDone:     reg.Counter(name + ".jobs.done"),
+		jobsFailed:   reg.Counter(name + ".jobs.failed"),
+		bytesInput:   reg.Counter(name + ".bytes.input"),
+		bytesShuffle: reg.Counter(name + ".bytes.shuffle"),
+		busy:         [nKinds]*obs.Gauge{reg.Gauge(name + ".slots.map.busy"), reg.Gauge(name + ".slots.reduce.busy")},
+		mapQueue:     reg.Gauge(name + ".queue.map.depth"),
+		execSeconds:  reg.Histogram(name+".job.exec.seconds", execBounds...),
 	}
 }
 

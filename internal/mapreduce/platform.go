@@ -24,11 +24,6 @@ type Platform struct {
 	// Cal is the cost-model calibration.
 	Cal Calibration
 
-	// names interns the platform-prefixed metric names once at construction,
-	// so every observed simulator reuses them instead of re-concatenating
-	// (the simulators of a pooled ReplayState re-attach per replay).
-	names *obsNames
-
 	// root is the healthy platform a view was built from (nil on a healthy
 	// platform), and level the view's losses and gray factors relative to
 	// it; see View.
@@ -47,31 +42,6 @@ type viewLevel struct {
 // healthy is the level of an undegraded platform.
 var healthy = viewLevel{nic: 1, rack: 1}
 
-// obsNames holds one platform's interned metric names (see observe).
-type obsNames struct {
-	mapsStarted, redsStarted, taskRetries   string
-	jobsDone, jobsFailed                    string
-	bytesInput, bytesShuffle                string
-	mapBusy, redBusy, mapQueue, execSeconds string
-}
-
-// newObsNames builds the platform-prefixed metric name set.
-func newObsNames(name string) *obsNames {
-	return &obsNames{
-		mapsStarted:  name + ".tasks.map.started",
-		redsStarted:  name + ".tasks.reduce.started",
-		taskRetries:  name + ".tasks.retries",
-		jobsDone:     name + ".jobs.done",
-		jobsFailed:   name + ".jobs.failed",
-		bytesInput:   name + ".bytes.input",
-		bytesShuffle: name + ".bytes.shuffle",
-		mapBusy:      name + ".slots.map.busy",
-		redBusy:      name + ".slots.reduce.busy",
-		mapQueue:     name + ".queue.map.depth",
-		execSeconds:  name + ".job.exec.seconds",
-	}
-}
-
 // NewPlatform validates and assembles a platform.
 func NewPlatform(name string, spec cluster.Spec, fs storage.System, cal Calibration) (*Platform, error) {
 	if name == "" {
@@ -86,7 +56,7 @@ func NewPlatform(name string, spec cluster.Spec, fs storage.System, cal Calibrat
 	if err := cal.Validate(); err != nil {
 		return nil, err
 	}
-	return &Platform{Name: name, Spec: spec, FS: fs, Cal: cal, names: newObsNames(name)}, nil
+	return &Platform{Name: name, Spec: spec, FS: fs, Cal: cal}, nil
 }
 
 // View returns the platform with machinesDown more compute machines and

@@ -111,8 +111,6 @@ func TestSimulatorConfigErrors(t *testing.T) {
 			"mapreduce: failure rate 1 outside [0,1)"},
 		{"straggler fraction 11", Config{Inject: Inject{StragglerFrac: 11}},
 			"mapreduce: straggler fraction 11 outside [0,10]"},
-		{"clone threshold 1", Config{CloneThreshold: 1},
-			"mapreduce: clone threshold 1 must be 0 (off) or > 1"},
 		{"no machine left", Config{Faults: []faults.Event{
 			{At: time.Hour, Kind: faults.MachineCrash, Cluster: faults.ClusterOut, Count: 12},
 		}}, "mapreduce: out-OFS: fault schedule leaves no machines at 1h0m0s (12 of 12 down)"},
@@ -360,7 +358,7 @@ func TestRecycledSimulatorMatchesFresh(t *testing.T) {
 	cfg := sc.config()
 	cfg.Trace, cfg.Metrics = obs.NewTracer(), obs.NewRegistry()
 	cfg.Invariants = NewInvariantChecker()
-	cfg.CloneThreshold = 1.5
+	cfg.Clone = true
 	cfg.Faults = []faults.Event{
 		{At: 5 * time.Minute, Kind: faults.CPUSlow, Cluster: faults.ClusterOut, Count: 0, Factor: 3},
 		{At: 20 * time.Minute, Kind: faults.MachineCrash, Cluster: faults.ClusterOut, Count: 2},

@@ -144,12 +144,12 @@ type Simulator struct {
 	lastQueued time.Duration
 
 	// Gray degradation (graysim.go): the per-stream attempt-level slowdown
-	// weights (1 = clean), the planning-level network factors, the
-	// speculative-clone threshold (0 = clones disabled), and how many clones
-	// started and how many finished before their original.
+	// weights (1 = clean), the planning-level network factors, whether
+	// speculative clones are enabled, and how many clones started and how
+	// many finished before their original.
 	cpuSlow, diskSlow float64
 	nicSlow, rackSlow float64
-	cloneThreshold    float64
+	clone             bool
 	clonesStarted     int
 	clonesWon         int
 
@@ -183,12 +183,11 @@ type Config struct {
 	Invariants *InvariantChecker
 	// Inject adds task-level failures and stragglers.
 	Inject Inject
-	// CloneThreshold enables speculative clone attempts (graysim.go):
-	// whenever a gray window opens and the cluster's attempt slowdown
-	// reaches the threshold, in-flight attempts are cloned onto free slots
-	// at healthy speed, and the first finisher wins. 0 disables cloning;
-	// otherwise it must exceed 1.
-	CloneThreshold float64
+	// Clone enables speculative clone attempts (graysim.go): whenever a
+	// gray window opens and the cluster's attempt slowdown reaches
+	// cloneThreshold, in-flight attempts are cloned onto free slots at
+	// healthy speed, and the first finisher wins.
+	Clone bool
 	// Faults is the fault timeline, validated against the platform and
 	// scheduled before any job can arrive (faultsim.go).
 	Faults []faults.Event
@@ -227,11 +226,11 @@ func newSimulator() *Simulator {
 // init binds a new or recycled simulator to an engine, platform and result
 // sink, sets the non-zero defaults (full slot pools, clean 1× slowdown
 // weights) and applies cfg: policy, observers and invariant checker, then
-// injection, clones and faults, each validated in that order. Every other
-// field starts from zero. Several simulators may share one engine (the
-// hybrid's scale-up and scale-out halves share one simulated clock while
-// keeping separate slot pools). A failed step has scheduled nothing on the
-// engine.
+// injection, clones and faults, validating injection and faults. Every
+// other field starts from zero. Several simulators may share one engine
+// (the hybrid's scale-up and scale-out halves share one simulated clock
+// while keeping separate slot pools). A failed step has scheduled nothing
+// on the engine.
 func (s *Simulator) init(eng *simclock.Engine, p *Platform, cfg Config, onResult func(Result, time.Duration)) error {
 	s.platform, s.eng, s.onResult = p, eng, onResult
 	perMachine := [nKinds]int{kMap: p.Spec.MapSlotsPerMachine(), kRed: p.Spec.ReduceSlotsPerMachine()}
@@ -248,12 +247,7 @@ func (s *Simulator) init(eng *simclock.Engine, p *Platform, cfg Config, onResult
 	if err := s.inject(cfg.Inject); err != nil {
 		return err
 	}
-	// A clone against an unslowed original can never win, so a threshold
-	// must exceed 1.
-	if t := cfg.CloneThreshold; t != 0 && t <= 1 {
-		return fmt.Errorf("mapreduce: clone threshold %v must be 0 (off) or > 1", t)
-	}
-	s.cloneThreshold = cfg.CloneThreshold
+	s.clone = cfg.Clone
 	return s.scheduleFaults(cfg.Faults)
 }
 

@@ -95,12 +95,12 @@ type runKey struct {
 	seq uint64
 }
 
-// Watchdog bounds a simulation run: exceeding either budget — or an external
-// cancellation — makes Step panic with a *BudgetError instead of executing
-// the next event. The sweep runner's panic isolation converts that into a
-// typed per-point error, so one runaway simulation (a feedback loop that
-// schedules forever, a schedule that re-queues the same work endlessly)
-// cannot take down a whole experiment. Zero fields are unlimited.
+// Watchdog bounds a simulation run: exceeding either budget makes Step
+// panic with a *BudgetError instead of executing the next event. The sweep
+// runner's panic isolation converts that into a typed per-point error, so one
+// runaway simulation (a feedback loop that schedules forever, a schedule that
+// re-queues the same work endlessly) cannot take down a whole experiment.
+// Zero fields are unlimited; the zero Watchdog is no watchdog.
 type Watchdog struct {
 	// MaxEvents is the largest number of executed events allowed; 0 means
 	// no event budget.
@@ -108,10 +108,6 @@ type Watchdog struct {
 	// MaxSimTime is the latest simulated instant an event may run at; 0
 	// means no time budget.
 	MaxSimTime time.Duration
-	// Cancel is polled (roughly every 1024 events, plus once on the first
-	// step) and aborts the run when it returns true — the hook for context
-	// cancellation. May be nil.
-	Cancel func() bool
 }
 
 // BudgetError reports a simulation stopped by its watchdog. It is delivered
@@ -125,19 +121,13 @@ type BudgetError struct {
 	// dimension that did not fire).
 	MaxEvents  uint64
 	MaxSimTime time.Duration
-	// Canceled reports the watchdog's Cancel hook fired instead of a budget.
-	Canceled bool
 }
 
 func (b *BudgetError) Error() string {
-	switch {
-	case b.Canceled:
-		return fmt.Sprintf("simclock: run canceled after %d events at %v", b.Events, b.SimTime)
-	case b.MaxEvents > 0:
+	if b.MaxEvents > 0 {
 		return fmt.Sprintf("simclock: event budget %d exhausted at %v", b.MaxEvents, b.SimTime)
-	default:
-		return fmt.Sprintf("simclock: sim-time budget %v exceeded after %d events", b.MaxSimTime, b.Events)
 	}
+	return fmt.Sprintf("simclock: sim-time budget %v exceeded after %d events", b.MaxSimTime, b.Events)
 }
 
 // SetWatchdog installs (or, with nil, removes) the engine's watchdog. The
@@ -146,6 +136,10 @@ func (b *BudgetError) Error() string {
 func (e *Engine) SetWatchdog(w *Watchdog) { e.watch = w }
 
 // guard enforces the watchdog before the next event (at instant at) runs.
+// It stays out of line: inlined, its cold panic paths grow Step, and the
+// gray-resilience benchmark's iter_ms_p50 read 3% slower (DESIGN §7).
+//
+//go:noinline
 func (e *Engine) guard(at time.Duration) {
 	w := e.watch
 	if w.MaxEvents > 0 && e.ran >= w.MaxEvents {
@@ -153,9 +147,6 @@ func (e *Engine) guard(at time.Duration) {
 	}
 	if w.MaxSimTime > 0 && at > w.MaxSimTime {
 		panic(&BudgetError{Events: e.ran, SimTime: at, MaxSimTime: w.MaxSimTime})
-	}
-	if w.Cancel != nil && e.ran%1024 == 0 && w.Cancel() {
-		panic(&BudgetError{Events: e.ran, SimTime: e.now, Canceled: true})
 	}
 }
 

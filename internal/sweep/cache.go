@@ -13,8 +13,9 @@ import (
 
 // Key identifies one isolated simulation point by content: a hash of the
 // platform (name, cluster spec, file-system name and calibration, so
-// ablation variants, degraded views and re-tuned calibrations never alias
-// the Table I architectures), a hash of the application profile, the job's
+// ablation variants, re-tuned calibrations and degraded views — whose
+// platform name carries their levels — never alias the Table I
+// architectures), a hash of the application profile, the job's
 // size and task-layout overrides, and the fault scenario. Job.ID and
 // Job.Submit are deliberately excluded — RunIsolated ignores them, which is
 // what lets "fig", "norm" and "sweep" probes of the same point share one
@@ -34,8 +35,10 @@ type Key struct {
 }
 
 // platformID is what RunIsolated reads of a platform, as one comparable
-// value; the file system stands in by its name, which carries its
-// degradation and throttle state. maphash.Comparable hashes it by the ==
+// value. The file system stands in by its name, which is only its type
+// ("HDFS" or "OFS"): a view's storage loss and throttle are not in it, but
+// in the platform name, which Platform.View gives every view's levels.
+// maphash.Comparable hashes it by the ==
 // operator's field-by-field equality, so every field of Spec and Calibration
 // is in the key without being listed here — a new field cannot be forgotten.
 type platformID struct {

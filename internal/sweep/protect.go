@@ -76,29 +76,10 @@ func toError(r any) error {
 	return errors.New("sweep: non-error panic")
 }
 
-// Budget is the user-facing watchdog configuration carried by the CLIs'
-// -watchdog flag and the experiment options. The zero value disables the
-// watchdog.
-type Budget struct {
-	// MaxEvents bounds the number of simulation events per point.
-	MaxEvents uint64
-	// MaxSimTime bounds the simulated clock per point.
-	MaxSimTime time.Duration
-}
-
-// Enabled reports whether any budget dimension is set.
-func (b Budget) Enabled() bool { return b.MaxEvents > 0 || b.MaxSimTime > 0 }
-
-// Watchdog converts the budget into an engine watchdog with the given
-// cancellation hook (which may be nil). It returns nil when the budget is
-// empty and no hook is given, so installing it on an engine stays free for
-// unbudgeted runs.
-func (b Budget) Watchdog(cancel func() bool) *simclock.Watchdog {
-	if !b.Enabled() && cancel == nil {
-		return nil
-	}
-	return &simclock.Watchdog{MaxEvents: b.MaxEvents, MaxSimTime: b.MaxSimTime, Cancel: cancel}
-}
+// Budget is the user-facing name of the engine watchdog, carried by the
+// CLIs' -watchdog flag and the experiment options. The zero value disables
+// the watchdog.
+type Budget = simclock.Watchdog
 
 // SpecError reports one entry of a -watchdog spec that ParseBudget rejects.
 type SpecError struct {

@@ -88,17 +88,4 @@ func TestParseBudget(t *testing.T) {
 			t.Errorf("ParseBudget(%q) = %v, want a *SpecError", spec, err)
 		}
 	}
-	if (Budget{}).Enabled() {
-		t.Error("zero budget reports enabled")
-	}
-	if (Budget{}).Watchdog(nil) != nil {
-		t.Error("zero budget built a watchdog")
-	}
-	w := (Budget{MaxEvents: 5}).Watchdog(nil)
-	if w == nil || w.MaxEvents != 5 {
-		t.Error("budget watchdog dropped the event cap")
-	}
-	if (Budget{}).Watchdog(func() bool { return false }) == nil {
-		t.Error("cancel hook alone must still build a watchdog")
-	}
 }

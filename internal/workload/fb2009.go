@@ -10,7 +10,6 @@ package workload
 
 import (
 	"fmt"
-	"math"
 	"time"
 
 	"hybridmr/internal/apps"
@@ -56,10 +55,6 @@ type Config struct {
 	BurstFraction float64
 	// BurstGap is the spacing of jobs inside a burst.
 	BurstGap time.Duration
-	// DiurnalAmplitude, in [0, 1), modulates the arrival rate over the
-	// trace window with a day-night cycle: rate(t) ∝ 1 + A·sin(2πt/T).
-	// Production traces show strong diurnality; 0 disables it.
-	DiurnalAmplitude float64
 }
 
 // AppWeight weights one application in the mix.
@@ -125,8 +120,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("workload: burst fraction %v outside [0,1)", c.BurstFraction)
 	case c.BurstFraction > 0 && c.BurstGap <= 0:
 		return fmt.Errorf("workload: bursts need a positive gap")
-	case c.DiurnalAmplitude < 0 || c.DiurnalAmplitude >= 1:
-		return fmt.Errorf("workload: diurnal amplitude %v outside [0,1)", c.DiurnalAmplitude)
 	}
 	for i, b := range c.Bands {
 		if b.Fraction < 0 || b.Lo <= 0 || b.Hi < b.Lo {
@@ -196,16 +189,8 @@ func Generate(cfg Config) ([]Job, error) {
 			at += cfg.BurstGap.Seconds()
 		} else {
 			// Stretch the inter-burst gaps so the overall arrival
-			// rate still averages Jobs/Duration; the diurnal factor
-			// thins the rate at "night" (trough at 3/4 of the
-			// window) and thickens it at the peak.
-			gap := meanGap / (1 - cfg.BurstFraction)
-			if a := cfg.DiurnalAmplitude; a > 0 {
-				phase := 2 * math.Pi * at / cfg.Duration.Seconds()
-				rate := 1 + a*math.Sin(phase)
-				gap /= rate
-			}
-			at += rng.Exp(gap)
+			// rate still averages Jobs/Duration.
+			at += rng.Exp(meanGap / (1 - cfg.BurstFraction))
 		}
 		sample, band := sizes.SampleWithBand(rng)
 		nominal := units.Bytes(sample)
